@@ -18,14 +18,21 @@ vet-snapea:
 test:
 	$(GO) test ./...
 
+# The benchmark package's smoke test checks wall-clock latency limits,
+# which the race detector's ~10x slow-down misses by construction; under
+# -race it runs -short (its unit tests only). `make test` runs it whole.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race $$($(GO) list ./... | grep -v '^snapea/benchmark$$')
+	$(GO) test -race -short ./benchmark
 
-# Short fuzz runs over the two binary/JSON loaders — enough to catch
-# regressions in the hardened parsers without an open-ended campaign.
+# Short fuzz runs over the two binary/JSON loaders and the execution
+# kernel (geometry × params × input bytes, strip kernel vs the scalar
+# reference) — enough to catch regressions without an open-ended
+# campaign.
 fuzz-smoke:
 	$(GO) test ./internal/models -run '^$$' -fuzz 'FuzzLoadWeights' -fuzztime 10s
 	$(GO) test ./internal/snapea -run '^$$' -fuzz 'FuzzLoadParams' -fuzztime 10s
+	$(GO) test ./internal/snapea -run '^$$' -fuzz 'FuzzStripEquivalence' -fuzztime 10s
 
 # Worker-count benchmark sweep over the parallelized hot paths; results
 # land in BENCH_PR7.json (name → ns/op, allocs/op, workers), the

@@ -66,31 +66,25 @@ func (t *LayerTrace) Reduction() float64 {
 }
 
 // compiledKernel is a ReorderedKernel specialized to a layer geometry:
-// each position carries the input-plane offset used on the interior fast
-// path and the (ci, ky, kx) coordinates for padded border windows.
+// each position carries its offset in the input plane (in-place strips),
+// its row in the patch matrix (packed strips), and the (ci, ky, kx)
+// coordinates the scalar and fixed-point padded-window paths use.
 type compiledKernel struct {
 	w []float32
-	// offs holds per-tap input-plane offsets as native ints, precomputed
-	// at compile time so the interior hot loops never pay the
-	// int32→int conversion per MAC.
-	offs       []int
-	ci, ky, kx []int32
-	numSpec    int
-	posEnd     int
-	th         float32
-	bias       float32
-	cBase      int32 // first input channel of this kernel's group
+	// offs[i] is tap i's offset from a window's origin in the input plane;
+	// poffs[i] is Index[i]·lanes, the start of its row in a patch matrix
+	// (nil when the plan packs nothing). Native ints, precomputed at
+	// compile time so the hot loops never pay a conversion per MAC.
+	offs, poffs []int
+	ci, ky, kx  []int32
+	numSpec     int
+	posEnd      int
+	th          float32
+	bias        float32
+	cBase       int32 // first input channel of this kernel's group
 	// stuck marks a kernel whose compute lane is dead (fault injection):
 	// every window outputs zero and executes no MACs.
 	stuck bool
-	// zbias marks the (all but impossible) -0 bias, for which the
-	// clipped border strips' zero-add elision is not exact; such a
-	// kernel's border windows take the scalar padded path instead.
-	zbias bool
-	// rowClips[sp.rowOrd(oy)] / colClips[sp.colOrd(ox)] hold the kernel
-	// compacted to its in-bounds taps at each border row / column —
-	// built after fault injection so flipped weights are reflected.
-	rowClips, colClips []clippedTaps
 }
 
 // LayerPlan is a convolution layer compiled for SnaPEA execution at a
@@ -106,14 +100,10 @@ type LayerPlan struct {
 	outH    int
 	outW    int
 	kernels []compiledKernel
-	// strip is the compile-time decomposition of the output geometry
-	// into a border ring and an interior core of lane strips
-	// (engine_strip.go).
-	strip stripPlan
-	// scratchPool recycles per-worker strip scratch (accumulator and
-	// worklist buffers) across Run calls so the hot path stays
-	// allocation-flat.
-	scratchPool sync.Pool
+	// strip is the compile-time decomposition of the output geometry into
+	// in-place strips and packed windows, and the owner of the run scratch
+	// (engine_strip.go). Shared with plans recompiled from this one.
+	strip *stripPlan
 	// mode labels this plan's metrics: "predictive" when any kernel
 	// speculates, "exact" otherwise. Fixed at compile time.
 	mode string
@@ -143,6 +133,20 @@ func NewLayerPlan(node string, conv *nn.Conv2D, inShape tensor.Shape, params Lay
 // which is exactly the failure mode the fault sweep measures) and marks
 // stuck-at-zero kernels. A nil injector compiles a clean plan.
 func NewLayerPlanFaulty(node string, conv *nn.Conv2D, inShape tensor.Shape, params LayerParams, negOrder NegOrder, inj *faults.Injector) *LayerPlan {
+	return compileLayer(node, conv, inShape, nil, params, negOrder, inj)
+}
+
+// recompile compiles the plan's layer again with other parameters,
+// reusing its geometry: the strip plan depends on the shape only, so the
+// Algorithm-1 passes, which recompile a layer about a hundred times per
+// tune, neither rebuild it nor reallocate the scratch it retains.
+func (p *LayerPlan) recompile(params LayerParams, negOrder NegOrder) *LayerPlan {
+	return compileLayer(p.Node, p.Conv, p.inShape, p.strip, params, negOrder, nil)
+}
+
+// compileLayer builds a plan on the given strip plan, or on a fresh one
+// when sp is nil.
+func compileLayer(node string, conv *nn.Conv2D, inShape tensor.Shape, sp *stripPlan, params LayerParams, negOrder NegOrder, inj *faults.Injector) *LayerPlan {
 	if params == nil {
 		params = AllExact(conv.OutC)
 	}
@@ -161,10 +165,14 @@ func NewLayerPlanFaulty(node string, conv *nn.Conv2D, inShape tensor.Shape, para
 		params = perturbed
 	}
 	os := conv.OutShape([]tensor.Shape{{N: 1, C: inShape.C, H: inShape.H, W: inShape.W}})
+	if sp == nil {
+		sp = planStrips(conv, inShape, os.H, os.W)
+	}
 	p := &LayerPlan{
 		Node: node, Conv: conv, Params: params, NegOrder: negOrder,
 		inShape: inShape, outC: conv.OutC, outH: os.H, outW: os.W,
 		kernels: make([]compiledKernel, conv.OutC),
+		strip:   sp,
 		mode:    "exact",
 	}
 	for _, kp := range params {
@@ -173,47 +181,42 @@ func NewLayerPlanFaulty(node string, conv *nn.Conv2D, inShape tensor.Shape, para
 			break
 		}
 	}
-	p.strip = planStrips(conv, inShape, p.outH, p.outW)
-	p.scratchPool.New = func() any { return newStripScratch(p.strip.maxLanes) }
 	inCg := conv.InC / conv.Groups
 	outCg := conv.OutC / conv.Groups
 	plane := inShape.H * inShape.W
+	khw := int32(conv.KH * conv.KW)
 	for k := 0; k < conv.OutC; k++ {
 		rk := Reorder(conv.Kernel(k), params[k], negOrder)
+		nw := len(rk.Weights)
+		coords := make([]int32, 3*nw)
 		ck := compiledKernel{
 			w:       rk.Weights,
-			offs:    make([]int, len(rk.Weights)),
-			ci:      make([]int32, len(rk.Weights)),
-			ky:      make([]int32, len(rk.Weights)),
-			kx:      make([]int32, len(rk.Weights)),
+			offs:    make([]int, nw),
+			ci:      coords[:nw:nw],
+			ky:      coords[nw : 2*nw : 2*nw],
+			kx:      coords[2*nw:],
 			numSpec: rk.NumSpec,
 			posEnd:  rk.PosEnd,
 			th:      rk.Th,
 			bias:    conv.Bias[k],
 			cBase:   int32((k / outCg) * inCg),
 		}
+		if sp.packed > 0 {
+			ck.poffs = make([]int, nw)
+		}
 		for i, orig := range rk.Index {
-			ci := orig / int32(conv.KH*conv.KW)
-			rem := orig % int32(conv.KH*conv.KW)
+			ci := orig / khw
+			rem := orig % khw
 			ky := rem / int32(conv.KW)
 			kx := rem % int32(conv.KW)
 			ck.ci[i], ck.ky[i], ck.kx[i] = ci, ky, kx
 			ck.offs[i] = int(ci)*plane + int(ky)*inShape.W + int(kx)
+			if ck.poffs != nil {
+				ck.poffs[i] = int(orig) * sp.packed
+			}
 		}
 		if inj != nil {
 			inj.FlipWeightBits(fmt.Sprintf("%s/k%d", node, k), ck.w)
-		}
-		ck.zbias = math.Float32bits(ck.bias) == 1<<31
-		if !ck.zbias {
-			sp := &p.strip
-			ck.rowClips = make([]clippedTaps, 0, len(sp.borderRows))
-			for _, oy := range sp.borderRows {
-				ck.rowClips = append(ck.rowClips, compactClip(&ck, ck.ky, oy*conv.StrideH-conv.PadH, inShape.H))
-			}
-			ck.colClips = make([]clippedTaps, 0, len(sp.borderCols))
-			for _, ox := range sp.borderCols {
-				ck.colClips = append(ck.colClips, compactClip(&ck, ck.kx, ox*conv.StrideW-conv.PadW, inShape.W))
-			}
 		}
 		p.kernels[k] = ck
 	}
@@ -257,6 +260,19 @@ func (p *LayerPlan) Run(in *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *Layer
 		tr.Ops = make([]int32, tr.Windows)
 	}
 
+	// Windows that cannot stream in place are gathered first, one patch
+	// matrix per image shared by every kernel. The copy is 1/OutC of the
+	// packed windows' dense work and runs inline: fanning it out measured
+	// no faster than waking a second worker costs.
+	sp := p.strip
+	rs := sp.acquire(parallel.Workers(p.outC*s.N), s.N)
+	if sp.packed > 0 {
+		img := s.C * s.H * s.W
+		for n := 0; n < s.N; n++ {
+			sp.gather(rs.patch[n], in.Data()[n*img:(n+1)*img], s.C)
+		}
+	}
+
 	// (kernel, image) pairs write disjoint output planes (and index-keyed
 	// Ops slots), so they fan out across the worker pool as strip-granular
 	// work items — finer than whole kernels, which keeps workers busy when
@@ -265,30 +281,19 @@ func (p *LayerPlan) Run(in *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *Layer
 	// afterwards in worker order. Every shard field is an integer counter,
 	// so the merged totals are identical for any worker count and any
 	// dynamic assignment of items to workers.
-	workers := parallel.Workers(p.outC * s.N)
-	stats := make([]LayerTrace, workers)
-	scratch := make([]*stripScratch, workers)
 	parallel.For2(p.outC, s.N, func(w, k, n int) {
-		sc := scratch[w]
-		if sc == nil {
-			sc = p.scratchPool.Get().(*stripScratch)
-			scratch[w] = sc
-		}
-		p.runKernel(n, k, in, out, tr, &stats[w], sc, opts)
+		p.runKernel(w, n, k, in, out, rs, tr, opts)
 	})
-	for _, sc := range scratch {
-		if sc != nil {
-			p.scratchPool.Put(sc)
-		}
+	for i := range rs.stats {
+		st := &rs.stats[i]
+		tr.TotalOps += st.TotalOps
+		tr.SpecZero += st.SpecZero
+		tr.SignZero += st.SignZero
+		tr.TruthNeg += st.TruthNeg
+		tr.SpecTN += st.SpecTN
+		tr.SpecFN += st.SpecFN
 	}
-	for i := range stats {
-		tr.TotalOps += stats[i].TotalOps
-		tr.SpecZero += stats[i].SpecZero
-		tr.SignZero += stats[i].SignZero
-		tr.TruthNeg += stats[i].TruthNeg
-		tr.SpecTN += stats[i].SpecTN
-		tr.SpecFN += stats[i].SpecFN
-	}
+	sp.release(rs)
 	if p.faults != nil {
 		seq := p.runSeq.Add(1) - 1
 		p.faults.CorruptActivations(fmt.Sprintf("%s#%d", p.Node, seq), out.Data())
@@ -415,212 +420,34 @@ func FirstNonFinite(d []float32) int {
 }
 
 // runKernel computes all windows of output channel k for batch element
-// n as a border ring plus a strip-mined interior core. Border windows
-// (any tap out of bounds) keep the per-window scalar path; interior
-// rows execute tap-major over strips of consecutive output pixels
-// (engine_strip.go). Both paths accumulate each window in the same tap
-// order, so outputs and traces are byte-identical to the retained
-// scalar reference (runReference) for every geometry.
-func (p *LayerPlan) runKernel(n, k int, in, out *tensor.Tensor, tr, st *LayerTrace, sc *stripScratch, opts RunOpts) {
+// n on the given worker's shard of rs: the in-place strips straight
+// from the input plane, then the packed windows from the image's patch
+// matrix in chunks of maxStripLanes — both through runStrip, which
+// accumulates each window in the scalar reference's tap order.
+func (p *LayerPlan) runKernel(worker, n, k int, in, out *tensor.Tensor, rs *runState, tr *LayerTrace, opts RunOpts) {
 	ck := &p.kernels[k]
 	if ck.stuck {
 		// Dead lane: outputs stay zero (out is zero-initialized) and no
 		// MACs execute.
 		return
 	}
-	conv := p.Conv
 	s := in.Shape()
 	ind := in.Data()
 	outd := out.Data()
 	inBase := (n*s.C + int(ck.cBase)) * s.H * s.W
-	outRow := (n*p.outC + k) * p.outH * p.outW
-	sp := &p.strip
-	for oy := 0; oy < p.outH; oy++ {
-		iy0 := oy*conv.StrideH - conv.PadH
-		rowIdx := outRow + oy*p.outW
-		rowBase := inBase + iy0*s.W
-		if oy >= sp.oyLo && oy < sp.oyHi {
-			// Interior row: strip-mined core. The kx-clipped border
-			// columns of this row run in the vertical strips below.
-			for _, span := range sp.spans {
-				base := rowBase + span.ox*conv.StrideW - conv.PadW
-				p.runStrip(ck, ind, outd, base, span.n, conv.StrideW, rowIdx+span.ox, tr, st, sc, opts)
-			}
-			continue
-		}
-		// Border row: iy-clipped strips over the kx-valid columns; only
-		// the corner windows — clipped on both axes — go scalar. A -0
-		// bias (where the zero-add elision is not exact) keeps the whole
-		// row scalar.
-		if ck.zbias {
-			p.borderCols(ck, ind, outd, inBase, iy0, 0, p.outW, s.H, s.W, rowIdx, tr, st, opts)
-			continue
-		}
-		p.borderCols(ck, ind, outd, inBase, iy0, 0, sp.oxLo, s.H, s.W, rowIdx, tr, st, opts)
-		ct := &ck.rowClips[sp.rowOrd(oy)]
-		for _, span := range sp.spans {
-			base := rowBase + span.ox*conv.StrideW - conv.PadW
-			p.runStripClipped(ck, ct, ind, outd, base, span.n, conv.StrideW, rowIdx+span.ox, 1, tr, st, sc, opts)
-		}
-		p.borderCols(ck, ind, outd, inBase, iy0, sp.oxHi, p.outW, s.H, s.W, rowIdx, tr, st, opts)
+	outBase := (n*p.outC + k) * p.outH * p.outW
+	sp := p.strip
+	st, sc := &rs.stats[worker], &rs.lanes[worker]
+	for _, ls := range sp.strips {
+		p.runStrip(ck, ck.offs, ind, outd, inBase+ls.in, ls.n, outBase+ls.out, laneIota[:], tr, st, sc, opts)
 	}
-	// Border columns × iy-valid rows: kx-clipped vertical strips, one
-	// lane per output row, striding a whole input row per lane.
-	for _, cr := range [2][2]int{{0, sp.oxLo}, {sp.oxHi, p.outW}} {
-		for ox := cr[0]; ox < cr[1]; ox++ {
-			ix0 := ox*conv.StrideW - conv.PadW
-			if ck.zbias {
-				for oy := sp.oyLo; oy < sp.oyHi; oy++ {
-					iy0 := oy*conv.StrideH - conv.PadH
-					val, ops := p.windowBorder(ck, ind, inBase, iy0, ix0, s.H, s.W, st, opts)
-					idx := outRow + oy*p.outW + ox
-					outd[idx] = val
-					st.TotalOps += int64(ops)
-					if tr.Ops != nil {
-						tr.Ops[idx] = ops
-					}
-				}
-				continue
-			}
-			ct := &ck.colClips[sp.colOrd(ox)]
-			for _, vs := range sp.vspans {
-				iy0 := vs.ox*conv.StrideH - conv.PadH
-				base := inBase + iy0*s.W + ix0
-				outIdx := outRow + vs.ox*p.outW + ox
-				p.runStripClipped(ck, ct, ind, outd, base, vs.n, conv.StrideH*s.W, outIdx, p.outW, tr, st, sc, opts)
-			}
-		}
+	if sp.packed == 0 {
+		return
 	}
-}
-
-// borderCols runs the scalar padded-window path for output columns
-// [oxLo, oxHi) of one output row.
-func (p *LayerPlan) borderCols(ck *compiledKernel, ind, outd []float32, inBase, iy0, oxLo, oxHi, inH, inW, rowIdx int, tr, st *LayerTrace, opts RunOpts) {
-	conv := p.Conv
-	for ox := oxLo; ox < oxHi; ox++ {
-		ix0 := ox*conv.StrideW - conv.PadW
-		val, ops := p.windowBorder(ck, ind, inBase, iy0, ix0, inH, inW, st, opts)
-		idx := rowIdx + ox
-		outd[idx] = val
-		st.TotalOps += int64(ops)
-		if tr.Ops != nil {
-			tr.Ops[idx] = ops
-		}
+	patch := rs.patch[n]
+	groupBase := int(ck.cBase) * p.Conv.KH * p.Conv.KW * sp.packed
+	for c := 0; c < sp.packed; c += maxStripLanes {
+		lanes := min(maxStripLanes, sp.packed-c)
+		p.runStrip(ck, ck.poffs, patch, outd, groupBase+c, lanes, outBase, sp.scatter[c:], tr, st, sc, opts)
 	}
-}
-
-// window executes one interior convolution window with early activation.
-// base is the input index of the window's top-left element in the
-// kernel's channel group. It is the retained scalar reference the
-// strip-mined interior kernel is validated against (runReference); the
-// production interior path is runStrip in engine_strip.go.
-func (p *LayerPlan) window(ck *compiledKernel, ind []float32, base int, st *LayerTrace, opts RunOpts) (float32, int32) {
-	acc := ck.bias
-	w, offs := ck.w, ck.offs
-	i := 0
-	// Speculation prefix.
-	for ; i < ck.numSpec; i++ {
-		acc += w[i] * ind[base+offs[i]]
-	}
-	if ck.numSpec > 0 && acc <= ck.th {
-		st.SpecZero++
-		if opts.CollectPrediction {
-			full := acc
-			for j := i; j < len(w); j++ {
-				full += w[j] * ind[base+offs[j]]
-			}
-			if full < 0 {
-				st.TruthNeg++
-				st.SpecTN++
-			} else {
-				st.SpecFN++
-			}
-		}
-		return 0, int32(ck.numSpec)
-	}
-	// Positive region: the sum only grows; no checks needed.
-	for ; i < ck.posEnd; i++ {
-		acc += w[i] * ind[base+offs[i]]
-	}
-	// Negative region: the sum only shrinks; first sign flip is final.
-	for ; i < len(w); i++ {
-		acc += w[i] * ind[base+offs[i]]
-		if acc < 0 {
-			i++
-			st.SignZero++
-			if opts.CollectPrediction {
-				st.TruthNeg++
-			}
-			return 0, int32(i)
-		}
-	}
-	if opts.CollectPrediction && acc < 0 {
-		st.TruthNeg++
-	}
-	if acc < 0 {
-		return 0, int32(i)
-	}
-	return acc, int32(i)
-}
-
-// windowBorder is the padded-window path: out-of-bounds taps read zero
-// (the hardware streams explicit zero padding through the MACs, so they
-// still count as operations). The fetch reuses the precomputed interior
-// offsets — for an in-bounds tap the address is base0+offs[i], exactly
-// like the interior path — so only the two unsigned range tests remain
-// per tap.
-func (p *LayerPlan) windowBorder(ck *compiledKernel, ind []float32, inBase, iy0, ix0, inH, inW int, st *LayerTrace, opts RunOpts) (float32, int32) {
-	base0 := inBase + iy0*inW + ix0
-	ky, kx, offs := ck.ky, ck.kx, ck.offs
-	fetch := func(i int) float32 {
-		iy := iy0 + int(ky[i])
-		ix := ix0 + int(kx[i])
-		if uint(iy) < uint(inH) && uint(ix) < uint(inW) {
-			return ind[base0+offs[i]]
-		}
-		return 0
-	}
-	acc := ck.bias
-	w := ck.w
-	i := 0
-	for ; i < ck.numSpec; i++ {
-		acc += w[i] * fetch(i)
-	}
-	if ck.numSpec > 0 && acc <= ck.th {
-		st.SpecZero++
-		if opts.CollectPrediction {
-			full := acc
-			for j := i; j < len(w); j++ {
-				full += w[j] * fetch(j)
-			}
-			if full < 0 {
-				st.TruthNeg++
-				st.SpecTN++
-			} else {
-				st.SpecFN++
-			}
-		}
-		return 0, int32(ck.numSpec)
-	}
-	for ; i < ck.posEnd; i++ {
-		acc += w[i] * fetch(i)
-	}
-	for ; i < len(w); i++ {
-		acc += w[i] * fetch(i)
-		if acc < 0 {
-			i++
-			st.SignZero++
-			if opts.CollectPrediction {
-				st.TruthNeg++
-			}
-			return 0, int32(i)
-		}
-	}
-	if acc < 0 {
-		if opts.CollectPrediction {
-			st.TruthNeg++
-		}
-		return 0, int32(i)
-	}
-	return acc, int32(i)
 }

@@ -13,9 +13,9 @@ import (
 // behavioural reference; the quantization ablation measures how little
 // the early-termination decisions move under Q7.8.
 //
-// Execution uses the same border-ring + strip-mined-interior structure
-// as the float path: border windows (any tap out of bounds) run the
-// per-window scalar path, interior rows run tap-major over strips of
+// Execution is a border ring plus a strip-mined interior (stripPlan's
+// interior bounds and spans): border windows (any tap out of bounds) run
+// the per-window scalar path, interior rows run tap-major over strips of
 // consecutive output pixels with an active-lane worklist that compacts
 // as the sign check retires windows. Integer accumulation is
 // order-independent, but the taps still execute in the scalar order so
@@ -27,7 +27,7 @@ func (p *LayerPlan) RunFixed(in *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *
 	qin := fixed.Quantize(in.Data())
 	conv := p.Conv
 	outd := out.Data()
-	sp := &p.strip
+	sp := p.strip
 	lanes := sp.maxLanes
 	if lanes < 1 {
 		lanes = 1

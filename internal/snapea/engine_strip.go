@@ -2,46 +2,63 @@ package snapea
 
 import (
 	"sort"
+	"sync"
 
 	"snapea/internal/nn"
 	"snapea/internal/tensor"
 )
 
-// This file holds the strip-mined interior execution kernel: the
-// production fast path for all windows whose every tap is in bounds.
+// This file holds the strip execution kernel: the one body every
+// convolution window of a layer runs through.
 //
-// The scalar engine (window in engine.go) executes one gather-MAC per
-// tap per window, re-deriving addresses and re-testing conditions for
-// every one of the millions of windows a request touches. The strip
-// kernel instead runs tap-major over a strip of consecutive output
-// pixels in one row: for each reordered tap, it streams one contiguous
-// input row segment across all still-active windows ("lanes") of the
-// strip, the software analogue of SnaPEA's parallel PE lanes. An active
-// lane worklist is compacted whenever the speculation-threshold check
-// (after tap numSpec) or the sign check (in the negative suffix)
-// retires a window, so later taps only visit surviving lanes — skipped
-// work stays dense and streamable, the property Cnvlutin2 and Tetris
-// show is what makes ineffectual-work skipping actually pay.
+// A strip is a run of up to maxStripLanes windows ("lanes") whose inputs
+// for any one tap sit next to each other in memory, so the kernel runs
+// tap-major: for each reordered tap it streams one contiguous row of
+// inputs across all lanes, the software analogue of SnaPEA's parallel PE
+// lanes. The speculation-threshold check retires predicted-negative
+// lanes, the positive region runs dense, and the negative suffix drains
+// the survivors four lanes at a time in registers with a sign check
+// after every tap — skipped work stays dense and streamable, the
+// property Cnvlutin2 and Tetris show is what makes ineffectual-work
+// skipping actually pay.
+//
+// Two sources feed it. Interior windows of a stride-1 layer whose rows
+// are long enough stream in place from the input plane (a 1x1/stride-1/
+// pad-0 layer streams flat across rows: its plane already is a patch
+// matrix). Every other window — the border ring, and the whole plane
+// when it is strided or its interior rows are too short to be worth a
+// strip — is gathered once per Run per image into a zero-padded patch
+// matrix P[tap][lane] shared by all kernels, and runs over that.
 //
 // Bit-identity: each lane's accumulator starts at the bias and receives
-// w[i]*x[i] in exactly the scalar path's tap order, and every
-// termination decision reads the same accumulator value — so outputs,
-// per-window op counts, and trace totals are byte-identical to the
-// scalar reference for any geometry, mode, and worker count. The
-// kernel-equivalence suite (kernel_equiv_test.go) enforces this.
+// w[i]*x[i] in exactly the scalar reference's tap order — the padded
+// taps of a packed window are executed as w[i]*0, exactly as the
+// reference does — and every termination decision reads the same
+// accumulator value, so outputs, per-window op counts, and trace totals
+// are byte-identical to runReference for any geometry, mode, bias, and
+// worker count. The kernel-equivalence suite (kernel_equiv_test.go)
+// enforces this.
 
 // maxStripLanes bounds a strip's lane count so the per-worker scratch
-// (accumulators + worklist) stays L1-resident; rows wider than this are
-// split into multiple spans at compile time.
+// (accumulators + worklist) stays L1-resident; longer runs of lanes are
+// split into chunks.
 const maxStripLanes = 256
 
-// stripDrainLanes is the worklist width below which the negative suffix
-// stops running tap-major: with only a handful of live lanes the
-// per-tap loop setup outweighs the streaming win, so the remaining
-// lanes are drained one window at a time with a register-resident
-// accumulator. Both shapes execute the identical per-window tap order,
-// so the switch point affects speed only, never results.
-const stripDrainLanes = 16
+// minStripLanes is the interior row span below which a plane is not
+// streamed in place but packed whole: a strip pays its per-tap loop
+// set-up once per row, so on the 8x8 / 4x4 / 2x2 planes of the late
+// layers rows of 2-6 lanes cost more in set-up than they execute. It is
+// a property of the layer geometry, fixed at compile time.
+const minStripLanes = 16
+
+// laneIota is the lane→output map of a strip whose lanes write
+// consecutive outputs.
+var laneIota = func() (t [maxStripLanes]int32) {
+	for i := range t {
+		t[i] = int32(i)
+	}
+	return t
+}()
 
 // stripSpan is one run of consecutive interior output columns executed
 // as a batch of lanes.
@@ -50,49 +67,117 @@ type stripSpan struct {
 	n  int // lane count
 }
 
+// laneStrip is one strip streamed in place from the input plane.
+type laneStrip struct {
+	in  int // lane 0's window origin, relative to the kernel's channel group
+	out int // lane 0's offset in the output plane; lanes write consecutively
+	n   int // lane count
+}
+
+// patchSeg is one step of the gather program: n consecutive lanes of one
+// spatial tap's patch row, copied from one input row. Offsets are
+// relative to a channel's patch rows and input plane; every channel runs
+// the same program.
+type patchSeg struct {
+	dst, src, n int32
+}
+
 // stripPlan is the compile-time decomposition of one layer's output
-// geometry. Rows [oyLo, oyHi) are the ones where every kernel row is in
-// bounds; columns [oxLo, oxHi) the ones where every kernel column is.
-// Their intersection is the interior core (runStrip). Border rows run
-// iy-clipped strips over the kx-valid columns; border columns run
-// kx-clipped vertical strips down the iy-valid rows; only the corners —
-// clipped on both axes at once — keep the scalar padded-window path.
+// geometry, and the owner of the scratch its executions reuse. It
+// depends on the convolution's shape only, never on weights or
+// parameters, so plans recompiled for the same layer share one.
+//
+// Rows [oyLo, oyHi) are the ones where every kernel row is in bounds;
+// columns [oxLo, oxHi) the ones where every kernel column is; spans
+// cover the latter. RunFixed executes that interior as strips and the
+// rest per window. The float path (Run) executes `strips` in place and
+// the `packed` remaining windows from the patch matrix.
 type stripPlan struct {
 	oyLo, oyHi int
 	oxLo, oxHi int
 	spans      []stripSpan // horizontal spans covering [oxLo, oxHi)
-	vspans     []stripSpan // vertical spans covering [oyLo, oyHi)
-	maxLanes   int         // widest span of either kind, sizes the scratch
-	borderRows []int       // oy of every border row: [0, oyLo) ++ [oyHi, outH)
-	borderCols []int       // ox of every border column: [0, oxLo) ++ [oxHi, outW)
+	maxLanes   int         // widest span, sizes RunFixed's scratch
+
+	strips  []laneStrip // windows streamed in place
+	packed  int         // windows run from the patch matrix: its lane count
+	scatter []int32     // packed lane → offset in the output plane
+	// segs gathers one channel: patch rows are KH·KW per channel, `packed`
+	// lanes each, in original tap order. Positions no segment writes are
+	// padding and stay zero from allocation.
+	segs      []patchSeg
+	segStride int // input step between a segment's lanes (StrideW)
+	patchLen  int // floats in one image's patch matrix
+
+	mu   sync.Mutex
+	free []*runState
 }
 
-// rowOrd maps a border row oy to its index in borderRows; colOrd the
-// same for border columns. Valid only for border coordinates.
-func (sp *stripPlan) rowOrd(oy int) int {
-	if oy < sp.oyLo {
-		return oy
+// runState is what one Run needs beyond its output: a trace shard and
+// lane scratch per worker, and one patch matrix per image. States are
+// retained on the stripPlan's free list — not a sync.Pool, which every
+// GC empties — so steady-state Runs allocate none of it.
+type runState struct {
+	stats []LayerTrace
+	lanes []stripScratch
+	patch [][]float32
+}
+
+// stripScratch is one worker's reusable lane state: per-lane
+// accumulators and the active-lane worklist. maxStripLanes entries
+// each, so both live in L1 while a strip executes.
+type stripScratch struct {
+	acc    []float32
+	active []int32
+}
+
+// acquire returns a run state sized for the given worker count and
+// batch, reusing a retained one when there is one.
+func (sp *stripPlan) acquire(workers, batch int) *runState {
+	var rs *runState
+	sp.mu.Lock()
+	if n := len(sp.free); n > 0 {
+		rs, sp.free = sp.free[n-1], sp.free[:n-1]
 	}
-	return sp.oyLo + oy - sp.oyHi
-}
-
-func (sp *stripPlan) colOrd(ox int) int {
-	if ox < sp.oxLo {
-		return ox
+	sp.mu.Unlock()
+	if rs == nil {
+		rs = &runState{}
 	}
-	return sp.oxLo + ox - sp.oxHi
+	for len(rs.lanes) < workers {
+		rs.stats = append(rs.stats, LayerTrace{})
+		rs.lanes = append(rs.lanes, stripScratch{
+			acc:    make([]float32, maxStripLanes),
+			active: make([]int32, maxStripLanes),
+		})
+	}
+	if sp.packed > 0 {
+		for len(rs.patch) < batch {
+			rs.patch = append(rs.patch, make([]float32, sp.patchLen))
+		}
+	}
+	return rs
 }
 
-// planStrips computes the interior bounds and span layout for a layer
-// geometry. The in-bounds predicates are monotone in the output
-// coordinate, so the bounds are binary-searched rather than derived
-// with sign-sensitive integer division.
-func planStrips(conv *nn.Conv2D, inShape tensor.Shape, outH, outW int) stripPlan {
-	sp := stripPlan{
-		oyLo: sort.Search(outH, func(oy int) bool { return oy*conv.StrideH-conv.PadH >= 0 }),
-		oyHi: sort.Search(outH, func(oy int) bool { return oy*conv.StrideH-conv.PadH+conv.KH > inShape.H }),
-		oxLo: sort.Search(outW, func(ox int) bool { return ox*conv.StrideW-conv.PadW >= 0 }),
-		oxHi: sort.Search(outW, func(ox int) bool { return ox*conv.StrideW-conv.PadW+conv.KW > inShape.W }),
+// release returns a run state to the free list with its shards zeroed.
+func (sp *stripPlan) release(rs *runState) {
+	clear(rs.stats)
+	sp.mu.Lock()
+	sp.free = append(sp.free, rs)
+	sp.mu.Unlock()
+}
+
+// planStrips computes the interior bounds, the in-place strips and the
+// patch-matrix layout for a layer geometry. The in-bounds predicates
+// are monotone in the output coordinate, so the bounds are
+// binary-searched rather than derived with sign-sensitive integer
+// division.
+func planStrips(conv *nn.Conv2D, inShape tensor.Shape, outH, outW int) *stripPlan {
+	kh, kw := conv.KH, conv.KW
+	sH, sW, pH, pW := conv.StrideH, conv.StrideW, conv.PadH, conv.PadW
+	sp := &stripPlan{
+		oyLo: sort.Search(outH, func(oy int) bool { return oy*sH-pH >= 0 }),
+		oyHi: sort.Search(outH, func(oy int) bool { return oy*sH-pH+kh > inShape.H }),
+		oxLo: sort.Search(outW, func(ox int) bool { return ox*sW-pW >= 0 }),
+		oxHi: sort.Search(outW, func(ox int) bool { return ox*sW-pW+kw > inShape.W }),
 	}
 	// Degenerate geometries (input smaller than the kernel overhang) can
 	// leave no valid band at all; normalize to an empty range so the
@@ -104,109 +189,121 @@ func planStrips(conv *nn.Conv2D, inShape tensor.Shape, outH, outW int) stripPlan
 		sp.oxLo, sp.oxHi = 0, 0
 	}
 	for ox := sp.oxLo; ox < sp.oxHi; ox += maxStripLanes {
-		n := sp.oxHi - ox
-		if n > maxStripLanes {
-			n = maxStripLanes
-		}
+		n := min(maxStripLanes, sp.oxHi-ox)
 		sp.spans = append(sp.spans, stripSpan{ox: ox, n: n})
-		if n > sp.maxLanes {
-			sp.maxLanes = n
+		sp.maxLanes = max(sp.maxLanes, n)
+	}
+
+	// In-place strips. [iyLo, iyHi) × [ixLo, ixHi) is the part of the
+	// output they cover; it stays empty when the whole plane is packed.
+	var iyLo, iyHi, ixLo, ixHi int
+	switch {
+	case kh == 1 && kw == 1 && sH == 1 && sW == 1 && pH == 0 && pW == 0:
+		// The input plane is the patch matrix: one tap per channel, lanes
+		// consecutive across row ends. Nothing to pack.
+		for c := 0; c < outH*outW; c += maxStripLanes {
+			sp.strips = append(sp.strips, laneStrip{in: c, out: c, n: min(maxStripLanes, outH*outW-c)})
+		}
+		return sp
+	case sW == 1 && sp.oxHi-sp.oxLo >= minStripLanes:
+		iyLo, iyHi, ixLo, ixHi = sp.oyLo, sp.oyHi, sp.oxLo, sp.oxHi
+		for oy := iyLo; oy < iyHi; oy++ {
+			for _, span := range sp.spans {
+				sp.strips = append(sp.strips, laneStrip{
+					in:  (oy*sH-pH)*inShape.W + span.ox - pW,
+					out: oy*outW + span.ox,
+					n:   span.n,
+				})
+			}
 		}
 	}
-	for oy := sp.oyLo; oy < sp.oyHi; oy += maxStripLanes {
-		n := sp.oyHi - oy
-		if n > maxStripLanes {
-			n = maxStripLanes
+
+	// Every other window is packed, in raster order: whole rows outside
+	// the in-place band, the columns left and right of it inside.
+	type run struct{ oy, ox, n, lane int }
+	var runs []run
+	pack := func(oy, ox, n int) {
+		if n <= 0 {
+			return
 		}
-		sp.vspans = append(sp.vspans, stripSpan{ox: oy, n: n})
-		if n > sp.maxLanes {
-			sp.maxLanes = n
+		runs = append(runs, run{oy: oy, ox: ox, n: n, lane: sp.packed})
+		for i := 0; i < n; i++ {
+			sp.scatter = append(sp.scatter, int32(oy*outW+ox+i))
+		}
+		sp.packed += n
+	}
+	for oy := 0; oy < outH; oy++ {
+		if oy >= iyLo && oy < iyHi {
+			pack(oy, 0, ixLo)
+			pack(oy, ixHi, outW-ixHi)
+		} else {
+			pack(oy, 0, outW)
 		}
 	}
-	for oy := 0; oy < sp.oyLo; oy++ {
-		sp.borderRows = append(sp.borderRows, oy)
+	if sp.packed == 0 {
+		return sp
 	}
-	for oy := sp.oyHi; oy < outH; oy++ {
-		sp.borderRows = append(sp.borderRows, oy)
+
+	// Gather program: for each spatial tap, the stretch of each run whose
+	// tap lands inside the input plane.
+	for ky := 0; ky < kh; ky++ {
+		for kx := 0; kx < kw; kx++ {
+			lo := sort.Search(outW, func(ox int) bool { return ox*sW-pW+kx >= 0 })
+			hi := sort.Search(outW, func(ox int) bool { return ox*sW-pW+kx >= inShape.W })
+			row := (ky*kw + kx) * sp.packed
+			for _, r := range runs {
+				iy := r.oy*sH - pH + ky
+				a, b := max(lo, r.ox), min(hi, r.ox+r.n)
+				if iy < 0 || iy >= inShape.H || a >= b {
+					continue
+				}
+				sp.segs = append(sp.segs, patchSeg{
+					dst: int32(row + r.lane + a - r.ox),
+					src: int32(iy*inShape.W + a*sW - pW + kx),
+					n:   int32(b - a),
+				})
+			}
+		}
 	}
-	for ox := 0; ox < sp.oxLo; ox++ {
-		sp.borderCols = append(sp.borderCols, ox)
-	}
-	for ox := sp.oxHi; ox < outW; ox++ {
-		sp.borderCols = append(sp.borderCols, ox)
-	}
+	sp.segStride = sW
+	sp.patchLen = conv.InC * kh * kw * sp.packed
 	return sp
 }
 
-// stripScratch is one worker's reusable lane state: per-lane
-// accumulators and the active-lane worklist. At most maxStripLanes
-// entries each, so both live in L1 while a strip executes.
-type stripScratch struct {
-	acc    []float32
-	active []int32
-}
-
-func newStripScratch(lanes int) *stripScratch {
-	if lanes < 1 {
-		lanes = 1
-	}
-	return &stripScratch{
-		acc:    make([]float32, lanes),
-		active: make([]int32, lanes),
-	}
-}
-
-// clippedTaps is a kernel compacted down to the taps that stay in
-// bounds at one border coordinate: the reordered weights, input-plane
-// offsets, and original tap indices (for op accounting) of the valid
-// taps only. One is precompiled per (kernel, border row) and
-// (kernel, border column) pair at plan-build time, after fault
-// injection has perturbed the weights, so the border strips pay no
-// per-tap bounds test at run time.
-type clippedTaps struct {
-	wv  []float32
-	ov  []int
-	iv  []int32
-	nsv int // compacted end of the speculation prefix
-	pv  int // compacted end of the positive region
-	// entryCheck records that the kernel's first suffix tap is clipped
-	// at this coordinate: the scalar path sign-checks there, and it is
-	// the one place a clipped tap can retire a lane (see runStripClipped).
-	entryCheck bool
-}
-
-// compactClip builds the clippedTaps of ck for one border coordinate:
-// tap i is in bounds iff clipBase+clip[i] lands in [0, clipLim).
-func compactClip(ck *compiledKernel, clip []int32, clipBase, clipLim int) clippedTaps {
-	nw := len(ck.w)
-	var ct clippedTaps
-	for i := 0; i < nw; i++ {
-		if uint(clipBase+int(clip[i])) < uint(clipLim) {
-			ct.wv = append(ct.wv, ck.w[i])
-			ct.ov = append(ct.ov, ck.offs[i])
-			ct.iv = append(ct.iv, int32(i))
-			if i < ck.numSpec {
-				ct.nsv++
+// gather fills one image's patch matrix from its input planes, channel
+// by channel. Padding positions are never written: they are zero from
+// the matrix's allocation, for every Run.
+func (sp *stripPlan) gather(patch, img []float32, channels int) {
+	rows, plane := len(patch)/channels, len(img)/channels
+	for c := 0; c < channels; c++ {
+		dst, src := patch[c*rows:(c+1)*rows], img[c*plane:(c+1)*plane]
+		if sp.segStride == 1 {
+			for _, sg := range sp.segs {
+				copy(dst[sg.dst:sg.dst+sg.n], src[sg.src:])
 			}
-			if i < ck.posEnd {
-				ct.pv++
+			continue
+		}
+		for _, sg := range sp.segs {
+			d := dst[sg.dst : sg.dst+sg.n]
+			s := src[sg.src:]
+			for j := range d {
+				d[j] = s[j*sp.segStride]
 			}
 		}
 	}
-	ct.entryCheck = ck.posEnd < nw && (ct.pv == len(ct.wv) || int(ct.iv[ct.pv]) != ck.posEnd)
-	return ct
 }
 
-// runStrip executes one strip of `lanes` consecutive interior windows
-// for one kernel. base is the input index of lane 0's top-left element
-// in the kernel's channel group; lane l's window starts at
-// base + l*strideW. outIdx is the output index of lane 0; lanes write
-// outd[outIdx+l].
-func (p *LayerPlan) runStrip(ck *compiledKernel, ind, outd []float32, base, lanes, strideW, outIdx int, tr, st *LayerTrace, sc *stripScratch, opts RunOpts) {
+// runStrip executes one strip of `lanes` windows for one kernel, reading
+// tap i of lane l at src[base+offs[i]+l] and writing lane l's output to
+// outd[outIdx+oidx[l]]. For an in-place strip src is the input tensor,
+// offs the kernel's input-plane offsets and base lane 0's window origin;
+// for a packed strip src is the image's patch matrix, offs the kernel's
+// patch rows and base the strip's first lane within its group's rows.
+func (p *LayerPlan) runStrip(ck *compiledKernel, offs []int, src, outd []float32, base, lanes, outIdx int, oidx []int32, tr, st *LayerTrace, sc *stripScratch, opts RunOpts) {
 	w := ck.w
-	offs := ck.offs
 	nw := len(w)
 	numSpec := ck.numSpec
+	oidx = oidx[:lanes]
 	acc := sc.acc[:lanes]
 	for l := range acc {
 		acc[l] = ck.bias
@@ -214,23 +311,13 @@ func (p *LayerPlan) runStrip(ck *compiledKernel, ind, outd []float32, base, lane
 
 	// Phase 1 — speculation prefix: every lane unconditionally runs all
 	// numSpec taps, exactly like the scalar path.
-	if strideW == 1 {
-		for i := 0; i < numSpec; i++ {
-			wi := w[i]
-			rb := base + offs[i]
-			row := ind[rb : rb+lanes]
-			a := acc[:len(row)]
-			for l, x := range row {
-				a[l] += wi * x
-			}
-		}
-	} else {
-		for i := 0; i < numSpec; i++ {
-			wi := w[i]
-			rb := base + offs[i]
-			for l := range acc {
-				acc[l] += wi * ind[rb+l*strideW]
-			}
+	for i := 0; i < numSpec; i++ {
+		wi := w[i]
+		rb := base + offs[i]
+		row := src[rb : rb+lanes]
+		a := acc[:len(row)]
+		for l, x := range row {
+			a[l] += wi * x
 		}
 	}
 
@@ -244,21 +331,21 @@ func (p *LayerPlan) runStrip(ck *compiledKernel, ind, outd []float32, base, lane
 	active := sc.active[:0]
 	if numSpec > 0 {
 		th := ck.th
-		for l := 0; l < lanes; l++ {
+		for l, o := range oidx {
 			if acc[l] <= th {
 				specZero++
 				totalOps += int64(numSpec)
-				outd[outIdx+l] = 0
+				outd[outIdx+int(o)] = 0
 				if tr.Ops != nil {
-					tr.Ops[outIdx+l] = int32(numSpec)
+					tr.Ops[outIdx+int(o)] = int32(numSpec)
 				}
 				if opts.CollectPrediction {
 					// True-sign accounting walks the remaining taps in
 					// scalar order for this lane only.
 					full := acc[l]
-					lb := base + l*strideW
+					lb := base + l
 					for j := numSpec; j < nw; j++ {
-						full += w[j] * ind[lb+offs[j]]
+						full += w[j] * src[lb+offs[j]]
 					}
 					if full < 0 {
 						truthNeg++
@@ -272,9 +359,7 @@ func (p *LayerPlan) runStrip(ck *compiledKernel, ind, outd []float32, base, lane
 			}
 		}
 	} else {
-		for l := 0; l < lanes; l++ {
-			active = append(active, int32(l))
-		}
+		active = append(active, laneIota[:lanes]...)
 	}
 	if len(active) == 0 {
 		st.SpecZero += specZero
@@ -289,571 +374,187 @@ func (p *LayerPlan) runStrip(ck *compiledKernel, ind, outd []float32, base, lane
 	// checks — and a retired lane's accumulator is dead (its output is
 	// already stored), so the loops run dense over every lane instead of
 	// indirecting through the worklist: the wasted MACs on dead lanes
-	// cost less than per-lane indirection on the live ones, and the
-	// stride-1 loops stay bounds-check-free.
-	if strideW == 1 {
-		// Taps go four at a time so each pass touches the accumulator
-		// once per four MACs; the adds stay left-associated in tap order,
-		// so the rounding sequence is exactly the scalar path's ( +=
-		// would group the products first — see the explicit a = a + ...).
-		i := numSpec
-		for ; i+3 < ck.posEnd; i += 4 {
-			w0, w1, w2, w3 := w[i], w[i+1], w[i+2], w[i+3]
-			rb0, rb1, rb2, rb3 := base+offs[i], base+offs[i+1], base+offs[i+2], base+offs[i+3]
-			row0 := ind[rb0 : rb0+lanes]
-			row1 := ind[rb1 : rb1+lanes]
-			row2 := ind[rb2 : rb2+lanes]
-			row3 := ind[rb3 : rb3+lanes]
-			row1 = row1[:len(row0)]
-			row2 = row2[:len(row0)]
-			row3 = row3[:len(row0)]
-			a := acc[:len(row0)]
-			for l, x0 := range row0 {
-				a[l] = a[l] + w0*x0 + w1*row1[l] + w2*row2[l] + w3*row3[l]
-			}
+	// cost less than per-lane indirection on the live ones, and the loops
+	// stay bounds-check-free. Taps go four at a time so each pass touches
+	// the accumulator once per four MACs; the adds stay left-associated
+	// in tap order, so the rounding sequence is exactly the scalar path's
+	// ( += would group the products first — see the explicit a = a + ...).
+	i := numSpec
+	for ; i+3 < ck.posEnd; i += 4 {
+		w0, w1, w2, w3 := w[i], w[i+1], w[i+2], w[i+3]
+		rb0, rb1, rb2, rb3 := base+offs[i], base+offs[i+1], base+offs[i+2], base+offs[i+3]
+		row0 := src[rb0 : rb0+lanes]
+		row1 := src[rb1 : rb1+lanes]
+		row2 := src[rb2 : rb2+lanes]
+		row3 := src[rb3 : rb3+lanes]
+		row1 = row1[:len(row0)]
+		row2 = row2[:len(row0)]
+		row3 = row3[:len(row0)]
+		a := acc[:len(row0)]
+		for l, x0 := range row0 {
+			a[l] = a[l] + w0*x0 + w1*row1[l] + w2*row2[l] + w3*row3[l]
 		}
-		for ; i < ck.posEnd; i++ {
-			wi := w[i]
-			rb := base + offs[i]
-			row := ind[rb : rb+lanes]
-			a := acc[:len(row)]
-			for l, x := range row {
-				a[l] += wi * x
-			}
-		}
-	} else {
-		for i := numSpec; i < ck.posEnd; i++ {
-			wi := w[i]
-			rb := base + offs[i]
-			for l := range acc {
-				acc[l] += wi * ind[rb+l*strideW]
-			}
+	}
+	for ; i < ck.posEnd; i++ {
+		wi := w[i]
+		rb := base + offs[i]
+		row := src[rb : rb+lanes]
+		a := acc[:len(row)]
+		for l, x := range row {
+			a[l] += wi * x
 		}
 	}
 
 	// Phase 3 — negative suffix: the sum only shrinks, so the first sign
-	// flip is final. While the worklist is wide, run tap-major and
-	// compact it in place so retired lanes cost nothing on later taps.
-	i := ck.posEnd
-	for ; i < nw && len(active) >= stripDrainLanes; i++ {
-		wi := w[i]
-		rb := base + offs[i]
-		na := active[:0]
-		if strideW == 1 {
-			row := ind[rb:]
-			for _, l := range active {
-				a := acc[l] + wi*row[l]
-				if a < 0 {
-					signZero++
-					totalOps += int64(i + 1)
-					outd[outIdx+int(l)] = 0
-					if tr.Ops != nil {
-						tr.Ops[outIdx+int(l)] = int32(i + 1)
-					}
-					if opts.CollectPrediction {
-						truthNeg++
-					}
-				} else {
-					acc[l] = a
-					na = append(na, l)
-				}
-			}
-		} else {
-			for _, l := range active {
-				a := acc[l] + wi*ind[rb+int(l)*strideW]
-				if a < 0 {
-					signZero++
-					totalOps += int64(i + 1)
-					outd[outIdx+int(l)] = 0
-					if tr.Ops != nil {
-						tr.Ops[outIdx+int(l)] = int32(i + 1)
-					}
-					if opts.CollectPrediction {
-						truthNeg++
-					}
-				} else {
-					acc[l] = a
-					na = append(na, l)
-				}
+	// flip is final. Survivors drain four at a time with
+	// register-resident accumulators sharing one tap cursor — four
+	// independent add chains overlap the FP-add latency a single
+	// lane-major chain stalls on. The sign check runs after every tap
+	// for every live lane (one fused comparison); when a check retires
+	// lanes, the survivors drop to the next narrower stage and continue
+	// from the next tap, so only the last survivor of a group ever runs
+	// a lone latency-bound chain. Per lane, the tap order and the
+	// check-after-every-suffix-tap schedule are exactly the scalar
+	// path's; a kernel with no negative suffix falls straight through
+	// to the flush.
+	var lo, llb [4]int // live lanes' output index and input base
+	var la [4]float32
+	var lb0, lb1, lb2, lb3 int
+	var a0, a1, a2, a3 float32
+	var j, n, m, g int
+	for k := 0; k < len(active); k += g {
+		n = min(4, len(active)-k)
+		g = n
+		for t := 0; t < n; t++ {
+			l := int(active[k+t])
+			lo[t] = outIdx + int(oidx[l])
+			llb[t] = base + l
+			la[t] = acc[l]
+		}
+		j = i
+		switch n {
+		case 4:
+			goto quad
+		case 3:
+			goto triple
+		case 2:
+			goto pair
+		default:
+			goto single
+		}
+	quad:
+		a0, a1, a2, a3 = la[0], la[1], la[2], la[3]
+		lb0, lb1, lb2, lb3 = llb[0], llb[1], llb[2], llb[3]
+		for ; j < nw; j++ {
+			wj := w[j]
+			o := offs[j]
+			a0 += wj * src[lb0+o]
+			a1 += wj * src[lb1+o]
+			a2 += wj * src[lb2+o]
+			a3 += wj * src[lb3+o]
+			if a0 < 0 || a1 < 0 || a2 < 0 || a3 < 0 {
+				break
 			}
 		}
-		active = na
-	}
-
-	if i >= nw {
-		// Suffix fully consumed tap-major; remaining lanes ran the whole
-		// kernel. Clamp a (possible) negative final sum to zero,
-		// mirroring the scalar tail.
-		for _, l := range active {
-			a := acc[l]
-			if a < 0 {
-				if opts.CollectPrediction {
-					truthNeg++
-				}
-				a = 0
-			}
-			outd[outIdx+int(l)] = a
-			totalOps += int64(nw)
-			if tr.Ops != nil {
-				tr.Ops[outIdx+int(l)] = int32(nw)
+		la[0], la[1], la[2], la[3] = a0, a1, a2, a3
+		if j >= nw {
+			goto flush
+		}
+		goto compact
+	triple:
+		a0, a1, a2 = la[0], la[1], la[2]
+		lb0, lb1, lb2 = llb[0], llb[1], llb[2]
+		for ; j < nw; j++ {
+			wj := w[j]
+			o := offs[j]
+			a0 += wj * src[lb0+o]
+			a1 += wj * src[lb1+o]
+			a2 += wj * src[lb2+o]
+			if a0 < 0 || a1 < 0 || a2 < 0 {
+				break
 			}
 		}
-	} else if nact := len(active); nact > 0 {
-		// Narrow-worklist drain: lanes go four at a time with
-		// register-resident accumulators sharing one tap cursor — four
-		// independent add chains overlap the FP-add latency a single
-		// lane-major chain stalls on. The sign check still runs after
-		// every tap for every live lane (one fused comparison); when a
-		// check retires lanes, the survivors drop to the next narrower
-		// stage and continue from the next tap, so only the last survivor
-		// of a group ever runs a lone latency-bound chain. Per lane, the
-		// tap order and the check-after-every-suffix-tap schedule are
-		// exactly the scalar path's.
-		var ll, llb [4]int
-		var la [4]float32
-		var lb0, lb1, lb2, lb3 int
-		var a0, a1, a2, a3 float32
-		var j, n, m, g int
-		for k := 0; k < nact; k += g {
-			n = nact - k
-			if n > 4 {
-				n = 4
-			}
-			g = n
-			for t := 0; t < n; t++ {
-				l := int(active[k+t])
-				ll[t] = l
-				llb[t] = base + l*strideW
-				la[t] = acc[l]
-			}
-			j = i
-			switch n {
-			case 4:
-				goto quad
-			case 3:
-				goto triple
-			case 2:
-				goto pair
-			default:
-				goto single
-			}
-		quad:
-			a0, a1, a2, a3 = la[0], la[1], la[2], la[3]
-			lb0, lb1, lb2, lb3 = llb[0], llb[1], llb[2], llb[3]
-			for ; j < nw; j++ {
-				wj := w[j]
-				o := offs[j]
-				a0 += wj * ind[lb0+o]
-				a1 += wj * ind[lb1+o]
-				a2 += wj * ind[lb2+o]
-				a3 += wj * ind[lb3+o]
-				if a0 < 0 || a1 < 0 || a2 < 0 || a3 < 0 {
-					break
-				}
-			}
-			la[0], la[1], la[2], la[3] = a0, a1, a2, a3
-			if j >= nw {
-				goto flush
-			}
-			goto compact
-		triple:
-			a0, a1, a2 = la[0], la[1], la[2]
-			lb0, lb1, lb2 = llb[0], llb[1], llb[2]
-			for ; j < nw; j++ {
-				wj := w[j]
-				o := offs[j]
-				a0 += wj * ind[lb0+o]
-				a1 += wj * ind[lb1+o]
-				a2 += wj * ind[lb2+o]
-				if a0 < 0 || a1 < 0 || a2 < 0 {
-					break
-				}
-			}
-			la[0], la[1], la[2] = a0, a1, a2
-			if j >= nw {
-				goto flush
-			}
-			goto compact
-		pair:
-			a0, a1 = la[0], la[1]
-			lb0, lb1 = llb[0], llb[1]
-			for ; j < nw; j++ {
-				wj := w[j]
-				o := offs[j]
-				a0 += wj * ind[lb0+o]
-				a1 += wj * ind[lb1+o]
-				if a0 < 0 || a1 < 0 {
-					break
-				}
-			}
-			la[0], la[1] = a0, a1
-			if j >= nw {
-				goto flush
-			}
-			goto compact
-		single:
-			a0, lb0 = la[0], llb[0]
-			for ; j < nw; j++ {
-				a0 += w[j] * ind[lb0+offs[j]]
-				if a0 < 0 {
-					break
-				}
-			}
-			la[0] = a0
-			if j >= nw {
-				goto flush
-			}
-		compact:
-			// Tap j retired at least one live lane; every lane checked the
-			// same tap, so each negative one records ops j+1 and the
-			// survivors resume together at tap j+1.
-			m = 0
-			for t := 0; t < n; t++ {
-				if la[t] < 0 {
-					signZero++
-					totalOps += int64(j + 1)
-					outd[outIdx+ll[t]] = 0
-					if tr.Ops != nil {
-						tr.Ops[outIdx+ll[t]] = int32(j + 1)
-					}
-					if opts.CollectPrediction {
-						truthNeg++
-					}
-				} else {
-					ll[m], llb[m], la[m] = ll[t], llb[t], la[t]
-					m++
-				}
-			}
-			n = m
-			j++
-			switch n {
-			case 3:
-				goto triple
-			case 2:
-				goto pair
-			case 1:
-				goto single
-			}
-			continue
-		flush:
-			// Survivors ran the full kernel; clamp a (possible) negative
-			// final sum to zero, mirroring the scalar tail.
-			for t := 0; t < n; t++ {
-				v := la[t]
-				if v < 0 {
-					if opts.CollectPrediction {
-						truthNeg++
-					}
-					v = 0
-				}
-				outd[outIdx+ll[t]] = v
-				totalOps += int64(nw)
-				if tr.Ops != nil {
-					tr.Ops[outIdx+ll[t]] = int32(nw)
-				}
+		la[0], la[1], la[2] = a0, a1, a2
+		if j >= nw {
+			goto flush
+		}
+		goto compact
+	pair:
+		a0, a1 = la[0], la[1]
+		lb0, lb1 = llb[0], llb[1]
+		for ; j < nw; j++ {
+			wj := w[j]
+			o := offs[j]
+			a0 += wj * src[lb0+o]
+			a1 += wj * src[lb1+o]
+			if a0 < 0 || a1 < 0 {
+				break
 			}
 		}
-	}
-
-	st.SpecZero += specZero
-	st.SignZero += signZero
-	st.TotalOps += totalOps
-	st.TruthNeg += truthNeg
-	st.SpecTN += specTN
-	st.SpecFN += specFN
-}
-
-// runStripClipped executes one strip of `lanes` windows whose taps are
-// clipped along ONE axis, uniformly across the strip, using the
-// kernel's precompiled clippedTaps for that border coordinate. It
-// serves the two border-ring strip families — border rows (lanes
-// advancing along the row) and border columns (lanes advancing down the
-// iy-valid rows, so laneStride is a whole input row and outStride a
-// whole output row).
-//
-// An out-of-bounds tap adds w[i]*0 = ±0 to every accumulator. Adding -0
-// is a bitwise no-op on any float, and adding +0 changes only a -0
-// accumulator (to +0). A -0 accumulator can only ever arise from a -0
-// bias: float addition produces -0 solely from (-0)+(-0), so a chain
-// seeded with anything else can never reach it. Kernels whose bias is
-// not -0 (checked at compile time; see compiledKernel.zbias) can
-// therefore skip the zero-adds wholesale and stream branch-free over
-// the compacted valid taps, with the original tap indices retained for
-// the op counts. The sole observable effect a clipped tap retains is
-// its sign check at the suffix boundary, handled via ct.entryCheck.
-func (p *LayerPlan) runStripClipped(ck *compiledKernel, ct *clippedTaps, ind, outd []float32, base, lanes, laneStride, outIdx, outStride int, tr, st *LayerTrace, sc *stripScratch, opts RunOpts) {
-	nw := len(ck.w)
-	numSpec := ck.numSpec
-	wv, ov, iv := ct.wv, ct.ov, ct.iv
-	nsv, pv := ct.nsv, ct.pv
-	nv := len(wv)
-
-	acc := sc.acc[:lanes]
-	for l := range acc {
-		acc[l] = ck.bias
-	}
-
-	var specZero, signZero, totalOps, truthNeg, specTN, specFN int64
-
-	// Speculation prefix: all lanes run the valid speculative taps.
-	for m := 0; m < nsv; m++ {
-		wi := wv[m]
-		rb := base + ov[m]
-		for l := range acc {
-			acc[l] += wi * ind[rb+l*laneStride]
+		la[0], la[1] = a0, a1
+		if j >= nw {
+			goto flush
 		}
-	}
-
-	// Speculation-threshold check.
-	active := sc.active[:0]
-	if numSpec > 0 {
-		th := ck.th
-		for l := 0; l < lanes; l++ {
-			if acc[l] <= th {
-				specZero++
-				totalOps += int64(numSpec)
-				idx := outIdx + l*outStride
-				outd[idx] = 0
-				if tr.Ops != nil {
-					tr.Ops[idx] = int32(numSpec)
-				}
-				if opts.CollectPrediction {
-					full := acc[l]
-					lb := base + l*laneStride
-					for m := nsv; m < nv; m++ {
-						full += wv[m] * ind[lb+ov[m]]
-					}
-					if full < 0 {
-						truthNeg++
-						specTN++
-					} else {
-						specFN++
-					}
-				}
-			} else {
-				active = append(active, int32(l))
+		goto compact
+	single:
+		a0, lb0 = la[0], llb[0]
+		for ; j < nw; j++ {
+			a0 += w[j] * src[lb0+offs[j]]
+			if a0 < 0 {
+				break
 			}
 		}
-	} else {
-		for l := 0; l < lanes; l++ {
-			active = append(active, int32(l))
+		la[0] = a0
+		if j >= nw {
+			goto flush
 		}
-	}
-	if len(active) == 0 {
-		st.SpecZero += specZero
-		st.TotalOps += totalOps
-		st.TruthNeg += truthNeg
-		st.SpecTN += specTN
-		st.SpecFN += specFN
-		return
-	}
-
-	// Positive region: the sums can only grow, so there are no checks
-	// and the worklist cannot shrink — and a retired lane's accumulator
-	// is dead (its output is already stored), so the loop runs dense
-	// over every lane rather than indirecting through the worklist.
-	for m := nsv; m < pv; m++ {
-		wi := wv[m]
-		rb := base + ov[m]
-		if laneStride == 1 {
-			row := ind[rb : rb+lanes]
-			a := acc[:len(row)]
-			for l, x := range row {
-				a[l] += wi * x
-			}
-		} else {
-			for l := range acc {
-				acc[l] += wi * ind[rb+l*laneStride]
-			}
-		}
-	}
-
-	// Suffix entry: the scalar path checks the sign after every suffix
-	// tap, clipped or not. A clipped first suffix tap is the one place a
-	// clipped tap can retire a lane — a lane still negative out of the
-	// positive region dies there with its ±0 add. Every survivor of that
-	// check is >= 0, and a ±0 add can neither change a non-(-0) sum nor
-	// flip its sign, so all later clipped taps are exact no-ops and the
-	// compacted walk below visits valid taps only.
-	if ct.entryCheck {
-		na := active[:0]
-		for _, l := range active {
-			if acc[l] < 0 {
+	compact:
+		// Tap j retired at least one live lane; every lane checked the
+		// same tap, so each negative one records ops j+1 and the
+		// survivors resume together at tap j+1.
+		m = 0
+		for t := 0; t < n; t++ {
+			if la[t] < 0 {
 				signZero++
-				totalOps += int64(ck.posEnd + 1)
-				idx := outIdx + int(l)*outStride
-				outd[idx] = 0
+				totalOps += int64(j + 1)
+				outd[lo[t]] = 0
 				if tr.Ops != nil {
-					tr.Ops[idx] = int32(ck.posEnd + 1)
+					tr.Ops[lo[t]] = int32(j + 1)
 				}
 				if opts.CollectPrediction {
 					truthNeg++
 				}
 			} else {
-				na = append(na, l)
+				lo[m], llb[m], la[m] = lo[t], llb[t], la[t]
+				m++
 			}
 		}
-		active = na
-	}
-
-	// Negative suffix, tap-major over the valid taps while the worklist
-	// is wide; retirement records the original tap index.
-	m := pv
-	for ; m < nv && len(active) >= stripDrainLanes; m++ {
-		wi := wv[m]
-		rb := base + ov[m]
-		ii := int(iv[m])
-		na := active[:0]
-		for _, l := range active {
-			a := acc[l] + wi*ind[rb+int(l)*laneStride]
-			if a < 0 {
-				signZero++
-				totalOps += int64(ii + 1)
-				idx := outIdx + int(l)*outStride
-				outd[idx] = 0
-				if tr.Ops != nil {
-					tr.Ops[idx] = int32(ii + 1)
-				}
-				if opts.CollectPrediction {
-					truthNeg++
-				}
-			} else {
-				acc[l] = a
-				na = append(na, l)
-			}
+		n = m
+		j++
+		switch n {
+		case 3:
+			goto triple
+		case 2:
+			goto pair
+		case 1:
+			goto single
 		}
-		active = na
-	}
-
-	if m >= nv {
-		// No valid suffix taps remain; survivors ran the whole kernel.
-		// Clamp a (possible) negative final sum to zero, mirroring the
-		// scalar tail.
-		for _, l := range active {
-			a := acc[l]
-			if a < 0 {
-				if opts.CollectPrediction {
-					truthNeg++
-				}
-				a = 0
-			}
-			idx := outIdx + int(l)*outStride
-			outd[idx] = a
-			totalOps += int64(nw)
-			if tr.Ops != nil {
-				tr.Ops[idx] = int32(nw)
-			}
-		}
-	} else if nact := len(active); nact > 0 {
-		// Narrow-worklist drain, exactly runStrip's pair drain over the
-		// compacted taps: two register-resident accumulator chains, sign
-		// check after every valid tap, the surviving half of a pair
-		// falling through to the shared single-lane tail.
-		for k := 0; k < nact; k += 2 {
-			l0 := int(active[k])
-			lb0 := base + l0*laneStride
-			a0 := acc[l0]
-			m0 := m
-			if k+1 < nact {
-				l1 := int(active[k+1])
-				lb1 := base + l1*laneStride
-				a1 := acc[l1]
-				j := m
-				for ; j < nv; j++ {
-					wj := wv[j]
-					o := ov[j]
-					a0 += wj * ind[lb0+o]
-					a1 += wj * ind[lb1+o]
-					if a0 < 0 || a1 < 0 {
-						break
-					}
-				}
-				if j >= nv {
-					v := a1
-					if v < 0 {
-						if opts.CollectPrediction {
-							truthNeg++
-						}
-						v = 0
-					}
-					outd[outIdx+l1*outStride] = v
-					totalOps += int64(nw)
-					if tr.Ops != nil {
-						tr.Ops[outIdx+l1*outStride] = int32(nw)
-					}
-					v = a0
-					if v < 0 {
-						if opts.CollectPrediction {
-							truthNeg++
-						}
-						v = 0
-					}
-					outd[outIdx+l0*outStride] = v
-					totalOps += int64(nw)
-					if tr.Ops != nil {
-						tr.Ops[outIdx+l0*outStride] = int32(nw)
-					}
-					continue
-				}
-				ii := int(iv[j])
-				if a1 < 0 {
-					signZero++
-					totalOps += int64(ii + 1)
-					outd[outIdx+l1*outStride] = 0
-					if tr.Ops != nil {
-						tr.Ops[outIdx+l1*outStride] = int32(ii + 1)
-					}
-					if opts.CollectPrediction {
-						truthNeg++
-					}
-				}
-				if a0 < 0 {
-					signZero++
-					totalOps += int64(ii + 1)
-					outd[outIdx+l0*outStride] = 0
-					if tr.Ops != nil {
-						tr.Ops[outIdx+l0*outStride] = int32(ii + 1)
-					}
-					if opts.CollectPrediction {
-						truthNeg++
-					}
-					if a1 < 0 {
-						continue
-					}
-					l0, lb0, a0 = l1, lb1, a1
-				}
-				m0 = j + 1
-			}
-			j := m0
-			for ; j < nv; j++ {
-				a0 += wv[j] * ind[lb0+ov[j]]
-				if a0 < 0 {
-					break
-				}
-			}
-			if j < nv {
-				signZero++
-				totalOps += int64(int(iv[j]) + 1)
-				outd[outIdx+l0*outStride] = 0
-				if tr.Ops != nil {
-					tr.Ops[outIdx+l0*outStride] = int32(int(iv[j]) + 1)
-				}
-				if opts.CollectPrediction {
-					truthNeg++
-				}
-				continue
-			}
-			v := a0
+		continue
+	flush:
+		// Survivors ran the full kernel; clamp a (possible) negative
+		// final sum to zero, mirroring the scalar tail.
+		for t := 0; t < n; t++ {
+			v := la[t]
 			if v < 0 {
 				if opts.CollectPrediction {
 					truthNeg++
 				}
 				v = 0
 			}
-			outd[outIdx+l0*outStride] = v
+			outd[lo[t]] = v
 			totalOps += int64(nw)
 			if tr.Ops != nil {
-				tr.Ops[outIdx+l0*outStride] = int32(nw)
+				tr.Ops[lo[t]] = int32(nw)
 			}
 		}
 	}

@@ -26,9 +26,10 @@ func (p *LayerPlan) StateBytes() int {
 
 // StateDigest returns the CRC32C of the plan's compiled speculation
 // state: every kernel's reordered weights, threshold, bias, speculation
-// boundaries, and stuck flag, in kernel order. The border-clip copies
-// are derived from the same weights at compile time and are not
-// re-hashed separately. Byte-identical state digests identically, so a
+// boundaries, and stuck flag, in kernel order. Each kernel has exactly
+// one weight buffer — every window, border or interior, in place or
+// packed, reads KernelWeights(k) — so the digest covers every weight an
+// execution can touch. Byte-identical state digests identically, so a
 // digest mismatch against the load-time value is proof of in-memory
 // corruption.
 func (p *LayerPlan) StateDigest() uint32 {

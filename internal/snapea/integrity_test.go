@@ -6,6 +6,10 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"snapea/internal/faults"
+	"snapea/internal/nn"
+	"snapea/internal/tensor"
 )
 
 func TestParamsChecksumRoundTrip(t *testing.T) {
@@ -139,5 +143,49 @@ func TestStateDigestTracksLiveWeights(t *testing.T) {
 	w[0] = orig
 	if p.StateDigest() != d1 {
 		t.Fatal("digest does not return to golden after restoring the weight")
+	}
+}
+
+// TestBorderWindowsReadScrubbedWeights closes the hole the per-border
+// weight copies used to leave: on a plane that is all border (3x3 pad 1
+// on 2x2, every window packed) one bit flipped through KernelWeights
+// must change both the output and the digest the scrubber compares.
+// Weights are positive and every image has a single 1.0 pixel, so each
+// output equals exactly one weight and no flip can round away.
+func TestBorderWindowsReadScrubbedWeights(t *testing.T) {
+	conv := nn.NewConv2D(1, 2, 3, 3, 1, 1, 1, true)
+	for i := range conv.Weights.Data() {
+		conv.Weights.Data()[i] = float32(i + 1)
+	}
+	plan := NewLayerPlan("ring", conv, tensor.Shape{N: 1, C: 1, H: 2, W: 2}, nil, NegByMagnitude)
+	if len(plan.strip.strips) != 0 || plan.strip.packed != 4 {
+		t.Fatalf("plane not all border: %d in-place strips, %d packed windows", len(plan.strip.strips), plan.strip.packed)
+	}
+	in := tensor.New(tensor.Shape{N: 4, C: 1, H: 2, W: 2})
+	for n := 0; n < 4; n++ {
+		in.Data()[n*4+n] = 1
+	}
+	golden, _ := plan.Run(in, RunOpts{})
+	digest := plan.StateDigest()
+
+	const k = 1
+	if i := faults.New(faults.Config{Seed: 5, WeightFlipLimit: 1}).FlipOneBit("ring/k1", plan.KernelWeights(k)); i < 0 {
+		t.Fatal("no bit flipped")
+	}
+	if plan.StateDigest() == digest {
+		t.Fatal("digest unchanged after a bit flip in KernelWeights")
+	}
+	got, _ := plan.Run(in, RunOpts{})
+	changed := false
+	for i, v := range got.Data() {
+		if math.Float32bits(v) != math.Float32bits(golden.Data()[i]) {
+			if (i/4)%2 != k {
+				t.Fatalf("output %d of the untouched kernel changed", i)
+			}
+			changed = true
+		}
+	}
+	if !changed {
+		t.Fatal("border outputs unchanged after a bit flip in KernelWeights")
 	}
 }

@@ -12,13 +12,12 @@ import (
 	"snapea/internal/tensor"
 )
 
-// The strip-mined execution kernel (engine_strip.go) is a pure
-// performance restructuring: outputs, per-window op counts, and every
-// trace counter must be byte-identical to the retained scalar reference
-// (runReference) for any geometry, parameter mix, option set, fault
-// injection, and worker count. This suite is that contract, enforced
-// over a hand-picked geometry sweep, a randomized property sweep, and
-// fault-injected plans; TestLayerPlanRunWorkerInvariance (invariance
+// The strip execution kernel (engine_strip.go) is a pure performance
+// restructuring: outputs, per-window op counts, and every trace counter
+// must be byte-identical to the retained scalar reference (runReference)
+// for any geometry, parameter mix, option set, fault injection, and
+// worker count. This suite is that contract, enforced over hand-picked
+// geometry sweeps, a native fuzz target, and fault-injected plans; TestLayerPlanRunWorkerInvariance (invariance
 //_test.go) covers the worker-count half and runs under -race in CI.
 
 // equivOpts are the option sets every equivalence case is checked
@@ -63,6 +62,10 @@ func mixedParams(outC int, rng *tensor.RNG) LayerParams {
 }
 
 func equivConvPlan(t *testing.T, name string, conv *nn.Conv2D, inShape tensor.Shape, seed uint64, exact bool) (*LayerPlan, *tensor.Tensor) {
+	return equivConvPlanBatch(t, name, conv, inShape, 2, seed, exact)
+}
+
+func equivConvPlanBatch(t *testing.T, name string, conv *nn.Conv2D, inShape tensor.Shape, batch int, seed uint64, exact bool) (*LayerPlan, *tensor.Tensor) {
 	t.Helper()
 	rng := tensor.NewRNG(seed)
 	tensor.FillNorm(conv.Weights, rng, 0, 0.5)
@@ -74,7 +77,7 @@ func equivConvPlan(t *testing.T, name string, conv *nn.Conv2D, inShape tensor.Sh
 		params = mixedParams(conv.OutC, rng)
 	}
 	plan := NewLayerPlan(name, conv, inShape, params, NegByMagnitude)
-	in := tensor.New(tensor.Shape{N: 2, C: inShape.C, H: inShape.H, W: inShape.W})
+	in := tensor.New(tensor.Shape{N: batch, C: inShape.C, H: inShape.H, W: inShape.W})
 	tensor.FillUniform(in, tensor.NewRNG(seed+1), -1, 1)
 	return plan, in
 }
@@ -86,10 +89,10 @@ func equivConvPlan(t *testing.T, name string, conv *nn.Conv2D, inShape tensor.Sh
 // (> maxStripLanes lanes).
 func TestStripEquivalenceGeometries(t *testing.T) {
 	type geom struct {
-		name           string
-		conv           *nn.Conv2D
-		h, w           int
-		strideW, padW  int // 0 = keep symmetric
+		name          string
+		conv          *nn.Conv2D
+		h, w          int
+		strideW, padW int // 0 = keep symmetric
 	}
 	asym := func(c *nn.Conv2D, sw, pw int) *nn.Conv2D {
 		c.StrideW, c.PadW = sw, pw
@@ -122,8 +125,8 @@ func TestStripEquivalenceGeometries(t *testing.T) {
 				if g.name == "wide_row_multi_span" && len(plan.strip.spans) < 2 {
 					t.Fatalf("expected multiple horizontal spans, got %d", len(plan.strip.spans))
 				}
-				if g.name == "tall_col_multi_span" && len(plan.strip.vspans) < 2 {
-					t.Fatalf("expected multiple vertical spans, got %d", len(plan.strip.vspans))
+				if g.name == "tall_col_multi_span" && plan.strip.packed <= maxStripLanes {
+					t.Fatalf("expected more than one chunk of packed lanes, got %d lanes", plan.strip.packed)
 				}
 				assertStripEquiv(t, label, plan, in)
 			})
@@ -131,11 +134,10 @@ func TestStripEquivalenceGeometries(t *testing.T) {
 	}
 }
 
-// TestStripEquivalenceNegZeroBias pins the -0-bias escape hatch: the
-// clipped border strips elide w*0 adds on the argument that a non-(-0)
-// accumulator cannot be changed by them, so a kernel compiled with a
-// literal -0 bias must take the scalar border path and still match the
-// reference bit for bit.
+// TestStripEquivalenceNegZeroBias runs kernels with a literal -0 bias:
+// the one accumulator value a +0 add changes. Packed windows execute
+// their padded taps as w*0 like the reference does, so they must match
+// it bit for bit here too.
 func TestStripEquivalenceNegZeroBias(t *testing.T) {
 	conv := nn.NewConv2D(3, 4, 3, 3, 1, 1, 1, true)
 	rng := tensor.NewRNG(31)
@@ -144,72 +146,135 @@ func TestStripEquivalenceNegZeroBias(t *testing.T) {
 	for i := range conv.Bias {
 		conv.Bias[i] = negZero
 	}
-	inShape := tensor.Shape{N: 1, C: 3, H: 9, W: 9}
-	plan := NewLayerPlan("negzero", conv, inShape, mixedParams(conv.OutC, rng), NegByMagnitude)
-	for k := range plan.kernels {
-		if !plan.kernels[k].zbias {
-			t.Fatalf("kernel %d: -0 bias not detected at compile time", k)
-		}
+	// 9x9 packs the whole plane; 20x20 streams the interior in place and
+	// packs the ring.
+	for _, hw := range []int{9, 20} {
+		inShape := tensor.Shape{N: 1, C: 3, H: hw, W: hw}
+		plan := NewLayerPlan("negzero", conv, inShape, mixedParams(conv.OutC, rng), NegByMagnitude)
+		in := tensor.New(tensor.Shape{N: 2, C: 3, H: hw, W: hw})
+		tensor.FillUniform(in, tensor.NewRNG(32), -1, 1)
+		assertStripEquiv(t, fmt.Sprintf("negzero_%d", hw), plan, in)
 	}
-	in := tensor.New(tensor.Shape{N: 2, C: 3, H: 9, W: 9})
-	tensor.FillUniform(in, tensor.NewRNG(32), -1, 1)
-	assertStripEquiv(t, "negzero", plan, in)
 }
 
-// TestStripEquivalenceFuzz is the property form of the sweep: random
-// geometries, parameters, and inputs, with the scalar reference as the
-// oracle. Every case that fails prints enough to be replayed as a
-// fixed-seed regression.
-func TestStripEquivalenceFuzz(t *testing.T) {
-	iters := 30
-	if testing.Short() {
-		iters = 8
+// TestStripEquivalencePackedShapes covers the shapes the patch matrix
+// and the flat 1x1 path introduce, each at batch 3: planes packed whole
+// (1x1, 2x2, 4x4 outputs under 3x3 / 5x5 / 7x7 kernels padded by at
+// least k/2), a ring and a strided plane of more than one chunk of
+// packed lanes, a flat plane that is not a multiple of the chunk size,
+// and groups on both the packed and the in-place+ring path. want
+// asserts the compile-time decomposition the case is there to exercise.
+func TestStripEquivalencePackedShapes(t *testing.T) {
+	type shape struct {
+		name          string
+		conv          *nn.Conv2D
+		h, w          int
+		strips, lanes int // expected in-place strips (-1: some) and packed lanes
 	}
-	rng := tensor.NewRNG(777)
-	geo := func(lo, hi int) int { return lo + int(rng.Uint64()%uint64(hi-lo+1)) }
-	for it := 0; it < iters; it++ {
-		groups := 1
-		if rng.Uint64()%3 == 0 {
-			groups = 2
+	var cases []shape
+	for _, k := range []int{3, 5, 7} {
+		for _, hw := range []int{1, 2, 4} {
+			cases = append(cases, shape{
+				name: fmt.Sprintf("whole_%dx%d_on_%dx%d", k, k, hw, hw),
+				conv: nn.NewConv2D(3, 5, k, k, 1, k/2, 1, true), h: hw, w: hw, lanes: hw * hw,
+			})
 		}
-		inC := groups * geo(1, 3)
-		outC := groups * geo(1, 3)
-		kh, kw := geo(1, 4), geo(1, 4)
-		conv := nn.NewConv2D(inC, outC, kh, kw, 1, 0, groups, true)
-		conv.StrideH, conv.StrideW = geo(1, 3), geo(1, 3)
-		conv.PadH, conv.PadW = geo(0, 2), geo(0, 2)
-		h := geo(kh, kh+14)
-		w := geo(kw, kw+14)
-		label := fmt.Sprintf("it%d_c%d-%d_k%dx%d_s%dx%d_p%dx%d_g%d_%dx%d",
-			it, inC, outC, kh, kw, conv.StrideH, conv.StrideW, conv.PadH, conv.PadW, groups, h, w)
+	}
+	cases = append(cases,
+		shape{name: "whole_3x3_pad2_on_2x2", conv: nn.NewConv2D(3, 5, 3, 3, 1, 2, 1, true), h: 2, w: 2, lanes: 16},
+		shape{name: "ring_276_lanes", conv: nn.NewConv2D(2, 3, 3, 3, 1, 1, 1, true), h: 70, w: 70, strips: -1, lanes: 4*70 - 4},
+		shape{name: "flat_1x1_323", conv: nn.NewConv2D(5, 4, 1, 1, 1, 0, 1, true), h: 19, w: 17, strips: 2},
+		shape{name: "grouped_whole", conv: nn.NewConv2D(4, 6, 3, 3, 1, 1, 2, true), h: 6, w: 6, lanes: 36},
+		shape{name: "grouped_ring", conv: nn.NewConv2D(4, 6, 3, 3, 1, 1, 2, true), h: 20, w: 20, strips: -1, lanes: 4*20 - 4},
+		shape{name: "grouped_flat", conv: nn.NewConv2D(6, 4, 1, 1, 1, 0, 2, true), h: 5, w: 7, strips: 1},
+		shape{name: "stride2_pad1_400_lanes", conv: nn.NewConv2D(3, 4, 3, 3, 2, 1, 1, true), h: 40, w: 40, lanes: 400},
+		shape{name: "stride2_pad2_5x5", conv: nn.NewConv2D(3, 4, 5, 5, 2, 2, 1, true), h: 9, w: 9, lanes: 25},
+	)
+	for i, g := range cases {
+		for _, exact := range []bool{true, false} {
+			label := g.name + "/predictive"
+			if exact {
+				label = g.name + "/exact"
+			}
+			t.Run(label, func(t *testing.T) {
+				inShape := tensor.Shape{N: 1, C: g.conv.InC, H: g.h, W: g.w}
+				plan, in := equivConvPlanBatch(t, g.name, g.conv, inShape, 3, uint64(500+i), exact)
+				sp := plan.strip
+				if sp.packed != g.lanes || (g.strips >= 0 && len(sp.strips) != g.strips) || (g.strips < 0 && len(sp.strips) == 0) {
+					t.Fatalf("decomposed into %d in-place strips and %d packed lanes, want %d and %d", len(sp.strips), sp.packed, g.strips, g.lanes)
+				}
+				assertStripEquiv(t, label, plan, in)
+			})
+		}
+	}
+}
 
-		seed := rng.Uint64()
-		wrng := tensor.NewRNG(seed)
-		tensor.FillNorm(conv.Weights, wrng, 0, 0.6)
-		for i := range conv.Bias {
-			conv.Bias[i] = float32(wrng.Norm() * 0.2)
+// fuzzStripCase builds one layer from fuzzer-chosen geometry, draws its
+// weights, biases (now and then a literal -0) and parameters from seed
+// and its input from data, and holds Run to runReference.
+func fuzzStripCase(t *testing.T, groups, cin, cout, kh, kw, sh, sw, ph, pw, h, w, batch uint8, seed uint64, data []byte) {
+	g := 1 + int(groups%2)
+	inC, outC := g*(1+int(cin%3)), g*(1+int(cout%3))
+	conv := nn.NewConv2D(inC, outC, 1+int(kh%5), 1+int(kw%5), 1, 0, g, true)
+	conv.StrideH, conv.StrideW = 1+int(sh%3), 1+int(sw%3)
+	conv.PadH, conv.PadW = int(ph%4), int(pw%4)
+	inShape := tensor.Shape{N: 1, C: inC, H: conv.KH + int(h%24), W: conv.KW + int(w%24)}
+	label := fmt.Sprintf("c%d-%d_k%dx%d_s%dx%d_p%dx%d_g%d_%dx%d_seed%d",
+		inC, outC, conv.KH, conv.KW, conv.StrideH, conv.StrideW, conv.PadH, conv.PadW, g, inShape.H, inShape.W, seed)
+
+	rng := tensor.NewRNG(seed)
+	tensor.FillNorm(conv.Weights, rng, 0, 0.6)
+	params := AllExact(outC)
+	for k := range params {
+		conv.Bias[k] = float32(rng.Norm() * 0.2)
+		switch rng.Uint64() % 8 {
+		case 0:
+			conv.Bias[k] = math.Float32frombits(1 << 31)
+		case 1, 2:
+			params[k] = KernelParam{Th: float32(rng.Float64() * 0.2), N: 1 + int(rng.Uint64()%uint64(conv.KernelSize()))}
+		case 3, 4:
+			params[k] = KernelParam{Th: 0, N: 1 + int(rng.Uint64()%4)}
 		}
-		params := AllExact(outC)
-		for k := range params {
-			switch rng.Uint64() % 3 {
-			case 0: // exact
-			case 1:
-				params[k] = KernelParam{Th: float32(rng.Float64() * 0.2), N: geo(1, kh*kw*inC/groups)}
-			case 2:
-				params[k] = KernelParam{Th: 0, N: geo(1, 4)}
+	}
+	plan := NewLayerPlan("fuzz", conv, inShape, params, NegByMagnitude)
+	in := tensor.New(tensor.Shape{N: 1 + int(batch%3), C: inC, H: inShape.H, W: inShape.W})
+	tensor.FillUniform(in, rng, -1, 1)
+	if len(data) > 0 {
+		for i := range in.Data() {
+			in.Data()[i] = float32(int8(data[i%len(data)])) / 64
+		}
+	}
+	assertStripEquiv(t, label, plan, in)
+}
+
+// FuzzStripEquivalence is the property form of the sweeps: geometry ×
+// parameters × input bytes, with the scalar reference as the oracle.
+// The seed corpus — thirty drawn cases, run by every plain `go test` —
+// is the randomized sweep this target grew out of; `make fuzz-smoke`
+// lets the fuzzer mutate from there.
+func FuzzStripEquivalence(f *testing.F) {
+	rng := tensor.NewRNG(777)
+	for it := 0; it < 30; it++ {
+		var b [12]uint8
+		for i := range b {
+			b[i] = uint8(rng.Uint64())
+		}
+		var data []byte
+		if it%3 == 0 {
+			data = make([]byte, 1+rng.Uint64()%97)
+			for i := range data {
+				data[i] = byte(rng.Uint64())
 			}
 		}
-		plan := NewLayerPlan("fuzz", conv, tensor.Shape{N: 1, C: inC, H: h, W: w}, params, NegByMagnitude)
-		in := tensor.New(tensor.Shape{N: geo(1, 2), C: inC, H: h, W: w})
-		tensor.FillUniform(in, tensor.NewRNG(seed+1), -1, 1)
-		assertStripEquiv(t, label, plan, in)
+		f.Add(b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7], b[8], b[9], b[10], b[11], rng.Uint64(), data)
 	}
+	f.Fuzz(fuzzStripCase)
 }
 
 // TestStripEquivalenceFaults drives fault-injected plans through the
 // strip path: stuck kernels (whole output channels dead), flipped
-// weight bits (which must be reflected in the precompiled border
-// clips — they are built after injection), and activation corruption.
+// weight bits (border and interior windows read the one flipped
+// buffer), and activation corruption.
 // Two plans are compiled from identical injector configs so the
 // production path and the reference see the same faults at the same
 // run sequence.
@@ -331,8 +396,9 @@ func TestFCStripEquivalence(t *testing.T) {
 
 // TestStripEquivalenceAcrossWorkers recrosses the two invariants: the
 // strip path must match the scalar reference at every worker count, on
-// a geometry with border rows, border columns, and multiple spans, so
-// strip-granular work distribution is actually exercised.
+// a geometry with in-place strips, a packed ring, and multiple spans, so
+// strip-granular work distribution and the gather fan-out are actually
+// exercised.
 func TestStripEquivalenceAcrossWorkers(t *testing.T) {
 	conv := nn.NewConv2D(3, 5, 3, 3, 1, 1, 1, true)
 	inShape := tensor.Shape{N: 1, C: 3, H: 8, W: maxStripLanes + 20}

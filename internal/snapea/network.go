@@ -271,22 +271,16 @@ func (net *Network) CacheAll(img *tensor.Tensor, opts RunOpts) map[string]*tenso
 	return vals
 }
 
-// ForwardFrom recomputes the graph from node `from` (inclusive) to the
-// end, taking earlier node values from base, and returns the feature
-// vector. base is not modified.
+// ForwardFrom recomputes node `from` and everything downstream of it,
+// taking every other node's value from base, and returns the feature
+// vector. Nodes after `from` in topological order that do not depend on
+// it — sibling branches of a fire or inception module — are not
+// re-executed (and so not traced): their cached values are already what
+// a re-execution would produce. base is not modified.
 func (net *Network) ForwardFrom(base map[string]*tensor.Tensor, from string, opts RunOpts, trace *NetTrace) []float32 {
-	nodes := net.Model.Graph.Nodes()
-	start := -1
-	for i, n := range nodes {
-		if n.Name == from {
-			start = i
-			break
-		}
-	}
-	if start < 0 {
-		panic("snapea: ForwardFrom unknown node " + from)
-	}
-	vals := make(map[string]*tensor.Tensor, len(nodes)+1)
+	// vals holds the recomputed nodes, which are exactly the ones whose
+	// value may differ from base's.
+	vals := make(map[string]*tensor.Tensor)
 	exec := net.exec(opts, trace)
 	lookup := func(name string) *tensor.Tensor {
 		if v, ok := vals[name]; ok {
@@ -297,16 +291,16 @@ func (net *Network) ForwardFrom(base map[string]*tensor.Tensor, from string, opt
 		}
 		panic("snapea: ForwardFrom missing value for " + name)
 	}
-	var feat []float32
-	capture := func(name string, t *tensor.Tensor) {
-		if name == net.Model.FeatureNode {
-			cp := make([]float32, len(t.Data()))
-			copy(cp, t.Data())
-			feat = cp
+	for _, n := range net.Model.Graph.Nodes() {
+		stale := n.Name == from
+		for _, name := range n.Inputs {
+			if _, ok := vals[name]; ok {
+				stale = true
+			}
 		}
-	}
-	for i := start; i < len(nodes); i++ {
-		n := nodes[i]
+		if !stale {
+			continue
+		}
 		ins := make([]*tensor.Tensor, len(n.Inputs))
 		for j, name := range n.Inputs {
 			ins[j] = lookup(name)
@@ -316,14 +310,13 @@ func (net *Network) ForwardFrom(base map[string]*tensor.Tensor, from string, opt
 			out = n.Layer.Forward(ins)
 		}
 		vals[n.Name] = out
-		capture(n.Name, out)
 	}
-	if feat == nil {
-		// Feature node precedes `from`; take it from the cache.
-		t := lookup(net.Model.FeatureNode)
-		cp := make([]float32, len(t.Data()))
-		copy(cp, t.Data())
-		feat = cp
+	if len(vals) == 0 {
+		panic("snapea: ForwardFrom unknown node " + from)
 	}
+	// The feature node comes from the cache when `from` does not reach it.
+	t := lookup(net.Model.FeatureNode)
+	feat := make([]float32, len(t.Data()))
+	copy(feat, t.Data())
 	return feat
 }

@@ -351,7 +351,7 @@ func (o *Optimizer) prepare() {
 // setPlan recompiles one layer's plan with new parameters.
 func (o *Optimizer) setPlan(node string, params LayerParams) {
 	old := o.net.Plans[node]
-	o.net.Plans[node] = NewLayerPlan(node, old.Conv, old.inShape, params, o.cfg.NegOrder)
+	o.net.Plans[node] = old.recompile(params, o.cfg.NegOrder)
 }
 
 // kernelProfilingPass implements KERNELPROFILINGPASS: for every kernel it
@@ -362,8 +362,8 @@ func (o *Optimizer) setPlan(node string, params LayerParams) {
 // in the checkpoint are reused instead of recomputed.
 //
 // Kernels are profiled concurrently: each kernel's candidate search only
-// reads the shared window sample and writes its own kands slot, and each
-// worker owns a private gather scratch. The per-kernel arithmetic is
+// reads the shared window matrix and writes its own kands slot, and each
+// worker owns a private reorder scratch. The per-kernel arithmetic is
 // untouched, so the candidate lists — and therefore the checkpoint bytes
 // — are bit-identical for any worker count. Layers stay sequential,
 // preserving the per-layer checkpoint granularity.
@@ -386,16 +386,15 @@ func (o *Optimizer) kernelProfilingPass(ctx context.Context) (map[string][][]Can
 		}
 		conv := o.net.Plans[node].Conv
 		windows := o.sampleWindows(node)
+		wins := o.gatherWindows(node, windows)
 		kands := make([][]Candidate, conv.OutC)
-		ksz := conv.KernelSize()
-		scratch := make([]profileScratch, parallel.Workers(conv.OutC))
+		outCg := conv.OutC / conv.Groups
+		scratch := make([][]float32, parallel.Workers(conv.OutC))
 		err := parallel.ForCtx(ctx, conv.OutC, func(w, k int) {
-			sc := &scratch[w]
-			if cap(sc.xbuf) < ksz {
-				sc.xbuf = make([]float32, ksz)
-				sc.gath = make([]float32, ksz)
+			if scratch[w] == nil {
+				scratch[w] = make([]float32, conv.KernelSize())
 			}
-			kands[k] = o.profileKernel(node, k, windows, fnBudget, sc.xbuf[:ksz], sc.gath[:ksz])
+			kands[k] = o.profileKernel(node, k, wins[k/outCg], fnBudget, scratch[w])
 		})
 		if err != nil {
 			return nil, err
@@ -419,26 +418,23 @@ func (o *Optimizer) kernelProfilingPass(ctx context.Context) (map[string][][]Can
 	return out, nil
 }
 
-// profileScratch is one profiling worker's reusable window-gather space.
-type profileScratch struct {
-	xbuf []float32
-	gath []float32
-}
-
 // profileKernel runs the (th, n) candidate grid for one kernel over the
-// layer's sampled windows and returns the accepted candidates sorted by
-// ascending op, with the exact fallback appended.
-func (o *Optimizer) profileKernel(node string, k int, windows []windowRef, fnBudget float64, xbuf, gath []float32) []Candidate {
+// layer's sampled windows — wins, the kernel's group's window matrix
+// from gatherWindows — and returns the accepted candidates sorted by
+// ascending op, with the exact fallback appended. gath is scratch of
+// kernel size.
+func (o *Optimizer) profileKernel(node string, k int, wins []float32, fnBudget float64, gath []float32) []Candidate {
 	conv := o.net.Plans[node].Conv
 	ksz := conv.KernelSize()
+	nWin := len(wins) / ksz
 	w := conv.Kernel(k)
 	bias := conv.Bias[k]
 	// Exact baseline per window.
 	rkE := Reorder(w, Exact, o.cfg.NegOrder)
 	var exactOps float64
-	fulls := make([]float64, len(windows))
-	for wi, win := range windows {
-		o.gatherWindow(node, win, k, xbuf)
+	fulls := make([]float64, nWin)
+	for wi := range fulls {
+		xbuf := wins[wi*ksz : (wi+1)*ksz]
 		rkE.gatherInto(xbuf, gath)
 		ops, _ := rkE.Op(gath, bias)
 		exactOps += float64(ops)
@@ -448,7 +444,7 @@ func (o *Optimizer) profileKernel(node string, k int, windows []windowRef, fnBud
 		}
 		fulls[wi] = full
 	}
-	exactOps /= float64(len(windows))
+	exactOps /= float64(nWin)
 	var accepted []Candidate
 	for _, n := range o.cfg.NCandidates {
 		if n >= ksz {
@@ -456,9 +452,9 @@ func (o *Optimizer) profileKernel(node string, k int, windows []windowRef, fnBud
 		}
 		rk := Reorder(w, KernelParam{N: n}, o.cfg.NegOrder)
 		// Speculation-prefix sums per window → threshold grid.
-		sums := make([]float64, len(windows))
-		for wi, win := range windows {
-			o.gatherWindow(node, win, k, xbuf)
+		sums := make([]float64, nWin)
+		for wi := range sums {
+			xbuf := wins[wi*ksz : (wi+1)*ksz]
 			s := float64(bias)
 			for i := 0; i < rk.NumSpec; i++ {
 				s += float64(rk.Weights[i]) * float64(xbuf[rk.Index[i]])
@@ -473,9 +469,8 @@ func (o *Optimizer) profileKernel(node string, k int, windows []windowRef, fnBud
 			var ops float64
 			var fn, pos int
 			var fnMass, posMass float64
-			for wi, win := range windows {
-				o.gatherWindow(node, win, k, xbuf)
-				rk.gatherInto(xbuf, gath)
+			for wi := range sums {
+				rk.gatherInto(wins[wi*ksz:(wi+1)*ksz], gath)
 				op, _ := rk.Op(gath, bias)
 				ops += float64(op)
 				if fulls[wi] >= 0 {
@@ -487,7 +482,7 @@ func (o *Optimizer) profileKernel(node string, k int, windows []windowRef, fnBud
 					}
 				}
 			}
-			ops /= float64(len(windows))
+			ops /= float64(nWin)
 			fnRate := 0.0
 			if pos > 0 {
 				fnRate = float64(fn) / float64(pos)
@@ -541,34 +536,40 @@ func (o *Optimizer) sampleWindows(node string) []windowRef {
 	return out
 }
 
-// gatherWindow fills x (len KernelSize) with the window's input values in
-// original flattened kernel order, honoring the kernel's channel group
-// and zero padding.
-func (o *Optimizer) gatherWindow(node string, win windowRef, k int, x []float32) {
-	plan := o.net.Plans[node]
-	conv := plan.Conv
-	in := o.layerInput(node, win.img)
-	s := in.Shape()
-	ind := in.Data()
+// gatherWindows builds the layer's window matrix: per channel group, the
+// sampled windows' input values back to back, each in original flattened
+// kernel order with zero padding. A window depends only on its group and
+// position, so it is gathered once here rather than once per kernel and
+// candidate.
+func (o *Optimizer) gatherWindows(node string, windows []windowRef) [][]float32 {
+	conv := o.net.Plans[node].Conv
 	inCg := conv.InC / conv.Groups
-	outCg := conv.OutC / conv.Groups
-	cBase := (k / outCg) * inCg
-	i := 0
-	for ci := 0; ci < inCg; ci++ {
-		base := (cBase + ci) * s.H * s.W
-		for ky := 0; ky < conv.KH; ky++ {
-			iy := win.iy0 + ky
-			for kx := 0; kx < conv.KW; kx++ {
-				ix := win.ix0 + kx
-				if iy < 0 || iy >= s.H || ix < 0 || ix >= s.W {
-					x[i] = 0
-				} else {
-					x[i] = ind[base+iy*s.W+ix]
+	ksz := conv.KernelSize()
+	wins := make([][]float32, conv.Groups)
+	for g := range wins {
+		wins[g] = make([]float32, len(windows)*ksz)
+		for wi, win := range windows {
+			in := o.layerInput(node, win.img)
+			s := in.Shape()
+			ind := in.Data()
+			x := wins[g][wi*ksz : (wi+1)*ksz]
+			i := 0
+			for ci := 0; ci < inCg; ci++ {
+				base := (g*inCg + ci) * s.H * s.W
+				for ky := 0; ky < conv.KH; ky++ {
+					iy := win.iy0 + ky
+					for kx := 0; kx < conv.KW; kx++ {
+						ix := win.ix0 + kx
+						if iy >= 0 && iy < s.H && ix >= 0 && ix < s.W {
+							x[i] = ind[base+iy*s.W+ix]
+						}
+						i++
+					}
 				}
-				i++
 			}
 		}
 	}
+	return wins
 }
 
 // layerInput returns the cached exact-execution input of a conv node for

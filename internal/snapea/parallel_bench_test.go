@@ -53,6 +53,47 @@ func BenchmarkLayerPlanRun(b *testing.B) {
 	}
 }
 
+// BenchmarkLayerPlanRunSmallPlanes measures the late-layer shapes whose
+// strips used to be 2-8 lanes of border ring: a 5x5 whose plane is
+// packed whole and a 1x1 that streams flat across rows. One image, one
+// worker, mixed exact/predictive like BenchmarkLayerPlanRun.
+func BenchmarkLayerPlanRunSmallPlanes(b *testing.B) {
+	cases := []struct {
+		name string
+		conv *nn.Conv2D
+		hw   int
+	}{
+		{"5x5_8to32_on_4x4", nn.NewConv2D(8, 32, 5, 5, 1, 2, 1, true), 4},
+		{"1x1_64to64_on_8x8", nn.NewConv2D(64, 64, 1, 1, 1, 0, 1, true), 8},
+	}
+	for i, c := range cases {
+		rng := tensor.NewRNG(uint64(81 + i))
+		tensor.FillNorm(c.conv.Weights, rng, 0, 0.5)
+		for i := range c.conv.Bias {
+			c.conv.Bias[i] = float32(rng.Norm() * 0.1)
+		}
+		params := AllExact(c.conv.OutC)
+		for k := 0; k < c.conv.OutC; k += 2 {
+			params[k] = KernelParam{Th: 0.05, N: 4}
+		}
+		inShape := tensor.Shape{N: 1, C: c.conv.InC, H: c.hw, W: c.hw}
+		plan := NewLayerPlan("bench", c.conv, inShape, params, NegByMagnitude)
+		in := tensor.New(inShape)
+		tensor.FillUniform(in, rng, -1, 1)
+		b.Run(c.name, func(b *testing.B) {
+			parallel.SetLimit(1)
+			defer parallel.SetLimit(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, tr := plan.Run(in, RunOpts{}); tr.TotalOps == 0 {
+					b.Fatal("no work executed")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkOptimizerRunCtx measures a full Algorithm 1 run (profiling,
 // local, and global passes) on the TinyNet pipeline at each worker
 // count. The setup — model build, calibration, head training — happens

@@ -2,9 +2,11 @@ package snapea
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"snapea/internal/models"
 	"snapea/internal/nn"
 	"snapea/internal/tensor"
 )
@@ -344,6 +346,83 @@ func TestForwardFromMatchesForward(t *testing.T) {
 			if math.Abs(float64(part[i]-full[i])) > 1e-4 {
 				t.Fatalf("ForwardFrom(%s) diverged at %d", node, i)
 			}
+		}
+	}
+}
+
+// forwardFullSuffix is ForwardFrom as it used to be: every node after
+// `from` in topological order re-executes, downstream of it or not. It
+// is the oracle TestForwardFromSkipsUnreachable compares against.
+func forwardFullSuffix(net *Network, base map[string]*tensor.Tensor, from string, opts RunOpts, trace *NetTrace) []float32 {
+	vals := make(map[string]*tensor.Tensor)
+	for k, v := range base {
+		vals[k] = v
+	}
+	exec := net.exec(opts, trace)
+	started := false
+	for _, n := range net.Model.Graph.Nodes() {
+		if n.Name == from {
+			started = true
+		}
+		if !started {
+			continue
+		}
+		ins := make([]*tensor.Tensor, len(n.Inputs))
+		for j, name := range n.Inputs {
+			ins[j] = vals[name]
+		}
+		out, done := exec(n, ins)
+		if !done {
+			out = n.Layer.Forward(ins)
+		}
+		vals[n.Name] = out
+	}
+	return append([]float32(nil), vals[net.Model.FeatureNode].Data()...)
+}
+
+// TestForwardFromSkipsUnreachable checks, on the two branching graphs,
+// that re-executing only what is downstream of a node changes nothing
+// observable: features and the trace of every executed layer equal the
+// full-suffix result bit for bit, with the node speculating so its
+// value really differs from the cache — and that sibling branches are
+// no longer executed.
+func TestForwardFromSkipsUnreachable(t *testing.T) {
+	for _, name := range []string{"squeezenet", "googlenet"} {
+		m, err := models.Build(name, models.Options{Seed: 123})
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := nonNegInput(m.InputShape, 9)
+		net := CompileExact(m)
+		cache := net.CacheAll(img, RunOpts{})
+		opts := RunOpts{CollectWindows: true}
+		skipped := 0
+		for _, node := range net.PlanOrder {
+			exact := net.Plans[node]
+			params := AllExact(exact.Conv.OutC)
+			for k := range params {
+				params[k] = KernelParam{Th: 0.01, N: 1}
+			}
+			net.Plans[node] = exact.recompile(params, NegByMagnitude)
+			gotTrace, wantTrace := NewNetTrace(), NewNetTrace()
+			got := net.ForwardFrom(cache, node, opts, gotTrace)
+			want := forwardFullSuffix(net, cache, node, opts, wantTrace)
+			net.Plans[node] = exact
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: ForwardFrom(%s) features differ from the full-suffix result", name, node)
+			}
+			if gotTrace.Layers[node] == nil {
+				t.Fatalf("%s: ForwardFrom(%s) did not execute %s", name, node, node)
+			}
+			for layer, tr := range gotTrace.Layers {
+				if !reflect.DeepEqual(tr, wantTrace.Layers[layer]) {
+					t.Fatalf("%s: ForwardFrom(%s): trace of %s differs from the full-suffix result", name, node, layer)
+				}
+			}
+			skipped += len(wantTrace.Layers) - len(gotTrace.Layers)
+		}
+		if skipped <= 0 {
+			t.Fatalf("%s: no layer was spared re-execution", name)
 		}
 	}
 }
