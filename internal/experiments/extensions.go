@@ -89,10 +89,11 @@ func (s *Suite) AblationQuantization() QuantizationResult {
 	res := QuantizationResult{Network: name}
 	var floatOps, fixedOps float64
 	var windows, disagree float64
+	// Feed both engines the same exact-execution inputs: one forward,
+	// every layer's input taken from it.
+	cache := net.CacheAll(img, snapea.RunOpts{})
 	for _, node := range net.PlanOrder {
 		plan := net.Plans[node]
-		// Feed both engines the same exact-execution input.
-		cache := net.CacheAll(img, snapea.RunOpts{})
 		in := cache[p.Model.Graph.Node(node).Inputs[0]]
 		fo, ft := plan.Run(in, snapea.RunOpts{})
 		xo, xt := plan.RunFixed(in, snapea.RunOpts{})

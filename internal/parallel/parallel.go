@@ -210,16 +210,6 @@ func Map[T any](n int, fn func(worker, i int) T) []T {
 	return out
 }
 
-// MapCtx is Map with cooperative cancellation; on error the returned
-// slice is nil.
-func MapCtx[T any](ctx context.Context, n int, fn func(worker, i int) T) ([]T, error) {
-	out := make([]T, n)
-	if err := ForCtx(ctx, n, func(w, i int) { out[i] = fn(w, i) }); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 func ctxErr(ctx context.Context) error {
 	if ctx == nil {
 		return nil

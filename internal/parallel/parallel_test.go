@@ -131,15 +131,6 @@ func TestMapOrdersResultsByIndex(t *testing.T) {
 	}
 }
 
-func TestMapCtxError(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	out, err := MapCtx(ctx, 5, func(_, i int) int { return i })
-	if err == nil || out != nil {
-		t.Fatalf("out=%v err=%v, want nil slice and error", out, err)
-	}
-}
-
 func TestLimitDefaultsAndOverride(t *testing.T) {
 	SetLimit(0)
 	if Limit() < 1 {

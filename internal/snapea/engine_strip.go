@@ -60,13 +60,6 @@ var laneIota = func() (t [maxStripLanes]int32) {
 	return t
 }()
 
-// stripSpan is one run of consecutive interior output columns executed
-// as a batch of lanes.
-type stripSpan struct {
-	ox int // first output column of the span
-	n  int // lane count
-}
-
 // laneStrip is one strip streamed in place from the input plane.
 type laneStrip struct {
 	in  int // lane 0's window origin, relative to the kernel's channel group
@@ -85,19 +78,10 @@ type patchSeg struct {
 // stripPlan is the compile-time decomposition of one layer's output
 // geometry, and the owner of the scratch its executions reuse. It
 // depends on the convolution's shape only, never on weights or
-// parameters, so plans recompiled for the same layer share one.
-//
-// Rows [oyLo, oyHi) are the ones where every kernel row is in bounds;
-// columns [oxLo, oxHi) the ones where every kernel column is; spans
-// cover the latter. RunFixed executes that interior as strips and the
-// rest per window. The float path (Run) executes `strips` in place and
-// the `packed` remaining windows from the patch matrix.
+// parameters, so plans recompiled for the same layer share one. Run
+// executes `strips` in place and the `packed` remaining windows from the
+// patch matrix.
 type stripPlan struct {
-	oyLo, oyHi int
-	oxLo, oxHi int
-	spans      []stripSpan // horizontal spans covering [oxLo, oxHi)
-	maxLanes   int         // widest span, sizes RunFixed's scratch
-
 	strips  []laneStrip // windows streamed in place
 	packed  int         // windows run from the patch matrix: its lane count
 	scatter []int32     // packed lane → offset in the output plane
@@ -165,56 +149,47 @@ func (sp *stripPlan) release(rs *runState) {
 	sp.mu.Unlock()
 }
 
-// planStrips computes the interior bounds, the in-place strips and the
-// patch-matrix layout for a layer geometry. The in-bounds predicates
-// are monotone in the output coordinate, so the bounds are
-// binary-searched rather than derived with sign-sensitive integer
-// division.
+// planStrips computes the in-place strips and the patch-matrix layout
+// for a layer geometry.
 func planStrips(conv *nn.Conv2D, inShape tensor.Shape, outH, outW int) *stripPlan {
 	kh, kw := conv.KH, conv.KW
 	sH, sW, pH, pW := conv.StrideH, conv.StrideW, conv.PadH, conv.PadW
-	sp := &stripPlan{
-		oyLo: sort.Search(outH, func(oy int) bool { return oy*sH-pH >= 0 }),
-		oyHi: sort.Search(outH, func(oy int) bool { return oy*sH-pH+kh > inShape.H }),
-		oxLo: sort.Search(outW, func(ox int) bool { return ox*sW-pW >= 0 }),
-		oxHi: sort.Search(outW, func(ox int) bool { return ox*sW-pW+kw > inShape.W }),
-	}
-	// Degenerate geometries (input smaller than the kernel overhang) can
-	// leave no valid band at all; normalize to an empty range so the
-	// split below covers every window exactly once.
-	if sp.oyHi < sp.oyLo {
-		sp.oyLo, sp.oyHi = 0, 0
-	}
-	if sp.oxHi < sp.oxLo {
-		sp.oxLo, sp.oxHi = 0, 0
-	}
-	for ox := sp.oxLo; ox < sp.oxHi; ox += maxStripLanes {
-		n := min(maxStripLanes, sp.oxHi-ox)
-		sp.spans = append(sp.spans, stripSpan{ox: ox, n: n})
-		sp.maxLanes = max(sp.maxLanes, n)
-	}
+	sp := &stripPlan{}
 
 	// In-place strips. [iyLo, iyHi) × [ixLo, ixHi) is the part of the
 	// output they cover; it stays empty when the whole plane is packed.
 	var iyLo, iyHi, ixLo, ixHi int
-	switch {
-	case kh == 1 && kw == 1 && sH == 1 && sW == 1 && pH == 0 && pW == 0:
+	if kh == 1 && kw == 1 && sH == 1 && sW == 1 && pH == 0 && pW == 0 {
 		// The input plane is the patch matrix: one tap per channel, lanes
 		// consecutive across row ends. Nothing to pack.
 		for c := 0; c < outH*outW; c += maxStripLanes {
 			sp.strips = append(sp.strips, laneStrip{in: c, out: c, n: min(maxStripLanes, outH*outW-c)})
 		}
 		return sp
-	case sW == 1 && sp.oxHi-sp.oxLo >= minStripLanes:
-		iyLo, iyHi, ixLo, ixHi = sp.oyLo, sp.oyHi, sp.oxLo, sp.oxHi
-		for oy := iyLo; oy < iyHi; oy++ {
-			for _, span := range sp.spans {
-				sp.strips = append(sp.strips, laneStrip{
-					in:  (oy*sH-pH)*inShape.W + span.ox - pW,
-					out: oy*outW + span.ox,
-					n:   span.n,
-				})
-			}
+	}
+	if sW == 1 {
+		// The interior: rows [oyLo, oyHi) are the ones where every kernel
+		// row is in bounds, columns [oxLo, oxHi) the ones where every
+		// kernel column is. The in-bounds predicates are monotone in the
+		// output coordinate, so the bounds are binary-searched rather than
+		// derived with sign-sensitive integer division; a degenerate
+		// geometry (input smaller than the kernel overhang) leaves hi < lo
+		// and with it no interior.
+		oyLo := sort.Search(outH, func(oy int) bool { return oy*sH-pH >= 0 })
+		oyHi := sort.Search(outH, func(oy int) bool { return oy*sH-pH+kh > inShape.H })
+		oxLo := sort.Search(outW, func(ox int) bool { return ox*sW-pW >= 0 })
+		oxHi := sort.Search(outW, func(ox int) bool { return ox*sW-pW+kw > inShape.W })
+		if oyHi > oyLo && oxHi-oxLo >= minStripLanes {
+			iyLo, iyHi, ixLo, ixHi = oyLo, oyHi, oxLo, oxHi
+		}
+	}
+	for oy := iyLo; oy < iyHi; oy++ {
+		for ox := ixLo; ox < ixHi; ox += maxStripLanes {
+			sp.strips = append(sp.strips, laneStrip{
+				in:  (oy*sH-pH)*inShape.W + ox - pW,
+				out: oy*outW + ox,
+				n:   min(maxStripLanes, ixHi-ox),
+			})
 		}
 	}
 

@@ -1,9 +1,11 @@
 package snapea
 
 import (
+	"fmt"
 	"testing"
 
 	"snapea/internal/nn"
+	"snapea/internal/parallel"
 	"snapea/internal/tensor"
 )
 
@@ -17,16 +19,26 @@ func randFC(in, out int, relu bool, seed uint64) *nn.FC {
 	return f
 }
 
-// TestFCPlanMatchesDense: FC early termination must be bit-identical to
-// the dense FC+ReLU on non-negative inputs while saving MACs.
+// TestFCPlanMatchesDense: an FC compiled as a 1×1 LayerPlan must match
+// the dense FC+ReLU on non-negative inputs while saving MACs, and be
+// byte-identical to the scalar reference — outputs, per-window ops and
+// every trace counter, under every option set and worker count, also on
+// inputs with negatives, where the suffix retires windows the dense
+// result would not.
 func TestFCPlanMatchesDense(t *testing.T) {
 	fc := randFC(64, 32, true, 7)
 	in := nonNegInput(tensor.Shape{N: 3, C: 64, H: 1, W: 1}, 8)
 	want := fc.Forward([]*tensor.Tensor{in})
 	plan := NewFCPlan("fc", fc, NegByMagnitude)
+	if &plan.Conv.Weights.Data()[0] != &fc.Weights.Data()[0] || &plan.Conv.Bias[0] != &fc.Bias[0] {
+		t.Fatal("fc plan copied the layer's weights or bias instead of aliasing them")
+	}
 	got, tr := plan.Run(in, RunOpts{CollectWindows: true})
 	if d := got.AbsDiffMax(want); d > 2e-4 {
 		t.Fatalf("fc early termination diverged: %g", d)
+	}
+	if !got.Shape().Eq(want.Shape()) {
+		t.Fatalf("fc plan output %v, dense %v", got.Shape(), want.Shape())
 	}
 	if tr.TotalOps >= tr.DenseOps {
 		t.Fatalf("fc plan saved nothing: %d >= %d", tr.TotalOps, tr.DenseOps)
@@ -38,8 +50,17 @@ func TestFCPlanMatchesDense(t *testing.T) {
 	if sum != tr.TotalOps {
 		t.Fatalf("per-window ops inconsistent: %d vs %d", sum, tr.TotalOps)
 	}
-	if tr.Windows != 3*32 {
-		t.Fatalf("windows %d", tr.Windows)
+	if tr.Windows != 3*32 || tr.KernelSize != 64 || tr.OutC != 32 || tr.OutH != 1 || tr.OutW != 1 {
+		t.Fatalf("trace geometry %+v", tr)
+	}
+
+	signed := tensor.New(in.Shape())
+	tensor.FillUniform(signed, tensor.NewRNG(9), -1, 1)
+	defer parallel.SetLimit(0)
+	for _, workers := range []int{1, 2, 3, 8} {
+		parallel.SetLimit(workers)
+		assertStripEquiv(t, fmt.Sprintf("fc/nonneg/workers=%d", workers), plan, in)
+		assertStripEquiv(t, fmt.Sprintf("fc/signed/workers=%d", workers), plan, signed)
 	}
 }
 
@@ -84,7 +105,9 @@ func TestEnableFCEndToEnd(t *testing.T) {
 }
 
 // TestEnableFCWithReLUHead: AlexNet's fc6/fc7 have fused ReLUs, so
-// EnableFC must cover exactly those and keep outputs identical.
+// EnableFC must cover exactly those and keep outputs identical. fc6
+// reads the last pooling layer's {N,C,H,W} output, so the forward also
+// proves the executor flattens a non-flat input the way nn.FC does.
 func TestEnableFCWithReLUHead(t *testing.T) {
 	m := buildAlexNetModel(t)
 	net := CompileExact(m)
@@ -92,7 +115,11 @@ func TestEnableFCWithReLUHead(t *testing.T) {
 	if len(net.FCPlans) != 2 {
 		t.Fatalf("alexnet has 2 ReLU FCs, got %d plans", len(net.FCPlans))
 	}
-	img := nonNegInput(m.InputShape, 13)
+	img := nonNegInput(tensor.Shape{N: 2, C: m.InputShape.C, H: m.InputShape.H, W: m.InputShape.W}, 13)
+	fc6In := net.CacheAll(img, RunOpts{})[m.Graph.Node("fc6").Inputs[0]].Shape()
+	if fc6In.H*fc6In.W == 1 {
+		t.Fatalf("fc6 input %v is already flat; the flatten path is not exercised", fc6In)
+	}
 	want := m.Graph.Forward(img)
 	trace := NewNetTrace()
 	got := net.Forward(img, RunOpts{}, trace)
@@ -108,6 +135,10 @@ func TestEnableFCWithReLUHead(t *testing.T) {
 		fcTraced++
 		if tr.TotalOps >= tr.DenseOps {
 			t.Errorf("fc %s saved nothing", node)
+		}
+		fc := m.Graph.Node(node).Layer.(*nn.FC)
+		if tr.Batch != 2 || tr.Windows != int64(2*fc.Out) || tr.DenseOps != int64(2*fc.Out*fc.In) {
+			t.Errorf("fc %s trace geometry %+v for a batch of 2 through %d→%d", node, tr, fc.In, fc.Out)
 		}
 	}
 	if fcTraced != 2 {

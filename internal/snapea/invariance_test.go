@@ -162,3 +162,38 @@ func TestFaultyPlanWorkerInvariance(t *testing.T) {
 		}
 	}
 }
+
+// TestEnableFCWorkerInvariance covers the FC layers, which run through
+// LayerPlan.Run — and so fan out across workers — once EnableFC is
+// called: AlexNet's logits and every layer trace, fc6/fc7 included, must
+// be identical for every worker count.
+func TestEnableFCWorkerInvariance(t *testing.T) {
+	m := buildAlexNetModel(t)
+	net := CompileExact(m)
+	net.EnableFC()
+	img := nonNegInput(tensor.Shape{N: 2, C: m.InputShape.C, H: m.InputShape.H, W: m.InputShape.W}, 81)
+	opts := RunOpts{CollectWindows: true, CollectPrediction: true}
+	defer parallel.SetLimit(0)
+
+	run := func(workers int) ([]float32, map[string]*LayerTrace) {
+		parallel.SetLimit(workers)
+		trace := NewNetTrace()
+		out := net.Forward(img, opts, trace)
+		return out.Data(), trace.Layers
+	}
+	refOut, refLayers := run(1)
+	for _, fc := range []string{"fc6", "fc7"} {
+		if tr := refLayers[fc]; tr == nil || tr.SignZero == 0 {
+			t.Fatalf("%s terminated nothing early (%+v); invariance test has no teeth", fc, tr)
+		}
+	}
+	for _, workers := range invarianceWorkerCounts() {
+		out, layers := run(workers)
+		if !reflect.DeepEqual(out, refOut) {
+			t.Fatalf("workers=%d: logits diverge from serial run", workers)
+		}
+		if !reflect.DeepEqual(layers, refLayers) {
+			t.Fatalf("workers=%d: layer traces diverge from serial run", workers)
+		}
+	}
+}

@@ -17,8 +17,10 @@ import (
 // must be byte-identical to the retained scalar reference (runReference)
 // for any geometry, parameter mix, option set, fault injection, and
 // worker count. This suite is that contract, enforced over hand-picked
-// geometry sweeps, a native fuzz target, and fault-injected plans; TestLayerPlanRunWorkerInvariance (invariance
-//_test.go) covers the worker-count half and runs under -race in CI.
+// geometry sweeps (fully-connected layers among them: they compile to
+// the same plan), a native fuzz target, and fault-injected plans;
+// TestLayerPlanRunWorkerInvariance (invariance_test.go) covers the
+// worker-count half and runs under -race in CI.
 
 // equivOpts are the option sets every equivalence case is checked
 // under: the bare hot path, traced windows, and full prediction
@@ -122,8 +124,8 @@ func TestStripEquivalenceGeometries(t *testing.T) {
 			t.Run(label, func(t *testing.T) {
 				inShape := tensor.Shape{N: 1, C: g.conv.InC, H: g.h, W: g.w}
 				plan, in := equivConvPlan(t, g.name, g.conv, inShape, uint64(100+i), exact)
-				if g.name == "wide_row_multi_span" && len(plan.strip.spans) < 2 {
-					t.Fatalf("expected multiple horizontal spans, got %d", len(plan.strip.spans))
+				if rows := g.h - 2; g.name == "wide_row_multi_span" && len(plan.strip.strips) < 2*rows {
+					t.Fatalf("expected multiple in-place strips per interior row, got %d over %d rows", len(plan.strip.strips), rows)
 				}
 				if g.name == "tall_col_multi_span" && plan.strip.packed <= maxStripLanes {
 					t.Fatalf("expected more than one chunk of packed lanes, got %d lanes", plan.strip.packed)
@@ -158,18 +160,22 @@ func TestStripEquivalenceNegZeroBias(t *testing.T) {
 }
 
 // TestStripEquivalencePackedShapes covers the shapes the patch matrix
-// and the flat 1x1 path introduce, each at batch 3: planes packed whole
-// (1x1, 2x2, 4x4 outputs under 3x3 / 5x5 / 7x7 kernels padded by at
-// least k/2), a ring and a strided plane of more than one chunk of
-// packed lanes, a flat plane that is not a multiple of the chunk size,
-// and groups on both the packed and the in-place+ring path. want
-// asserts the compile-time decomposition the case is there to exercise.
+// and the flat 1x1 path introduce, at batch 3 unless the case says
+// otherwise: planes packed whole (1x1, 2x2, 4x4 outputs under 3x3 / 5x5 /
+// 7x7 kernels padded by at least k/2), a ring and a strided plane of
+// more than one chunk of packed lanes, a flat plane that is not a
+// multiple of the chunk size, groups on both the packed and the
+// in-place+ring path, and fully-connected layers as NewFCPlan compiles
+// them — a 1x1 kernel on a 1x1 plane, so every strip is a single lane
+// and the register drain starts at its narrowest stage. want asserts the
+// compile-time decomposition the case is there to exercise.
 func TestStripEquivalencePackedShapes(t *testing.T) {
 	type shape struct {
 		name          string
 		conv          *nn.Conv2D
 		h, w          int
 		strips, lanes int // expected in-place strips (-1: some) and packed lanes
+		batch         int // 0 = 3
 	}
 	var cases []shape
 	for _, k := range []int{3, 5, 7} {
@@ -190,6 +196,12 @@ func TestStripEquivalencePackedShapes(t *testing.T) {
 		shape{name: "stride2_pad1_400_lanes", conv: nn.NewConv2D(3, 4, 3, 3, 2, 1, 1, true), h: 40, w: 40, lanes: 400},
 		shape{name: "stride2_pad2_5x5", conv: nn.NewConv2D(3, 4, 5, 5, 2, 2, 1, true), h: 9, w: 9, lanes: 25},
 	)
+	for _, batch := range []int{1, 3, 5} {
+		cases = append(cases,
+			shape{name: fmt.Sprintf("fc_300to17_b%d", batch), conv: nn.NewConv2D(300, 17, 1, 1, 1, 0, 1, true), h: 1, w: 1, strips: 1, batch: batch},
+			shape{name: fmt.Sprintf("fc_48to5_b%d", batch), conv: nn.NewConv2D(48, 5, 1, 1, 1, 0, 1, true), h: 1, w: 1, strips: 1, batch: batch},
+		)
+	}
 	for i, g := range cases {
 		for _, exact := range []bool{true, false} {
 			label := g.name + "/predictive"
@@ -198,7 +210,11 @@ func TestStripEquivalencePackedShapes(t *testing.T) {
 			}
 			t.Run(label, func(t *testing.T) {
 				inShape := tensor.Shape{N: 1, C: g.conv.InC, H: g.h, W: g.w}
-				plan, in := equivConvPlanBatch(t, g.name, g.conv, inShape, 3, uint64(500+i), exact)
+				batch := g.batch
+				if batch == 0 {
+					batch = 3
+				}
+				plan, in := equivConvPlanBatch(t, g.name, g.conv, inShape, batch, uint64(500+i), exact)
 				sp := plan.strip
 				if sp.packed != g.lanes || (g.strips >= 0 && len(sp.strips) != g.strips) || (g.strips < 0 && len(sp.strips) == 0) {
 					t.Fatalf("decomposed into %d in-place strips and %d packed lanes, want %d and %d", len(sp.strips), sp.packed, g.strips, g.lanes)
@@ -249,8 +265,9 @@ func fuzzStripCase(t *testing.T, groups, cin, cout, kh, kw, sh, sw, ph, pw, h, w
 
 // FuzzStripEquivalence is the property form of the sweeps: geometry ×
 // parameters × input bytes, with the scalar reference as the oracle.
-// The seed corpus — thirty drawn cases, run by every plain `go test` —
-// is the randomized sweep this target grew out of; `make fuzz-smoke`
+// The seed corpus — thirty drawn cases, the randomized sweep this target
+// grew out of, plus one fully-connected shape (1x1 kernel on a 1x1
+// plane, batch 3) — is run by every plain `go test`; `make fuzz-smoke`
 // lets the fuzzer mutate from there.
 func FuzzStripEquivalence(f *testing.F) {
 	rng := tensor.NewRNG(777)
@@ -268,6 +285,7 @@ func FuzzStripEquivalence(f *testing.F) {
 		}
 		f.Add(b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7], b[8], b[9], b[10], b[11], rng.Uint64(), data)
 	}
+	f.Add(uint8(0), uint8(2), uint8(2), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(2), uint64(778), []byte(nil))
 	f.Fuzz(fuzzStripCase)
 }
 
@@ -312,85 +330,6 @@ func TestStripEquivalenceFaults(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRunFixedStripEquivalence validates the strip-mined fixed-point
-// path against its retained serial reference over the same geometry
-// corners as the float suite. Integer accumulation is order-safe, so
-// the contract here is about window partitioning and op accounting.
-func TestRunFixedStripEquivalence(t *testing.T) {
-	asym := func(c *nn.Conv2D, sw, pw int) *nn.Conv2D {
-		c.StrideW, c.PadW = sw, pw
-		return c
-	}
-	cases := []struct {
-		name string
-		conv *nn.Conv2D
-		h, w int
-	}{
-		{name: "3x3_s1_p1", conv: nn.NewConv2D(4, 6, 3, 3, 1, 1, 1, true), h: 12, w: 12},
-		{name: "3x3_s2_p1", conv: nn.NewConv2D(4, 6, 3, 3, 2, 1, 1, true), h: 13, w: 13},
-		{name: "5x3_rect_kernel", conv: nn.NewConv2D(4, 6, 5, 3, 1, 2, 1, true), h: 12, w: 12},
-		{name: "asym_stride_pad", conv: asym(nn.NewConv2D(4, 6, 3, 3, 2, 0, 1, true), 1, 2), h: 13, w: 11},
-		{name: "empty_interior", conv: nn.NewConv2D(3, 4, 3, 3, 1, 2, 1, true), h: 2, w: 2},
-		{name: "wide_row_multi_span", conv: nn.NewConv2D(2, 3, 3, 3, 1, 1, 1, true), h: 4, w: maxStripLanes + 44},
-	}
-	for i, g := range cases {
-		for _, exact := range []bool{true, false} {
-			label := g.name
-			if exact {
-				label += "/exact"
-			} else {
-				label += "/predictive"
-			}
-			t.Run(label, func(t *testing.T) {
-				inShape := tensor.Shape{N: 1, C: g.conv.InC, H: g.h, W: g.w}
-				plan, in := equivConvPlan(t, g.name, g.conv, inShape, uint64(300+i), exact)
-				for _, opts := range []RunOpts{{}, {CollectWindows: true}} {
-					got, gtr := plan.RunFixed(in, opts)
-					want, wtr := plan.runFixedReference(in, opts)
-					if !reflect.DeepEqual(got.Data(), want.Data()) {
-						t.Fatalf("%s opts=%+v: fixed outputs differ", label, opts)
-					}
-					if !reflect.DeepEqual(gtr, wtr) {
-						t.Fatalf("%s opts=%+v: fixed traces differ\n got %+v\nwant %+v", label, opts, gtr, wtr)
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestFCStripEquivalence validates the lane-batched FC path against the
-// retained per-neuron reference: random layers, batch sizes 1–5, inputs
-// that include negatives (so the positive region can end below zero and
-// the suffix retires lanes at different taps per batch row).
-func TestFCStripEquivalence(t *testing.T) {
-	rng := tensor.NewRNG(999)
-	for it := 0; it < 12; it++ {
-		in := 8 + int(rng.Uint64()%48)
-		outN := 3 + int(rng.Uint64()%12)
-		batch := 1 + int(rng.Uint64()%5)
-		fc := nn.NewFC(in, outN, true)
-		tensor.FillNorm(fc.Weights, rng, 0, 0.5)
-		for i := range fc.Bias {
-			fc.Bias[i] = float32(rng.Norm() * 0.2)
-		}
-		plan := NewFCPlan("fc", fc, NegByMagnitude)
-		x := tensor.New(tensor.Shape{N: batch, C: in, H: 1, W: 1})
-		tensor.FillUniform(x, tensor.NewRNG(rng.Uint64()), -1, 1)
-		label := fmt.Sprintf("it%d_in%d_out%d_b%d", it, in, outN, batch)
-		for _, opts := range equivOpts {
-			got, gtr := plan.Run(x, opts)
-			want, wtr := plan.runFCReference(x, opts)
-			if !reflect.DeepEqual(got.Data(), want.Data()) {
-				t.Fatalf("%s opts=%+v: FC outputs differ", label, opts)
-			}
-			if !reflect.DeepEqual(gtr, wtr) {
-				t.Fatalf("%s opts=%+v: FC traces differ\n got %+v\nwant %+v", label, opts, gtr, wtr)
-			}
-		}
 	}
 }
 

@@ -21,8 +21,9 @@ type Network struct {
 	Plans     map[string]*LayerPlan
 	PlanOrder []string
 	// FCPlans holds exact early-termination plans for ReLU-fused FC
-	// layers; nil unless EnableFC was called.
-	FCPlans map[string]*FCPlan
+	// layers, each a 1×1 LayerPlan over the flattened input; nil unless
+	// EnableFC was called.
+	FCPlans map[string]*LayerPlan
 	// Faults is the injector the network was compiled with; nil for a
 	// clean network.
 	Faults *faults.Injector
@@ -196,24 +197,23 @@ func (t *NetTrace) Rates() (tnr, fnr float64) {
 }
 
 // exec returns the per-node executor override that routes convolution
-// nodes through their plans.
+// nodes, and FC nodes when EnableFC was called, through their plans.
 func (net *Network) exec(opts RunOpts, trace *NetTrace) nn.Exec {
 	return func(node *nn.Node, ins []*tensor.Tensor) (*tensor.Tensor, bool) {
-		if plan := net.Plans[node.Name]; plan != nil {
-			out, tr := plan.Run(ins[0], opts)
-			if trace != nil {
-				trace.Add(tr)
+		plan, in := net.Plans[node.Name], ins[0]
+		if plan == nil {
+			if plan = net.FCPlans[node.Name]; plan == nil {
+				return nil, false
 			}
-			return out, true
+			// The flatten nn.FC does: {N,C,H,W} → {N,C·H·W,1,1}.
+			s := in.Shape()
+			in = tensor.Wrap(tensor.Shape{N: s.N, C: s.C * s.H * s.W, H: 1, W: 1}, in.Data())
 		}
-		if fp := net.FCPlans[node.Name]; fp != nil {
-			out, tr := fp.Run(ins[0], opts)
-			if trace != nil {
-				trace.Add(tr)
-			}
-			return out, true
+		out, tr := plan.Run(in, opts)
+		if trace != nil {
+			trace.Add(tr)
 		}
-		return nil, false
+		return out, true
 	}
 }
 

@@ -1,11 +1,11 @@
 // Command benchjson converts `go test -bench` output piped through stdin
 // into the machine-readable benchmark record the PR trajectory tracks
-// (BENCH_PR2.json and successors): one entry per benchmark with ns/op,
-// allocation stats, and the worker count parsed from a `workers=N` name
-// component. The raw bench lines are echoed to stdout so the terminal
-// view is unchanged.
+// (BENCH_PR7.json, written by `make bench`): one entry per benchmark
+// with ns/op, allocation stats, and the worker count parsed from a
+// `workers=N` name component. The raw bench lines are echoed to stdout
+// so the terminal view is unchanged.
 //
-//	go test -bench . -benchmem ./... | go run ./internal/tools/benchjson -o BENCH_PR2.json
+//	go test -bench . -benchmem ./... | go run ./internal/tools/benchjson -o BENCH_PR7.json
 package main
 
 import (

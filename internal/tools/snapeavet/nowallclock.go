@@ -2,6 +2,7 @@ package snapeavet
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -60,15 +61,34 @@ func bannedCall(f *types.Func) (what string, banned bool) {
 func runNoWallClock(p *Pass) {
 	index := p.funcIndex()
 
-	// Resolve the configured roots to declared functions.
+	// Resolve the configured roots to declared functions. A root that
+	// names no declared function is a finding, not a no-op: deleting or
+	// renaming a root would otherwise drop its whole subtree from the
+	// check and leave the run green.
 	rootSet := make(map[*types.Func]bool)
+	resolved := make(map[Root]bool)
 	for f, info := range index {
 		name := funcDisplayName(f)
 		for _, r := range p.Cfg.Roots {
 			if info.pkg.Path == r.Pkg && name == r.Name {
 				rootSet[f] = true
+				resolved[r] = true
 			}
 		}
+	}
+	for _, r := range p.Cfg.Roots {
+		if resolved[r] {
+			continue
+		}
+		// Reported at the package clause of the package the root should
+		// be in, or with no position when that package is not loaded.
+		pos := token.NoPos
+		for _, pkg := range p.Pkgs {
+			if pkg.Path == r.Pkg && len(pkg.Files) > 0 {
+				pos = pkg.Files[0].Package
+			}
+		}
+		p.Reportf("nowallclock", pos, "root %s.%s not found: no declared function matches this deterministic root (fix the name in Config.Roots or drop the entry)", r.Pkg, r.Name)
 	}
 
 	// BFS over the static call graph from all roots at once, stopping at

@@ -68,7 +68,8 @@ type Config struct {
 	// byte-identical across runs and worker counts; detorder applies
 	// there.
 	DeterministicPkgs map[string]bool
-	// Roots are the nowallclock entry points.
+	// Roots are the nowallclock entry points. Every entry must resolve
+	// to a declared function; one that does not is itself a finding.
 	Roots []Root
 	// AtomicfilePkg is exempt from atomicwrite (it is the sanctioned
 	// writer).
@@ -104,7 +105,6 @@ func DefaultConfig(modPath string) Config {
 			{p("internal/snapea"), "LayerPlan.Run"},
 			{p("internal/snapea"), "LayerPlan.RunChecked"},
 			{p("internal/snapea"), "LayerPlan.RunFixed"},
-			{p("internal/snapea"), "FCPlan.Run"},
 			{p("internal/snapea"), "Network.Forward"},
 			{p("internal/snapea"), "Network.ForwardChecked"},
 			{p("internal/snapea"), "Optimizer.RunCtx"},

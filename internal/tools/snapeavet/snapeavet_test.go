@@ -17,8 +17,11 @@ import (
 func fixtureConfig() snapeavet.Config {
 	return snapeavet.Config{
 		DeterministicPkgs: map[string]bool{"fixture/detorder": true},
-		Roots:             []snapeavet.Root{{Pkg: "fixture/nowallclock", Name: "Run"}},
-		AtomicfilePkg:     "fixture/atomicfileok",
+		Roots: []snapeavet.Root{
+			{Pkg: "fixture/nowallclock", Name: "Run"},
+			{Pkg: "fixture/nowallclock", Name: "Plan.Gone"}, // names nothing: must be reported
+		},
+		AtomicfilePkg: "fixture/atomicfileok",
 		MetricPrefixes: map[string]string{
 			"engine.": "deterministic",
 			"serve.":  "runtime",

@@ -1,8 +1,10 @@
 // Package nowallclock seeds violations for the nowallclock analyzer:
 // Run is configured as a deterministic root, so the clock and global
 // RNG reads in its callees must be flagged, while the seeded source and
-// the //snapea:runtime boundary must not.
-package nowallclock
+// the //snapea:runtime boundary must not. The fixture config also lists
+// a root Plan.Gone that no declaration here matches; an unresolved root
+// is reported at the package clause.
+package nowallclock // want "root fixture/nowallclock.Plan.Gone not found"
 
 import (
 	"math/rand"
