@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet vet-snapea fuzz-smoke bench bench-gate bench-smoke bench-serve invariance metrics-smoke serve-smoke chaos-smoke cluster-smoke integrity-smoke ci clean
+.PHONY: build test race vet vet-snapea fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke chaos-smoke cluster-smoke integrity-smoke ci clean
 
 build:
 	$(GO) build ./...
@@ -34,25 +34,17 @@ fuzz-smoke:
 	$(GO) test ./internal/snapea -run '^$$' -fuzz 'FuzzLoadParams' -fuzztime 10s
 	$(GO) test ./internal/snapea -run '^$$' -fuzz 'FuzzStripEquivalence' -fuzztime 10s
 
-# Worker-count benchmark sweep over the parallelized hot paths; results
-# land in BENCH_PR7.json (name → ns/op, allocs/op, workers), the
-# checked-in baseline bench-gate diffs against. The
-# BenchmarkLayerPlanRunMetrics disabled/enabled pair is the guard that
-# disabled-metrics instrumentation stays free on the hot path.
-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkConv2DForward|BenchmarkForwardGEMM|BenchmarkLayerPlanRun|BenchmarkOptimizerRunCtx' \
-		-benchmem -count=3 ./internal/nn ./internal/snapea | $(GO) run ./internal/tools/benchjson -o BENCH_PR7.json
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/metrics
-
-# Perf-regression gate on the execution kernel: rerun the single-worker
-# layer benchmark fresh, take the min of five 1s rounds, and fail if it
-# is more than 10% slower than the checked-in BENCH_PR7.json baseline.
-bench-gate:
-	$(GO) test -run '^$$' -bench 'BenchmarkLayerPlanRun$$/workers=1$$' -benchtime=1s -count=5 \
-		./internal/snapea | $(GO) run ./internal/tools/benchjson -o bench-gate.json
-	$(GO) run ./internal/tools/benchdiff -baseline BENCH_PR7.json -current bench-gate.json \
-		-bench 'BenchmarkLayerPlanRun/' -max-regress 10
-	rm -f bench-gate.json
+# The repo benchmark's own smoke, non-race and whole: TestQuickSmoke
+# runs all five BENCHMARK.json workloads through the timed and the
+# traced pass with every output check (digests, params bytes, bit-for-bit
+# 200s) — which `race` skips by running ./benchmark -short. Speeds are
+# recorded and gated in one place only: BENCHMARK.json plus an
+# interleaved parent/change A/B (`go run ./benchmark -compare`). A ci
+# gate on the paired ratio (speedup_vs_gemm) against a re-recorded
+# benchmark/baseline.json waits for a benchmark-archetype PR: benchmark/
+# is fenced off from every other kind.
+ledger-smoke:
+	$(GO) test ./benchmark
 
 # One iteration of every benchmark — catches bit-rotted bench code
 # without paying for real measurements.
@@ -82,10 +74,6 @@ metrics-smoke:
 serve-smoke:
 	GO=$(GO) sh scripts/serve_smoke.sh
 
-# Same smoke, but keep the load summary as the tracked benchmark record.
-bench-serve:
-	GO=$(GO) OUT=BENCH_SERVE.json sh scripts/serve_smoke.sh
-
 # Chaos smoke: three snapea-serve runs with injected faults proving the
 # resilience layer end to end — circuit breaker opens and self-heals,
 # the batch watchdog isolates a wedged model (bulkhead), and the
@@ -108,8 +96,8 @@ integrity-smoke:
 	GO=$(GO) sh scripts/integrity_smoke.sh
 
 # The tier-1+ gate: everything CI runs before a merge.
-ci: vet vet-snapea build race fuzz-smoke bench-smoke bench-gate invariance metrics-smoke serve-smoke chaos-smoke cluster-smoke integrity-smoke
+ci: vet vet-snapea build race fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke chaos-smoke cluster-smoke integrity-smoke
 
 clean:
 	$(GO) clean ./...
-	rm -f snapea-tune.ckpt snapea-bench.ckpt snapea-metrics-smoke.json bench-gate.json
+	rm -f snapea-tune.ckpt snapea-bench.ckpt snapea-metrics-smoke.json

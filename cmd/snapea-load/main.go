@@ -4,7 +4,7 @@
 //
 //	snapea-load -url http://localhost:8080 -model tinynet -n 500 -c 8
 //	snapea-load -url http://localhost:8080 -n 1000 -rate 200      # open loop, 200 req/s
-//	snapea-load -url http://localhost:8080 -body raw -out BENCH_SERVE.json
+//	snapea-load -url http://localhost:8080 -body raw -out load.json
 //
 // Closed loop (-c) keeps a fixed number of in-flight requests; open loop
 // (-rate) fires at a fixed arrival rate regardless of completions — the

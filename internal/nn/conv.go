@@ -70,79 +70,104 @@ func (c *Conv2D) OutShape(ins []tensor.Shape) tensor.Shape {
 	return tensor.Shape{N: in.N, C: c.OutC, H: oh, W: ow}
 }
 
-// Forward implements Layer with a direct (non-im2col) convolution. The
-// (batch, output-channel) units are independent — each writes one
-// disjoint output plane from read-only inputs — so they fan out across
-// the worker pool; per-unit arithmetic is untouched, which keeps the
-// output bit-identical for every worker count.
+// Forward implements Layer. It is the one dense convolution every
+// caller runs — graph executor, calibration, head training, the
+// experiments' dense columns and snapea.Network's unplanned layers —
+// with the fused ReLU as configured.
 func (c *Conv2D) Forward(ins []*tensor.Tensor) *tensor.Tensor {
-	in := one(ins)
-	os := c.OutShape([]tensor.Shape{in.Shape()})
-	out := tensor.New(os)
+	return c.forward(one(ins), c.ReLU)
+}
+
+// ForwardGEMM is Forward on a single tensor, under the name the
+// benchmark ledger pairs SnaPEA against (speedup_vs_gemm): the baseline
+// it measures is the convolution every dense forward executes.
+func (c *Conv2D) ForwardGEMM(in *tensor.Tensor) *tensor.Tensor {
+	return c.forward(in, c.ReLU)
+}
+
+// PreActivation computes the convolution without the fused ReLU. The
+// negative-fraction calibration and Figure 1 measure this quantity. It
+// does not touch c.ReLU: graphs and compiled networks alias the layer,
+// so a concurrent Forward must never observe the flag off.
+func (c *Conv2D) PreActivation(in *tensor.Tensor) *tensor.Tensor {
+	return c.forward(in, false)
+}
+
+// gemmScratch is one worker's reusable im2col and GEMM-result storage.
+type gemmScratch struct {
+	col []float32
+	res []float32
+}
+
+// forward is the one convolution arithmetic body: im2col + GEMM (the
+// primitives are in gemm.go), with relu a parameter so PreActivation
+// never has to write the layer's field. The (batch, group) units fan
+// out across the worker pool; each worker owns one scratch pair, so the
+// hot loop allocates only once per worker instead of once per unit, and
+// per-unit arithmetic is untouched, which keeps the output bit-identical
+// for every worker count.
+func (c *Conv2D) forward(in *tensor.Tensor, relu bool) *tensor.Tensor {
 	s := in.Shape()
-	parallel.For(s.N*c.OutC, func(_, u int) {
-		c.forwardPlane(u/c.OutC, u%c.OutC, in, out, s, os)
-	})
+	os := c.OutShape([]tensor.Shape{s})
+	out := tensor.New(os)
+	outd := out.Data()
+	outCg := c.OutC / c.Groups
+	wd := c.Weights.Data()
+	ksz := c.KernelSize()
+	units := s.N * c.Groups
+	scratch := make([]gemmScratch, parallel.Workers(units))
+	var allocC, reuseC *metrics.Counter
 	if metrics.Enabled() {
 		// One batch of adds per forward pass (not per plane or window):
 		// the totals are pure functions of the layer geometry, so the
 		// deterministic snapshot cannot see the worker count.
 		metrics.C("nn.conv.forward_calls", nil).Add(1)
 		metrics.C("nn.conv.planes", nil).Add(int64(s.N) * int64(c.OutC))
-		metrics.C("nn.conv.macs", nil).Add(int64(s.N) * int64(c.OutC) * int64(os.H) * int64(os.W) * int64(c.KernelSize()))
+		metrics.C("nn.conv.macs", nil).Add(int64(s.N) * int64(c.OutC) * int64(os.H) * int64(os.W) * int64(ksz))
+		metrics.C("nn.gemm.units", nil).Add(int64(units))
+		// Scratch-reuse accounting is inherently worker-dependent (one
+		// buffer grows per worker, so more workers means more
+		// first-touch allocations) — it lives in the runtime section of
+		// the snapshot, outside the deterministic byte-identity
+		// guarantee.
+		allocC = metrics.RC("nn.gemm.scratch_allocs", nil)
+		reuseC = metrics.RC("nn.gemm.scratch_reuse", nil)
 	}
-	return out
-}
-
-// forwardPlane computes output channel k of batch element n.
-func (c *Conv2D) forwardPlane(n, k int, in, out *tensor.Tensor, s, os tensor.Shape) {
-	inCg := c.InC / c.Groups
-	outCg := c.OutC / c.Groups
-	ind := in.Data()
-	outd := out.Data()
-	wd := c.Weights.Data()
-	g := k / outCg
-	cBase := g * inCg
-	wBase := k * inCg * c.KH * c.KW
-	for oy := 0; oy < os.H; oy++ {
-		iy0 := oy*c.StrideH - c.PadH
-		for ox := 0; ox < os.W; ox++ {
-			ix0 := ox*c.StrideW - c.PadW
-			acc := c.Bias[k]
-			for ci := 0; ci < inCg; ci++ {
-				cIn := cBase + ci
-				inBase := ((n*s.C + cIn) * s.H) * s.W
-				wBaseC := wBase + ci*c.KH*c.KW
-				for ky := 0; ky < c.KH; ky++ {
-					iy := iy0 + ky
-					if iy < 0 || iy >= s.H {
-						continue
-					}
-					rowBase := inBase + iy*s.W
-					wRow := wBaseC + ky*c.KW
-					for kx := 0; kx < c.KW; kx++ {
-						ix := ix0 + kx
-						if ix < 0 || ix >= s.W {
-							continue
-						}
-						acc += ind[rowBase+ix] * wd[wRow+kx]
-					}
-				}
+	parallel.For(units, func(w, u int) {
+		n, g := u/c.Groups, u%c.Groups
+		sc := &scratch[w]
+		hadCol := cap(sc.col)
+		cols, rows, k := Im2ColInto(c, in, n, g, sc.col)
+		sc.col = cols
+		if allocC != nil {
+			if cap(sc.col) != hadCol {
+				allocC.Add(1)
+			} else {
+				reuseC.Add(1)
 			}
-			if c.ReLU && acc < 0 {
-				acc = 0
-			}
-			outd[((n*os.C+k)*os.H+oy)*os.W+ox] = acc
 		}
-	}
-}
-
-// PreActivation computes the convolution without the fused ReLU. The
-// negative-fraction calibration and Figure 1 measure this quantity.
-func (c *Conv2D) PreActivation(in *tensor.Tensor) *tensor.Tensor {
-	relu := c.ReLU
-	c.ReLU = false
-	out := c.Forward([]*tensor.Tensor{in})
-	c.ReLU = relu
+		if cap(sc.res) < rows*outCg {
+			sc.res = make([]float32, rows*outCg)
+		}
+		res := sc.res[:rows*outCg]
+		wBase := g * outCg * ksz
+		// Seed every dot product with its bias: MatMul accumulates.
+		bias := c.Bias[g*outCg : (g+1)*outCg]
+		for r := 0; r < rows; r++ {
+			copy(res[r*outCg:], bias)
+		}
+		MatMul(cols, rows, k, wd[wBase:wBase+outCg*ksz], outCg, res)
+		for kc := 0; kc < outCg; kc++ {
+			oc := g*outCg + kc
+			dst := outd[(n*os.C+oc)*os.H*os.W:]
+			for r := 0; r < rows; r++ {
+				v := res[r*outCg+kc]
+				if relu && v < 0 {
+					v = 0
+				}
+				dst[r] = v
+			}
+		}
+	})
 	return out
 }

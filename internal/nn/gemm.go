@@ -1,17 +1,11 @@
 package nn
 
-import (
-	"snapea/internal/metrics"
-	"snapea/internal/parallel"
-	"snapea/internal/tensor"
-)
+import "snapea/internal/tensor"
 
-// This file provides the classical im2col + GEMM formulation of
-// convolution. It exists as an independently-derived implementation to
-// cross-validate the direct convolution in conv.go (the tests assert the
-// two agree to float tolerance on every layer geometry the evaluated
-// networks use), and as the dense-compute reference the EYERISS-like
-// baseline conceptually executes.
+// This file holds the im2col and GEMM primitives of the dense
+// convolution (Conv2D.forward in conv.go), the one every dense forward
+// in the repo and the benchmark ledger's baseline run. The direct
+// per-window loop survives only as the bit-exact oracle in gemm_test.go.
 
 // Im2Col expands the input's convolution windows into a row-major matrix
 // of shape (outH*outW) × (inCg*KH*KW) for the given batch element and
@@ -64,9 +58,12 @@ func Im2ColInto(c *Conv2D, in *tensor.Tensor, n, group int, buf []float32) ([]fl
 	return out, rows, cols
 }
 
-// MatMul computes C = A×Bᵀ where A is m×k (row-major) and B is n×k
-// (row-major), writing the m×n result into dst. This layout matches
-// im2col rows times kernel rows.
+// MatMul accumulates A×Bᵀ into dst, where A is m×k (row-major), B is
+// n×k (row-major) and dst is m×n. This layout matches im2col rows times
+// kernel rows. Each dot product starts from the value already in its
+// dst slot and adds taps left to right; seeded with the bias, that is
+// the (bias, ci, ky, kx) order of a direct convolution loop, so the
+// result is bit-identical to one rather than merely close.
 func MatMul(a []float32, m, k int, b []float32, n int, dst []float32) {
 	if len(a) < m*k || len(b) < n*k || len(dst) < m*n {
 		panic("nn: MatMul dimension mismatch")
@@ -75,78 +72,11 @@ func MatMul(a []float32, m, k int, b []float32, n int, dst []float32) {
 		ar := a[i*k : (i+1)*k]
 		for j := 0; j < n; j++ {
 			br := b[j*k : (j+1)*k]
-			var acc float32
+			acc := dst[i*n+j]
 			for t := 0; t < k; t++ {
 				acc += ar[t] * br[t]
 			}
 			dst[i*n+j] = acc
 		}
 	}
-}
-
-// gemmScratch is one worker's reusable im2col and GEMM-result storage.
-type gemmScratch struct {
-	col []float32
-	res []float32
-}
-
-// ForwardGEMM computes the convolution via im2col + GEMM. It produces
-// the same output as Forward (including the fused ReLU) and exists for
-// cross-validation. The (batch, group) units fan out across the worker
-// pool; each worker owns one scratch pair, so the hot loop allocates
-// only once per worker instead of once per unit.
-func (c *Conv2D) ForwardGEMM(in *tensor.Tensor) *tensor.Tensor {
-	s := in.Shape()
-	os := c.OutShape([]tensor.Shape{s})
-	out := tensor.New(os)
-	outd := out.Data()
-	outCg := c.OutC / c.Groups
-	wd := c.Weights.Data()
-	ksz := c.KernelSize()
-	units := s.N * c.Groups
-	scratch := make([]gemmScratch, parallel.Workers(units))
-	// Scratch-reuse accounting is inherently worker-dependent (one
-	// buffer grows per worker, so more workers means more first-touch
-	// allocations) — it lives in the runtime section of the snapshot,
-	// outside the deterministic byte-identity guarantee.
-	var allocC, reuseC *metrics.Counter
-	if metrics.Enabled() {
-		metrics.C("nn.gemm.forward_calls", nil).Add(1)
-		metrics.C("nn.gemm.units", nil).Add(int64(units))
-		allocC = metrics.RC("nn.gemm.scratch_allocs", nil)
-		reuseC = metrics.RC("nn.gemm.scratch_reuse", nil)
-	}
-	parallel.For(units, func(w, u int) {
-		n, g := u/c.Groups, u%c.Groups
-		sc := &scratch[w]
-		hadCol := cap(sc.col)
-		cols, rows, k := Im2ColInto(c, in, n, g, sc.col)
-		sc.col = cols
-		if allocC != nil {
-			if cap(sc.col) != hadCol {
-				allocC.Add(1)
-			} else {
-				reuseC.Add(1)
-			}
-		}
-		if cap(sc.res) < rows*outCg {
-			sc.res = make([]float32, rows*outCg)
-		}
-		res := sc.res[:rows*outCg]
-		wBase := g * outCg * ksz
-		MatMul(cols, rows, k, wd[wBase:wBase+outCg*ksz], outCg, res)
-		for kc := 0; kc < outCg; kc++ {
-			oc := g*outCg + kc
-			bias := c.Bias[oc]
-			dst := outd[(n*os.C+oc)*os.H*os.W:]
-			for r := 0; r < rows; r++ {
-				v := res[r*outCg+kc] + bias
-				if c.ReLU && v < 0 {
-					v = 0
-				}
-				dst[r] = v
-			}
-		}
-	})
-	return out
 }

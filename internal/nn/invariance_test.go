@@ -19,45 +19,35 @@ func invarianceWorkerCounts() []int {
 	return counts
 }
 
-// TestConvForwardWorkerInvariance asserts the direct convolution output
-// is byte-identical for every worker count: parallelism must never
-// change a result, only its wall-clock cost.
+// TestConvForwardWorkerInvariance asserts the convolution output — with
+// its per-worker reused im2col buffers — is byte-identical for every
+// worker count: parallelism must never change a result, only its
+// wall-clock cost.
 func TestConvForwardWorkerInvariance(t *testing.T) {
-	c := randConv(t, 8, 12, 3, 1, 1, 2, true, 91)
-	in := randInput(tensor.Shape{N: 3, C: 8, H: 13, W: 13}, 92)
-	defer parallel.SetLimit(0)
-
-	parallel.SetLimit(1)
-	ref := c.Forward([]*tensor.Tensor{in}).Data()
-	for _, workers := range invarianceWorkerCounts() {
-		parallel.SetLimit(workers)
-		got := c.Forward([]*tensor.Tensor{in}).Data()
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("workers=%d: output[%d] = %g, serial %g", workers, i, got[i], ref[i])
-			}
-		}
+	cases := []struct {
+		name                          string
+		inC, outC, k, stride, pad, gr int
+		n, hw                         int
+		seed                          uint64
+	}{
+		{"grouped-3x3-n3", 8, 12, 3, 1, 1, 2, 3, 13, 91},
+		{"strided-5x5-n4", 6, 10, 5, 2, 2, 1, 4, 15, 93},
 	}
-}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := randConv(t, tc.inC, tc.outC, tc.k, tc.stride, tc.pad, tc.gr, true, tc.seed)
+			ins := []*tensor.Tensor{randInput(tensor.Shape{N: tc.n, C: tc.inC, H: tc.hw, W: tc.hw}, tc.seed+1)}
+			defer parallel.SetLimit(0)
 
-// TestForwardGEMMWorkerInvariance asserts the im2col+GEMM path — with
-// its per-worker reused buffers — matches the serial result exactly for
-// every worker count.
-func TestForwardGEMMWorkerInvariance(t *testing.T) {
-	c := randConv(t, 6, 10, 5, 2, 2, 1, true, 93)
-	in := randInput(tensor.Shape{N: 4, C: 6, H: 15, W: 15}, 94)
-	defer parallel.SetLimit(0)
-
-	parallel.SetLimit(1)
-	ref := c.ForwardGEMM(in).Data()
-	for _, workers := range invarianceWorkerCounts() {
-		parallel.SetLimit(workers)
-		got := c.ForwardGEMM(in).Data()
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("workers=%d: output[%d] = %g, serial %g", workers, i, got[i], ref[i])
+			parallel.SetLimit(1)
+			ref := c.Forward(ins)
+			for _, workers := range invarianceWorkerCounts() {
+				parallel.SetLimit(workers)
+				if d := diffBits(c.Forward(ins), ref); d != "" {
+					t.Fatalf("workers=%d vs serial: %s", workers, d)
+				}
 			}
-		}
+		})
 	}
 }
 

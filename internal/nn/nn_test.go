@@ -120,6 +120,44 @@ func TestConvPreActivationKeepsNegatives(t *testing.T) {
 	}
 }
 
+// TestConvPreActivationConcurrentWithForward runs both entry points on
+// one layer at once, as calibration beside a serving graph would: graphs
+// and compiled networks alias the layer, so PreActivation must not
+// switch the shared ReLU flag off under a concurrent Forward. Run under
+// -race (make race) this fails on any write to the field.
+func TestConvPreActivationConcurrentWithForward(t *testing.T) {
+	c := randConv(t, 3, 8, 3, 1, 1, 1, true, 3)
+	in := randInput(tensor.Shape{N: 2, C: 3, H: 8, W: 8}, 5)
+	ins := []*tensor.Tensor{in}
+	wantPre, wantPost := c.PreActivation(in), c.Forward(ins)
+
+	runs := []struct {
+		name string
+		run  func() *tensor.Tensor
+		want *tensor.Tensor
+	}{
+		{"PreActivation", func() *tensor.Tensor { return c.PreActivation(in) }, wantPre},
+		{"Forward", func() *tensor.Tensor { return c.Forward(ins) }, wantPost},
+	}
+	errs := make(chan string, len(runs))
+	for _, r := range runs {
+		go func() {
+			for i := 0; i < 50; i++ {
+				if d := diffBits(r.run(), r.want); d != "" {
+					errs <- r.name + ": " + d
+					return
+				}
+			}
+			errs <- ""
+		}()
+	}
+	for range runs {
+		if e := <-errs; e != "" {
+			t.Error(e)
+		}
+	}
+}
+
 func TestMaxPool(t *testing.T) {
 	in := tensor.Wrap(tensor.Shape{N: 1, C: 1, H: 4, W: 4}, []float32{
 		1, 2, 3, 4,

@@ -9,7 +9,8 @@ import (
 	"snapea/internal/tensor"
 )
 
-// benchWorkerCounts is the 1/2/4/GOMAXPROCS grid BENCH_PR7.json tracks.
+// benchWorkerCounts is the 1/2/4/GOMAXPROCS grid the worker-count
+// benchmarks sweep.
 func benchWorkerCounts() []int {
 	counts := []int{1, 2, 4}
 	if n := runtime.GOMAXPROCS(0); n != 1 && n != 2 && n != 4 {
@@ -30,7 +31,9 @@ func benchConv() (*Conv2D, *tensor.Tensor) {
 	return c, in
 }
 
-func BenchmarkConv2DForward(b *testing.B) {
+// BenchmarkForwardGEMM times the one dense convolution (32→64 3×3 on
+// 28×28, batch 2) through the Layer interface the graph executor calls.
+func BenchmarkForwardGEMM(b *testing.B) {
 	c, in := benchConv()
 	ins := []*tensor.Tensor{in}
 	for _, workers := range benchWorkerCounts() {
@@ -41,23 +44,6 @@ func BenchmarkConv2DForward(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if out := c.Forward(ins); out == nil {
-					b.Fatal("no output")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkForwardGEMM(b *testing.B) {
-	c, in := benchConv()
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			parallel.SetLimit(workers)
-			defer parallel.SetLimit(0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if out := c.ForwardGEMM(in); out == nil {
 					b.Fatal("no output")
 				}
 			}

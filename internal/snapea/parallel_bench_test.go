@@ -11,7 +11,8 @@ import (
 	"snapea/internal/tensor"
 )
 
-// benchWorkerCounts is the 1/2/4/GOMAXPROCS grid BENCH_PR7.json tracks.
+// benchWorkerCounts is the 1/2/4/GOMAXPROCS grid the worker-count
+// benchmarks sweep.
 func benchWorkerCounts() []int {
 	counts := []int{1, 2, 4}
 	if n := runtime.GOMAXPROCS(0); n != 1 && n != 2 && n != 4 {

@@ -6,7 +6,7 @@ import (
 )
 
 // AtomicWrite verifies that persisted artifacts go through
-// internal/atomicfile. Checkpoints, BENCH_*.json records, params files
+// internal/atomicfile. Checkpoints, load summaries, params files
 // and metric snapshots are the durability surface of every resumable
 // run: a raw os.WriteFile can persist a truncated file across a crash,
 // and an os.Create-then-write leaves a visible empty file while the
@@ -49,7 +49,7 @@ func runAtomicWrite(p *Pass) {
 					return true
 				}
 				p.Reportf("atomicwrite", call.Pos(),
-					"os.%s bypasses internal/atomicfile; persisted artifacts (checkpoints, BENCH_*.json, params, metric snapshots) must be written atomically and durably — use atomicfile.WriteFile, or annotate the function %s for streaming runtime output",
+					"os.%s bypasses internal/atomicfile; persisted artifacts (checkpoints, load summaries, params, metric snapshots) must be written atomically and durably — use atomicfile.WriteFile, or annotate the function %s for streaming runtime output",
 					callee.Name(), RuntimeDirective)
 				return true
 			})

@@ -12,7 +12,7 @@
 //   - nowallclock: no time.Now/time.Since or global math/rand call may
 //     be reachable from a function that produces byte-identical
 //     artifacts (engine runs, optimizer passes, checkpoint encodes);
-//   - atomicwrite: persisted artifacts (checkpoints, BENCH_*.json,
+//   - atomicwrite: persisted artifacts (checkpoints, load summaries,
 //     metric snapshots) must be written through internal/atomicfile,
 //     never raw os.WriteFile/os.Create;
 //   - poolbalance: a tensorPool.Get must be matched by a Put (or an

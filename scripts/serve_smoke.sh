@@ -13,8 +13,6 @@
 #   5. validate the serve counters in the metrics snapshot — including
 #      serve.batch_gt1, which proves the scheduler actually formed
 #      batches larger than one under concurrent load.
-#
-# Set OUT=path to keep the load summary (BENCH_SERVE.json) after the run.
 set -eu
 
 GO=${GO:-go}
@@ -47,7 +45,7 @@ done
 addr=$(cat "$dir/addr")
 
 "$dir/snapea-load" -url "http://$addr" -model tinynet -n 500 -c 16 \
-    -warmup 10 -allow 200,429 -out "$dir/BENCH_SERVE.json"
+    -warmup 10 -allow 200,429 -out "$dir/load.json"
 
 kill -TERM "$srv_pid"
 wait "$srv_pid"
@@ -57,8 +55,4 @@ $GO run ./internal/tools/metricscheck \
     -nonzero-runtime serve.requests,serve.batches,serve.batch_gt1,serve.compile_cache.misses,serve.tensor_pool.hits \
     "$dir/serve-metrics.json"
 
-if [ -n "${OUT:-}" ]; then
-    cp "$dir/BENCH_SERVE.json" "$OUT"
-    echo "serve-smoke: load summary kept at $OUT"
-fi
 echo "serve-smoke: ok"
