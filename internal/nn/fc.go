@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 
+	"snapea/internal/parallel"
 	"snapea/internal/tensor"
 )
 
@@ -39,27 +40,63 @@ func (f *FC) OutShape(ins []tensor.Shape) tensor.Shape {
 	return tensor.Shape{N: in.N, C: f.Out, H: 1, W: 1}
 }
 
-// Forward implements Layer.
+// Forward implements Layer. Work items are blocks of four neurons of one
+// image, four independent accumulators sharing each x[i] load (a single
+// dot product is bound by the latency of its one add chain); every
+// neuron still starts from its bias and adds its own products in input
+// order, so the result does not depend on the blocking.
 func (f *FC) Forward(ins []*tensor.Tensor) *tensor.Tensor {
 	in := one(ins)
 	s := in.Shape()
-	os := f.OutShape([]tensor.Shape{s})
-	out := tensor.New(os)
-	per := s.C * s.H * s.W
-	ind, outd, wd := in.Data(), out.Data(), f.Weights.Data()
-	for n := 0; n < s.N; n++ {
-		x := ind[n*per : (n+1)*per]
-		for o := 0; o < f.Out; o++ {
+	out := tensor.New(f.OutShape([]tensor.Shape{s}))
+	blocks := (f.Out + 3) / 4
+	parallel.ForCost(s.N*blocks, 4*f.In, fcRun{f, in.Data(), out.Data(), blocks}, fcRun.block)
+	return out
+}
+
+// fcRun is one Forward's operands.
+type fcRun struct {
+	f      *FC
+	in     []float32
+	out    []float32
+	blocks int // four-neuron blocks per image, the last one possibly short
+}
+
+// block computes block u%blocks of image u/blocks.
+func (r fcRun) block(_, u int) {
+	f := r.f
+	n, o := u/r.blocks, u%r.blocks*4
+	x := r.in[n*f.In : (n+1)*f.In]
+	y := r.out[n*f.Out : (n+1)*f.Out]
+	wd := f.Weights.Data()
+	if o+4 > f.Out {
+		for ; o < f.Out; o++ {
 			w := wd[o*f.In : (o+1)*f.In]
 			acc := f.Bias[o]
 			for i, xv := range x {
 				acc += xv * w[i]
 			}
-			if f.ReLU && acc < 0 {
-				acc = 0
-			}
-			outd[n*f.Out+o] = acc
+			y[o] = f.activate(acc)
 		}
+		return
 	}
-	return out
+	w0 := wd[o*f.In:][:len(x)]
+	w1 := wd[(o+1)*f.In:][:len(x)]
+	w2 := wd[(o+2)*f.In:][:len(x)]
+	w3 := wd[(o+3)*f.In:][:len(x)]
+	a0, a1, a2, a3 := f.Bias[o], f.Bias[o+1], f.Bias[o+2], f.Bias[o+3]
+	for i, xv := range x {
+		a0 += xv * w0[i]
+		a1 += xv * w1[i]
+		a2 += xv * w2[i]
+		a3 += xv * w3[i]
+	}
+	y[o], y[o+1], y[o+2], y[o+3] = f.activate(a0), f.activate(a1), f.activate(a2), f.activate(a3)
+}
+
+func (f *FC) activate(v float32) float32 {
+	if f.ReLU && v < 0 {
+		return 0
+	}
+	return v
 }

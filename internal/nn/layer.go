@@ -31,6 +31,9 @@ type Node struct {
 	Name   string
 	Layer  Layer
 	Inputs []string
+	// slots are Inputs resolved at Add time to positions in a forward's
+	// value table: 0 is the graph input, i+1 the output of node i.
+	slots []int
 }
 
 // Graph is a directed acyclic network of layers. Nodes must be added in
@@ -39,13 +42,13 @@ type Node struct {
 // construct with NewGraph.
 type Graph struct {
 	nodes  []*Node
-	byName map[string]*Node
+	slot   map[string]int // node name (and InputName) → value-table slot
 	output string
 }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
-	return &Graph{byName: make(map[string]*Node)}
+	return &Graph{slot: map[string]int{InputName: 0}}
 }
 
 // Add appends a node. It panics on duplicate names or unknown inputs,
@@ -54,29 +57,28 @@ func (g *Graph) Add(name string, layer Layer, inputs ...string) {
 	if name == InputName {
 		panic("nn: node name 'input' is reserved")
 	}
-	if _, dup := g.byName[name]; dup {
+	if _, dup := g.slot[name]; dup {
 		panic(fmt.Sprintf("nn: duplicate node %q", name))
 	}
 	if len(inputs) == 0 {
 		panic(fmt.Sprintf("nn: node %q has no inputs", name))
 	}
-	for _, in := range inputs {
-		if in == InputName {
-			continue
-		}
-		if _, ok := g.byName[in]; !ok {
+	n := &Node{Name: name, Layer: layer, Inputs: inputs, slots: make([]int, len(inputs))}
+	for i, in := range inputs {
+		slot, ok := g.slot[in]
+		if !ok {
 			panic(fmt.Sprintf("nn: node %q references unknown input %q (add nodes in topological order)", name, in))
 		}
+		n.slots[i] = slot
 	}
-	n := &Node{Name: name, Layer: layer, Inputs: inputs}
 	g.nodes = append(g.nodes, n)
-	g.byName[name] = n
+	g.slot[name] = len(g.nodes)
 	g.output = name // last added node is the default output
 }
 
 // SetOutput overrides which node's result Forward returns.
 func (g *Graph) SetOutput(name string) {
-	if _, ok := g.byName[name]; !ok {
+	if g.Node(name) == nil {
 		panic(fmt.Sprintf("nn: unknown output node %q", name))
 	}
 	g.output = name
@@ -90,7 +92,12 @@ func (g *Graph) Output() string { return g.output }
 func (g *Graph) Nodes() []*Node { return g.nodes }
 
 // Node returns the named node, or nil.
-func (g *Graph) Node(name string) *Node { return g.byName[name] }
+func (g *Graph) Node(name string) *Node {
+	if slot := g.slot[name]; slot > 0 {
+		return g.nodes[slot-1]
+	}
+	return nil
+}
 
 // Len returns the number of nodes.
 func (g *Graph) Len() int { return len(g.nodes) }
@@ -131,17 +138,13 @@ type MutateHook func(node *Node, out *tensor.Tensor)
 // The mutator runs before the tap, so taps (and therefore feature
 // captures) observe the mutated values downstream layers consume.
 func (g *Graph) ForwardHooked(in *tensor.Tensor, tap func(node string, out *tensor.Tensor), exec Exec, mutate MutateHook) *tensor.Tensor {
-	vals := make(map[string]*tensor.Tensor, len(g.nodes)+1)
-	vals[InputName] = in
+	vals := make([]*tensor.Tensor, len(g.nodes)+1)
+	vals[0] = in
 	ins := make([]*tensor.Tensor, 0, 4)
-	for _, n := range g.nodes {
+	for i, n := range g.nodes {
 		ins = ins[:0]
-		for _, name := range n.Inputs {
-			v, ok := vals[name]
-			if !ok {
-				panic(fmt.Sprintf("nn: node %q input %q not computed", n.Name, name))
-			}
-			ins = append(ins, v)
+		for _, slot := range n.slots {
+			ins = append(ins, vals[slot])
 		}
 		var out *tensor.Tensor
 		done := false
@@ -154,29 +157,27 @@ func (g *Graph) ForwardHooked(in *tensor.Tensor, tap func(node string, out *tens
 		if mutate != nil {
 			mutate(n, out)
 		}
-		vals[n.Name] = out
+		vals[i+1] = out
 		if tap != nil {
 			tap(n.Name, out)
 		}
 	}
-	return vals[g.output]
+	return vals[g.slot[g.output]]
 }
 
 // OutShape propagates an input shape through the graph and returns the
 // output node's shape.
 func (g *Graph) OutShape(in tensor.Shape) tensor.Shape {
-	shapes := map[string]tensor.Shape{InputName: in}
-	var last tensor.Shape
-	for _, n := range g.nodes {
-		ins := make([]tensor.Shape, len(n.Inputs))
-		for i, name := range n.Inputs {
-			ins[i] = shapes[name]
+	shapes := make([]tensor.Shape, len(g.nodes)+1)
+	shapes[0] = in
+	for i, n := range g.nodes {
+		ins := make([]tensor.Shape, len(n.slots))
+		for j, slot := range n.slots {
+			ins[j] = shapes[slot]
 		}
-		shapes[n.Name] = n.Layer.OutShape(ins)
-		last = shapes[n.Name]
+		shapes[i+1] = n.Layer.OutShape(ins)
 	}
-	_ = last
-	return shapes[g.output]
+	return shapes[g.slot[g.output]]
 }
 
 func one(ins []*tensor.Tensor) *tensor.Tensor {

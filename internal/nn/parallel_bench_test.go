@@ -50,3 +50,42 @@ func BenchmarkForwardGEMM(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkNonConv times the three non-convolution bodies on the shapes
+// that carry the forward's non-conv third: GoogLeNet's conv2/norm2 (two
+// zeros in three, as after its ReLU), an inception-branch 3×3/s1/p1
+// pool, AlexNet's fc7 — and a TinyNet-sized pool, which must cost the
+// same at one worker and two because it is far too small to fan out.
+func BenchmarkNonConv(b *testing.B) {
+	rng := tensor.NewRNG(17)
+	norm2 := tensor.New(tensor.Shape{N: 1, C: 48, H: 16, W: 16})
+	postReLU(norm2, rng)
+	fc7 := NewFC(1024, 1024, true)
+	tensor.FillNorm(fc7.Weights, rng, 0, 0.05)
+	cases := []struct {
+		name  string
+		layer Layer
+		in    *tensor.Tensor
+	}{
+		{"lrn_48x16x16", DefaultLRN(), norm2},
+		{"maxpool_3x3s1p1_64x16x16", &MaxPool2D{K: 3, Stride: 1, Pad: 1}, randInput(tensor.Shape{N: 1, C: 64, H: 16, W: 16}, 18)},
+		{"fc_1024to1024", fc7, randInput(tensor.Shape{N: 1, C: 1024, H: 1, W: 1}, 19)},
+		{"maxpool_2x2s2_8x16x16_inline", &MaxPool2D{K: 2, Stride: 2}, randInput(tensor.Shape{N: 1, C: 8, H: 16, W: 16}, 20)},
+	}
+	for _, c := range cases {
+		ins := []*tensor.Tensor{c.in}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(b *testing.B) {
+				parallel.SetLimit(workers)
+				defer parallel.SetLimit(0)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if out := c.layer.Forward(ins); out == nil {
+						b.Fatal("no output")
+					}
+				}
+			})
+		}
+	}
+}

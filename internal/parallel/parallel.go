@@ -20,6 +20,10 @@
 // inline on their caller once the process-wide worker count is reached,
 // so an optimizer image fan-out over a layer fan-out still uses at most
 // Limit() workers.
+//
+// Loops that can price themselves from their shape go through ForCost,
+// which runs the small ones on the caller: starting a helper costs more
+// than a short layer does.
 package parallel
 
 import (
@@ -127,6 +131,47 @@ func ForCtx(ctx context.Context, n int, fn func(worker, i int)) error {
 	return forCtx(ctx, n, fn)
 }
 
+// job is one fanned-out loop's shared state: one heap object per
+// fan-out, however many helpers join it.
+type job struct {
+	ctx     context.Context
+	n       int
+	fn      func(worker, i int)
+	cursor  atomic.Int64
+	stopped atomic.Bool
+	wg      sync.WaitGroup
+	panicMu sync.Mutex
+	panicV  any
+}
+
+// work drains the cursor as the given worker; the first panic stops
+// every worker and is kept for the caller.
+func (j *job) work(worker int) {
+	defer func() {
+		if r := recover(); r != nil {
+			j.panicMu.Lock()
+			if j.panicV == nil {
+				j.panicV = r
+			}
+			j.panicMu.Unlock()
+			j.stopped.Store(true)
+		}
+	}()
+	for !j.stopped.Load() && ctxErr(j.ctx) == nil {
+		i := int(j.cursor.Add(1) - 1)
+		if i >= j.n {
+			return
+		}
+		j.fn(worker, i)
+	}
+}
+
+func (j *job) help(worker int) {
+	defer j.wg.Done()
+	defer releaseHelper()
+	j.work(worker)
+}
+
 func forCtx(ctx context.Context, n int, fn func(worker, i int)) error {
 	if n <= 0 {
 		return ctxErr(ctx)
@@ -145,61 +190,63 @@ func forCtx(ctx context.Context, n int, fn func(worker, i int)) error {
 		}
 		return nil
 	}
-
-	var (
-		cursor  atomic.Int64
-		stopped atomic.Bool
-		panicMu sync.Mutex
-		panicV  any
-	)
-	work := func(worker int) {
-		defer func() {
-			if r := recover(); r != nil {
-				panicMu.Lock()
-				if panicV == nil {
-					panicV = r
-				}
-				panicMu.Unlock()
-				stopped.Store(true)
-			}
-		}()
-		for !stopped.Load() && ctxErr(ctx) == nil {
-			i := int(cursor.Add(1) - 1)
-			if i >= n {
-				return
-			}
-			fn(worker, i)
-		}
-	}
-	var wg sync.WaitGroup
+	j := &job{ctx: ctx, n: n, fn: fn}
+	j.wg.Add(helpers)
 	for h := 1; h <= helpers; h++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			defer releaseHelper()
-			work(worker)
-		}(h)
+		go j.help(h)
 	}
-	work(0)
-	wg.Wait()
-	if panicV != nil {
-		panic(panicV)
+	j.work(0)
+	j.wg.Wait()
+	if j.panicV != nil {
+		panic(j.panicV)
 	}
 	return ctxErr(ctx)
 }
 
-// For2 fans a 2-D index space through the pool as outer×inner
-// independent work items — the strip-granular fan-out the engine uses
-// for its (kernel, image) grid. Items are handed out dynamically like
-// For's, so unevenly priced strips (kernels whose windows terminate
-// early) balance across workers; fn must treat (i, j) as the only
-// identity of the unit and the worker index purely as a scratch key.
-// Worker indices stay below Workers(outer*inner).
-func For2(outer, inner int, fn func(worker, i, j int)) {
-	if outer <= 0 || inner <= 0 {
+// InlineSteps is the work below which a loop is cheaper run on its
+// caller than fanned out, in steps of one dense multiply-accumulate
+// (0.7–1 ns). Waking a helper costs the caller ~10 µs and the helper
+// starts taking units tens of microseconds later, so a loop has to be
+// several times that long before a second core repays it. On the
+// two-core reference host no GoogLeNet or SqueezeNet layer priced at
+// ≤ 1.8e5 steps ran more than 3 µs faster fanned, and from 1.9e5 up
+// fanning won on all but three (DESIGN.md "Parallel execution and
+// determinism" has the table).
+const InlineSteps = 180_000
+
+// WorkersCost is Workers for a ForCost loop: 1 when the loop runs
+// inline, Workers(n) otherwise.
+func WorkersCost(n, stepsPerItem int) int {
+	if n*stepsPerItem < InlineSteps {
+		return 1
+	}
+	return Workers(n)
+}
+
+// ForCost is For for loops that know their price: n items of
+// stepsPerItem steps each run inline on the caller, as worker 0 and in
+// index order, when the whole loop is under InlineSteps, and through
+// For otherwise. Callers compute the steps from the loop's shape alone
+// (dense MACs, outputs × window, inputs × outputs) — never from data or
+// from the worker limit — so whether a loop fans out is a property of
+// the layer, and results cannot depend on it any more than on the worker
+// count.
+//
+// The loop's operands travel in ctx, handed back to fn by value on every
+// call, so that fn can be a plain function or a method expression: an
+// inline loop then allocates nothing, where a closure over the operands
+// would be built on the heap before the rule had been asked.
+func ForCost[T any](n, stepsPerItem int, ctx T, fn func(ctx T, worker, i int)) {
+	if WorkersCost(n, stepsPerItem) == 1 {
+		for i := 0; i < n; i++ {
+			fn(ctx, 0, i)
+		}
 		return
 	}
-	For(outer*inner, func(w, idx int) { fn(w, idx/inner, idx%inner) })
+	// The closure escapes into For; it captures a copy made on this
+	// branch so that the parameter itself stays on the stack.
+	c := ctx
+	For(n, func(worker, i int) { fn(c, worker, i) })
 }
 
 // Map runs fn for every index and collects the results in index order —

@@ -151,41 +151,105 @@ func TestLimitDefaultsAndOverride(t *testing.T) {
 	}
 }
 
-func TestFor2VisitsEveryPairOnce(t *testing.T) {
-	const outer, inner = 7, 11
-	var counts [outer][inner]int32
-	For2(outer, inner, func(_, i, j int) {
-		atomic.AddInt32(&counts[i][j], 1)
-	})
-	for i := range counts {
-		for j := range counts[i] {
-			if counts[i][j] != 1 {
-				t.Fatalf("pair (%d,%d) visited %d times, want 1", i, j, counts[i][j])
+// costSides are a ForCost loop just under the inline threshold and one
+// just over it: the same 64 items, a step apart in price.
+var costSides = []struct {
+	name   string
+	steps  int
+	inline bool
+}{
+	{"inline", InlineSteps/64 - 1, true},
+	{"fanned", InlineSteps/64 + 1, false},
+}
+
+func TestForCostVisitsEveryIndexOnce(t *testing.T) {
+	withLimit(t, 4)
+	for _, side := range costSides {
+		var hits [64]atomic.Int32
+		ForCost(len(hits), side.steps, &hits, func(hits *[64]atomic.Int32, _, i int) { hits[i].Add(1) })
+		for i := range hits {
+			if got := hits[i].Load(); got != 1 {
+				t.Fatalf("%s: index %d visited %d times, want 1", side.name, i, got)
 			}
 		}
 	}
 }
 
-func TestFor2DegenerateDims(t *testing.T) {
+func TestForCostDegenerateDims(t *testing.T) {
 	calls := 0
-	For2(0, 5, func(_, _, _ int) { calls++ })
-	For2(5, 0, func(_, _, _ int) { calls++ })
-	For2(-1, 3, func(_, _, _ int) { calls++ })
+	count := func(calls *int, _, _ int) { *calls++ }
+	ForCost(0, 5, &calls, count)
+	ForCost(-1, InlineSteps, &calls, count)
+	ForCost(-InlineSteps, -3, &calls, count)
 	if calls != 0 {
 		t.Fatalf("degenerate dims ran %d units, want 0", calls)
 	}
 }
 
-func TestFor2WorkerIDsStayBelowWorkers(t *testing.T) {
-	const outer, inner = 4, 9
-	limit := Workers(outer * inner)
-	var bad atomic.Int32
-	For2(outer, inner, func(w, _, _ int) {
-		if w < 0 || w >= limit {
-			bad.Add(1)
+func TestForCostWorkerIDsStayBelowWorkersCost(t *testing.T) {
+	withLimit(t, 4)
+	for _, side := range costSides {
+		bound := WorkersCost(64, side.steps)
+		if (bound == 1) != side.inline || (!side.inline && bound != 4) {
+			t.Fatalf("%s: WorkersCost = %d at limit 4", side.name, bound)
 		}
+		var bad atomic.Int32
+		ForCost(64, side.steps, bound, func(bound, w, _ int) {
+			if w < 0 || w >= bound {
+				bad.Add(1)
+			}
+		})
+		if bad.Load() != 0 {
+			t.Fatalf("%s: %d units saw a worker index outside [0,%d)", side.name, bad.Load(), bound)
+		}
+	}
+}
+
+// TestForCostInlineRunsOnCallerInOrder pins what the inline side
+// promises beyond For: index order, on the calling goroutine — so no
+// synchronisation is needed to observe it — with no helper ever started.
+func TestForCostInlineRunsOnCallerInOrder(t *testing.T) {
+	withLimit(t, 4)
+	var order []int
+	ForCost(64, InlineSteps/64-1, &order, func(order *[]int, w, i int) {
+		if w != 0 {
+			t.Errorf("item %d ran as worker %d", i, w)
+		}
+		*order = append(*order, i)
 	})
-	if bad.Load() != 0 {
-		t.Fatalf("%d units saw worker index outside [0,%d)", bad.Load(), limit)
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("position %d ran item %d", i, got)
+		}
+	}
+	if len(order) != 64 {
+		t.Fatalf("ran %d items, want 64", len(order))
+	}
+}
+
+// costOperands stands in for a layer's operands: wider than the 128
+// bytes up to which a closure captures a variable by value.
+type costOperands struct {
+	in, out []float32
+	shape   [12]int
+}
+
+func (o costOperands) item(_, i int) { o.out[i] = o.in[i] }
+
+// TestForCostAllocations holds the two paths to their allocation
+// budgets: an inline loop none at all, a fan-out one job, the operands'
+// copy with the closure over it, and one go-statement closure per helper.
+func TestForCostAllocations(t *testing.T) {
+	withLimit(t, 2)
+	o := costOperands{in: make([]float32, 64), out: make([]float32, 64)}
+	for _, side := range costSides {
+		want := 4.0
+		if side.inline {
+			want = 0
+		}
+		got := testing.AllocsPerRun(200, func() { ForCost(64, side.steps, o, costOperands.item) })
+		if got > want {
+			t.Errorf("%s: %v allocations per call, want at most %v", side.name, got, want)
+		}
 	}
 }

@@ -234,38 +234,55 @@ func (p *LayerPlan) OutShape(batch int) tensor.Shape {
 	return tensor.Shape{N: batch, C: p.outC, H: p.outH, W: p.outW}
 }
 
-// Run executes the layer with early activation and returns the output
-// (identical to conv+ReLU for exact kernels) and the trace.
-func (p *LayerPlan) Run(in *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *LayerTrace) {
+// newRun checks the input against the compiled geometry and allocates
+// the zeroed output and the trace header — what Run and the two serial
+// executors (runReference, RunFixed) all start from.
+func (p *LayerPlan) newRun(in *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *LayerTrace) {
 	s := in.Shape()
 	if s.C != p.inShape.C || s.H != p.inShape.H || s.W != p.inShape.W {
 		panic(fmt.Sprintf("snapea: %s compiled for %v, got %v", p.Node, p.inShape, s))
 	}
-	os := p.OutShape(s.N)
-	out := tensor.New(os)
 	tr := &LayerTrace{
-		Node:       p.Node,
-		KernelSize: p.Conv.KernelSize(),
-		Batch:      s.N,
-		OutC:       p.outC,
-		OutH:       p.outH,
-		OutW:       p.outW,
+		Node:        p.Node,
+		KernelSize:  p.Conv.KernelSize(),
+		Batch:       s.N,
+		OutC:        p.outC,
+		OutH:        p.outH,
+		OutW:        p.outW,
+		InputElems:  int64(s.N) * int64(s.C*s.H*s.W),
+		WeightElems: int64(p.outC) * int64(p.Conv.KernelSize()),
 	}
-	winPerImg := p.outC * p.outH * p.outW
-	tr.Windows = int64(s.N * winPerImg)
+	tr.Windows = int64(s.N) * int64(p.outC*p.outH*p.outW)
 	tr.DenseOps = tr.Windows * int64(tr.KernelSize)
-	tr.InputElems = int64(s.N) * int64(s.C*s.H*s.W)
-	tr.WeightElems = int64(p.outC) * int64(tr.KernelSize)
 	if opts.CollectWindows {
 		tr.Ops = make([]int32, tr.Windows)
 	}
+	return tensor.New(p.OutShape(s.N)), tr
+}
+
+// windowSteps prices a window's fixed cost (accumulator set-up, worklist,
+// drain hand-offs, store) in dense MACs: over GoogLeNet's and SqueezeNet's
+// layers a Run costs ~25 ns a window plus ~0.66 ns a dense MAC, so a layer
+// of 4-tap kernels is several times dearer than its MAC count says.
+const windowSteps = 38
+
+// Run executes the layer with early activation and returns the output
+// (identical to conv+ReLU for exact kernels) and the trace.
+func (p *LayerPlan) Run(in *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *LayerTrace) {
+	out, tr := p.newRun(in, opts)
+	s := in.Shape()
+
+	// One work item per (kernel, image) pair, priced from the geometry: a
+	// layer under parallel.InlineSteps runs on the caller with worker 0's
+	// shard alone — waking a helper costs more than a short layer does.
+	items, steps := p.outC*s.N, p.outH*p.outW*(tr.KernelSize+windowSteps)
 
 	// Windows that cannot stream in place are gathered first, one patch
 	// matrix per image shared by every kernel. The copy is 1/OutC of the
 	// packed windows' dense work and runs inline: fanning it out measured
 	// no faster than waking a second worker costs.
 	sp := p.strip
-	rs := sp.acquire(parallel.Workers(p.outC*s.N), s.N)
+	rs := sp.acquire(parallel.WorkersCost(items, steps), s.N)
 	if sp.packed > 0 {
 		img := s.C * s.H * s.W
 		for n := 0; n < s.N; n++ {
@@ -273,17 +290,14 @@ func (p *LayerPlan) Run(in *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *Layer
 		}
 	}
 
-	// (kernel, image) pairs write disjoint output planes (and index-keyed
-	// Ops slots), so they fan out across the worker pool as strip-granular
-	// work items — finer than whole kernels, which keeps workers busy when
-	// early termination makes kernels unevenly priced. Each worker
-	// accumulates into a private LayerTrace shard; the shards are merged
-	// afterwards in worker order. Every shard field is an integer counter,
-	// so the merged totals are identical for any worker count and any
-	// dynamic assignment of items to workers.
-	parallel.For2(p.outC, s.N, func(w, k, n int) {
-		p.runKernel(w, n, k, in, out, rs, tr, opts)
-	})
+	// The items write disjoint output planes (and index-keyed Ops slots),
+	// so they fan out as they are — finer than whole kernels, which keeps
+	// workers busy when early termination makes kernels unevenly priced.
+	// Each worker accumulates into a private LayerTrace shard, merged
+	// afterwards in worker order; every shard field is an integer counter,
+	// so the totals are identical for any worker count and any dynamic
+	// assignment of items to workers.
+	parallel.ForCost(items, steps, layerRun{p, in, out, rs, tr, opts}, layerRun.kernel)
 	for i := range rs.stats {
 		st := &rs.stats[i]
 		tr.TotalOps += st.TotalOps
@@ -419,35 +433,46 @@ func FirstNonFinite(d []float32) int {
 	return -1
 }
 
-// runKernel computes all windows of output channel k for batch element
-// n on the given worker's shard of rs: the in-place strips straight
-// from the input plane, then the packed windows from the image's patch
-// matrix in chunks of maxStripLanes — both through runStrip, which
-// accumulates each window in the scalar reference's tap order.
-func (p *LayerPlan) runKernel(worker, n, k int, in, out *tensor.Tensor, rs *runState, tr *LayerTrace, opts RunOpts) {
+// layerRun is one Run's operands.
+type layerRun struct {
+	p       *LayerPlan
+	in, out *tensor.Tensor
+	rs      *runState
+	tr      *LayerTrace
+	opts    RunOpts
+}
+
+// kernel computes work item i — all windows of output channel i/N for
+// batch element i%N — on the given worker's shard of rs: the in-place
+// strips straight from the input plane, then the packed windows from the
+// image's patch matrix in chunks of maxStripLanes — both through
+// runStrip, which accumulates each window in the scalar reference's tap
+// order.
+func (r layerRun) kernel(worker, i int) {
+	p, s := r.p, r.in.Shape()
+	k, n := i/s.N, i%s.N
 	ck := &p.kernels[k]
 	if ck.stuck {
 		// Dead lane: outputs stay zero (out is zero-initialized) and no
 		// MACs execute.
 		return
 	}
-	s := in.Shape()
-	ind := in.Data()
-	outd := out.Data()
+	ind := r.in.Data()
+	outd := r.out.Data()
 	inBase := (n*s.C + int(ck.cBase)) * s.H * s.W
 	outBase := (n*p.outC + k) * p.outH * p.outW
 	sp := p.strip
-	st, sc := &rs.stats[worker], &rs.lanes[worker]
+	st, sc := &r.rs.stats[worker], &r.rs.lanes[worker]
 	for _, ls := range sp.strips {
-		p.runStrip(ck, ck.offs, ind, outd, inBase+ls.in, ls.n, outBase+ls.out, laneIota[:], tr, st, sc, opts)
+		p.runStrip(ck, ck.offs, ind, outd, inBase+ls.in, ls.n, outBase+ls.out, laneIota[:], r.tr, st, sc, r.opts)
 	}
 	if sp.packed == 0 {
 		return
 	}
-	patch := rs.patch[n]
+	patch := r.rs.patch[n]
 	groupBase := int(ck.cBase) * p.Conv.KH * p.Conv.KW * sp.packed
 	for c := 0; c < sp.packed; c += maxStripLanes {
 		lanes := min(maxStripLanes, sp.packed-c)
-		p.runStrip(ck, ck.poffs, patch, outd, groupBase+c, lanes, outBase, sp.scatter[c:], tr, st, sc, opts)
+		p.runStrip(ck, ck.poffs, patch, outd, groupBase+c, lanes, outBase, sp.scatter[c:], r.tr, st, sc, r.opts)
 	}
 }

@@ -28,32 +28,6 @@ func (p *LayerPlan) runReference(in *tensor.Tensor, opts RunOpts) (*tensor.Tenso
 	return out, tr
 }
 
-// newRun checks the input against the compiled geometry and allocates
-// the zeroed output and the trace header, for the two serial executors
-// (runReference and RunFixed).
-func (p *LayerPlan) newRun(in *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *LayerTrace) {
-	s := in.Shape()
-	if s.C != p.inShape.C || s.H != p.inShape.H || s.W != p.inShape.W {
-		panic(fmt.Sprintf("snapea: %s compiled for %v, got %v", p.Node, p.inShape, s))
-	}
-	tr := &LayerTrace{
-		Node:        p.Node,
-		KernelSize:  p.Conv.KernelSize(),
-		Batch:       s.N,
-		OutC:        p.outC,
-		OutH:        p.outH,
-		OutW:        p.outW,
-		InputElems:  int64(s.N) * int64(s.C*s.H*s.W),
-		WeightElems: int64(p.outC) * int64(p.Conv.KernelSize()),
-	}
-	tr.Windows = int64(s.N) * int64(p.outC*p.outH*p.outW)
-	tr.DenseOps = tr.Windows * int64(tr.KernelSize)
-	if opts.CollectWindows {
-		tr.Ops = make([]int32, tr.Windows)
-	}
-	return tensor.New(p.OutShape(s.N)), tr
-}
-
 // runKernelScalar computes all windows of output channel k for batch
 // element n one window at a time.
 func (p *LayerPlan) runKernelScalar(n, k int, in, out *tensor.Tensor, tr, st *LayerTrace, opts RunOpts) {

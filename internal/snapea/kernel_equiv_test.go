@@ -267,8 +267,9 @@ func fuzzStripCase(t *testing.T, groups, cin, cout, kh, kw, sh, sw, ph, pw, h, w
 // parameters × input bytes, with the scalar reference as the oracle.
 // The seed corpus — thirty drawn cases, the randomized sweep this target
 // grew out of, plus one fully-connected shape (1x1 kernel on a 1x1
-// plane, batch 3) — is run by every plain `go test`; `make fuzz-smoke`
-// lets the fuzzer mutate from there.
+// plane, batch 3) and one batch-3 layer that stays under the fan-out
+// threshold — is run by every plain `go test`; `make fuzz-smoke` lets
+// the fuzzer mutate from there.
 func FuzzStripEquivalence(f *testing.F) {
 	rng := tensor.NewRNG(777)
 	for it := 0; it < 30; it++ {
@@ -286,6 +287,11 @@ func FuzzStripEquivalence(f *testing.F) {
 		f.Add(b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7], b[8], b[9], b[10], b[11], rng.Uint64(), data)
 	}
 	f.Add(uint8(0), uint8(2), uint8(2), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(2), uint64(778), []byte(nil))
+	// 2→3 channels, 3x3/s1/p1 on 20x20, batch 3: in-place strips plus a
+	// packed ring at 3,600 windows of 18 MACs, well under the fan-out
+	// threshold, so all three images run inline on the caller through
+	// worker 0's shard.
+	f.Add(uint8(0), uint8(1), uint8(2), uint8(2), uint8(2), uint8(0), uint8(0), uint8(1), uint8(1), uint8(17), uint8(17), uint8(2), uint64(779), []byte(nil))
 	f.Fuzz(fuzzStripCase)
 }
 
@@ -336,23 +342,44 @@ func TestStripEquivalenceFaults(t *testing.T) {
 // TestStripEquivalenceAcrossWorkers recrosses the two invariants: the
 // strip path must match the scalar reference at every worker count, on
 // a geometry with in-place strips, a packed ring, and multiple spans, so
-// strip-granular work distribution and the gather fan-out are actually
-// exercised.
+// strip-granular work distribution is actually exercised — and on two
+// plans a single row of windows apart that sit either side of
+// parallel.InlineSteps, so the same holds for the rule that decides
+// whether a layer fans out at all: 3 kernels × 2 images of 3x3x18 (162
+// MACs + windowSteps = 200 steps a window) over 4x37 windows is 2,400
+// steps short of the constant and runs on the caller, over 5x30 it is
+// exactly the constant and fans out.
 func TestStripEquivalenceAcrossWorkers(t *testing.T) {
-	conv := nn.NewConv2D(3, 5, 3, 3, 1, 1, 1, true)
-	inShape := tensor.Shape{N: 1, C: 3, H: 8, W: maxStripLanes + 20}
-	plan, in := equivConvPlan(t, "wk", conv, inShape, 55, false)
+	cases := []struct {
+		name   string
+		conv   *nn.Conv2D
+		h, w   int
+		inline bool
+	}{
+		{"wide_multi_span", nn.NewConv2D(3, 5, 3, 3, 1, 1, 1, true), 8, maxStripLanes + 20, false},
+		{"just_under_inline_steps", nn.NewConv2D(18, 3, 3, 3, 1, 1, 1, true), 4, 37, true},
+		{"just_over_inline_steps", nn.NewConv2D(18, 3, 3, 3, 1, 1, 1, true), 5, 30, false},
+	}
 	opts := RunOpts{CollectWindows: true, CollectPrediction: true}
-	want, wtr := plan.runReference(in, opts)
 	defer parallel.SetLimit(0)
-	for _, workers := range []int{1, 2, 3, 8} {
-		parallel.SetLimit(workers)
-		got, gtr := plan.Run(in, opts)
-		if !reflect.DeepEqual(got.Data(), want.Data()) {
-			t.Fatalf("workers=%d: outputs differ from scalar reference", workers)
-		}
-		if !reflect.DeepEqual(gtr, wtr) {
-			t.Fatalf("workers=%d: traces differ\n got %+v\nwant %+v", workers, gtr, wtr)
-		}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			inShape := tensor.Shape{N: 1, C: tc.conv.InC, H: tc.h, W: tc.w}
+			plan, in := equivConvPlan(t, tc.name, tc.conv, inShape, uint64(55+i), false)
+			if steps := in.Shape().N * plan.outC * plan.outH * plan.outW * (tc.conv.KernelSize() + windowSteps); (steps < parallel.InlineSteps) != tc.inline {
+				t.Fatalf("%d steps against parallel.InlineSteps = %d: the case is on the wrong side of the rule", steps, parallel.InlineSteps)
+			}
+			want, wtr := plan.runReference(in, opts)
+			for _, workers := range []int{1, 2, 3, 8} {
+				parallel.SetLimit(workers)
+				got, gtr := plan.Run(in, opts)
+				if !reflect.DeepEqual(got.Data(), want.Data()) {
+					t.Fatalf("workers=%d: outputs differ from scalar reference", workers)
+				}
+				if !reflect.DeepEqual(gtr, wtr) {
+					t.Fatalf("workers=%d: traces differ\n got %+v\nwant %+v", workers, gtr, wtr)
+				}
+			}
+		})
 	}
 }
