@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet vet-snapea fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke chaos-smoke cluster-smoke integrity-smoke ci clean
+.PHONY: build test race vet vet-snapea batcher-stress fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke chaos-smoke cluster-smoke integrity-smoke ci clean
 
 build:
 	$(GO) build ./...
@@ -25,14 +25,22 @@ race:
 	$(GO) test -race $$($(GO) list ./... | grep -v '^snapea/benchmark$$')
 	$(GO) test -race -short ./benchmark
 
-# Short fuzz runs over the two binary/JSON loaders and the execution
+# The tests that pin the batcher's dispatch policy, 25 times over: they
+# are built around a held dispatcher so that they cannot pass by winning
+# a race with its wake-up, and a reintroduced scheduling race must fail
+# ci rather than one run in three.
+batcher-stress:
+	$(GO) test -count=25 -run 'TestPartialBatchFlushOnWait|TestBatchMaxFlush|TestConcurrentLoadBatches|TestQueuedDeadlineExpires' ./internal/serve
+
+# Short fuzz runs over the two binary/JSON loaders, the execution
 # kernel (geometry × params × input bytes, strip kernel vs the scalar
-# reference) — enough to catch regressions without an open-ended
-# campaign.
+# reference) and the serving input decode (fast path vs encoding/json)
+# — enough to catch regressions without an open-ended campaign.
 fuzz-smoke:
 	$(GO) test ./internal/models -run '^$$' -fuzz 'FuzzLoadWeights' -fuzztime 10s
 	$(GO) test ./internal/snapea -run '^$$' -fuzz 'FuzzLoadParams' -fuzztime 10s
 	$(GO) test ./internal/snapea -run '^$$' -fuzz 'FuzzStripEquivalence' -fuzztime 10s
+	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzDecodeInput' -fuzztime 10s
 
 # The repo benchmark's own smoke, non-race and whole: TestQuickSmoke
 # runs all five BENCHMARK.json workloads through the timed and the
@@ -49,7 +57,7 @@ ledger-smoke:
 # One iteration of every benchmark — catches bit-rotted bench code
 # without paying for real measurements.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/nn ./internal/snapea ./internal/metrics
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/nn ./internal/snapea ./internal/metrics ./internal/serve ./internal/cluster
 
 # Determinism gate: outputs, traces, and checkpoints must be identical
 # for every worker count, even when the scheduler has real parallelism
@@ -96,7 +104,7 @@ integrity-smoke:
 	GO=$(GO) sh scripts/integrity_smoke.sh
 
 # The tier-1+ gate: everything CI runs before a merge.
-ci: vet vet-snapea build race fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke chaos-smoke cluster-smoke integrity-smoke
+ci: vet vet-snapea build race batcher-stress fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke chaos-smoke cluster-smoke integrity-smoke
 
 clean:
 	$(GO) clean ./...

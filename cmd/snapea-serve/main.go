@@ -1,10 +1,10 @@
 // Command snapea-serve is the batched inference server: it serves
 // compiled SnaPEA networks over HTTP, micro-batching concurrent
-// requests through one Forward per flush so the engine's MAC savings
+// requests through one Forward per batch so the engine's MAC savings
 // show up as request latency.
 //
 //	snapea-serve -addr localhost:8080 -models tinynet
-//	snapea-serve -models alexnet -params alexnet=alexnet.params.json -batch 16 -batch-wait 5ms
+//	snapea-serve -models alexnet -params alexnet=alexnet.params.json -batch 16
 //	snapea-serve -addr localhost:0 -addr-file serve.addr -metrics serve-metrics.json
 //	snapea-serve -models tinynet -fault-weight-bitflip 1e-4   # chaos serving
 //
@@ -54,8 +54,7 @@ func main() {
 	seed := flag.Uint64("seed", 42, "deterministic model-build seed")
 	params := flag.String("params", "", "comma-separated model=paramsfile pairs enabling predictive mode per model")
 	negOrder := flag.String("negorder", "magnitude", "negative-weight ordering: magnitude or original")
-	batch := flag.Int("batch", 8, "flush a batch at this many requests")
-	batchWait := flag.Duration("batch-wait", 2*time.Millisecond, "flush a partial batch after this long")
+	batch := flag.Int("batch", 8, "largest batch one Forward runs (requests already queued; the dispatcher never waits for more)")
 	queue := flag.Int("queue", 64, "per-model queue depth; overflow is rejected with 429")
 	reqTimeout := flag.Duration("request-timeout", 5*time.Second, "per-request deadline (covers queueing and inference)")
 	batchDeadline := flag.Duration("batch-deadline", 30*time.Second, "watchdog deadline for one batch execution; a hung batch is abandoned (<0 disables)")
@@ -106,7 +105,6 @@ func main() {
 		Classes:          *classes,
 		Seed:             *seed,
 		BatchMax:         *batch,
-		BatchWait:        *batchWait,
 		QueueDepth:       *queue,
 		RequestTimeout:   *reqTimeout,
 		BatchDeadline:    *batchDeadline,

@@ -75,7 +75,6 @@ func ServeEnv() map[string]string {
 	return map[string]string{
 		"addr":            "SNAPEA_ADDR",
 		"batch":           "SNAPEA_BATCH",
-		"batch-wait":      "SNAPEA_BATCH_WAIT",
 		"queue":           "SNAPEA_QUEUE",
 		"request-timeout": "SNAPEA_REQUEST_TIMEOUT",
 		"batch-deadline":  "SNAPEA_BATCH_DEADLINE",

@@ -262,7 +262,6 @@ var applyEnvGroups = []struct {
 		register: func(fs *flag.FlagSet) {
 			fs.String("addr", "127.0.0.1:8080", "")
 			fs.Int("batch", 8, "")
-			fs.Duration("batch-wait", 0, "")
 			fs.Int("queue", 64, "")
 			fs.Duration("request-timeout", 0, "")
 			fs.Duration("batch-deadline", 0, "")

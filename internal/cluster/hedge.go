@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,15 +13,28 @@ import (
 // deliberately crude: the hedge delay only needs to sit near the tail
 // knee, not be statistically exact, and a fixed window forgets old
 // traffic regimes (cold compile, a degraded replica) at a bounded rate.
+//
+// For the same reason the answer is cached: every gateway request asks,
+// and sorting the window for each one was 8 % of the gateway's CPU to
+// move the hedge delay by a sample's worth. Quantile re-sorts only once
+// quantileRefresh observations have arrived since it last did.
 type quantileTracker struct {
 	mu      sync.Mutex
 	samples []time.Duration
 	idx     int
-	full    bool
 	scratch []time.Duration
+
+	// The cached answer: valid for cachedP while stale < quantileRefresh.
+	cached  time.Duration
+	cachedP float64
+	stale   int // observations since cached was computed
 }
 
 const trackerWindow = 512
+
+// quantileRefresh is how many observations a cached quantile may lag
+// behind: 1/16 of the window.
+const quantileRefresh = 32
 
 // minHedgeSamples gates hedging until the tracker has seen enough
 // traffic to estimate a quantile at all; before that the configured
@@ -29,24 +42,25 @@ const trackerWindow = 512
 const minHedgeSamples = 16
 
 func newQuantileTracker() *quantileTracker {
-	return &quantileTracker{samples: make([]time.Duration, 0, trackerWindow)}
+	return &quantileTracker{samples: make([]time.Duration, 0, trackerWindow), stale: quantileRefresh}
 }
 
 // Observe records one latency sample.
 func (q *quantileTracker) Observe(d time.Duration) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	q.stale++
 	if len(q.samples) < trackerWindow {
 		q.samples = append(q.samples, d)
 		return
 	}
 	q.samples[q.idx] = d
 	q.idx = (q.idx + 1) % trackerWindow
-	q.full = true
 }
 
-// Quantile returns the p-th (0..1) percentile of the window, or 0 when
-// fewer than minHedgeSamples have been observed.
+// Quantile returns the p-th (0..1) percentile of the window as of at
+// most quantileRefresh observations ago, or 0 when fewer than
+// minHedgeSamples have been observed.
 func (q *quantileTracker) Quantile(p float64) time.Duration {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -54,8 +68,11 @@ func (q *quantileTracker) Quantile(p float64) time.Duration {
 	if n < minHedgeSamples {
 		return 0
 	}
+	if q.stale < quantileRefresh && p == q.cachedP {
+		return q.cached
+	}
 	q.scratch = append(q.scratch[:0], q.samples...)
-	sort.Slice(q.scratch, func(i, j int) bool { return q.scratch[i] < q.scratch[j] })
+	slices.Sort(q.scratch)
 	i := int(p * float64(n))
 	if i >= n {
 		i = n - 1
@@ -63,7 +80,8 @@ func (q *quantileTracker) Quantile(p float64) time.Duration {
 	if i < 0 {
 		i = 0
 	}
-	return q.scratch[i]
+	q.cached, q.cachedP, q.stale = q.scratch[i], p, 0
+	return q.cached
 }
 
 // hedgeBudget caps request amplification: hedges fired may never exceed

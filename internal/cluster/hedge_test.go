@@ -49,6 +49,59 @@ func TestQuantileTrackerWindowForgets(t *testing.T) {
 	}
 }
 
+// TestQuantileTrackerCache: an answer is reused for fewer than
+// quantileRefresh observations, refreshed by the quantileRefresh-th, and
+// never served for a different p.
+func TestQuantileTrackerCache(t *testing.T) {
+	q := newQuantileTracker()
+	for i := 0; i < 100; i++ {
+		q.Observe(time.Millisecond)
+	}
+	if got := q.Quantile(1.0); got != time.Millisecond {
+		t.Fatalf("max = %v, want 1ms", got)
+	}
+	for i := 1; i < quantileRefresh; i++ {
+		q.Observe(time.Second)
+	}
+	if got := q.Quantile(1.0); got != time.Millisecond {
+		t.Fatalf("max after %d observations = %v, want the cached 1ms", quantileRefresh-1, got)
+	}
+	if got := q.Quantile(0.0); got != time.Millisecond {
+		t.Fatalf("min = %v, want 1ms", got)
+	}
+	if got := q.Quantile(1.0); got != time.Second {
+		t.Fatalf("max asked after min = %v, want 1s (an answer for another p must not be reused)", got)
+	}
+	q.Observe(time.Minute)
+	if got := q.Quantile(1.0); got != time.Second {
+		t.Fatalf("max one observation after a refresh = %v, want the cached 1s", got)
+	}
+	for i := 1; i < quantileRefresh; i++ {
+		q.Observe(time.Minute)
+	}
+	if got := q.Quantile(1.0); got != time.Minute {
+		t.Fatalf("max after %d observations = %v, want 1m0s (refreshed)", quantileRefresh, got)
+	}
+}
+
+// BenchmarkHedgeDelay is the tracker's share of one gateway request over
+// a full window: one hedgeDelay on the way in, one Observe on the way
+// out.
+func BenchmarkHedgeDelay(b *testing.B) {
+	g := &Gateway{cfg: Config{}.normalize(), tracker: newQuantileTracker()}
+	for i := 0; i < trackerWindow; i++ {
+		g.tracker.Observe(time.Duration(i%97) * 10 * time.Microsecond)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := g.hedgeDelay(); !ok {
+			b.Fatal("hedging disabled")
+		}
+		g.tracker.Observe(time.Duration(i%97) * 10 * time.Microsecond)
+	}
+}
+
 func TestHedgeBudgetCapsAmplification(t *testing.T) {
 	hb := &hedgeBudget{budget: 0.1}
 	fired := 0

@@ -66,7 +66,6 @@ type batcherConfig struct {
 	site       string // "model/mode", names serve-path fault sites
 	batchMax   int
 	queueDepth int
-	batchWait  time.Duration
 	// deadline is the watchdog budget for one batch execution; <= 0
 	// disables the watchdog.
 	deadline time.Duration
@@ -83,8 +82,13 @@ type batcherConfig struct {
 
 // batcher is the per-(model, mode) dynamic micro-batching scheduler:
 // requests queue into a bounded channel, and a single dispatcher
-// goroutine flushes a batch when it reaches batchMax items or batchWait
-// has elapsed since the first queued item. One dispatcher per compiled
+// goroutine blocks for the first one, takes whatever else is already
+// queued up to batchMax, and runs — it never waits for a request that
+// has not arrived. A batch larger than one is therefore exactly the
+// requests that queued while the previous Forward ran: batching costs no
+// latency when the server is idle and grows with load on its own (the
+// zero-delay default of Triton's and TF-Serving's dynamic batchers; see
+// DESIGN.md, "Micro-batching"). One dispatcher per compiled
 // network keeps batch execution serial per model — the intra-batch
 // parallelism comes from the engine's worker pool — while different
 // models batch and execute independently (the bulkhead: a wedged or
@@ -110,9 +114,6 @@ func newBatcher(net *snapea.Network, pool *tensorPool, cfg batcherConfig) *batch
 	}
 	if cfg.queueDepth < 1 {
 		cfg.queueDepth = 1
-	}
-	if cfg.batchWait <= 0 {
-		cfg.batchWait = 2 * time.Millisecond
 	}
 	b := &batcher{
 		net:   net,
@@ -196,22 +197,20 @@ func (b *batcher) dispatch() (clean bool) {
 			return true
 		}
 		batch := []*request{first}
-		timer := time.NewTimer(b.cfg.batchWait)
 	collect:
 		for len(batch) < b.cfg.batchMax {
 			select {
 			case req, ok := <-b.queue:
 				if !ok {
-					// Queue closed: flush what we have; the next blocking
+					// Queue closed: run what we have; the next blocking
 					// receive observes the close and exits.
 					break collect
 				}
 				batch = append(batch, req)
-			case <-timer.C:
+			default:
 				break collect
 			}
 		}
-		timer.Stop()
 		cur = batch
 		b.runBatch(batch)
 		cur = nil

@@ -39,7 +39,6 @@ func awaitTrue(t *testing.T, d time.Duration, what string, cond func() bool) {
 func TestStartupCanaryQuarantinesCorruptCompile(t *testing.T) {
 	cfg := Config{
 		Models:        []string{"tinynet"},
-		BatchWait:     time.Millisecond,
 		Faults:        faults.Config{Seed: 7, WeightBitFlip: 1, WeightFlipLimit: 1},
 		ScrubInterval: -1,        // startup canary only
 		CanaryEvery:   time.Hour, // canary built, no periodic ticks
@@ -135,8 +134,7 @@ func TestStartupCanaryQuarantinesCorruptCompile(t *testing.T) {
 // carries a wrong answer.
 func TestLiveBitFlipDetectedQuarantinedHealed(t *testing.T) {
 	cfg := Config{
-		Models:    []string{"tinynet"},
-		BatchWait: time.Millisecond,
+		Models: []string{"tinynet"},
 		// Limit-only fault config: no compile-time corruption, but the
 		// injector exists for the targeted live flip below.
 		Faults:        faults.Config{Seed: 3, WeightFlipLimit: 1},
@@ -228,7 +226,6 @@ func TestLiveBitFlipDetectedQuarantinedHealed(t *testing.T) {
 func TestSentinelDetectsCorruptionWithinBound(t *testing.T) {
 	cfg := Config{
 		Models:        []string{"tinynet"},
-		BatchWait:     time.Millisecond,
 		ScrubInterval: 5 * time.Millisecond,
 		ScrubMBps:     -1,
 		CanaryEvery:   -1,
@@ -317,7 +314,6 @@ func TestRequireChecksumsRejectsLegacyParams(t *testing.T) {
 	body := jsonBody(t, elems, 7).Bytes()
 
 	cfg := Config{
-		BatchWait:        time.Millisecond,
 		ParamsFiles:      map[string]string{"tinynet": path},
 		RequireChecksums: true,
 		ScrubInterval:    -1,

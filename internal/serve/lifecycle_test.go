@@ -17,7 +17,7 @@ import (
 // BeginDrain every new prediction must get a clean 503 with Retry-After
 // while /healthz stays 200.
 func TestDrainGateRejectsNewPredicts(t *testing.T) {
-	s, ts := testServer(t, Config{Models: []string{"tinynet"}, BatchWait: time.Millisecond})
+	s, ts := testServer(t, Config{Models: []string{"tinynet"}})
 	body := jsonBody(t, tinyElems(t), 9).Bytes()
 
 	if code, _, _ := postPredict(t, ts.URL, "tinynet", "", body); code != http.StatusOK {
@@ -50,9 +50,8 @@ func TestDrainGateRejectsNewPredicts(t *testing.T) {
 // the batcher teardown are data-race free against admission.
 func TestDrainAdmissionRace(t *testing.T) {
 	s, ts := testServer(t, Config{
-		Models:    []string{"tinynet"},
-		BatchMax:  4,
-		BatchWait: time.Millisecond,
+		Models:   []string{"tinynet"},
+		BatchMax: 4,
 	})
 	body := jsonBody(t, tinyElems(t), 11).Bytes()
 	if code, _, _ := postPredict(t, ts.URL, "tinynet", "", body); code != http.StatusOK {
@@ -122,7 +121,6 @@ func TestWatchdogLeakAccounting(t *testing.T) {
 	s, ts := testServer(t, Config{
 		Models:        []string{"tinynet"},
 		BatchMax:      1,
-		BatchWait:     time.Millisecond,
 		BatchDeadline: 50 * time.Millisecond,
 		Faults: faults.Config{
 			Seed:        7,
@@ -162,7 +160,6 @@ func TestWatchdogLeakReclaimed(t *testing.T) {
 	s, ts := testServer(t, Config{
 		Models:        []string{"tinynet"},
 		BatchMax:      1,
-		BatchWait:     time.Millisecond,
 		BatchDeadline: 30 * time.Millisecond,
 		Faults: faults.Config{
 			Seed:        7,

@@ -11,7 +11,7 @@ import (
 // tensorPool recycles tensors of known shapes across requests — the
 // serving analogue of Conv2D.ForwardGEMM's pooled im2col scratch. The
 // hot path allocates one input tensor per request and one batch tensor
-// per flush; at a few thousand requests per second that churn dominates
+// per batch; at a few thousand requests per second that churn dominates
 // the garbage collector's work, so both come from here. Callers must
 // fully overwrite a pooled tensor (the pool does not zero) and must not
 // retain a reference after Put.

@@ -330,7 +330,6 @@ func (r *registry) compile(e *entry) {
 		site:       e.key.String(),
 		batchMax:   cfg.BatchMax,
 		queueDepth: cfg.QueueDepth,
-		batchWait:  cfg.BatchWait,
 		deadline:   cfg.BatchDeadline,
 		auditEvery: cfg.AuditEvery,
 		breaker:    e.breaker,

@@ -88,7 +88,6 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	_, ts := testServer(t, Config{
 		Models:          []string{"tinynet"},
 		BatchMax:        1,
-		BatchWait:       time.Millisecond,
 		BreakerFailures: 3,
 		BreakerOpenFor:  100 * time.Millisecond,
 		BreakerProbes:   1,
@@ -151,7 +150,6 @@ func TestWatchdogIsolatesHungModel(t *testing.T) {
 	_, ts := testServer(t, Config{
 		Models:        []string{"tinynet", "lenet"},
 		BatchMax:      1,
-		BatchWait:     time.Millisecond,
 		BatchDeadline: 100 * time.Millisecond,
 		Faults: faults.Config{
 			Seed:        7,
@@ -214,10 +212,9 @@ func TestWatchdogIsolatesHungModel(t *testing.T) {
 // the supervisor restarts the dispatcher, and the model keeps serving.
 func TestDispatcherRestartsOnPanic(t *testing.T) {
 	_, ts := testServer(t, Config{
-		Models:    []string{"tinynet"},
-		BatchMax:  1,
-		BatchWait: time.Millisecond,
-		Faults:    faults.Config{Seed: 7, ServePanicRate: 1, ServeLimit: 1},
+		Models:   []string{"tinynet"},
+		BatchMax: 1,
+		Faults:   faults.Config{Seed: 7, ServePanicRate: 1, ServeLimit: 1},
 	})
 	body := jsonBody(t, tinyElems(t), 3).Bytes()
 
@@ -240,7 +237,6 @@ func TestRegistryTransientParamsRetry(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "tinynet-params.json")
 	s, ts := testServer(t, Config{
-		BatchWait:   time.Millisecond,
 		ParamsFiles: map[string]string{"tinynet": path},
 	})
 	body := jsonBody(t, tinyElems(t), 3).Bytes()
@@ -275,7 +271,6 @@ func TestRegistryTransientParamsRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2, ts2 := testServer(t, Config{
-		BatchWait:   time.Millisecond,
 		ParamsFiles: map[string]string{"tinynet": badPath},
 	})
 	for i := 0; i < 2; i++ {
@@ -300,7 +295,6 @@ func TestGuardrailDegradesAndRecovers(t *testing.T) {
 	s, ts := testServer(t, Config{
 		Models:           []string{"tinynet"},
 		BatchMax:         1,
-		BatchWait:        time.Millisecond,
 		ParamsFiles:      map[string]string{"tinynet": path},
 		MispredictBudget: 0.05,
 		GuardWindow:      4,

@@ -8,10 +8,11 @@
 //   - a model registry lazily compiles and caches snapea.Network plans
 //     keyed by (model, mode) with singleflight dedup, so a burst of cold
 //     requests compiles once (registry.go);
-//   - a per-model dynamic micro-batching scheduler queues requests and
-//     flushes when the batch reaches BatchMax items or BatchWait has
-//     elapsed, runs one batched Forward on the shared worker pool, and
-//     fans results back per request (batcher.go);
+//   - a per-model dynamic micro-batching scheduler queues requests,
+//     takes whatever is waiting (up to BatchMax) the moment its
+//     dispatcher is free — it never sleeps for partners — runs one
+//     batched Forward on the shared worker pool, and fans results back
+//     per request (batcher.go);
 //   - admission control bounds each queue; overflow is rejected
 //     immediately (the HTTP layer answers 429 with Retry-After), and a
 //     request whose deadline expires while queued gets a 504 while its
@@ -25,6 +26,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -69,11 +71,8 @@ type Config struct {
 	// ParamsFiles maps model names to Algorithm 1 parameter files for
 	// predictive-mode serving.
 	ParamsFiles map[string]string
-	// BatchMax flushes a batch at this many requests (default 8).
+	// BatchMax caps a batch at this many requests (default 8).
 	BatchMax int
-	// BatchWait flushes a partial batch this long after its first
-	// request was dequeued (default 2ms).
-	BatchWait time.Duration
 	// QueueDepth bounds each model's request queue; an arrival beyond it
 	// is rejected with 429 (default 64).
 	QueueDepth int
@@ -147,9 +146,6 @@ type Config struct {
 func (c Config) normalize() Config {
 	if c.BatchMax == 0 {
 		c.BatchMax = 8
-	}
-	if c.BatchWait == 0 {
-		c.BatchWait = 2 * time.Millisecond
 	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 64
@@ -381,7 +377,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// Shutdown waits for its handler, and the batchers are not closed
 	// until after Shutdown returns, so it still gets a real answer.
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", retryAfter(s.cfg.BatchWait))
+		w.Header().Set("Retry-After", "1")
 		s.fail(w, r, http.StatusServiceUnavailable, ErrShuttingDown)
 		return
 	}
@@ -437,7 +433,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if err := e.batcher.enqueue(req); err != nil {
 		s.pool.Put(input)
 		if errors.Is(err, ErrQueueFull) {
-			w.Header().Set("Retry-After", retryAfter(s.cfg.BatchWait))
+			// A slot frees within one Forward; a second is the smallest
+			// hint the header can carry (the gateway writes the same).
+			w.Header().Set("Retry-After", "1")
 		}
 		s.fail(w, r, statusOf(err), err)
 		return
@@ -448,7 +446,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	case resp = <-req.resp:
 	case <-ctx.Done():
 		// The dispatcher still owns the request and will drop it at the
-		// next flush; the buffered resp channel means it never blocks on
+		// next batch; the buffered resp channel means it never blocks on
 		// us being gone.
 		s.fail(w, r, http.StatusGatewayTimeout, ctx.Err())
 		return
@@ -504,8 +502,8 @@ func (s *Server) decodeInput(r *http.Request, e *entry) (t *tensor.Tensor, err e
 			t = nil
 		}
 	}()
+	raw, rerr := io.ReadAll(body)
 	if r.Header.Get("Content-Type") == "application/octet-stream" {
-		raw, rerr := io.ReadAll(body)
 		if rerr != nil {
 			return nil, fmt.Errorf("serve: read body: %w", rerr)
 		}
@@ -517,11 +515,14 @@ func (s *Server) decodeInput(r *http.Request, e *entry) (t *tensor.Tensor, err e
 		for i := range d {
 			d[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
 		}
-	} else {
+	} else if rerr != nil || !parseInput(raw, t.Data()) {
+		// Not the canonical body (see parseInput): encoding/json decides,
+		// over the same stream — the bytes already read, then body again,
+		// whose sticky EOF or read error ends it as it always did.
 		var in struct {
 			Input []float32 `json:"input"`
 		}
-		if jerr := json.NewDecoder(body).Decode(&in); jerr != nil {
+		if jerr := json.NewDecoder(io.MultiReader(bytes.NewReader(raw), body)).Decode(&in); jerr != nil {
 			return nil, fmt.Errorf("serve: decode JSON body: %w", jerr)
 		}
 		if len(in.Input) != elems {
@@ -573,9 +574,8 @@ func statusOf(err error) int {
 	}
 }
 
-// retryAfter suggests how long a rejected client should back off: one
-// batch flush interval, rounded up to a whole second as Retry-After
-// requires.
+// retryAfter renders a back-off hint (breaker open time, heal backoff)
+// in the whole seconds Retry-After requires, never less than one.
 func retryAfter(wait time.Duration) string {
 	secs := int64(wait / time.Second)
 	if secs < 1 {

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"snapea/internal/faults"
 	"snapea/internal/metrics"
 	"snapea/internal/models"
 	"snapea/internal/tensor"
@@ -53,7 +54,7 @@ func tinyElems(t *testing.T) int {
 }
 
 func TestPredictEndToEnd(t *testing.T) {
-	_, ts := testServer(t, Config{Models: []string{"tinynet"}, BatchWait: time.Millisecond})
+	_, ts := testServer(t, Config{Models: []string{"tinynet"}})
 	elems := tinyElems(t)
 
 	resp, err := http.Post(ts.URL+"/v1/predict?model=tinynet", "application/json", jsonBody(t, elems, 7))
@@ -93,7 +94,7 @@ func TestPredictEndToEnd(t *testing.T) {
 }
 
 func TestPredictRawBody(t *testing.T) {
-	_, ts := testServer(t, Config{Models: []string{"tinynet"}, BatchWait: time.Millisecond})
+	_, ts := testServer(t, Config{Models: []string{"tinynet"}})
 	elems := tinyElems(t)
 
 	raw := make([]byte, elems*4)
@@ -122,7 +123,7 @@ func TestPredictRawBody(t *testing.T) {
 }
 
 func TestPredictValidation(t *testing.T) {
-	_, ts := testServer(t, Config{Models: []string{"tinynet"}, BatchWait: time.Millisecond})
+	_, ts := testServer(t, Config{Models: []string{"tinynet"}})
 	elems := tinyElems(t)
 
 	cases := []struct {
@@ -160,7 +161,7 @@ func TestPredictValidation(t *testing.T) {
 }
 
 func TestReadyzTransitions(t *testing.T) {
-	s, ts := testServer(t, Config{Models: []string{"tinynet"}, BatchWait: time.Millisecond})
+	s, ts := testServer(t, Config{Models: []string{"tinynet"}})
 
 	status := func() int {
 		resp, err := http.Get(ts.URL + "/readyz")
@@ -195,7 +196,7 @@ func TestReadyzTransitions(t *testing.T) {
 }
 
 func TestCompileSingleflight(t *testing.T) {
-	s, ts := testServer(t, Config{BatchWait: time.Millisecond})
+	s, ts := testServer(t, Config{})
 	elems := tinyElems(t)
 
 	// A burst of cold requests for the same (model, mode) must compile
@@ -231,7 +232,7 @@ func TestCompileSingleflight(t *testing.T) {
 }
 
 func TestModelsEndpoint(t *testing.T) {
-	s, ts := testServer(t, Config{Models: []string{"tinynet"}, BatchWait: time.Millisecond})
+	s, ts := testServer(t, Config{Models: []string{"tinynet"}})
 	if err := s.Preload(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestMetricszAndPoolReuse(t *testing.T) {
 	defer metrics.Disable()
 	defer metrics.Reset()
 
-	_, ts := testServer(t, Config{Models: []string{"tinynet"}, BatchWait: time.Millisecond})
+	_, ts := testServer(t, Config{Models: []string{"tinynet"}})
 	elems := tinyElems(t)
 	for i := 0; i < 6; i++ {
 		resp, err := http.Post(ts.URL+"/v1/predict?model=tinynet", "application/json", jsonBody(t, elems, uint64(i+1)))
@@ -308,40 +309,64 @@ func TestMetricszAndPoolReuse(t *testing.T) {
 	}
 }
 
-// TestConcurrentLoadBatches drives concurrent traffic and asserts the
-// scheduler actually forms batches larger than one — the core batching
-// property the CI smoke also checks over HTTP.
+// TestConcurrentLoadBatches asserts over HTTP that requests arriving
+// while the dispatcher is busy leave as batches larger than one — the
+// core batching property the CI smoke also checks. The first batch is
+// held in forward by an injected delay (the only one: ServeLimit 1) and
+// the concurrent burst is posted only once that batch has been
+// dispatched, so the burst queues behind a busy dispatcher by
+// construction rather than by winning a race with its wake-up.
 func TestConcurrentLoadBatches(t *testing.T) {
-	_, ts := testServer(t, Config{Models: []string{"tinynet"}, BatchMax: 8, BatchWait: 10 * time.Millisecond, QueueDepth: 256})
+	s, ts := testServer(t, Config{
+		Models: []string{"tinynet"}, BatchMax: 8, QueueDepth: 256,
+		Faults: faults.Config{Seed: 1, ServeDelay: 50 * time.Millisecond, ServeLimit: 1},
+	})
+	if err := s.Preload(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	e, err := s.reg.get(context.Background(), modelKey{Model: "tinynet", Mode: ModeExact})
+	if err != nil {
+		t.Fatal(err)
+	}
 	elems := tinyElems(t)
 
 	const n = 32
-	sizes := make([]int, n)
+	sizes := make([]int, 1+n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	post := func(i int) {
+		defer wg.Done()
+		resp, err := http.Post(ts.URL+"/v1/predict?model=tinynet", "application/json", jsonBody(t, elems, uint64(i+1)))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer resp.Body.Close()
+		var pr predictResponse
+		if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&pr) != nil {
+			t.Errorf("request %d: status %d", i, resp.StatusCode)
+			return
+		}
+		sizes[i] = pr.BatchSize
+	}
+	wg.Add(1)
+	go post(0)
+	for deadline := time.Now().Add(10 * time.Second); e.batcher.batchSeq.Load() == 0; { // batch 0 not yet dispatched
+		if time.Now().After(deadline) {
+			t.Fatal("first request never dispatched")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	for i := 1; i <= n; i++ {
 		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/predict?model=tinynet", "application/json", jsonBody(t, elems, uint64(i+1)))
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return
-			}
-			var pr predictResponse
-			if json.NewDecoder(resp.Body).Decode(&pr) == nil {
-				sizes[i] = pr.BatchSize
-			}
-		}(i)
+		go post(i)
 	}
 	wg.Wait()
+	if sizes[0] != 1 {
+		t.Fatalf("held request ran in a batch of %d, want 1", sizes[0])
+	}
 	maxBatch := 0
-	for _, s := range sizes {
-		if s > maxBatch {
-			maxBatch = s
-		}
+	for _, s := range sizes[1:] {
+		maxBatch = max(maxBatch, s)
 	}
 	if maxBatch < 2 {
 		t.Fatalf("no request ran in a batch > 1 (sizes %v)", sizes)
@@ -355,7 +380,7 @@ func TestConcurrentLoadBatches(t *testing.T) {
 // accepted requests unharmed.
 func TestPredictQueueFull429(t *testing.T) {
 	_, ts := testServer(t, Config{
-		Models: []string{"tinynet"}, BatchMax: 1, BatchWait: time.Minute, QueueDepth: 1,
+		Models: []string{"tinynet"}, BatchMax: 1, QueueDepth: 1,
 	})
 	elems := tinyElems(t)
 	body := jsonBody(t, elems, 3).Bytes()

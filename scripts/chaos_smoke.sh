@@ -62,7 +62,7 @@ stop_server() {
 # ---- Phase 1: circuit breaker opens, sheds load, and recovers --------
 echo "chaos-smoke: phase 1 (circuit breaker)"
 "$dir/snapea-serve" -addr localhost:0 -addr-file "$dir/addr1" \
-    -models tinynet -batch 1 -batch-wait 2ms \
+    -models tinynet -batch 1 \
     -breaker-failures 3 -breaker-open 500ms -breaker-probes 1 \
     -fault-serve-err 1 -fault-serve-limit 6 \
     -metrics "$dir/chaos1.json" &
@@ -87,7 +87,7 @@ stop_server
 # ---- Phase 2: watchdog abandons a hung batch; bulkhead holds ---------
 echo "chaos-smoke: phase 2 (watchdog + bulkhead)"
 "$dir/snapea-serve" -addr localhost:0 -addr-file "$dir/addr2" \
-    -models tinynet,lenet -batch 1 -batch-wait 2ms \
+    -models tinynet,lenet -batch 1 \
     -batch-deadline 300ms \
     -fault-serve-delay 10s -fault-serve-limit 1 -fault-serve-target tinynet/exact \
     -metrics "$dir/chaos2.json" &
@@ -138,7 +138,7 @@ cat > "$dir/bad-params.json" <<'EOF'
 EOF
 "$dir/snapea-serve" -addr localhost:0 -addr-file "$dir/addr3" \
     -models tinynet -params "tinynet=$dir/bad-params.json" \
-    -batch 4 -batch-wait 2ms \
+    -batch 4 \
     -mispredict-budget 0.05 -audit-every 1 -guard-window 4 -guard-cooldown 4 \
     -metrics "$dir/chaos3.json" &
 srv_pid=$!

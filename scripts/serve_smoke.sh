@@ -28,7 +28,7 @@ $GO build -o "$dir/snapea-serve" ./cmd/snapea-serve
 $GO build -o "$dir/snapea-load" ./cmd/snapea-load
 
 "$dir/snapea-serve" -addr localhost:0 -addr-file "$dir/addr" \
-    -models tinynet -batch 8 -batch-wait 5ms -queue 128 \
+    -models tinynet -batch 8 -queue 128 \
     -metrics "$dir/serve-metrics.json" &
 srv_pid=$!
 
