@@ -71,7 +71,7 @@ metrics-smoke:
 	$(GO) run ./cmd/snapea-bench -exp fig8 -nets tinynet -test-images 4 -opt-images 4 -train-images 8 \
 		-metrics snapea-metrics-smoke.json >/dev/null
 	$(GO) run ./internal/tools/metricscheck \
-		-nonzero engine.runs,engine.windows,engine.macs_executed,engine.macs_skipped,sim.cycles,sim.macs \
+		-nonzero engine.runs,engine.windows,engine.macs_executed,engine.macs_issued,engine.macs_skipped,sim.cycles,sim.macs \
 		snapea-metrics-smoke.json
 	rm -f snapea-metrics-smoke.json
 

@@ -66,17 +66,18 @@ func (t *LayerTrace) Reduction() float64 {
 }
 
 // compiledKernel is a ReorderedKernel specialized to a layer geometry:
-// each position carries its offset in the input plane (in-place strips),
-// its row in the patch matrix (packed strips), and the (ci, ky, kx)
-// coordinates the scalar and fixed-point padded-window paths use.
+// each position carries its offset in the input plane (in-place strips)
+// and its row in the patch matrix (packed strips). The scalar and
+// fixed-point padded-window paths derive a tap's (ci, ky, kx) from the
+// reorder index (tapCoords).
 type compiledKernel struct {
-	w []float32
+	w     []float32
+	index []int32 // position in the original flattened kernel
 	// offs[i] is tap i's offset from a window's origin in the input plane;
 	// poffs[i] is Index[i]·lanes, the start of its row in a patch matrix
 	// (nil when the plan packs nothing). Native ints, precomputed at
 	// compile time so the hot loops never pay a conversion per MAC.
 	offs, poffs []int
-	ci, ky, kx  []int32
 	numSpec     int
 	posEnd      int
 	th          float32
@@ -85,6 +86,17 @@ type compiledKernel struct {
 	// stuck marks a kernel whose compute lane is dead (fault injection):
 	// every window outputs zero and executes no MACs.
 	stuck bool
+	// negMono marks a kernel whose suffix may stream in blocks: at least
+	// suffixBlock weights, every one finite and ≤ 0 after fault injection.
+	negMono bool
+}
+
+// tapCoords returns reordered tap i's channel (within the kernel's
+// group) and kernel row and column.
+func (p *LayerPlan) tapCoords(ck *compiledKernel, i int) (ci, ky, kx int) {
+	kw, khw := p.Conv.KW, p.Conv.KH*p.Conv.KW
+	ci, rem := int(ck.index[i])/khw, int(ck.index[i])%khw
+	return ci, rem / kw, rem % kw
 }
 
 // LayerPlan is a convolution layer compiled for SnaPEA execution at a
@@ -107,6 +119,8 @@ type LayerPlan struct {
 	// mode labels this plan's metrics: "predictive" when any kernel
 	// speculates, "exact" otherwise. Fixed at compile time.
 	mode string
+	// mono: some kernel is negMono, so a Run's input is worth scanning.
+	mono bool
 
 	// faults is the optional injector corrupting this plan's activation
 	// outputs at run time; nil (the common case) costs one pointer test
@@ -184,17 +198,14 @@ func compileLayer(node string, conv *nn.Conv2D, inShape tensor.Shape, sp *stripP
 	inCg := conv.InC / conv.Groups
 	outCg := conv.OutC / conv.Groups
 	plane := inShape.H * inShape.W
-	khw := int32(conv.KH * conv.KW)
+	khw := conv.KH * conv.KW
 	for k := 0; k < conv.OutC; k++ {
 		rk := Reorder(conv.Kernel(k), params[k], negOrder)
 		nw := len(rk.Weights)
-		coords := make([]int32, 3*nw)
 		ck := compiledKernel{
 			w:       rk.Weights,
+			index:   rk.Index,
 			offs:    make([]int, nw),
-			ci:      coords[:nw:nw],
-			ky:      coords[nw : 2*nw : 2*nw],
-			kx:      coords[2*nw:],
 			numSpec: rk.NumSpec,
 			posEnd:  rk.PosEnd,
 			th:      rk.Th,
@@ -205,12 +216,8 @@ func compileLayer(node string, conv *nn.Conv2D, inShape tensor.Shape, sp *stripP
 			ck.poffs = make([]int, nw)
 		}
 		for i, orig := range rk.Index {
-			ci := orig / khw
-			rem := orig % khw
-			ky := rem / int32(conv.KW)
-			kx := rem % int32(conv.KW)
-			ck.ci[i], ck.ky[i], ck.kx[i] = ci, ky, kx
-			ck.offs[i] = int(ci)*plane + int(ky)*inShape.W + int(kx)
+			ci, rem := int(orig)/khw, int(orig)%khw
+			ck.offs[i] = ci*plane + rem/conv.KW*inShape.W + rem%conv.KW
 			if ck.poffs != nil {
 				ck.poffs[i] = int(orig) * sp.packed
 			}
@@ -218,6 +225,13 @@ func compileLayer(node string, conv *nn.Conv2D, inShape tensor.Shape, sp *stripP
 		if inj != nil {
 			inj.FlipWeightBits(fmt.Sprintf("%s/k%d", node, k), ck.w)
 		}
+		ck.negMono = nw-ck.posEnd >= suffixBlock
+		for _, v := range ck.w[ck.posEnd:] {
+			if !(v <= 0 && v >= -math.MaxFloat32) {
+				ck.negMono = false
+			}
+		}
+		p.mono = p.mono || ck.negMono
 		p.kernels[k] = ck
 	}
 	if inj != nil {
@@ -297,9 +311,11 @@ func (p *LayerPlan) Run(in *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *Layer
 	// afterwards in worker order; every shard field is an integer counter,
 	// so the totals are identical for any worker count and any dynamic
 	// assignment of items to workers.
-	parallel.ForCost(items, steps, layerRun{p, in, out, rs, tr, opts}, layerRun.kernel)
+	parallel.ForCost(items, steps, layerRun{p, in, out, rs, tr, opts, p.mono && nonNegFinite(in.Data())}, layerRun.kernel)
+	var issued int64
 	for i := range rs.stats {
 		st := &rs.stats[i]
+		issued += st.issued
 		tr.TotalOps += st.TotalOps
 		tr.SpecZero += st.SpecZero
 		tr.SignZero += st.SignZero
@@ -313,7 +329,7 @@ func (p *LayerPlan) Run(in *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *Layer
 		p.faults.CorruptActivations(fmt.Sprintf("%s#%d", p.Node, seq), out.Data())
 	}
 	if metrics.Enabled() {
-		p.recordMetrics(tr)
+		p.recordMetrics(tr, issued)
 	}
 	return out, tr
 }
@@ -325,12 +341,15 @@ func (p *LayerPlan) Run(in *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *Layer
 // (see internal/metrics). Granularity is one counter batch per layer
 // run, never per window, so the enabled path stays a rounding error
 // next to the layer's own MACs; the disabled path costs one atomic
-// load in Run.
-func (p *LayerPlan) recordMetrics(tr *LayerTrace) {
+// load in Run. issued is the MACs the run put through the FPU — ≥
+// tr.TotalOps, Eq. (1)'s count: the dense phases sweep retired lanes too,
+// and a suffix block streams past a lane's exit before the replay finds it.
+func (p *LayerPlan) recordMetrics(tr *LayerTrace, issued int64) {
 	lbl := metrics.Labels{"layer": p.Node, "mode": p.mode}
 	metrics.C("engine.runs", lbl).Add(1)
 	metrics.C("engine.windows", lbl).Add(tr.Windows)
 	metrics.C("engine.macs_executed", lbl).Add(tr.TotalOps)
+	metrics.C("engine.macs_issued", lbl).Add(issued)
 	metrics.C("engine.macs_skipped", lbl).Add(tr.DenseOps - tr.TotalOps)
 	metrics.C("engine.exact_early_exits", lbl).Add(tr.SignZero)
 	metrics.C("engine.speculative_zeros", lbl).Add(tr.SpecZero)
@@ -433,6 +452,18 @@ func FirstNonFinite(d []float32) int {
 	return -1
 }
 
+// nonNegFinite reports whether every element is finite and ≥ 0 (±0
+// included): the per-Run premise of the blocked suffix, checked in one
+// pass that costs at most 1/(OutC·KH·KW/stride²) of the layer's MACs.
+func nonNegFinite(d []float32) bool {
+	for _, v := range d {
+		if !(v >= 0 && v <= math.MaxFloat32) {
+			return false
+		}
+	}
+	return true
+}
+
 // layerRun is one Run's operands.
 type layerRun struct {
 	p       *LayerPlan
@@ -440,6 +471,7 @@ type layerRun struct {
 	rs      *runState
 	tr      *LayerTrace
 	opts    RunOpts
+	nonNeg  bool // p.mono and the input passed nonNegFinite
 }
 
 // kernel computes work item i — all windows of output channel i/N for
@@ -463,8 +495,9 @@ func (r layerRun) kernel(worker, i int) {
 	outBase := (n*p.outC + k) * p.outH * p.outW
 	sp := p.strip
 	st, sc := &r.rs.stats[worker], &r.rs.lanes[worker]
+	mono := r.nonNeg && ck.negMono
 	for _, ls := range sp.strips {
-		p.runStrip(ck, ck.offs, ind, outd, inBase+ls.in, ls.n, outBase+ls.out, laneIota[:], r.tr, st, sc, r.opts)
+		p.runStrip(ck, ck.offs, ind, outd, inBase+ls.in, ls.n, outBase+ls.out, laneIota[:], mono, r.tr, st, sc, r.opts)
 	}
 	if sp.packed == 0 {
 		return
@@ -473,6 +506,6 @@ func (r layerRun) kernel(worker, i int) {
 	groupBase := int(ck.cBase) * p.Conv.KH * p.Conv.KW * sp.packed
 	for c := 0; c < sp.packed; c += maxStripLanes {
 		lanes := min(maxStripLanes, sp.packed-c)
-		p.runStrip(ck, ck.poffs, patch, outd, groupBase+c, lanes, outBase, sp.scatter[c:], r.tr, st, sc, r.opts)
+		p.runStrip(ck, ck.poffs, patch, outd, groupBase+c, lanes, outBase, sp.scatter[c:], mono, r.tr, st, sc, r.opts)
 	}
 }

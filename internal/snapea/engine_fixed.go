@@ -40,12 +40,12 @@ func (p *LayerPlan) RunFixed(in *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *
 				for ox := 0; ox < p.outW; ox++ {
 					ix0 := ox*conv.StrideW - conv.PadW
 					fetch := func(i int) fixed.Fixed {
-						iy := iy0 + int(ck.ky[i])
-						ix := ix0 + int(ck.kx[i])
+						ci, ky, kx := p.tapCoords(ck, i)
+						iy, ix := iy0+ky, ix0+kx
 						if iy < 0 || iy >= s.H || ix < 0 || ix >= s.W {
 							return 0
 						}
-						return qin[inBase+int(ck.ci[i])*s.H*s.W+iy*s.W+ix]
+						return qin[inBase+ci*s.H*s.W+iy*s.W+ix]
 					}
 					acc := fixed.AccFrom(qb)
 					i := 0

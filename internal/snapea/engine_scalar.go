@@ -63,12 +63,10 @@ func (p *LayerPlan) runKernelScalar(n, k int, in, out *tensor.Tensor, tr, st *La
 // the strip kernel's patch matrix reproduces.
 func (p *LayerPlan) window(ck *compiledKernel, ind []float32, inBase, iy0, ix0, inH, inW int, st *LayerTrace, opts RunOpts) (float32, int32) {
 	base0 := inBase + iy0*inW + ix0
-	ky, kx, offs := ck.ky, ck.kx, ck.offs
 	fetch := func(i int) float32 {
-		iy := iy0 + int(ky[i])
-		ix := ix0 + int(kx[i])
-		if uint(iy) < uint(inH) && uint(ix) < uint(inW) {
-			return ind[base0+offs[i]]
+		_, ky, kx := p.tapCoords(ck, i)
+		if uint(iy0+ky) < uint(inH) && uint(ix0+kx) < uint(inW) {
+			return ind[base0+ck.offs[i]]
 		}
 		return 0
 	}

@@ -15,12 +15,36 @@ import (
 // for any one tap sit next to each other in memory, so the kernel runs
 // tap-major: for each reordered tap it streams one contiguous row of
 // inputs across all lanes, the software analogue of SnaPEA's parallel PE
-// lanes. The speculation-threshold check retires predicted-negative
-// lanes, the positive region runs dense, and the negative suffix drains
-// the survivors four lanes at a time in registers with a sign check
-// after every tap — skipped work stays dense and streamable, the
-// property Cnvlutin2 and Tetris show is what makes ineffectual-work
-// skipping actually pay.
+// lanes. Skipped work has to stay dense and streamable — the property
+// Cnvlutin2 and Tetris show is what makes ineffectual-work skipping
+// actually pay — so a strip runs in four phases, the first three through
+// the one dense body (streamTaps):
+//
+//  1. the speculation prefix over every lane, then the threshold check,
+//     which retires predicted-negative lanes and lists the survivors;
+//  2. the positive region over every lane, unchecked: sums only grow;
+//  3. the negative suffix in blocks of suffixBlock taps over every lane,
+//     unchecked, while the share of live lanes is worth it; after each
+//     block a lane whose sum ended negative is replayed from its saved
+//     block-start sum in scalar tap order to find its exact exit tap;
+//  4. the register drain for what is left: survivors four lanes at a time
+//     with a sign check after every tap.
+//
+// Phase 3 is sound because a negative suffix's sum is monotone: every
+// product of a weight ≤ 0 and an input ≥ 0 is ≤ +0 and IEEE addition is
+// monotone in each operand, so a lane's sum never rises — "negative at
+// the end of the block" is "went negative inside it" — and the replay
+// performs the reference's own add sequence, so it finds the reference's
+// own tap. Both premises are checked, never assumed: negMono is computed
+// after fault injection has had its way with the weight buffer, and Run
+// scans its input (nonNegFinite). When either fails the kernel goes from
+// phase 2 straight to phase 4, which needs neither and is the definition.
+// Why replay and not a check per tap: the paper's PEs test the sign every
+// cycle because the test is free in hardware; here it is the dearest
+// thing in the loop (the drain runs at ~0.8–1.1 ns a MAC, the dense body
+// at ~0.4), and on VGG's calibrated kernels, 18 % positive taps, the
+// suffix is three quarters of all executed MACs. DESIGN.md "Execution
+// kernel" has the argument in full, the sweeps and the per-layer table.
 //
 // Two sources feed it. Interior windows of a stride-1 layer whose rows
 // are long enough stream in place from the input plane (a 1x1/stride-1/
@@ -37,12 +61,23 @@ import (
 // accumulator value, so outputs, per-window op counts, and trace totals
 // are byte-identical to runReference for any geometry, mode, bias, and
 // worker count. The kernel-equivalence suite (kernel_equiv_test.go)
-// enforces this.
+// enforces this, on signed inputs and on their non-negative images.
 
 // maxStripLanes bounds a strip's lane count so the per-worker scratch
-// (accumulators + worklist) stays L1-resident; longer runs of lanes are
-// split into chunks.
+// (accumulators, their block-start copy and the worklist: 3 KB) stays
+// L1-resident; longer runs of lanes are split into chunks.
 const maxStripLanes = 256
+
+// suffixBlock is how many suffix taps phase 3 streams between looks at
+// the signs; suffixCrossoverNum/Den is the live share of a strip's lanes
+// below which the drain, which pays for live lanes only, is cheaper.
+// Measured constants, like windowSteps: blocks of 16 to 64 and crossovers
+// of 1/5 to 2/5 ran within ±1 ms of each other on a 34 ms VGG forward.
+const (
+	suffixBlock        = 16
+	suffixCrossoverNum = 2
+	suffixCrossoverDen = 5
+)
 
 // minStripLanes is the interior row span below which a plane is not
 // streamed in place but packed whole: a strip pays its per-tap loop
@@ -101,17 +136,25 @@ type stripPlan struct {
 // retained on the stripPlan's free list — not a sync.Pool, which every
 // GC empties — so steady-state Runs allocate none of it.
 type runState struct {
-	stats []LayerTrace
+	stats []traceShard
 	lanes []stripScratch
 	patch [][]float32
 }
 
+// traceShard is one worker's counters: the LayerTrace fields Run merges
+// into the trace, and the issued-MAC total it publishes as a metric.
+type traceShard struct {
+	LayerTrace
+	issued int64
+}
+
 // stripScratch is one worker's reusable lane state: per-lane
-// accumulators and the active-lane worklist. maxStripLanes entries
-// each, so both live in L1 while a strip executes.
+// accumulators, the copy of them a suffix block replays from, and the
+// active-lane worklist. maxStripLanes entries each, so all three live in
+// L1 while a strip executes.
 type stripScratch struct {
-	acc    []float32
-	active []int32
+	acc, saved []float32
+	active     []int32
 }
 
 // acquire returns a run state sized for the given worker count and
@@ -127,9 +170,10 @@ func (sp *stripPlan) acquire(workers, batch int) *runState {
 		rs = &runState{}
 	}
 	for len(rs.lanes) < workers {
-		rs.stats = append(rs.stats, LayerTrace{})
+		rs.stats = append(rs.stats, traceShard{})
 		rs.lanes = append(rs.lanes, stripScratch{
 			acc:    make([]float32, maxStripLanes),
+			saved:  make([]float32, maxStripLanes),
 			active: make([]int32, maxStripLanes),
 		})
 	}
@@ -268,13 +312,46 @@ func (sp *stripPlan) gather(patch, img []float32, channels int) {
 	}
 }
 
+// streamTaps adds every tap of w to every lane of acc, tap-major: lane l
+// receives w[i]*src[offs[i]+l]. It is the one dense body of the kernel —
+// the prefix, the positive region and the suffix blocks all run through
+// it. Taps go four at a time so each pass touches the accumulator once
+// per four MACs; the adds stay left-associated in tap order, so the
+// rounding sequence is exactly the scalar path's ( += would group the
+// products first — hence the explicit a = a + ...). The operands arrive
+// pre-sliced because the loop nest then has few enough live values for
+// the lane index to stay in a register: inside runStrip the compiler kept
+// it in memory and every lane paid a store and a reload (one VGG image,
+// one worker: 35.5 → 33 ms).
+func streamTaps(w []float32, offs []int, src, acc []float32) {
+	offs = offs[:len(w)]
+	for ; len(w) >= 4; w, offs = w[4:], offs[4:] {
+		w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
+		row0 := src[offs[0]:][:len(acc)]
+		row1 := src[offs[1]:][:len(acc)]
+		row2 := src[offs[2]:][:len(acc)]
+		row3 := src[offs[3]:][:len(acc)]
+		for l, x0 := range row0 {
+			acc[l] = acc[l] + w0*x0 + w1*row1[l] + w2*row2[l] + w3*row3[l]
+		}
+	}
+	for i, wi := range w {
+		for l, x := range src[offs[i]:][:len(acc)] {
+			acc[l] += wi * x
+		}
+	}
+}
+
 // runStrip executes one strip of `lanes` windows for one kernel, reading
 // tap i of lane l at src[base+offs[i]+l] and writing lane l's output to
 // outd[outIdx+oidx[l]]. For an in-place strip src is the input tensor,
 // offs the kernel's input-plane offsets and base lane 0's window origin;
 // for a packed strip src is the image's patch matrix, offs the kernel's
 // patch rows and base the strip's first lane within its group's rows.
-func (p *LayerPlan) runStrip(ck *compiledKernel, offs []int, src, outd []float32, base, lanes, outIdx int, oidx []int32, tr, st *LayerTrace, sc *stripScratch, opts RunOpts) {
+// mono says both premises of the blocked suffix hold: the kernel's
+// suffix weights are all finite and ≤ 0 (ck.negMono) and this Run's
+// input is all finite and ≥ 0.
+func (p *LayerPlan) runStrip(ck *compiledKernel, offs []int, src, outd []float32, base, lanes, outIdx int, oidx []int32, mono bool, tr *LayerTrace, st *traceShard, sc *stripScratch, opts RunOpts) {
 	w := ck.w
 	nw := len(w)
 	numSpec := ck.numSpec
@@ -286,20 +363,14 @@ func (p *LayerPlan) runStrip(ck *compiledKernel, offs []int, src, outd []float32
 
 	// Phase 1 — speculation prefix: every lane unconditionally runs all
 	// numSpec taps, exactly like the scalar path.
-	for i := 0; i < numSpec; i++ {
-		wi := w[i]
-		rb := base + offs[i]
-		row := src[rb : rb+lanes]
-		a := acc[:len(row)]
-		for l, x := range row {
-			a[l] += wi * x
-		}
-	}
+	streamTaps(w[:numSpec], offs, src[base:], acc)
 
 	// Retirement counters accumulate in registers and flush to the
 	// per-worker trace shard once per strip, instead of read-modify-write
-	// through the pointer on every retired window.
+	// through the pointer on every retired window. issued counts the MACs
+	// this strip puts through the FPU, dead lanes and replays included.
 	var specZero, signZero, totalOps, truthNeg, specTN, specFN int64
+	issued := int64(lanes * numSpec)
 
 	// Speculation-threshold check: retire predicted-negative lanes and
 	// build the active worklist from the survivors.
@@ -339,6 +410,7 @@ func (p *LayerPlan) runStrip(ck *compiledKernel, offs []int, src, outd []float32
 	if len(active) == 0 {
 		st.SpecZero += specZero
 		st.TotalOps += totalOps
+		st.issued += issued
 		st.TruthNeg += truthNeg
 		st.SpecTN += specTN
 		st.SpecFN += specFN
@@ -347,40 +419,60 @@ func (p *LayerPlan) runStrip(ck *compiledKernel, offs []int, src, outd []float32
 
 	// Phase 2 — positive region: the per-lane sum can only grow, so no
 	// checks — and a retired lane's accumulator is dead (its output is
-	// already stored), so the loops run dense over every lane instead of
+	// already stored), so the body runs dense over every lane instead of
 	// indirecting through the worklist: the wasted MACs on dead lanes
 	// cost less than per-lane indirection on the live ones, and the loops
-	// stay bounds-check-free. Taps go four at a time so each pass touches
-	// the accumulator once per four MACs; the adds stay left-associated
-	// in tap order, so the rounding sequence is exactly the scalar path's
-	// ( += would group the products first — see the explicit a = a + ...).
-	i := numSpec
-	for ; i+3 < ck.posEnd; i += 4 {
-		w0, w1, w2, w3 := w[i], w[i+1], w[i+2], w[i+3]
-		rb0, rb1, rb2, rb3 := base+offs[i], base+offs[i+1], base+offs[i+2], base+offs[i+3]
-		row0 := src[rb0 : rb0+lanes]
-		row1 := src[rb1 : rb1+lanes]
-		row2 := src[rb2 : rb2+lanes]
-		row3 := src[rb3 : rb3+lanes]
-		row1 = row1[:len(row0)]
-		row2 = row2[:len(row0)]
-		row3 = row3[:len(row0)]
-		a := acc[:len(row0)]
-		for l, x0 := range row0 {
-			a[l] = a[l] + w0*x0 + w1*row1[l] + w2*row2[l] + w3*row3[l]
-		}
-	}
-	for ; i < ck.posEnd; i++ {
-		wi := w[i]
-		rb := base + offs[i]
-		row := src[rb : rb+lanes]
-		a := acc[:len(row)]
-		for l, x := range row {
-			a[l] += wi * x
-		}
-	}
+	// stay bounds-check-free.
+	i := ck.posEnd
+	streamTaps(w[numSpec:i], offs[numSpec:], src[base:], acc)
+	issued += int64(lanes * (i - numSpec))
 
-	// Phase 3 — negative suffix: the sum only shrinks, so the first sign
+	// Phase 3 — blocked negative suffix: a lane's sum never rises again,
+	// so it ends a block negative iff it went negative inside it. The
+	// block streams unchecked; only a lane that ended it negative is
+	// replayed from its saved sum, in scalar tap order, to the tap at
+	// which the reference retires it. Streaming every lane stops paying
+	// once too few are live; the register drain takes over.
+	if mono {
+		saved := sc.saved[:lanes]
+		for nw-i >= suffixBlock && len(active)*suffixCrossoverDen >= lanes*suffixCrossoverNum {
+			copy(saved, acc)
+			streamTaps(w[i:i+suffixBlock], offs[i:], src[base:], acc)
+			issued += int64(lanes * suffixBlock)
+			live := active[:0]
+			for _, l := range active {
+				if !(acc[l] < 0) {
+					live = append(live, l)
+					continue
+				}
+				a, lb, j := saved[l], base+int(l), i
+				for ; ; j++ {
+					if a += w[j] * src[lb+offs[j]]; a < 0 {
+						break
+					}
+				}
+				signZero++
+				totalOps += int64(j + 1)
+				issued += int64(j + 1 - i)
+				o := outIdx + int(oidx[l])
+				outd[o] = 0
+				if tr.Ops != nil {
+					tr.Ops[o] = int32(j + 1)
+				}
+				if opts.CollectPrediction {
+					truthNeg++
+				}
+			}
+			active = live
+			i += suffixBlock
+		}
+	}
+	// The drain issues exactly the taps it counts, from tap i on: what it
+	// adds to totalOps less i per lane it starts with. The flush below
+	// adds the final totalOps back.
+	issued -= totalOps + int64(len(active)*i)
+
+	// Phase 4 — register drain: the sum only shrinks, so the first sign
 	// flip is final. Survivors drain four at a time with
 	// register-resident accumulators sharing one tap cursor — four
 	// independent add chains overlap the FP-add latency a single
@@ -537,6 +629,7 @@ func (p *LayerPlan) runStrip(ck *compiledKernel, offs []int, src, outd []float32
 	st.SpecZero += specZero
 	st.SignZero += signZero
 	st.TotalOps += totalOps
+	st.issued += issued + totalOps
 	st.TruthNeg += truthNeg
 	st.SpecTN += specTN
 	st.SpecFN += specFN

@@ -48,25 +48,30 @@ func invariancePlan(t testing.TB) (*LayerPlan, *tensor.Tensor) {
 // TestLayerPlanRunWorkerInvariance asserts the engine's output tensor
 // and its complete LayerTrace — per-window op counts, early-termination
 // and prediction counters included — are identical for every worker
-// count.
+// count: on the mixed signed-input plan, whose suffixes drain, and on the
+// non-negative 3x3x64 layer, whose suffixes stream in blocks and replay.
 func TestLayerPlanRunWorkerInvariance(t *testing.T) {
-	plan, in := invariancePlan(t)
 	opts := RunOpts{CollectWindows: true, CollectPrediction: true}
 	defer parallel.SetLimit(0)
-
-	parallel.SetLimit(1)
-	refOut, refTr := plan.Run(in, opts)
-	if refTr.SpecZero == 0 && refTr.SignZero == 0 {
-		t.Fatal("plan terminated nothing early; invariance test has no teeth")
-	}
-	for _, workers := range invarianceWorkerCounts() {
-		parallel.SetLimit(workers)
-		out, tr := plan.Run(in, opts)
-		if !reflect.DeepEqual(out.Data(), refOut.Data()) {
-			t.Fatalf("workers=%d: output diverges from serial run", workers)
+	for _, fixture := range []func() (*LayerPlan, *tensor.Tensor){
+		func() (*LayerPlan, *tensor.Tensor) { return invariancePlan(t) },
+		func() (*LayerPlan, *tensor.Tensor) { return suffixPlan(t, 8) },
+	} {
+		plan, in := fixture()
+		parallel.SetLimit(1)
+		refOut, refTr := plan.Run(in, opts)
+		if refTr.SpecZero == 0 && refTr.SignZero == 0 {
+			t.Fatalf("%s terminated nothing early; invariance test has no teeth", plan.Node)
 		}
-		if !reflect.DeepEqual(tr, refTr) {
-			t.Fatalf("workers=%d: trace diverges:\n  got  %+v\n  want %+v", workers, tr, refTr)
+		for _, workers := range invarianceWorkerCounts() {
+			parallel.SetLimit(workers)
+			out, tr := plan.Run(in, opts)
+			if !reflect.DeepEqual(out.Data(), refOut.Data()) {
+				t.Fatalf("%s workers=%d: output diverges from serial run", plan.Node, workers)
+			}
+			if !reflect.DeepEqual(tr, refTr) {
+				t.Fatalf("%s workers=%d: trace diverges:\n  got  %+v\n  want %+v", plan.Node, workers, tr, refTr)
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"snapea/internal/faults"
+	"snapea/internal/metrics"
 	"snapea/internal/nn"
 	"snapea/internal/parallel"
 	"snapea/internal/tensor"
@@ -32,25 +33,135 @@ var equivOpts = []RunOpts{
 }
 
 // assertStripEquiv runs the production path and the scalar reference on
-// the same plan and requires bit-identical outputs and traces.
+// the same plan and requires bit-identical outputs and traces — on the
+// given input and on its non-negative image, the one regime in which the
+// blocked suffix phase runs at all.
 func assertStripEquiv(t *testing.T, label string, plan *LayerPlan, in *tensor.Tensor) {
 	t.Helper()
-	for _, opts := range equivOpts {
-		got, gtr := plan.Run(in, opts)
-		want, wtr := plan.runReference(in, opts)
-		if !reflect.DeepEqual(got.Data(), want.Data()) {
-			for i := range want.Data() {
-				if got.Data()[i] != want.Data()[i] {
-					t.Fatalf("%s opts=%+v: output[%d] = %v, reference %v",
-						label, opts, i, got.Data()[i], want.Data()[i])
-				}
-			}
-			t.Fatalf("%s opts=%+v: outputs differ", label, opts)
-		}
-		if !reflect.DeepEqual(gtr, wtr) {
-			t.Fatalf("%s opts=%+v: traces differ\n got %+v\nwant %+v", label, opts, gtr, wtr)
+	for _, x := range []*tensor.Tensor{in, nonNegImage(in)} {
+		issued := issuedOracle(plan, x)
+		for _, opts := range equivOpts {
+			want, wtr := plan.runReference(x, opts)
+			assertRunMatches(t, fmt.Sprintf("%s nonneg=%v opts=%+v", label, x != in, opts), plan, x, opts, want, wtr, issued)
 		}
 	}
+}
+
+// runIssued is Run with the metrics registry on, and what the run added
+// to engine.macs_issued — the one place the issued-MAC total is
+// published.
+func runIssued(plan *LayerPlan, in *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *LayerTrace, int64) {
+	metrics.Enable()
+	defer func() {
+		metrics.Disable()
+		metrics.Reset()
+	}()
+	out, tr := plan.Run(in, opts)
+	return out, tr, metrics.C("engine.macs_issued", metrics.Labels{"layer": plan.Node, "mode": plan.mode}).Value()
+}
+
+// assertRunMatches holds one Run to a runReference result: outputs
+// Float32bits-identical, traces equal, and the issued-MAC total equal to
+// issuedOracle's scalar recomputation.
+func assertRunMatches(t *testing.T, label string, plan *LayerPlan, in *tensor.Tensor, opts RunOpts, want *tensor.Tensor, wtr *LayerTrace, issued int64) {
+	t.Helper()
+	got, gtr, gotIssued := runIssued(plan, in, opts)
+	for i, w := range want.Data() {
+		if g := got.Data()[i]; math.Float32bits(g) != math.Float32bits(w) {
+			t.Fatalf("%s: output[%d] = %v, reference %v", label, i, g, w)
+		}
+	}
+	if !reflect.DeepEqual(gtr, wtr) {
+		t.Fatalf("%s: traces differ\n got %+v\nwant %+v", label, gtr, wtr)
+	}
+	if gotIssued != issued {
+		t.Fatalf("%s: engine.macs_issued = %d, scalar recomputation %d (%d counted)", label, gotIssued, issued, gtr.TotalOps)
+	}
+}
+
+// nonNegImage returns |x| with every third element zeroed: what a
+// post-ReLU activation looks like, and what the blocked suffix needs.
+func nonNegImage(in *tensor.Tensor) *tensor.Tensor {
+	out := tensor.New(in.Shape())
+	for i, v := range in.Data() {
+		if i%3 != 2 {
+			out.Data()[i] = float32(math.Abs(float64(v)))
+		}
+	}
+	return out
+}
+
+// issuedOracle recomputes engine.macs_issued from the scalar window
+// function alone: per strip, the prefix and (when a lane survives it)
+// the positive region over every lane, suffixBlock taps over every lane
+// for each block entered — a lane is live at a block boundary iff the
+// reference ran it past that tap — the replayed taps of each lane that
+// retired inside a block, and the taps the survivors run after the last
+// block. It decides by itself whether a kernel may block.
+func issuedOracle(p *LayerPlan, in *tensor.Tensor) int64 {
+	s := in.Shape()
+	nonNeg := true
+	for _, v := range in.Data() {
+		nonNeg = nonNeg && v >= 0 && !math.IsInf(float64(v), 0)
+	}
+	type lane struct {
+		ops      int
+		signZero bool
+	}
+	var issued int64
+	for k := range p.kernels {
+		ck := &p.kernels[k]
+		if ck.stuck {
+			continue
+		}
+		nw := len(ck.w)
+		mono := nonNeg && nw-ck.posEnd >= suffixBlock
+		for _, v := range ck.w[ck.posEnd:] {
+			mono = mono && v <= 0 && !math.IsInf(float64(v), 0)
+		}
+		for n := 0; n < s.N; n++ {
+			inBase := (n*s.C + int(ck.cBase)) * s.H * s.W
+			strip := func(outs []int32, first int) {
+				issued += int64(len(outs) * ck.numSpec)
+				var live []lane
+				for _, o := range outs {
+					o := first + int(o)
+					var st LayerTrace
+					_, ops := p.window(ck, in.Data(), inBase, o/p.outW*p.Conv.StrideH-p.Conv.PadH, o%p.outW*p.Conv.StrideW-p.Conv.PadW, s.H, s.W, &st, RunOpts{})
+					if st.SpecZero == 0 {
+						live = append(live, lane{int(ops), st.SignZero == 1})
+					}
+				}
+				if len(live) == 0 {
+					return
+				}
+				issued += int64(len(outs) * (ck.posEnd - ck.numSpec))
+				i := ck.posEnd
+				for ; mono && nw-i >= suffixBlock && len(live)*suffixCrossoverDen >= len(outs)*suffixCrossoverNum; i += suffixBlock {
+					issued += int64(len(outs) * suffixBlock)
+					next := live[:0]
+					for _, l := range live {
+						if l.signZero && l.ops <= i+suffixBlock {
+							issued += int64(l.ops - i)
+						} else {
+							next = append(next, l)
+						}
+					}
+					live = next
+				}
+				for _, l := range live {
+					issued += int64(l.ops - i)
+				}
+			}
+			for _, ls := range p.strip.strips {
+				strip(laneIota[:ls.n], ls.out)
+			}
+			for c := 0; c < p.strip.packed; c += maxStripLanes {
+				strip(p.strip.scatter[c:min(c+maxStripLanes, p.strip.packed)], 0)
+			}
+		}
+	}
+	return issued
 }
 
 // mixedParams gives every other kernel a speculative prefix so both the
@@ -227,8 +338,10 @@ func TestStripEquivalencePackedShapes(t *testing.T) {
 
 // fuzzStripCase builds one layer from fuzzer-chosen geometry, draws its
 // weights, biases (now and then a literal -0) and parameters from seed
-// and its input from data, and holds Run to runReference.
-func fuzzStripCase(t *testing.T, groups, cin, cout, kh, kw, sh, sw, ph, pw, h, w, batch uint8, seed uint64, data []byte) {
+// and its input from data, and holds Run to runReference. regime picks
+// the input's sign: as drawn, |x|, or |x| with every fifth element a
+// literal -0 (which the blocked suffix must accept as non-negative).
+func fuzzStripCase(t *testing.T, groups, cin, cout, kh, kw, sh, sw, ph, pw, h, w, batch, regime uint8, seed uint64, data []byte) {
 	g := 1 + int(groups%2)
 	inC, outC := g*(1+int(cin%3)), g*(1+int(cout%3))
 	conv := nn.NewConv2D(inC, outC, 1+int(kh%5), 1+int(kw%5), 1, 0, g, true)
@@ -260,16 +373,25 @@ func fuzzStripCase(t *testing.T, groups, cin, cout, kh, kw, sh, sw, ph, pw, h, w
 			in.Data()[i] = float32(int8(data[i%len(data)])) / 64
 		}
 	}
-	assertStripEquiv(t, label, plan, in)
+	if regime %= 3; regime > 0 {
+		for i, v := range in.Data() {
+			in.Data()[i] = float32(math.Abs(float64(v)))
+			if regime == 2 && i%5 == 0 {
+				in.Data()[i] = math.Float32frombits(1 << 31)
+			}
+		}
+	}
+	assertStripEquiv(t, fmt.Sprintf("%s_regime%d", label, regime), plan, in)
 }
 
 // FuzzStripEquivalence is the property form of the sweeps: geometry ×
 // parameters × input bytes, with the scalar reference as the oracle.
-// The seed corpus — thirty drawn cases, the randomized sweep this target
-// grew out of, plus one fully-connected shape (1x1 kernel on a 1x1
-// plane, batch 3) and one batch-3 layer that stays under the fan-out
-// threshold — is run by every plain `go test`; `make fuzz-smoke` lets
-// the fuzzer mutate from there.
+// The seed corpus — thirty drawn cases cycling through the three input
+// regimes, the randomized sweep this target grew out of, plus one
+// fully-connected shape (1x1 kernel on a 1x1 plane, batch 3), one batch-3
+// layer that stays under the fan-out threshold and two 5x5 kernels over
+// six channels whose suffixes are long enough to block — is run by every
+// plain `go test`; `make fuzz-smoke` lets the fuzzer mutate from there.
 func FuzzStripEquivalence(f *testing.F) {
 	rng := tensor.NewRNG(777)
 	for it := 0; it < 30; it++ {
@@ -284,14 +406,19 @@ func FuzzStripEquivalence(f *testing.F) {
 				data[i] = byte(rng.Uint64())
 			}
 		}
-		f.Add(b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7], b[8], b[9], b[10], b[11], rng.Uint64(), data)
+		f.Add(b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7], b[8], b[9], b[10], b[11], uint8(it), rng.Uint64(), data)
 	}
-	f.Add(uint8(0), uint8(2), uint8(2), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(2), uint64(778), []byte(nil))
+	f.Add(uint8(0), uint8(2), uint8(2), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(2), uint8(0), uint64(778), []byte(nil))
 	// 2→3 channels, 3x3/s1/p1 on 20x20, batch 3: in-place strips plus a
 	// packed ring at 3,600 windows of 18 MACs, well under the fan-out
 	// threshold, so all three images run inline on the caller through
 	// worker 0's shard.
-	f.Add(uint8(0), uint8(1), uint8(2), uint8(2), uint8(2), uint8(0), uint8(0), uint8(1), uint8(1), uint8(17), uint8(17), uint8(2), uint64(779), []byte(nil))
+	f.Add(uint8(0), uint8(1), uint8(2), uint8(2), uint8(2), uint8(0), uint8(0), uint8(1), uint8(1), uint8(17), uint8(17), uint8(2), uint8(0), uint64(779), []byte(nil))
+	// 6→6 channels in two groups and 3→3 ungrouped (75 taps a kernel
+	// either way), 5x5/s1/p2 on 23x23 and 9x9: non-negative inputs, the
+	// second with -0s, streamed in place and packed whole.
+	f.Add(uint8(1), uint8(2), uint8(2), uint8(4), uint8(4), uint8(0), uint8(0), uint8(2), uint8(2), uint8(18), uint8(18), uint8(1), uint8(1), uint64(780), []byte(nil))
+	f.Add(uint8(0), uint8(2), uint8(2), uint8(4), uint8(4), uint8(0), uint8(0), uint8(2), uint8(2), uint8(4), uint8(4), uint8(0), uint8(2), uint64(781), []byte(nil))
 	f.Fuzz(fuzzStripCase)
 }
 
@@ -323,16 +450,12 @@ func TestStripEquivalenceFaults(t *testing.T) {
 	for i, cfg := range cfgs {
 		label := fmt.Sprintf("cfg%d", i)
 		t.Run(label, func(t *testing.T) {
-			for _, opts := range equivOpts {
-				prod := NewLayerPlanFaulty("flt", conv, inShape, params, NegByMagnitude, faults.New(cfg))
-				ref := NewLayerPlanFaulty("flt", conv, inShape, params, NegByMagnitude, faults.New(cfg))
-				got, gtr := prod.Run(in, opts)
-				want, wtr := ref.runReference(in, opts)
-				if !reflect.DeepEqual(got.Data(), want.Data()) {
-					t.Fatalf("%s opts=%+v: outputs differ", label, opts)
-				}
-				if !reflect.DeepEqual(gtr, wtr) {
-					t.Fatalf("%s opts=%+v: traces differ\n got %+v\nwant %+v", label, opts, gtr, wtr)
+			for _, x := range []*tensor.Tensor{in, nonNegImage(in)} {
+				for _, opts := range equivOpts {
+					prod := NewLayerPlanFaulty("flt", conv, inShape, params, NegByMagnitude, faults.New(cfg))
+					ref := NewLayerPlanFaulty("flt", conv, inShape, params, NegByMagnitude, faults.New(cfg))
+					want, wtr := ref.runReference(x, opts)
+					assertRunMatches(t, fmt.Sprintf("%s nonneg=%v opts=%+v", label, x != in, opts), prod, x, opts, want, wtr, issuedOracle(ref, x))
 				}
 			}
 		})
@@ -348,38 +471,202 @@ func TestStripEquivalenceFaults(t *testing.T) {
 // whether a layer fans out at all: 3 kernels × 2 images of 3x3x18 (162
 // MACs + windowSteps = 200 steps a window) over 4x37 windows is 2,400
 // steps short of the constant and runs on the caller, over 5x30 it is
-// exactly the constant and fans out.
+// exactly the constant and fans out. The last case is a 3x3x64 layer on a
+// non-negative input, so the blocked suffix phase and its replay run at
+// every worker count (and under -race in ci).
 func TestStripEquivalenceAcrossWorkers(t *testing.T) {
 	cases := []struct {
 		name   string
 		conv   *nn.Conv2D
 		h, w   int
 		inline bool
+		nonNeg bool
 	}{
-		{"wide_multi_span", nn.NewConv2D(3, 5, 3, 3, 1, 1, 1, true), 8, maxStripLanes + 20, false},
-		{"just_under_inline_steps", nn.NewConv2D(18, 3, 3, 3, 1, 1, 1, true), 4, 37, true},
-		{"just_over_inline_steps", nn.NewConv2D(18, 3, 3, 3, 1, 1, 1, true), 5, 30, false},
+		{"wide_multi_span", nn.NewConv2D(3, 5, 3, 3, 1, 1, 1, true), 8, maxStripLanes + 20, false, false},
+		{"just_under_inline_steps", nn.NewConv2D(18, 3, 3, 3, 1, 1, 1, true), 4, 37, true, false},
+		{"just_over_inline_steps", nn.NewConv2D(18, 3, 3, 3, 1, 1, 1, true), 5, 30, false, false},
+		{"nonneg_3x3x64", nn.NewConv2D(64, 6, 3, 3, 1, 1, 1, true), 16, 16, false, true},
 	}
 	opts := RunOpts{CollectWindows: true, CollectPrediction: true}
 	defer parallel.SetLimit(0)
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			inShape := tensor.Shape{N: 1, C: tc.conv.InC, H: tc.h, W: tc.w}
-			plan, in := equivConvPlan(t, tc.name, tc.conv, inShape, uint64(55+i), false)
+			// The non-negative case is exact, so that more MACs issued than
+			// counted can only come from a suffix block.
+			plan, in := equivConvPlan(t, tc.name, tc.conv, inShape, uint64(55+i), tc.nonNeg)
 			if steps := in.Shape().N * plan.outC * plan.outH * plan.outW * (tc.conv.KernelSize() + windowSteps); (steps < parallel.InlineSteps) != tc.inline {
 				t.Fatalf("%d steps against parallel.InlineSteps = %d: the case is on the wrong side of the rule", steps, parallel.InlineSteps)
 			}
+			if tc.nonNeg {
+				in = nonNegImage(in)
+			}
 			want, wtr := plan.runReference(in, opts)
+			issued := issuedOracle(plan, in)
+			if tc.nonNeg && issued <= wtr.TotalOps {
+				t.Fatalf("%d MACs issued for %d counted: no suffix block ran", issued, wtr.TotalOps)
+			}
 			for _, workers := range []int{1, 2, 3, 8} {
 				parallel.SetLimit(workers)
-				got, gtr := plan.Run(in, opts)
-				if !reflect.DeepEqual(got.Data(), want.Data()) {
-					t.Fatalf("workers=%d: outputs differ from scalar reference", workers)
-				}
-				if !reflect.DeepEqual(gtr, wtr) {
-					t.Fatalf("workers=%d: traces differ\n got %+v\nwant %+v", workers, gtr, wtr)
-				}
+				assertRunMatches(t, fmt.Sprintf("workers=%d", workers), plan, in, opts, want, wtr, issued)
 			}
 		})
 	}
+}
+
+// suffixPlan compiles the layer the blocked suffix phase exists for — an
+// exact 64→outC 3x3 on 16x16, 576 taps a kernel with about half of them
+// in the negative suffix — and a post-ReLU-like input.
+func suffixPlan(t testing.TB, outC int) (*LayerPlan, *tensor.Tensor) {
+	t.Helper()
+	conv := nn.NewConv2D(64, outC, 3, 3, 1, 1, 1, true)
+	rng := tensor.NewRNG(91)
+	tensor.FillNorm(conv.Weights, rng, 0, 0.5)
+	for i := range conv.Bias {
+		conv.Bias[i] = float32(rng.Norm() * 0.1)
+	}
+	inShape := tensor.Shape{N: 1, C: 64, H: 16, W: 16}
+	plan := NewLayerPlan("suffix", conv, inShape, nil, NegByMagnitude)
+	return plan, postReLUInput(inShape, tensor.NewRNG(92))
+}
+
+// postReLUInput draws what a ReLU layer hands the next one: half zeros,
+// the rest uniform on (0, 1).
+func postReLUInput(s tensor.Shape, rng *tensor.RNG) *tensor.Tensor {
+	in := tensor.New(s)
+	tensor.FillUniform(in, rng, -1, 1)
+	for i, v := range in.Data() {
+		in.Data()[i] = max(v, 0)
+	}
+	return in
+}
+
+// TestBlockedSuffixEntered keeps the suite from going blind: in exact
+// mode every lane is live through the positive region and the drain
+// issues exactly what it counts, so engine.macs_issued exceeds TotalOps
+// only if a suffix block streamed past some lane's exit. On the
+// long-kernel non-negative layer it must; with one negative element in
+// the input the whole Run must fall back to the drain and issue exactly
+// what it counts.
+func TestBlockedSuffixEntered(t *testing.T) {
+	plan, in := suffixPlan(t, 8)
+	for k := range plan.kernels {
+		if !plan.kernels[k].negMono {
+			t.Fatalf("kernel %d of a clean 576-tap layer is not negMono", k)
+		}
+	}
+	_, tr, issued := runIssued(plan, in, RunOpts{})
+	if tr.SignZero == 0 || issued <= tr.TotalOps {
+		t.Fatalf("non-negative input: %d sign exits, %d MACs issued for %d counted: the blocked suffix phase never ran", tr.SignZero, issued, tr.TotalOps)
+	}
+	assertStripEquiv(t, "suffix", plan, in)
+
+	one := tensor.New(in.Shape())
+	copy(one.Data(), in.Data())
+	one.Data()[len(one.Data())/2] = -0.25
+	_, tr, issued = runIssued(plan, one, RunOpts{})
+	if issued != tr.TotalOps {
+		t.Fatalf("one negative input element: %d MACs issued for %d counted: the Run did not fall back to the drain", issued, tr.TotalOps)
+	}
+	assertStripEquiv(t, "suffix_one_negative", plan, one)
+}
+
+// TestBlockedSuffixPinned pins the blocked phase's edges, each held to
+// the scalar reference under every option set (CollectPrediction
+// included) by assertStripEquiv. Kernels are built with a chosen number
+// of negative weights so the suffix length is known.
+func TestBlockedSuffixPinned(t *testing.T) {
+	// build returns an 8→len(negs) 3x3 layer (72 taps a kernel) on 18x18
+	// whose kernel k has exactly negs[k] negative weights, and a
+	// post-ReLU-like input (mean 1/4). A NaN bias asks for the one that
+	// centres a kernel's final sum on zero, so that about half its windows
+	// exit, most of them late in the suffix.
+	balanced := float32(math.NaN())
+	build := func(seed uint64, bias float32, negs ...int) (*LayerPlan, *tensor.Tensor) {
+		conv := nn.NewConv2D(8, len(negs), 3, 3, 1, 1, 1, true)
+		rng := tensor.NewRNG(seed)
+		for k, n := range negs {
+			w := conv.Kernel(k)
+			for i := range w {
+				w[i] = float32(0.05 + rng.Float64())
+				if (i*7+k)%len(w) < n { // 7 is coprime to 72: n distinct taps
+					w[i] = -w[i] / 2
+				}
+			}
+			conv.Bias[k] = bias
+			if bias != bias {
+				conv.Bias[k] = 0
+				for _, v := range w {
+					conv.Bias[k] -= v / 4
+				}
+			}
+		}
+		inShape := tensor.Shape{N: 1, C: 8, H: 18, W: 18}
+		plan := NewLayerPlan("pinned", conv, inShape, nil, NegByMagnitude)
+		for k, n := range negs {
+			if ck := &plan.kernels[k]; len(ck.w)-ck.posEnd != n || ck.negMono != (n >= suffixBlock) {
+				t.Fatalf("kernel %d: suffix of %d taps (negMono=%v), want %d", k, len(ck.w)-ck.posEnd, ck.negMono, n)
+			}
+		}
+		return plan, postReLUInput(tensor.Shape{N: 2, C: 8, H: 18, W: 18}, rng)
+	}
+
+	t.Run("negative_at_posEnd", func(t *testing.T) {
+		// A bias the positive region cannot lift: every window is already
+		// negative when the suffix starts, and the reference retires it
+		// after the first suffix tap, not before.
+		plan, in := build(1, -1000, 40, 2*suffixBlock)
+		_, tr := plan.Run(in, RunOpts{CollectWindows: true})
+		for i, ops := range tr.Ops {
+			if want := plan.kernels[i/(18*18)%2].posEnd + 1; int(ops) != want {
+				t.Fatalf("window %d ran %d taps, want posEnd+1 = %d", i, ops, want)
+			}
+		}
+		assertStripEquiv(t, "negative_at_posEnd", plan, in)
+	})
+	t.Run("suffix_k_blocks_and_one_more", func(t *testing.T) {
+		// Suffixes of exactly 1, 2 and 3 blocks, and each plus one tap, and
+		// one a tap too short to block at all.
+		plan, in := build(2, balanced, suffixBlock, suffixBlock+1, 2*suffixBlock, 2*suffixBlock+1, 3*suffixBlock, 3*suffixBlock+1, suffixBlock-1)
+		_, tr := plan.Run(in, RunOpts{})
+		if tr.SignZero < tr.Windows/4 || tr.SignZero > tr.Windows*3/4 {
+			t.Fatalf("%d of %d windows exit early: the case wants both exits and survivors", tr.SignZero, tr.Windows)
+		}
+		assertStripEquiv(t, "suffix_k_blocks", plan, in)
+	})
+	t.Run("neg_zero_bias_zero_products", func(t *testing.T) {
+		// A -0 bias and an input that is +0 but for one plane: products are
+		// ±0, sums stay ±0 through whole blocks, and the sign of the zero
+		// that comes out must be the reference's. Kernel 1 is all suffix.
+		plan, in := build(3, math.Float32frombits(1<<31), 3*suffixBlock, 72)
+		d := in.Data()
+		clear(d[:len(d)-18*18])
+		assertStripEquiv(t, "neg_zero_bias", plan, in)
+	})
+	t.Run("fault_flipped_suffix_weight", func(t *testing.T) {
+		// Weight-SRAM bit flips land after reordering. A kernel whose suffix
+		// they leave with a positive (or non-finite) weight must fall back
+		// to the drain; its untouched neighbours must not.
+		plan0, in := build(4, balanced, 40, 40, 40, 40, 40, 40, 40, 40)
+		inj := faults.New(faults.Config{Seed: 7, WeightBitFlip: 0.03})
+		plan := NewLayerPlanFaulty("pinned", plan0.Conv, plan0.inShape, nil, NegByMagnitude, inj)
+		var off int
+		for k := range plan.kernels {
+			ck := &plan.kernels[k]
+			bad := false
+			for _, v := range ck.w[ck.posEnd:] {
+				bad = bad || !(v <= 0) || math.IsInf(float64(v), 0)
+			}
+			if ck.negMono == bad {
+				t.Fatalf("kernel %d: negMono=%v with a flipped suffix weight=%v", k, ck.negMono, bad)
+			}
+			if bad {
+				off++
+			}
+		}
+		if off == 0 || off == len(plan.kernels) {
+			t.Fatalf("%d of %d kernels lost negMono: the case wants some but not all (pick another fault seed)", off, len(plan.kernels))
+		}
+		assertStripEquiv(t, "fault_flipped", plan, in)
+	})
 }

@@ -10,12 +10,16 @@ import (
 
 // TestMetricSnapshotWorkerInvariance asserts the deterministic section
 // of the metrics snapshot is byte-identical for every worker count: the
-// engine records its counters from the merged LayerTrace after the
-// parallel section, so the snapshot must not be able to observe
-// scheduling. (The runtime section — spans, scratch-reuse counts — is
-// explicitly excluded from this guarantee and from Export(false).)
+// engine records its counters from the merged LayerTrace (and the merged
+// issued-MAC shards) after the parallel section, so the snapshot must not
+// be able to observe scheduling — on the drained signed-input plan and on
+// the non-negative layer whose suffix blocks make engine.macs_issued
+// exceed engine.macs_executed. (The runtime section — spans,
+// scratch-reuse counts — is explicitly excluded from this guarantee and
+// from Export(false).)
 func TestMetricSnapshotWorkerInvariance(t *testing.T) {
 	plan, in := invariancePlan(t)
+	suffix, suffixIn := suffixPlan(t, 8)
 	opts := RunOpts{CollectWindows: true, CollectPrediction: true}
 	defer parallel.SetLimit(0)
 	metrics.Enable()
@@ -28,6 +32,7 @@ func TestMetricSnapshotWorkerInvariance(t *testing.T) {
 		parallel.SetLimit(workers)
 		metrics.Reset()
 		plan.Run(in, opts)
+		suffix.Run(suffixIn, opts)
 		var buf bytes.Buffer
 		if err := metrics.Export(false).WriteJSON(&buf); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -36,7 +41,7 @@ func TestMetricSnapshotWorkerInvariance(t *testing.T) {
 	}
 
 	ref := snapshot(1)
-	if !bytes.Contains(ref, []byte("engine.macs_executed")) {
+	if !bytes.Contains(ref, []byte("engine.macs_executed")) || !bytes.Contains(ref, []byte("engine.macs_issued")) {
 		t.Fatalf("snapshot missing engine counters; instrumentation has no teeth:\n%s", ref)
 	}
 	if bytes.Contains(ref, []byte("runtime")) {

@@ -22,7 +22,10 @@ func benchWorkerCounts() []int {
 }
 
 // BenchmarkLayerPlanRun measures the engine's per-kernel sweep on a
-// mixed exact/predictive layer at each worker count.
+// mixed exact/predictive layer at each worker count. Its ±1 inputs fail
+// the blocked suffix's non-negativity scan, so what it times after the
+// positive region is the fallback register drain;
+// BenchmarkLayerPlanRunSuffix times the blocked phase.
 func BenchmarkLayerPlanRun(b *testing.B) {
 	conv := nn.NewConv2D(16, 48, 3, 3, 1, 1, 1, true)
 	rng := tensor.NewRNG(71)
@@ -52,6 +55,24 @@ func BenchmarkLayerPlanRun(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkLayerPlanRunSuffix measures the layer shape the blocked
+// suffix phase exists for — exact 64→64 3x3 on a 16x16 post-ReLU-like
+// input, one worker — and reports wall-clock per executed (Eq. 1) MAC,
+// the figure the ledger's snapea.ns_per_mac_executed tracks per network.
+func BenchmarkLayerPlanRunSuffix(b *testing.B) {
+	plan, in := suffixPlan(b, 64)
+	parallel.SetLimit(1)
+	defer parallel.SetLimit(0)
+	var macs int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, tr := plan.Run(in, RunOpts{})
+		macs += tr.TotalOps
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(macs), "ns/MAC")
 }
 
 // BenchmarkLayerPlanRunSmallPlanes measures the late-layer shapes whose
