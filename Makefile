@@ -1,9 +1,14 @@
 GO ?= go
 
-.PHONY: build test race vet vet-snapea batcher-stress fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke chaos-smoke cluster-smoke integrity-smoke ci clean
+.PHONY: build test race fmt vet vet-snapea batcher-stress fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke chaos-smoke cluster-smoke integrity-smoke ci clean
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: gofmt has nothing to rewrite (it names any file it
+# would, and the target fails).
+fmt:
+	test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 vet:
 	$(GO) vet ./...
@@ -104,7 +109,7 @@ integrity-smoke:
 	GO=$(GO) sh scripts/integrity_smoke.sh
 
 # The tier-1+ gate: everything CI runs before a merge.
-ci: vet vet-snapea build race batcher-stress fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke chaos-smoke cluster-smoke integrity-smoke
+ci: fmt vet vet-snapea build race batcher-stress fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke chaos-smoke cluster-smoke integrity-smoke
 
 clean:
 	$(GO) clean ./...

@@ -219,16 +219,16 @@ type FaultFlagGroup struct {
 	weightBitFlip   float64
 	weightFlipLimit int64
 	actBitFlip      float64
-	nanRate        float64
-	stuckZero      float64
-	thJitter       float64
-	nJitter        float64
-	serveDelay     time.Duration
-	serveDelayRate float64
-	servePanicRate float64
-	serveErrRate   float64
-	serveLimit     int64
-	serveTarget    string
+	nanRate         float64
+	stuckZero       float64
+	thJitter        float64
+	nJitter         float64
+	serveDelay      time.Duration
+	serveDelayRate  float64
+	servePanicRate  float64
+	serveErrRate    float64
+	serveLimit      int64
+	serveTarget     string
 }
 
 // Config validates the flags and returns the fault configuration.
@@ -240,16 +240,16 @@ func (g *FaultFlagGroup) Config(defaultSeed uint64) (faults.Config, error) {
 		WeightBitFlip:   g.weightBitFlip,
 		WeightFlipLimit: g.weightFlipLimit,
 		ActBitFlip:      g.actBitFlip,
-		NaNRate:        g.nanRate,
-		StuckZero:      g.stuckZero,
-		ThJitter:       g.thJitter,
-		NJitter:        g.nJitter,
-		ServeDelay:     g.serveDelay,
-		ServeDelayRate: g.serveDelayRate,
-		ServePanicRate: g.servePanicRate,
-		ServeErrRate:   g.serveErrRate,
-		ServeLimit:     g.serveLimit,
-		ServeTarget:    g.serveTarget,
+		NaNRate:         g.nanRate,
+		StuckZero:       g.stuckZero,
+		ThJitter:        g.thJitter,
+		NJitter:         g.nJitter,
+		ServeDelay:      g.serveDelay,
+		ServeDelayRate:  g.serveDelayRate,
+		ServePanicRate:  g.servePanicRate,
+		ServeErrRate:    g.serveErrRate,
+		ServeLimit:      g.serveLimit,
+		ServeTarget:     g.serveTarget,
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = defaultSeed

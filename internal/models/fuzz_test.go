@@ -64,11 +64,11 @@ func FuzzLoadWeights(f *testing.F) {
 		f.Fatal(err)
 	}
 	data := valid.Bytes()
-	f.Add(data)                  // the round-trippable stream
-	f.Add(data[:len(data)/2])    // truncated mid-payload
-	f.Add(data[:11])             // truncated inside the model name
-	f.Add([]byte("SNAPEA01"))    // magic only
-	f.Add([]byte("NOTAMAGIC"))   // wrong magic
+	f.Add(data)                                       // the round-trippable stream
+	f.Add(data[:len(data)/2])                         // truncated mid-payload
+	f.Add(data[:11])                                  // truncated inside the model name
+	f.Add([]byte("SNAPEA01"))                         // magic only
+	f.Add([]byte("NOTAMAGIC"))                        // wrong magic
 	f.Add(append([]byte(nil), append(data, 0xAB)...)) // trailing garbage
 	big := append([]byte(nil), data...)
 	big[8], big[9], big[10], big[11] = 0xFF, 0xFF, 0xFF, 0xFF // huge name length

@@ -98,8 +98,8 @@ type Breaker struct {
 
 	mu       sync.Mutex
 	state    State
-	fails    int  // consecutive failures while closed
-	probes   int  // consecutive successes while half-open
+	fails    int       // consecutive failures while closed
+	probes   int       // consecutive successes while half-open
 	probing  bool      // a half-open probe is in flight (admitted, not yet recorded)
 	probeAt  time.Time // when the in-flight probe was admitted
 	openedAt time.Time

@@ -117,17 +117,21 @@ func FuzzDecodeInput(f *testing.F) {
 		if !shape.Valid() {
 			return // a zero-element model cannot exist; decodeInput has no tensor for it
 		}
-		req := &http.Request{Body: io.NopCloser(bytes.NewReader(raw))}
-		got, err := s.decodeInput(req, &entry{inShape: shape})
-		switch {
-		case (err == nil) != (wantErr == nil):
-			t.Fatalf("%q: decodeInput err %v, encoding/json err %v", raw, err, wantErr)
-		case err != nil && err.Error() != wantErr.Error():
-			t.Fatalf("%q: error text %q, want %q", raw, err, wantErr)
-		case err == nil && !sameBits(got.Data(), want):
-			t.Fatalf("%q: decoded %v, want %v", raw, got.Data(), want)
+		// Content-Length only sizes the read buffer: unknown, short of the
+		// body and exact must all decode alike.
+		for _, cl := range []int64{-1, int64(len(raw) / 2), int64(len(raw))} {
+			req := &http.Request{Body: io.NopCloser(bytes.NewReader(raw)), ContentLength: cl}
+			got, err := s.decodeInput(req, &entry{inShape: shape})
+			switch {
+			case (err == nil) != (wantErr == nil):
+				t.Fatalf("%q (Content-Length %d): decodeInput err %v, encoding/json err %v", raw, cl, err, wantErr)
+			case err != nil && err.Error() != wantErr.Error():
+				t.Fatalf("%q (Content-Length %d): error text %q, want %q", raw, cl, err, wantErr)
+			case err == nil && !sameBits(got.Data(), want):
+				t.Fatalf("%q (Content-Length %d): decoded %v, want %v", raw, cl, got.Data(), want)
+			}
+			s.pool.Put(got)
 		}
-		s.pool.Put(got)
 	})
 }
 
@@ -153,7 +157,8 @@ func TestParseInputScope(t *testing.T) {
 
 // BenchmarkDecodeInput puts the remaining JSON premium on record: one
 // tinynet input (768 floats) through decodeInput as a JSON body and as
-// the raw little-endian float32 body of the same tensor.
+// the raw little-endian float32 body of the same tensor, each with the
+// Content-Length a client sends.
 func BenchmarkDecodeInput(b *testing.B) {
 	shape := tensor.Shape{N: 1, C: 3, H: 16, W: 16}
 	in := tensor.New(shape)
@@ -182,6 +187,7 @@ func BenchmarkDecodeInput(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				req.Body = io.NopCloser(bytes.NewReader(c.body))
+				req.ContentLength = int64(len(c.body))
 				t, err := s.decodeInput(req, e)
 				if err != nil {
 					b.Fatal(err)

@@ -1,6 +1,7 @@
 package snapea
 
 import (
+	"math"
 	"sort"
 	"sync"
 
@@ -17,34 +18,44 @@ import (
 // inputs across all lanes, the software analogue of SnaPEA's parallel PE
 // lanes. Skipped work has to stay dense and streamable — the property
 // Cnvlutin2 and Tetris show is what makes ineffectual-work skipping
-// actually pay — so a strip runs in four phases, the first three through
-// the one dense body (streamTaps):
+// actually pay — so a strip runs in four phases. Dense sweeps over every
+// lane go through one body (streamTaps), work on a few chosen lanes
+// through one four-lane gathered body (gatherTaps):
 //
 //  1. the speculation prefix over every lane, then the threshold check,
 //     which retires predicted-negative lanes and lists the survivors;
-//  2. the positive region over every lane, unchecked: sums only grow;
-//  3. the negative suffix in blocks of suffixBlock taps over every lane,
-//     unchecked, while the share of live lanes is worth it; after each
-//     block a lane whose sum ended negative is replayed from its saved
-//     block-start sum in scalar tap order to find its exact exit tap;
+//  2. the positive region, unchecked (sums only grow): dense over every
+//     lane, or — when the check left fewer than 2/5 of the strip live —
+//     gathered over the survivors alone;
+//  3. the negative suffix in blocks of suffixBlock taps (the last one
+//     shorter if need be) over every lane, unchecked, while 2/5 of the
+//     lanes are live; after each block a branch-free walk splits the live
+//     list into survivors and exits by the sign bit pattern, and the
+//     exits are replayed four at a time from their saved block-start
+//     sums to find each one's exact exit tap;
 //  4. the register drain for what is left: survivors four lanes at a time
 //     with a sign check after every tap.
 //
 // Phase 3 is sound because a negative suffix's sum is monotone: every
 // product of a weight ≤ 0 and an input ≥ 0 is ≤ +0 and IEEE addition is
 // monotone in each operand, so a lane's sum never rises — "negative at
-// the end of the block" is "went negative inside it" — and the replay
-// performs the reference's own add sequence, so it finds the reference's
-// own tap. Both premises are checked, never assumed: negMono is computed
-// after fault injection has had its way with the weight buffer, and Run
-// scans its input (nonNegFinite). When either fails the kernel goes from
-// phase 2 straight to phase 4, which needs neither and is the definition.
-// Why replay and not a check per tap: the paper's PEs test the sign every
-// cycle because the test is free in hardware; here it is the dearest
-// thing in the loop (the drain runs at ~0.8–1.1 ns a MAC, the dense body
-// at ~0.4), and on VGG's calibrated kernels, 18 % positive taps, the
-// suffix is three quarters of all executed MACs. DESIGN.md "Execution
-// kernel" has the argument in full, the sweeps and the per-layer table.
+// the end of the block" is "went negative inside it", and once negative
+// it stays so. The replay performs the reference's own add sequence, so
+// a lane's partial sums are the reference's; they run non-negative up to
+// the exit tap and negative from it on, so the count of non-negative
+// ones is the exit tap's offset in the block, and the replay needs no
+// per-lane branch, only one for the group: it stops once all four lanes
+// are negative. Both premises are checked, never assumed: negMono is
+// computed after fault injection has had its way with the weight buffer,
+// and Run scans its input (nonNegFinite). When either fails the kernel
+// goes from phase 2 straight to phase 4, which needs neither and is the
+// definition. Why replay and not a check per tap: the paper's PEs test
+// the sign every cycle because the test is free in hardware; here it is
+// the dearest thing in the loop (the drain runs at ~0.8–1.1 ns a MAC,
+// the dense body at ~0.4), and on VGG's calibrated kernels, 18 % positive
+// taps, the suffix is three quarters of all executed MACs. DESIGN.md
+// "Execution kernel" has the argument in full, the sweeps and the
+// per-layer tables.
 //
 // Two sources feed it. Interior windows of a stride-1 layer whose rows
 // are long enough stream in place from the input plane (a 1x1/stride-1/
@@ -64,20 +75,27 @@ import (
 // enforces this, on signed inputs and on their non-negative images.
 
 // maxStripLanes bounds a strip's lane count so the per-worker scratch
-// (accumulators, their block-start copy and the worklist: 3 KB) stays
-// L1-resident; longer runs of lanes are split into chunks.
+// (accumulators, their block-start copy, the worklist and the exit list:
+// 4 KB) stays L1-resident; longer runs of lanes are split into chunks.
 const maxStripLanes = 256
 
 // suffixBlock is how many suffix taps phase 3 streams between looks at
 // the signs; suffixCrossoverNum/Den is the live share of a strip's lanes
-// below which the drain, which pays for live lanes only, is cheaper.
-// Measured constants, like windowSteps: blocks of 16 to 64 and crossovers
-// of 1/5 to 2/5 ran within ±1 ms of each other on a 34 ms VGG forward.
+// below which work that pays for live lanes only — the gathered positive
+// region, the drain — is cheaper than a dense sweep. Measured constants,
+// like windowSteps: blocks of 16 to 64 and crossovers of 1/5 to 2/5 ran
+// within ±1 ms of each other on a 34 ms VGG forward.
 const (
 	suffixBlock        = 16
 	suffixCrossoverNum = 2
 	suffixCrossoverDen = 5
 )
+
+// denseWins reports whether live of a strip's lanes are enough for a sweep
+// over all of them to beat work on the live ones alone.
+func denseWins(live, lanes int) bool {
+	return live*suffixCrossoverDen >= lanes*suffixCrossoverNum
+}
 
 // minStripLanes is the interior row span below which a plane is not
 // streamed in place but packed whole: a strip pays its per-tap loop
@@ -149,12 +167,12 @@ type traceShard struct {
 }
 
 // stripScratch is one worker's reusable lane state: per-lane
-// accumulators, the copy of them a suffix block replays from, and the
-// active-lane worklist. maxStripLanes entries each, so all three live in
-// L1 while a strip executes.
+// accumulators, the copy of them a suffix block replays from, the
+// active-lane worklist and a block's exit list. maxStripLanes entries
+// each, so all four live in L1 while a strip executes.
 type stripScratch struct {
-	acc, saved []float32
-	active     []int32
+	acc, saved    []float32
+	active, exits []int32
 }
 
 // acquire returns a run state sized for the given worker count and
@@ -175,6 +193,7 @@ func (sp *stripPlan) acquire(workers, batch int) *runState {
 			acc:    make([]float32, maxStripLanes),
 			saved:  make([]float32, maxStripLanes),
 			active: make([]int32, maxStripLanes),
+			exits:  make([]int32, maxStripLanes),
 		})
 	}
 	if sp.packed > 0 {
@@ -342,6 +361,64 @@ func streamTaps(w []float32, offs []int, src, acc []float32) {
 	}
 }
 
+// negBit is 1 when a < 0 and 0 otherwise, read off a's bit pattern so
+// that no data-dependent branch decides it: a < 0 exactly when the bits
+// lie in [0x80000001, 0xff800000] — sign set, not -0, not a NaN — and
+// the subtraction wraps below zero exactly then.
+func negBit(a float32) int {
+	return int((uint64(math.Float32bits(a)-0x80000001) - 0x7f800000) >> 63)
+}
+
+// gatherTaps is the kernel's one gathered-lane body. It adds the taps of
+// w to up to four lanes ls — lane l reading tap j at src[l+offs[j]] and
+// starting from sums[l] — one tap at a time in tap order, the scalar
+// reference's own add sequence. Fewer than four lanes are padded with
+// copies of the last, which run the same adds to the same sums. It
+// returns the taps it ran. Without replay it runs them all, tests
+// nothing and stores each lane's sum back in sums: the sparse positive
+// region, where sums only grow. With replay — a suffix block, every lane known to exit
+// inside it — it returns as soon as all four sums are negative, leaves
+// sums alone, and nonNeg counts, in bits 16t..16t+15, lane t's partial
+// sums that were not negative.
+func gatherTaps(w []float32, offs []int, src []float32, ls []int32, sums []float32, replay bool) (taps int, nonNeg uint64) {
+	last := len(ls) - 1
+	l0, l1, l2, l3 := ls[0], ls[min(1, last)], ls[min(2, last)], ls[min(3, last)]
+	a0, a1, a2, a3 := sums[l0], sums[l1], sums[l2], sums[l3]
+	b0, b1, b2, b3 := int(l0), int(l1), int(l2), int(l3)
+	offs = offs[:len(w)]
+	j := 0
+	if !replay {
+		for ; j < len(w); j++ {
+			wj, o := w[j], offs[j]
+			a0 += wj * src[b0+o]
+			a1 += wj * src[b1+o]
+			a2 += wj * src[b2+o]
+			a3 += wj * src[b3+o]
+		}
+		sums[l0], sums[l1], sums[l2], sums[l3] = a0, a1, a2, a3
+		return j, 0
+	}
+	// The four counts share one register (a replay runs at most
+	// suffixBlock taps): four counters of their own left too few
+	// registers and spilled on every tap, and the packed flags answer
+	// "all four negative" with one test.
+	for j < len(w) {
+		wj, o := w[j], offs[j]
+		a0 += wj * src[b0+o]
+		a1 += wj * src[b1+o]
+		a2 += wj * src[b2+o]
+		a3 += wj * src[b3+o]
+		neg := uint64(negBit(a0)) | uint64(negBit(a1))<<16 | uint64(negBit(a2))<<32 | uint64(negBit(a3))<<48
+		flags := neg ^ 0x0001_0001_0001_0001
+		nonNeg += flags
+		j++
+		if flags == 0 {
+			break
+		}
+	}
+	return j, nonNeg
+}
+
 // runStrip executes one strip of `lanes` windows for one kernel, reading
 // tap i of lane l at src[base+offs[i]+l] and writing lane l's output to
 // outd[outIdx+oidx[l]]. For an in-place strip src is the input tensor,
@@ -368,7 +445,8 @@ func (p *LayerPlan) runStrip(ck *compiledKernel, offs []int, src, outd []float32
 	// Retirement counters accumulate in registers and flush to the
 	// per-worker trace shard once per strip, instead of read-modify-write
 	// through the pointer on every retired window. issued counts the MACs
-	// this strip puts through the FPU, dead lanes and replays included.
+	// this strip puts through the FPU, dead lanes and replays included; a
+	// gathered group's padding copies repeat a counted lane and are not.
 	var specZero, signZero, totalOps, truthNeg, specTN, specFN int64
 	issued := int64(lanes * numSpec)
 
@@ -418,53 +496,66 @@ func (p *LayerPlan) runStrip(ck *compiledKernel, offs []int, src, outd []float32
 	}
 
 	// Phase 2 — positive region: the per-lane sum can only grow, so no
-	// checks — and a retired lane's accumulator is dead (its output is
-	// already stored), so the body runs dense over every lane instead of
-	// indirecting through the worklist: the wasted MACs on dead lanes
-	// cost less than per-lane indirection on the live ones, and the loops
-	// stay bounds-check-free.
+	// checks. A retired lane's accumulator is dead (its output is already
+	// stored), so while enough lanes live the body runs dense over every
+	// lane: the wasted MACs on dead lanes cost less than per-lane
+	// indirection on the live ones. Below the crossover the survivors run
+	// alone, gathered four at a time.
 	i := ck.posEnd
-	streamTaps(w[numSpec:i], offs[numSpec:], src[base:], acc)
-	issued += int64(lanes * (i - numSpec))
+	if denseWins(len(active), lanes) {
+		streamTaps(w[numSpec:i], offs[numSpec:], src[base:], acc)
+		issued += int64(lanes * (i - numSpec))
+	} else {
+		for k := 0; k < len(active); k += 4 {
+			gatherTaps(w[numSpec:i], offs[numSpec:], src[base:], active[k:min(k+4, len(active))], acc, false)
+		}
+		issued += int64(len(active) * (i - numSpec))
+	}
 
 	// Phase 3 — blocked negative suffix: a lane's sum never rises again,
 	// so it ends a block negative iff it went negative inside it. The
-	// block streams unchecked; only a lane that ended it negative is
-	// replayed from its saved sum, in scalar tap order, to the tap at
-	// which the reference retires it. Streaming every lane stops paying
-	// once too few are live; the register drain takes over.
+	// block streams unchecked; one pass then splits the live list into
+	// survivors (compacted in place) and exits without a branch on the
+	// sign, and the exits replay from their saved sums, four at a time,
+	// to the taps at which the reference retires them. Streaming every
+	// lane stops paying once too few are live; the register drain takes
+	// over.
 	if mono {
 		saved := sc.saved[:lanes]
-		for nw-i >= suffixBlock && len(active)*suffixCrossoverDen >= lanes*suffixCrossoverNum {
+		exits := sc.exits
+		for i < nw && denseWins(len(active), lanes) {
+			blk := min(suffixBlock, nw-i)
 			copy(saved, acc)
-			streamTaps(w[i:i+suffixBlock], offs[i:], src[base:], acc)
-			issued += int64(lanes * suffixBlock)
-			live := active[:0]
+			streamTaps(w[i:i+blk], offs[i:], src[base:], acc)
+			issued += int64(lanes * blk)
+			live, exited := 0, 0
 			for _, l := range active {
-				if !(acc[l] < 0) {
-					live = append(live, l)
-					continue
-				}
-				a, lb, j := saved[l], base+int(l), i
-				for ; ; j++ {
-					if a += w[j] * src[lb+offs[j]]; a < 0 {
-						break
+				e := negBit(acc[l])
+				active[live], exits[exited] = l, l
+				live += e ^ 1
+				exited += e
+			}
+			active = active[:live]
+			signZero += int64(exited)
+			if opts.CollectPrediction {
+				truthNeg += int64(exited)
+			}
+			for k := 0; k < exited; k += 4 {
+				group := exits[k:min(k+4, exited)]
+				taps, nonNeg := gatherTaps(w[i:i+blk], offs[i:], src[base:], group, saved, true)
+				issued += int64(len(group) * taps)
+				for _, l := range group {
+					ops := i + int(nonNeg&0xffff) + 1
+					nonNeg >>= 16
+					totalOps += int64(ops)
+					o := outIdx + int(oidx[l])
+					outd[o] = 0
+					if tr.Ops != nil {
+						tr.Ops[o] = int32(ops)
 					}
 				}
-				signZero++
-				totalOps += int64(j + 1)
-				issued += int64(j + 1 - i)
-				o := outIdx + int(oidx[l])
-				outd[o] = 0
-				if tr.Ops != nil {
-					tr.Ops[o] = int32(j + 1)
-				}
-				if opts.CollectPrediction {
-					truthNeg++
-				}
 			}
-			active = live
-			i += suffixBlock
+			i += blk
 		}
 	}
 	// The drain issues exactly the taps it counts, from tap i on: what it
@@ -482,8 +573,8 @@ func (p *LayerPlan) runStrip(ck *compiledKernel, offs []int, src, outd []float32
 	// from the next tap, so only the last survivor of a group ever runs
 	// a lone latency-bound chain. Per lane, the tap order and the
 	// check-after-every-suffix-tap schedule are exactly the scalar
-	// path's; a kernel with no negative suffix falls straight through
-	// to the flush.
+	// path's; a kernel with no negative suffix, and a strip whose blocks
+	// ran to the last tap, fall straight through to the flush.
 	var lo, llb [4]int // live lanes' output index and input base
 	var la [4]float32
 	var lb0, lb1, lb2, lb3 int

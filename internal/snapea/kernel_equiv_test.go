@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"snapea/internal/faults"
@@ -92,11 +93,14 @@ func nonNegImage(in *tensor.Tensor) *tensor.Tensor {
 }
 
 // issuedOracle recomputes engine.macs_issued from the scalar window
-// function alone: per strip, the prefix and (when a lane survives it)
-// the positive region over every lane, suffixBlock taps over every lane
-// for each block entered — a lane is live at a block boundary iff the
-// reference ran it past that tap — the replayed taps of each lane that
-// retired inside a block, and the taps the survivors run after the last
+// function alone: per strip, the prefix over every lane; when a lane
+// survives it, the positive region over every lane, or over the
+// survivors alone when they are under the crossover share; for each
+// block entered, its taps (suffixBlock, or what is left of the suffix)
+// over every lane — a lane is live at a block boundary iff the reference
+// ran it past that tap — and, for the lanes that retired inside it taken
+// four at a time in lane order, each group's lane count times the taps
+// to its latest exit; and the taps the survivors run after the last
 // block. It decides by itself whether a kernel may block.
 func issuedOracle(p *LayerPlan, in *tensor.Tensor) int64 {
 	s := in.Shape()
@@ -135,19 +139,31 @@ func issuedOracle(p *LayerPlan, in *tensor.Tensor) int64 {
 				if len(live) == 0 {
 					return
 				}
-				issued += int64(len(outs) * (ck.posEnd - ck.numSpec))
+				dense := func() bool { return len(live)*suffixCrossoverDen >= len(outs)*suffixCrossoverNum }
+				if dense() {
+					issued += int64(len(outs) * (ck.posEnd - ck.numSpec))
+				} else {
+					issued += int64(len(live) * (ck.posEnd - ck.numSpec))
+				}
 				i := ck.posEnd
-				for ; mono && nw-i >= suffixBlock && len(live)*suffixCrossoverDen >= len(outs)*suffixCrossoverNum; i += suffixBlock {
-					issued += int64(len(outs) * suffixBlock)
-					next := live[:0]
+				for mono && i < nw && dense() {
+					blk := min(suffixBlock, nw-i)
+					issued += int64(len(outs) * blk)
+					var next []lane
+					var taps []int // each exit's replayed taps, in lane order
 					for _, l := range live {
-						if l.signZero && l.ops <= i+suffixBlock {
-							issued += int64(l.ops - i)
+						if l.signZero && l.ops <= i+blk {
+							taps = append(taps, l.ops-i)
 						} else {
 							next = append(next, l)
 						}
 					}
+					for g := 0; g < len(taps); g += 4 {
+						grp := taps[g:min(g+4, len(taps))]
+						issued += int64(len(grp) * slices.Max(grp))
+					}
 					live = next
+					i += blk
 				}
 				for _, l := range live {
 					issued += int64(l.ops - i)
@@ -389,9 +405,11 @@ func fuzzStripCase(t *testing.T, groups, cin, cout, kh, kw, sh, sw, ph, pw, h, w
 // The seed corpus — thirty drawn cases cycling through the three input
 // regimes, the randomized sweep this target grew out of, plus one
 // fully-connected shape (1x1 kernel on a 1x1 plane, batch 3), one batch-3
-// layer that stays under the fan-out threshold and two 5x5 kernels over
-// six channels whose suffixes are long enough to block — is run by every
-// plain `go test`; `make fuzz-smoke` lets the fuzzer mutate from there.
+// layer that stays under the fan-out threshold, two 5x5 kernels over six
+// channels whose suffixes are long enough to block, and three drawn for
+// short final blocks, one-lane replay groups and sparse strips — is run
+// by every plain `go test`; `make fuzz-smoke` lets the fuzzer mutate from
+// there.
 func FuzzStripEquivalence(f *testing.F) {
 	rng := tensor.NewRNG(777)
 	for it := 0; it < 30; it++ {
@@ -419,6 +437,16 @@ func FuzzStripEquivalence(f *testing.F) {
 	// second with -0s, streamed in place and packed whole.
 	f.Add(uint8(1), uint8(2), uint8(2), uint8(4), uint8(4), uint8(0), uint8(0), uint8(2), uint8(2), uint8(18), uint8(18), uint8(1), uint8(1), uint64(780), []byte(nil))
 	f.Add(uint8(0), uint8(2), uint8(2), uint8(4), uint8(4), uint8(0), uint8(0), uint8(2), uint8(2), uint8(4), uint8(4), uint8(0), uint8(2), uint64(781), []byte(nil))
+	// Drawn for the kernel's later edges, counted on the reference's Ops:
+	// 3-channel 5x4 kernels on a -0-sprinkled |x| input (35 strips left
+	// under the crossover by the threshold check, 92 exits inside a short
+	// final block, 14 blocks with a one-lane replay group); 2-channel 4x5
+	// kernels on |x| (5, 10, 4); and a one-channel 2x1 kernel on a signed
+	// input whose 28 sparse strips run the survivor-only positive region,
+	// then drain.
+	f.Add(uint8(74), uint8(107), uint8(125), uint8(114), uint8(88), uint8(76), uint8(126), uint8(141), uint8(236), uint8(186), uint8(47), uint8(88), uint8(2), uint64(67185), []byte(nil))
+	f.Add(uint8(57), uint8(244), uint8(146), uint8(183), uint8(209), uint8(238), uint8(135), uint8(54), uint8(201), uint8(98), uint8(254), uint8(170), uint8(1), uint64(51646), []byte(nil))
+	f.Add(uint8(255), uint8(126), uint8(193), uint8(71), uint8(95), uint8(36), uint8(66), uint8(237), uint8(197), uint8(254), uint8(232), uint8(31), uint8(0), uint64(91336), []byte(nil))
 	f.Fuzz(fuzzStripCase)
 }
 
@@ -634,6 +662,50 @@ func TestBlockedSuffixPinned(t *testing.T) {
 		}
 		assertStripEquiv(t, "suffix_k_blocks", plan, in)
 	})
+	t.Run("suffix_k_blocks_plus_1_to_15", func(t *testing.T) {
+		// Suffixes of k·16+1 … k·16+15 taps for k = 1, 2, 3: every length of
+		// short final block, each streamed and replayed.
+		var negs []int
+		for k := 1; k <= 3; k++ {
+			for r := 1; r < suffixBlock; r++ {
+				negs = append(negs, k*suffixBlock+r)
+			}
+		}
+		plan, in := build(5, balanced, negs...)
+		assertStripEquiv(t, "suffix_k_blocks_plus_r", plan, in)
+	})
+	// The replay's edges, on exitPlan's designed lanes (-1 never exits).
+	// Exits are spread over the lane order, so each replay group gathers
+	// lanes that are not neighbours.
+	never := -1
+	spread := func(lanes int, exitAt ...int) []int {
+		e := make([]int, lanes)
+		for l := range e {
+			e[l] = never
+		}
+		for i, m := range exitAt {
+			e[(i*7+3)%lanes] = m // 7 is coprime to every lane count used
+		}
+		return e
+	}
+	t.Run("replay_group_exits_on_first_tap", func(t *testing.T) {
+		// Two whole groups retire on the first tap of the first block, one
+		// on the first tap of the second, and one lane on the first tap of
+		// the short final block (3·16+5 taps).
+		assertExitPlan(t, 3*suffixBlock+5, spread(64, 0, 0, 0, 0, 0, 0, 0, 0, 16, 16, 16, 16, 48))
+	})
+	t.Run("replay_group_exits_on_last_tap", func(t *testing.T) {
+		// Groups whose lanes all retire on a block's last tap — the replay
+		// runs the whole block — and one on the final block's last tap,
+		// the kernel's last tap.
+		assertExitPlan(t, 3*suffixBlock+5, spread(64, 15, 15, 15, 15, 31, 31, 31, 31, 52, 52))
+	})
+	t.Run("replay_group_of_one", func(t *testing.T) {
+		// A block with a single exit, and one with five: groups with one
+		// real lane of four, the rest padding copies that must be neither
+		// stored nor counted. Exits on different taps within a group too.
+		assertExitPlan(t, 3*suffixBlock+5, spread(64, 20, 33, 40, 47, 34, 35, 50))
+	})
 	t.Run("neg_zero_bias_zero_products", func(t *testing.T) {
 		// A -0 bias and an input that is +0 but for one plane: products are
 		// ±0, sums stay ±0 through whole blocks, and the sign of the zero
@@ -669,4 +741,151 @@ func TestBlockedSuffixPinned(t *testing.T) {
 		}
 		assertStripEquiv(t, "fault_flipped", plan, in)
 	})
+}
+
+// assertExitPlan compiles an exact 1x1 layer of one kernel — a tap of
+// weight 1, then `suffix` taps of weight -1 — over a 1×len(exitAt) plane,
+// one in-place strip, on an input under which lane l's sum enters the
+// suffix at exitAt[l]+0.5 and loses exactly 1 a tap, whatever order
+// Reorder leaves the equal suffix weights in: the lane retires on suffix
+// tap exitAt[l], or never for -1. It checks that the reference retires
+// every lane as designed, then holds Run to it.
+func assertExitPlan(t *testing.T, suffix int, exitAt []int) {
+	t.Helper()
+	conv := nn.NewConv2D(1+suffix, 1, 1, 1, 1, 0, 1, true)
+	w := conv.Kernel(0)
+	for i := range w {
+		w[i] = -1
+	}
+	w[0], conv.Bias[0] = 1, 0
+	inShape := tensor.Shape{N: 1, C: 1 + suffix, H: 1, W: len(exitAt)}
+	plan := NewLayerPlan("exits", conv, inShape, nil, NegByMagnitude)
+	if ck := &plan.kernels[0]; !ck.negMono || ck.posEnd != 1 {
+		t.Fatalf("posEnd %d, negMono %v: the kernel is not one positive tap and a blockable suffix", ck.posEnd, ck.negMono)
+	}
+	in := tensor.New(inShape)
+	d := in.Data()
+	for l, m := range exitAt {
+		d[l] = float32(suffix) // never below 0: ends the suffix at +0
+		if m >= 0 {
+			d[l] = float32(m) + 0.5
+		}
+	}
+	for i := len(exitAt); i < len(d); i++ {
+		d[i] = 1
+	}
+	_, tr := plan.runReference(in, RunOpts{CollectWindows: true})
+	for l, m := range exitAt {
+		want := 1 + suffix
+		if m >= 0 {
+			want = 1 + m + 1
+		}
+		if int(tr.Ops[l]) != want {
+			t.Fatalf("lane %d ran %d taps, designed to exit on suffix tap %d", l, tr.Ops[l], m)
+		}
+	}
+	assertStripEquiv(t, "exits", plan, in)
+}
+
+// sparsePlan compiles the layer the survivor-only positive region exists
+// for: a predictive 64→outC 3x3 on hw×hw whose every kernel speculates on
+// one tap — weight 4 on input channel 0's centre, far the largest of its
+// N(0, 0.5) weights, so Reorder makes it the whole prefix — with bias
+// -1/4 and Th 0, and a post-ReLU-like input whose channel 0 is 0 on seven
+// pixels of every ten and in [1/2, 1) elsewhere. A window retires at the
+// threshold check exactly when its centre pixel is one of the seven: 70 %
+// of a 256-lane strip, more than 3/5 of every row.
+func sparsePlan(t testing.TB, outC, hw int) (*LayerPlan, *tensor.Tensor) {
+	t.Helper()
+	conv := nn.NewConv2D(64, outC, 3, 3, 1, 1, 1, true)
+	rng := tensor.NewRNG(93)
+	tensor.FillNorm(conv.Weights, rng, 0, 0.5)
+	params := make(LayerParams, outC)
+	for k := range params {
+		conv.Kernel(k)[4] = 4 // channel 0, ky = kx = 1
+		conv.Bias[k] = -0.25
+		params[k] = KernelParam{Th: 0, N: 1}
+	}
+	inShape := tensor.Shape{N: 1, C: 64, H: hw, W: hw}
+	plan := NewLayerPlan("sparse", conv, inShape, params, NegByMagnitude)
+	in := postReLUInput(inShape, tensor.NewRNG(94))
+	for p := 0; p < hw*hw; p++ {
+		in.Data()[p] = 0
+		if p%10 >= 7 {
+			in.Data()[p] = 0.5 + float32(rng.Float64())/2
+		}
+	}
+	return plan, in
+}
+
+// TestSparsePositiveRegion pins the survivor-only positive region: on
+// sparsePlan's layer, packed whole (16x16) and streamed in place with a
+// packed ring (20x20), the threshold check must leave every strip under
+// the crossover, the Run must issue fewer MACs than a dense positive
+// region alone would, and outputs, Ops and every counter must match the
+// reference — on the non-negative input, where the survivors' suffix
+// drains, and on a signed one.
+func TestSparsePositiveRegion(t *testing.T) {
+	for _, hw := range []int{16, 20} {
+		plan, in := sparsePlan(t, 4, hw)
+		_, tr := plan.runReference(in, RunOpts{CollectWindows: true})
+		var dense int64
+		for k := range plan.kernels {
+			ck := &plan.kernels[k]
+			if ck.numSpec != 1 || ck.w[0] != 4 {
+				t.Fatalf("kernel %d: prefix of %d taps starting %v, want the one weight-4 tap", k, ck.numSpec, ck.w[0])
+			}
+			dense += int64(plan.outH * plan.outW * ck.posEnd)
+			plane := tr.Ops[k*plan.outH*plan.outW:][:plan.outH*plan.outW]
+			strip := func(outs []int32, first int) {
+				retired := 0
+				for _, o := range outs {
+					if plane[first+int(o)] == 1 {
+						retired++
+					}
+				}
+				if retired*5 <= len(outs)*3 {
+					t.Fatalf("%dx%d kernel %d: a strip of %d lanes retired %d at the threshold check, want more than 3/5", hw, hw, k, len(outs), retired)
+				}
+			}
+			for _, ls := range plan.strip.strips {
+				strip(laneIota[:ls.n], ls.out)
+			}
+			for c := 0; c < plan.strip.packed; c += maxStripLanes {
+				strip(plan.strip.scatter[c:min(c+maxStripLanes, plan.strip.packed)], 0)
+			}
+		}
+		if _, _, issued := runIssued(plan, in, RunOpts{}); issued >= dense {
+			t.Fatalf("%dx%d: %d MACs issued, a dense positive region alone issues %d", hw, hw, issued, dense)
+		}
+		assertStripEquiv(t, fmt.Sprintf("sparse_%d", hw), plan, in)
+		signed := tensor.New(in.Shape())
+		for i, v := range in.Data() {
+			if i >= hw*hw && i%2 == 1 {
+				v = -v
+			}
+			signed.Data()[i] = v
+		}
+		assertStripEquiv(t, fmt.Sprintf("sparse_%d_signed", hw), plan, signed)
+	}
+}
+
+// TestNegBit holds the branch-free sign test to a < 0 — ±0 and every
+// NaN not negative — on each class boundary and a sweep of bit patterns.
+func TestNegBit(t *testing.T) {
+	check := func(b uint32) {
+		a := math.Float32frombits(b)
+		if got := negBit(a); got != 0 && got != 1 || (got == 1) != (a < 0) {
+			t.Fatalf("negBit(%#08x = %v) = %d, a < 0 is %v", b, a, got, a < 0)
+		}
+	}
+	for _, b := range []uint32{
+		0, 1, 0x3f800000, 0x7f7fffff, 0x7f800000, 0x7f800001, 0x7fc00000, 0x7fffffff,
+		0x80000000, 0x80000001, 0x80000002, 0xbf800000, 0xff7fffff, 0xff800000, 0xff800001, 0xffc00000, 0xffffffff,
+	} {
+		check(b)
+	}
+	for b := uint64(0); b < 1<<32; b += 65521 {
+		check(uint32(b))
+	}
 }

@@ -75,6 +75,24 @@ func BenchmarkLayerPlanRunSuffix(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(macs), "ns/MAC")
 }
 
+// BenchmarkLayerPlanRunSparse measures the layer shape the survivor-only
+// positive region exists for — predictive 64→64 3x3 on a 16x16
+// post-ReLU-like input whose threshold check retires about 70 % of each
+// strip (sparsePlan), one worker — in wall-clock per executed MAC.
+func BenchmarkLayerPlanRunSparse(b *testing.B) {
+	plan, in := sparsePlan(b, 64, 16)
+	parallel.SetLimit(1)
+	defer parallel.SetLimit(0)
+	var macs int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, tr := plan.Run(in, RunOpts{})
+		macs += tr.TotalOps
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(macs), "ns/MAC")
+}
+
 // BenchmarkLayerPlanRunSmallPlanes measures the late-layer shapes whose
 // strips used to be 2-8 lanes of border ring: a 5x5 whose plane is
 // packed whole and a 1x1 that streams flat across rows. One image, one

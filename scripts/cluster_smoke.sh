@@ -82,8 +82,11 @@ echo "cluster-smoke: p50 direct ${direct_p50}ms, via gateway ${gw_p50}ms"
 # Zero-downtime drain: kill one replica while a longer run is in flight.
 # -allow 200 means a single failed accepted request fails the smoke —
 # the gateway must absorb the death via drain handoff, failover, and
-# probe ejection.
-"$dir/snapea-load" -url "http://$gw" -model tinynet -n 2000 -c 8 \
+# probe ejection. The run has to outlast the sleep before the kill
+# several times over: at the ~3,000 req/s the gateway serves tinynet,
+# 2,000 requests were done in 0.7 s, the kill hit an idle fleet and no
+# ejection was ever recorded.
+"$dir/snapea-load" -url "http://$gw" -model tinynet -n 8000 -c 8 \
     -allow 200 -out "$dir/kill.json" &
 load_pid=$!
 sleep 0.7
