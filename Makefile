@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fmt vet vet-snapea batcher-stress fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke chaos-smoke cluster-smoke integrity-smoke ci clean
+.PHONY: build test race fmt vet vet-snapea fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke chaos-smoke cluster-smoke integrity-smoke ci clean
 
 build:
 	$(GO) build ./...
@@ -29,13 +29,6 @@ test:
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v '^snapea/benchmark$$')
 	$(GO) test -race -short ./benchmark
-
-# The tests that pin the batcher's dispatch policy, 25 times over: they
-# are built around a held dispatcher so that they cannot pass by winning
-# a race with its wake-up, and a reintroduced scheduling race must fail
-# ci rather than one run in three.
-batcher-stress:
-	$(GO) test -count=25 -run 'TestPartialBatchFlushOnWait|TestBatchMaxFlush|TestConcurrentLoadBatches|TestQueuedDeadlineExpires' ./internal/serve
 
 # Short fuzz runs over the two binary/JSON loaders, the execution
 # kernel (geometry × params × input bytes, strip kernel vs the scalar
@@ -82,14 +75,13 @@ metrics-smoke:
 
 # Serving smoke: boot snapea-serve on an ephemeral port, drive it with
 # snapea-load (500 requests, all responses must be 200/429), SIGTERM it,
-# and validate the serve counters — including batch_gt1, proof that
-# micro-batching actually batched under concurrency.
+# and validate the serve counters.
 serve-smoke:
 	GO=$(GO) sh scripts/serve_smoke.sh
 
 # Chaos smoke: three snapea-serve runs with injected faults proving the
 # resilience layer end to end — circuit breaker opens and self-heals,
-# the batch watchdog isolates a wedged model (bulkhead), and the
+# the request-deadline watchdog isolates a wedged model (bulkhead), and the
 # accuracy guardrail degrades predictive serving to exact and recovers.
 chaos-smoke:
 	GO=$(GO) sh scripts/chaos_smoke.sh
@@ -109,7 +101,7 @@ integrity-smoke:
 	GO=$(GO) sh scripts/integrity_smoke.sh
 
 # The tier-1+ gate: everything CI runs before a merge.
-ci: fmt vet vet-snapea build race batcher-stress fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke chaos-smoke cluster-smoke integrity-smoke
+ci: fmt vet vet-snapea build race fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke chaos-smoke cluster-smoke integrity-smoke
 
 clean:
 	$(GO) clean ./...

@@ -58,7 +58,6 @@ type Summary struct {
 	P99MS            float64        `json:"p99_ms"`
 	MeanMS           float64        `json:"mean_ms"`
 	MaxMS            float64        `json:"max_ms"`
-	MaxBatch         int            `json:"max_batch"`
 	MeanMacReduction float64        `json:"mean_mac_reduction"`
 	// Retries counts closed-loop re-sends after a 429/503 answer; the
 	// final attempt's status is what StatusCounts records.
@@ -89,7 +88,6 @@ func (rs *retryStats) record(status int) {
 type outcome struct {
 	status     int
 	ms         float64
-	batch      int
 	reduction  float64
 	retryAfter time.Duration // parsed Retry-After hint, 0 if absent
 	err        error
@@ -293,11 +291,9 @@ func fire(ctx context.Context, client *http.Client, target, contentType string, 
 	}
 	if resp.StatusCode == http.StatusOK {
 		var pr struct {
-			BatchSize    int     `json:"batch_size"`
 			MacReduction float64 `json:"mac_reduction"`
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&pr); err == nil {
-			o.batch = pr.BatchSize
 			o.reduction = pr.MacReduction
 		}
 	}
@@ -399,9 +395,6 @@ func summarize(outcomes []outcome, allowed map[int]bool) Summary {
 			okLat = append(okLat, o.ms)
 			redSum += o.reduction
 			redN++
-			if o.batch > sum.MaxBatch {
-				sum.MaxBatch = o.batch
-			}
 		}
 	}
 	if len(okLat) > 0 {
@@ -432,7 +425,6 @@ func render(sum Summary) {
 	t.Add("p95 latency", fmt.Sprintf("%.2f ms", sum.P95MS))
 	t.Add("p99 latency", fmt.Sprintf("%.2f ms", sum.P99MS))
 	t.Add("mean / max", fmt.Sprintf("%.2f / %.2f ms", sum.MeanMS, sum.MaxMS))
-	t.Add("max batch", strconv.Itoa(sum.MaxBatch))
 	t.Add("mean MAC reduction", report.Pct(sum.MeanMacReduction))
 	var codes []string
 	for code := range sum.StatusCounts {

@@ -1,10 +1,10 @@
-// Command snapea-serve is the batched inference server: it serves
-// compiled SnaPEA networks over HTTP, micro-batching concurrent
-// requests through one Forward per batch so the engine's MAC savings
+// Command snapea-serve is the inference server: it serves compiled
+// SnaPEA networks over HTTP, one Forward per request with at most
+// GOMAXPROCS forwards in flight per model, so the engine's MAC savings
 // show up as request latency.
 //
 //	snapea-serve -addr localhost:8080 -models tinynet
-//	snapea-serve -models alexnet -params alexnet=alexnet.params.json -batch 16
+//	snapea-serve -models alexnet -params alexnet=alexnet.params.json -queue 128
 //	snapea-serve -addr localhost:0 -addr-file serve.addr -metrics serve-metrics.json
 //	snapea-serve -models tinynet -fault-weight-bitflip 1e-4   # chaos serving
 //
@@ -22,8 +22,8 @@
 // self-healing".
 //
 // SIGINT/SIGTERM (or -timeout) triggers graceful shutdown: /readyz flips
-// to 503, the listener stops accepting, queued requests drain through
-// their batches, then the process exits 0.
+// to 503, the listener stops accepting, every admitted request is
+// answered, then the process exits 0.
 package main
 
 import (
@@ -54,17 +54,15 @@ func main() {
 	seed := flag.Uint64("seed", 42, "deterministic model-build seed")
 	params := flag.String("params", "", "comma-separated model=paramsfile pairs enabling predictive mode per model")
 	negOrder := flag.String("negorder", "magnitude", "negative-weight ordering: magnitude or original")
-	batch := flag.Int("batch", 8, "largest batch one Forward runs (requests already queued; the dispatcher never waits for more)")
-	queue := flag.Int("queue", 64, "per-model queue depth; overflow is rejected with 429")
-	reqTimeout := flag.Duration("request-timeout", 5*time.Second, "per-request deadline (covers queueing and inference)")
-	batchDeadline := flag.Duration("batch-deadline", 30*time.Second, "watchdog deadline for one batch execution; a hung batch is abandoned (<0 disables)")
-	breakerFailures := flag.Int("breaker-failures", 5, "consecutive batch failures that open a model's circuit breaker (<0 disables)")
+	queue := flag.Int("queue", 64, "per-model requests waiting for a run slot; overflow is rejected with 429")
+	reqTimeout := flag.Duration("request-timeout", 5*time.Second, "per-request deadline covering the wait and inference; a forward still running at it is abandoned (<0 disables)")
+	breakerFailures := flag.Int("breaker-failures", 5, "consecutive failed forwards that open a model's circuit breaker (<0 disables)")
 	breakerOpen := flag.Duration("breaker-open", 2*time.Second, "how long an open breaker rejects before half-open probes")
 	breakerProbes := flag.Int("breaker-probes", 2, "consecutive half-open successes that close the breaker")
 	mispredictBudget := flag.Float64("mispredict-budget", 0, "misprediction error budget; exceeding it degrades predictive serving to exact (0 disables)")
-	guardWindow := flag.Int("guard-window", 32, "guardrail sliding window in audited batches")
-	guardCooldown := flag.Int("guard-cooldown", 16, "degraded batches served before the guardrail probes predictive mode again")
-	auditEvery := flag.Int64("audit-every", 8, "audit every Nth predictive batch with exact misprediction accounting (<0 disables)")
+	guardWindow := flag.Int("guard-window", 32, "guardrail sliding window in audited forwards")
+	guardCooldown := flag.Int("guard-cooldown", 16, "degraded forwards served before the guardrail probes predictive mode again")
+	auditEvery := flag.Int64("audit-every", 8, "audit every Nth predictive forward with exact misprediction accounting (<0 disables)")
 	scrubInterval := flag.Duration("scrub-interval", 30*time.Second, "background scrub cadence over compiled model state (<0 disables)")
 	scrubMBps := flag.Float64("scrub-mbps", 64, "scrubber re-hash rate limit in MB/s (<0 unthrottled)")
 	canaryEvery := flag.Duration("canary-every", time.Minute, "canary self-test cadence replaying each model's golden probe (<0 disables, startup check included)")
@@ -104,10 +102,8 @@ func main() {
 		Models:           splitList(*modelsFlag),
 		Classes:          *classes,
 		Seed:             *seed,
-		BatchMax:         *batch,
 		QueueDepth:       *queue,
 		RequestTimeout:   *reqTimeout,
-		BatchDeadline:    *batchDeadline,
 		BreakerFailures:  *breakerFailures,
 		BreakerOpenFor:   *breakerOpen,
 		BreakerProbes:    *breakerProbes,
@@ -181,8 +177,8 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	// Graceful shutdown: flip readiness, stop accepting, drain queued
-	// requests through their batches, then flush observability output.
+	// Graceful shutdown: flip readiness, stop accepting, answer every
+	// admitted request, then flush observability output.
 	fmt.Fprintln(os.Stderr, "snapea-serve: draining")
 	srv.BeginDrain()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)

@@ -69,15 +69,13 @@ func ObsEnv() map[string]string {
 	}
 }
 
-// ServeEnv maps snapea-serve's batching and lifecycle flags to their
+// ServeEnv maps snapea-serve's admission and lifecycle flags to their
 // environment defaults.
 func ServeEnv() map[string]string {
 	return map[string]string{
 		"addr":            "SNAPEA_ADDR",
-		"batch":           "SNAPEA_BATCH",
 		"queue":           "SNAPEA_QUEUE",
 		"request-timeout": "SNAPEA_REQUEST_TIMEOUT",
-		"batch-deadline":  "SNAPEA_BATCH_DEADLINE",
 		"drain-timeout":   "SNAPEA_DRAIN_TIMEOUT",
 	}
 }
@@ -204,10 +202,10 @@ func FaultFlags(fs *flag.FlagSet) *FaultFlagGroup {
 	fs.Float64Var(&g.stuckZero, "fault-stuck", 0, "per-kernel stuck-at-zero probability (dead lanes)")
 	fs.Float64Var(&g.thJitter, "fault-th-jitter", 0, "Gaussian jitter scale on speculation thresholds")
 	fs.Float64Var(&g.nJitter, "fault-n-jitter", 0, "per-kernel probability of halving/doubling the group count N")
-	fs.DurationVar(&g.serveDelay, "fault-serve-delay", 0, "added latency injected into faulted inference batches (chaos serving)")
-	fs.Float64Var(&g.serveDelayRate, "fault-serve-delay-rate", 0, "per-batch probability of the injected delay (0 with a delay set = every batch)")
-	fs.Float64Var(&g.servePanicRate, "fault-serve-panic", 0, "per-batch probability that batch execution panics")
-	fs.Float64Var(&g.serveErrRate, "fault-serve-err", 0, "per-batch probability that batch execution fails")
+	fs.DurationVar(&g.serveDelay, "fault-serve-delay", 0, "added latency injected into faulted serving forwards (chaos serving)")
+	fs.Float64Var(&g.serveDelayRate, "fault-serve-delay-rate", 0, "per-forward probability of the injected delay (0 with a delay set = every forward)")
+	fs.Float64Var(&g.servePanicRate, "fault-serve-panic", 0, "per-forward probability that the serving forward panics")
+	fs.Float64Var(&g.serveErrRate, "fault-serve-err", 0, "per-forward probability that the serving forward fails")
 	fs.Int64Var(&g.serveLimit, "fault-serve-limit", 0, "total serve-path faults to inject before running clean (0 = unlimited)")
 	fs.StringVar(&g.serveTarget, "fault-serve-target", "", "restrict serve-path faults to model/mode sites containing this substring")
 	return g

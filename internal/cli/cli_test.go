@@ -261,17 +261,15 @@ var applyEnvGroups = []struct {
 		env:  ServeEnv,
 		register: func(fs *flag.FlagSet) {
 			fs.String("addr", "127.0.0.1:8080", "")
-			fs.Int("batch", 8, "")
 			fs.Int("queue", 64, "")
 			fs.Duration("request-timeout", 0, "")
-			fs.Duration("batch-deadline", 0, "")
 			fs.Duration("drain-timeout", 0, "")
 		},
-		flagName: "batch",
-		envVal:   "32",
-		argVal:   "4",
+		flagName: "queue",
+		envVal:   "128",
+		argVal:   "16",
 		badVal:   "not-a-number",
-		read:     func(fs *flag.FlagSet) string { return fs.Lookup("batch").Value.String() },
+		read:     func(fs *flag.FlagSet) string { return fs.Lookup("queue").Value.String() },
 	},
 	{
 		name: "breaker",

@@ -498,7 +498,7 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// serve observability headers) — plus the gateway's own provenance
 	// headers so a client can see which replica answered and whether the
 	// hedge won.
-	for _, h := range []string{"Content-Type", "Retry-After", "X-Snapea-Batch-Size", "X-Snapea-Degraded", "X-Snapea-Quarantined"} {
+	for _, h := range []string{"Content-Type", "Retry-After", "X-Snapea-Degraded", "X-Snapea-Quarantined"} {
 		if v := res.header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}

@@ -36,7 +36,6 @@ func okPredict(tag string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
 		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Snapea-Batch-Size", "4")
 		w.Header().Set("X-Snapea-Degraded", "0")
 		fmt.Fprintf(w, `{"replica":%q}`, tag)
 	}
@@ -79,9 +78,6 @@ func TestGatewayProxiesPredict(t *testing.T) {
 		t.Fatalf("X-Snapea-Hedged = %q, want 0", got)
 	}
 	// The serve observability headers pass through untouched.
-	if got := rec.Header().Get("X-Snapea-Batch-Size"); got != "4" {
-		t.Fatalf("X-Snapea-Batch-Size = %q, want 4", got)
-	}
 	if got := rec.Header().Get("X-Snapea-Degraded"); got != "0" {
 		t.Fatalf("X-Snapea-Degraded = %q, want 0", got)
 	}

@@ -1,7 +1,7 @@
 // Package cluster is the horizontal-scaling tier above internal/serve:
 // an HTTP gateway that fans /v1/predict traffic out across a fleet of
 // snapea-serve replicas. One replica serves one process's worth of
-// batched inference; the cluster tier is what turns N of them into a
+// inference; the cluster tier is what turns N of them into a
 // single endpoint that survives replica death, flattens the tail
 // latency predictive-mode serving produces by design (early-exit vs.
 // full compute, mispredict audits), and drains without dropping a
@@ -16,8 +16,8 @@
 //     trial request) — replicas.go;
 //   - a router with two policies: power-of-two-choices on an
 //     in-flight-requests gauge (default), and consistent hashing on the
-//     model name so each replica's compile cache and batcher stay hot
-//     for a stable subset of models — router.go;
+//     model name so each replica's compile cache stays hot for a
+//     stable subset of models — router.go;
 //   - tail-latency hedging: after a quantile-tracked delay the request
 //     is re-issued to a second replica and the first answer wins, the
 //     loser's context is cancelled, and a hedge budget caps the

@@ -10,8 +10,7 @@ import (
 
 // Routing policies. P2C balances instantaneous load; Hash keeps each
 // model's traffic on a stable replica so that replica's compile cache
-// and micro-batcher stay hot for it (batches form faster when one
-// replica sees all of a model's requests instead of 1/Nth of them).
+// stays hot for it (only one replica compiles and holds each model).
 const (
 	PolicyP2C  = "p2c"
 	PolicyHash = "hash"

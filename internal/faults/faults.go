@@ -67,27 +67,27 @@ type Config struct {
 	// internal/resilience). A batch fault is at most one of delay,
 	// panic, or error, checked in that order.
 
-	// ServeDelay is added to a faulted batch's execution before any
+	// ServeDelay is added to a faulted serving forward before any
 	// compute — modeling a stalled DMA or a wedged kernel. A delay
-	// longer than the server's batch deadline wedges the batch and
+	// longer than the server's request timeout wedges the forward and
 	// exercises the watchdog.
 	ServeDelay time.Duration
-	// ServeDelayRate is the per-batch probability of the delay. A zero
-	// rate with a positive ServeDelay means every batch (rate 1).
+	// ServeDelayRate is the per-forward probability of the delay. A zero
+	// rate with a positive ServeDelay means every forward (rate 1).
 	ServeDelayRate float64
-	// ServePanicRate is the per-batch probability that batch execution
-	// panics.
+	// ServePanicRate is the per-forward probability that the serving
+	// forward panics.
 	ServePanicRate float64
-	// ServeErrRate is the per-batch probability that batch execution
-	// fails with ErrInjected.
+	// ServeErrRate is the per-forward probability that the serving
+	// forward fails with ErrInjected.
 	ServeErrRate float64
 	// ServeLimit caps the total number of serve-path faults injected
-	// over the injector's lifetime; afterwards batches run clean. This
+	// over the injector's lifetime; afterwards forwards run clean. This
 	// models a transient fault storm, which is what lets a circuit
 	// breaker's half-open probes eventually succeed. Zero means
 	// unlimited.
 	ServeLimit int64
-	// ServeTarget restricts serve-path faults to batch sites containing
+	// ServeTarget restricts serve-path faults to serving sites containing
 	// this substring (sites are named "model/mode"), so a chaos test
 	// can wedge one model while another stays healthy. Empty targets
 	// every site.
@@ -428,23 +428,23 @@ func flipBit(v float32, bit uint) float32 {
 }
 
 // ErrInjected is the failure a serve-path error fault produces. The
-// serving layer treats it like any other batch failure; tests and the
+// serving layer treats it like any other failed forward; tests and the
 // chaos harness can errors.Is it apart from organic failures.
 var ErrInjected = errors.New("faults: injected batch error")
 
-// BatchFault is the serve-path fault decision for one dispatched batch:
-// at most one of Delay, Panic, or Err is set.
+// BatchFault is the serve-path fault decision for one serving forward (a
+// batch of one): at most one of Delay, Panic, or Err is set.
 type BatchFault struct {
 	Delay time.Duration
 	Panic bool
 	Err   error
 }
 
-// Any reports whether the batch is faulted at all.
+// Any reports whether the forward is faulted at all.
 func (f BatchFault) Any() bool { return f.Delay > 0 || f.Panic || f.Err != nil }
 
-// BatchFault draws the serve-path fault for one batch. site names the
-// execution unit ("model/mode") and seq numbers the batch within it, so
+// BatchFault draws the serve-path fault for one forward. site names the
+// execution unit ("model/mode") and seq numbers the forward within it, so
 // the decision stream is deterministic per (seed, site) and independent
 // of scheduling, like every other injector site. Faults are checked in
 // delay → panic → error order; the first hit wins and counts against

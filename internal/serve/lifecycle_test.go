@@ -13,7 +13,7 @@ import (
 
 // TestDrainGateRejectsNewPredicts is the drain/admission regression: on
 // pre-fix code /v1/predict ignored the draining flag, so new requests
-// kept racing into batchers that Close was about to tear down. After
+// kept racing into gates that Close was about to tear down. After
 // BeginDrain every new prediction must get a clean 503 with Retry-After
 // while /healthz stays 200.
 func TestDrainGateRejectsNewPredicts(t *testing.T) {
@@ -47,12 +47,9 @@ func TestDrainGateRejectsNewPredicts(t *testing.T) {
 // every request is answered (no hangs, no connection drops) and every
 // answer is either a success or a clean shutdown/timeout rejection —
 // never a 500. Run under -race this also proves the draining flag and
-// the batcher teardown are data-race free against admission.
+// the gate teardown are data-race free against admission.
 func TestDrainAdmissionRace(t *testing.T) {
-	s, ts := testServer(t, Config{
-		Models:   []string{"tinynet"},
-		BatchMax: 4,
-	})
+	s, ts := testServer(t, Config{Models: []string{"tinynet"}})
 	body := jsonBody(t, tinyElems(t), 11).Bytes()
 	if code, _, _ := postPredict(t, ts.URL, "tinynet", "", body); code != http.StatusOK {
 		t.Fatalf("warmup: status %d", code)
@@ -101,7 +98,7 @@ func TestDrainAdmissionRace(t *testing.T) {
 	s.BeginDrain()
 	time.Sleep(10 * time.Millisecond)
 	// Close while the hammers are still firing: the drain gate must keep
-	// every new request out of the closing batchers.
+	// every new request out of the closing gates.
 	s.Close()
 	time.Sleep(10 * time.Millisecond)
 	close(stop)
@@ -112,16 +109,15 @@ func TestDrainAdmissionRace(t *testing.T) {
 	}
 }
 
-// TestWatchdogLeakAccounting wedges a batch permanently (injected delay
-// of an hour against a 50ms deadline) and asserts the leak accounting
-// the pre-fix code lacked: the stranded batch tensor is counted in
+// TestWatchdogLeakAccounting wedges a forward permanently (injected
+// delay of an hour against a 200ms request deadline) and asserts the
+// leak accounting: the stranded input tensor is counted in
 // serve.tensor_pool leaks, and the pool re-allocates around it so the
 // model keeps serving.
 func TestWatchdogLeakAccounting(t *testing.T) {
 	s, ts := testServer(t, Config{
-		Models:        []string{"tinynet"},
-		BatchMax:      1,
-		BatchDeadline: 50 * time.Millisecond,
+		Models:         []string{"tinynet"},
+		RequestTimeout: 200 * time.Millisecond,
 		Faults: faults.Config{
 			Seed:        7,
 			ServeDelay:  time.Hour, // never finishes within the test
@@ -129,20 +125,21 @@ func TestWatchdogLeakAccounting(t *testing.T) {
 			ServeTarget: "tinynet/exact",
 		},
 	})
+	preload(t, s)
 	body := jsonBody(t, tinyElems(t), 13).Bytes()
 
 	if code, _, _ := postPredict(t, ts.URL, "tinynet", "", body); code != http.StatusGatewayTimeout {
-		t.Fatalf("wedged batch: status %d, want 504", code)
+		t.Fatalf("wedged forward: status %d, want 504", code)
 	}
 	if got := s.pool.leaks.Load(); got != 1 {
-		t.Fatalf("tensor_pool leaks = %d after abandoned batch, want 1", got)
+		t.Fatalf("tensor_pool leaks = %d after abandoned forward, want 1", got)
 	}
 	if got := s.pool.leaked.Load(); got != 1 {
 		t.Fatalf("tensor_pool leaked gauge = %d, want 1", got)
 	}
 
 	// Bounded re-allocation: the fault budget is exhausted, so the next
-	// batch is clean and must succeed on a freshly allocated tensor.
+	// forward is clean and must succeed on a freshly allocated tensor.
 	if code, _, _ := postPredict(t, ts.URL, "tinynet", "", body); code != http.StatusOK {
 		t.Fatalf("post-leak predict: status %d, want 200", code)
 	}
@@ -151,27 +148,27 @@ func TestWatchdogLeakAccounting(t *testing.T) {
 	}
 }
 
-// TestWatchdogLeakReclaimed wedges a batch briefly (delay longer than
-// the deadline but shorter than the test) and asserts the other half of
-// the handshake: when the abandoned forward finally finishes, the
-// tensor is reclaimed — the leaked gauge returns to zero and the
+// TestWatchdogLeakReclaimed wedges a forward briefly (delay longer than
+// the request deadline but shorter than the test) and asserts the other
+// half of the handshake: when the abandoned forward finally finishes,
+// the tensor is reclaimed — the leaked gauge returns to zero and the
 // reclaim is counted.
 func TestWatchdogLeakReclaimed(t *testing.T) {
 	s, ts := testServer(t, Config{
-		Models:        []string{"tinynet"},
-		BatchMax:      1,
-		BatchDeadline: 30 * time.Millisecond,
+		Models:         []string{"tinynet"},
+		RequestTimeout: 100 * time.Millisecond,
 		Faults: faults.Config{
 			Seed:        7,
-			ServeDelay:  300 * time.Millisecond,
+			ServeDelay:  400 * time.Millisecond,
 			ServeLimit:  1,
 			ServeTarget: "tinynet/exact",
 		},
 	})
+	preload(t, s)
 	body := jsonBody(t, tinyElems(t), 17).Bytes()
 
 	if code, _, _ := postPredict(t, ts.URL, "tinynet", "", body); code != http.StatusGatewayTimeout {
-		t.Fatalf("wedged batch: status %d, want 504", code)
+		t.Fatalf("wedged forward: status %d, want 504", code)
 	}
 	if got := s.pool.leaked.Load(); got != 1 {
 		t.Fatalf("tensor_pool leaked gauge = %d right after abandon, want 1", got)

@@ -10,17 +10,17 @@ import (
 
 // tensorPool recycles tensors of known shapes across requests — the
 // serving analogue of Conv2D.ForwardGEMM's pooled im2col scratch. The
-// hot path allocates one input tensor per request and one batch tensor
-// per batch; at a few thousand requests per second that churn dominates
-// the garbage collector's work, so both come from here. Callers must
+// hot path allocates one input tensor per request; at a few thousand
+// requests per second that churn dominates the garbage collector's
+// work, so it comes from here. Callers must
 // fully overwrite a pooled tensor (the pool does not zero) and must not
 // retain a reference after Put.
 type tensorPool struct {
 	mu    sync.Mutex
 	pools map[tensor.Shape]*sync.Pool
 
-	// Leak accounting for tensors stranded inside abandoned batch
-	// goroutines (see batcher.execute): leaked is the current count,
+	// Leak accounting for tensors stranded inside abandoned forward
+	// goroutines (see gate.execute): leaked is the current count,
 	// leaks and reclaims the lifetime totals. The pool re-allocates
 	// around a leak on the next Get, so a leak costs one tensor of
 	// memory until the wedged forward finishes (or forever, if it never
@@ -56,7 +56,7 @@ func (p *tensorPool) Get(s tensor.Shape) *tensor.Tensor {
 	return tensor.New(s)
 }
 
-// noteLeak records a tensor stranded by a watchdog-abandoned batch: its
+// noteLeak records a tensor stranded by a watchdog-abandoned forward: its
 // goroutine still holds it, so it cannot be pooled or reused.
 func (p *tensorPool) noteLeak() {
 	p.leaks.Add(1)
@@ -69,7 +69,7 @@ func (p *tensorPool) noteLeak() {
 
 // reclaim records a stranded tensor whose abandoned forward eventually
 // finished. The tensor is released to the garbage collector, not
-// re-pooled: the pool already allocated a replacement while the batch
+// re-pooled: the pool already allocated a replacement while the forward
 // was wedged, and re-admitting every late zombie would grow the pool
 // without bound under repeated watchdog abandons — the re-allocation
 // stays bounded at one live tensor per outstanding leak.

@@ -55,7 +55,7 @@ type entry struct {
 	net     *snapea.Network
 	inShape tensor.Shape // single-image input shape (N=1)
 	classes int
-	batcher *batcher
+	gate    *gate
 	breaker *resilience.Breaker
 	guard   *resilience.Guardrail
 	err     error
@@ -81,13 +81,13 @@ func newEntry(key modelKey) *entry {
 }
 
 // retire ends the entry's supervised life: the sentinel and any heal
-// loop watching it exit, and its batcher drains. Idempotent — the heal
+// loop watching it exit, and its gate drains. Idempotent — the heal
 // swap and registry shutdown may both retire the same entry.
 func (e *entry) retire() {
 	e.retireOnce.Do(func() {
 		close(e.stop)
-		if e.batcher != nil {
-			e.batcher.close()
+		if e.gate != nil {
+			e.gate.close()
 		}
 	})
 }
@@ -116,7 +116,7 @@ func (e *entry) quarantineReason() string {
 }
 
 // registry lazily compiles and caches snapea.Network plans and their
-// batchers.
+// admission gates.
 type registry struct {
 	cfg  Config
 	pool *tensorPool
@@ -282,10 +282,7 @@ func (r *registry) compile(e *entry) {
 		return
 	}
 	e.inShape = m.InputShape
-	e.classes = cfg.Classes
-	if e.classes == 0 {
-		e.classes = 10
-	}
+	e.classes = cfg.Classes // normalize defaults it to 10
 
 	lbl := metrics.Labels{"model": e.key.Model, "mode": e.key.Mode}
 	if cfg.BreakerFailures >= 0 {
@@ -325,12 +322,10 @@ func (r *registry) compile(e *entry) {
 			},
 		})
 	}
-	e.batcher = newBatcher(e.net, r.pool, batcherConfig{
+	e.gate = newGate(e.net, r.pool, gateConfig{
 		label:      lbl,
 		site:       e.key.String(),
-		batchMax:   cfg.BatchMax,
 		queueDepth: cfg.QueueDepth,
-		deadline:   cfg.BatchDeadline,
 		auditEvery: cfg.AuditEvery,
 		breaker:    e.breaker,
 		guard:      e.guard,
@@ -388,7 +383,7 @@ func (r *registry) compile(e *entry) {
 
 // compileCorrupting reports whether the fault config corrupts compiled
 // plan state itself (as opposed to per-forward activation faults or
-// serve-path batch faults).
+// serve-path faults).
 func compileCorrupting(c faults.Config) bool {
 	return c.WeightBitFlip > 0 || c.StuckZero > 0 || c.ThJitter > 0 || c.NJitter > 0
 }
@@ -535,7 +530,7 @@ func (r *registry) list() []*entry {
 	return out
 }
 
-// close stops admission on every batcher and drains them. New get calls
+// close stops admission on every gate and drains them. New get calls
 // fail with ErrShuttingDown.
 func (r *registry) close() {
 	r.mu.Lock()

@@ -81,13 +81,12 @@ func tinyParams(t *testing.T, dir string, th float64) string {
 }
 
 // TestBreakerOpensAndRecovers drives the full breaker cycle over HTTP:
-// an injected fault storm fails batches until the breaker opens (503 +
-// Retry-After without touching the queue), and once the storm passes a
+// an injected fault storm fails forwards until the breaker opens (503 +
+// Retry-After without running a forward), and once the storm passes a
 // half-open probe closes it again — self-healing, no restart.
 func TestBreakerOpensAndRecovers(t *testing.T) {
 	_, ts := testServer(t, Config{
 		Models:          []string{"tinynet"},
-		BatchMax:        1,
 		BreakerFailures: 3,
 		BreakerOpenFor:  100 * time.Millisecond,
 		BreakerProbes:   1,
@@ -95,7 +94,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	})
 	body := jsonBody(t, tinyElems(t), 3).Bytes()
 
-	// Three faulted batches: 500s that count as breaker failures.
+	// Three faulted forwards: 500s that count as breaker failures.
 	for i := 0; i < 3; i++ {
 		code, _, _ := postPredict(t, ts.URL, "tinynet", "", body)
 		if code != http.StatusInternalServerError {
@@ -143,88 +142,125 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 }
 
 // TestWatchdogIsolatesHungModel wedges tinynet with an injected stuck
-// batch and asserts the bulkhead: lenet keeps serving while tinynet's
-// batch hangs, the hung batch fails with a 504 at the deadline, and
-// tinynet itself serves again on the next (clean) batch.
+// forward and asserts the bulkhead: lenet keeps serving while tinynet's
+// forward hangs, the hung request fails with a 504 at its deadline, long
+// before the injected delay ends, and tinynet itself serves again on the
+// next (clean) forward.
 func TestWatchdogIsolatesHungModel(t *testing.T) {
-	_, ts := testServer(t, Config{
-		Models:        []string{"tinynet", "lenet"},
-		BatchMax:      1,
-		BatchDeadline: 100 * time.Millisecond,
+	const delay = 3 * time.Second
+	s, ts := testServer(t, Config{
+		Models:         []string{"tinynet", "lenet"},
+		RequestTimeout: 500 * time.Millisecond,
 		Faults: faults.Config{
 			Seed:        7,
-			ServeDelay:  3 * time.Second,
+			ServeDelay:  delay,
 			ServeLimit:  1,
 			ServeTarget: "tinynet/exact",
 		},
 	})
+	preload(t, s)
 	tinyBody := jsonBody(t, tinyElems(t), 3).Bytes()
 	lenetBody := jsonBody(t, modelElems(t, "lenet"), 4).Bytes()
 
-	// Warm both models so compile time doesn't blur the timing below.
-	// lenet is clean (the fault targets tinynet only); tinynet's first
-	// batch will hang.
-	if code, _, _ := postPredict(t, ts.URL, "lenet", "", lenetBody); code != http.StatusOK {
-		t.Fatalf("lenet warmup: status %d", code)
-	}
-
 	var wg sync.WaitGroup
 	var hungCode int
-	var hungDone time.Time
+	var hungFor time.Duration
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		hungCode, _, _ = postPredict(t, ts.URL, "tinynet", "", tinyBody)
-		hungDone = time.Now()
+		start := time.Now()
+		hungCode = postStatus(t, ts.URL, tinyBody)
+		hungFor = time.Since(start)
 	}()
 
-	// While tinynet's batch is wedged (3s injected delay vs 100ms
-	// deadline), lenet must keep answering.
-	lenetDone := time.Time{}
+	// While tinynet's forward is wedged, lenet must keep answering.
 	for i := 0; i < 3; i++ {
 		if code, _, _ := postPredict(t, ts.URL, "lenet", "", lenetBody); code != http.StatusOK {
 			t.Fatalf("lenet during wedge: status %d", code)
 		}
 	}
-	lenetDone = time.Now()
 	wg.Wait()
-
 	if hungCode != http.StatusGatewayTimeout {
-		t.Fatalf("hung tinynet batch: status %d, want 504", hungCode)
+		t.Fatalf("hung tinynet request: status %d, want 504", hungCode)
 	}
-	// The wedged batch was abandoned at the deadline, far before the
-	// injected delay elapsed — and lenet finished while it hung.
-	if hungDone.Before(lenetDone) {
-		// Fine: the watchdog verdict may land before the last lenet
-		// round-trip; the assertions above already proved both.
-		_ = lenetDone
+	if hungFor >= delay {
+		t.Fatalf("hung request answered after %v, not at its deadline", hungFor)
 	}
 
-	// The fault budget (1) is spent: tinynet's dispatcher moved on and
-	// the next batch runs clean.
+	// The fault budget (1) is spent and the abandoned forward gave its
+	// slot back: the next tinynet forward runs clean.
 	if code, _, _ := postPredict(t, ts.URL, "tinynet", "", tinyBody); code != http.StatusOK {
 		t.Fatalf("tinynet after wedge: status %d, want 200", code)
 	}
 }
 
-// TestDispatcherRestartsOnPanic injects a dispatcher-level panic: the
-// in-flight batch is answered with a 500 (the drain contract holds),
-// the supervisor restarts the dispatcher, and the model keeps serving.
-func TestDispatcherRestartsOnPanic(t *testing.T) {
+// TestServePanicAnswers500 injects a panic into a serving forward: the
+// request is answered with a 500, the breaker records the failure (with
+// a one-failure threshold the next request is shed with a 503), and once
+// the open interval passes the model serves again.
+func TestServePanicAnswers500(t *testing.T) {
 	_, ts := testServer(t, Config{
-		Models:   []string{"tinynet"},
-		BatchMax: 1,
-		Faults:   faults.Config{Seed: 7, ServePanicRate: 1, ServeLimit: 1},
+		Models:          []string{"tinynet"},
+		BreakerFailures: 1,
+		BreakerOpenFor:  50 * time.Millisecond,
+		BreakerProbes:   1,
+		Faults:          faults.Config{Seed: 7, ServePanicRate: 1, ServeLimit: 1},
 	})
 	body := jsonBody(t, tinyElems(t), 3).Bytes()
 
-	code, _, _ := postPredict(t, ts.URL, "tinynet", "", body)
-	if code != http.StatusInternalServerError {
-		t.Fatalf("panicked batch: status %d, want 500", code)
+	if code, _, _ := postPredict(t, ts.URL, "tinynet", "", body); code != http.StatusInternalServerError {
+		t.Fatalf("panicked forward: status %d, want 500", code)
 	}
-	for i := 0; i < 3; i++ {
-		if code, _, _ := postPredict(t, ts.URL, "tinynet", "", body); code != http.StatusOK {
-			t.Fatalf("request %d after restart: status %d, want 200", i, code)
+	if code, _, _ := postPredict(t, ts.URL, "tinynet", "", body); code != http.StatusServiceUnavailable {
+		t.Fatalf("after the panic: status %d, want 503 from the opened breaker", code)
+	}
+	awaitTrue(t, 5*time.Second, "the model to serve again", func() bool {
+		code, _, _ := postPredict(t, ts.URL, "tinynet", "", body)
+		return code == http.StatusOK
+	})
+}
+
+// TestBreakerProbeNotTakenByBadRequest: a request that never runs must
+// not hold the half-open probe slot. A malformed body arriving once the
+// open interval has passed is answered 400 without asking the breaker,
+// so the valid request after it is the probe and gets its 200.
+func TestBreakerProbeNotTakenByBadRequest(t *testing.T) {
+	const openFor = 100 * time.Millisecond
+	_, ts := testServer(t, Config{
+		Models:          []string{"tinynet"},
+		BreakerFailures: 1,
+		BreakerOpenFor:  openFor,
+		BreakerProbes:   1,
+		Faults:          faults.Config{Seed: 7, ServeErrRate: 1, ServeLimit: 1},
+	})
+	body := jsonBody(t, tinyElems(t), 3).Bytes()
+
+	if code, _, _ := postPredict(t, ts.URL, "tinynet", "", body); code != http.StatusInternalServerError {
+		t.Fatalf("faulted forward: status %d, want 500", code)
+	}
+	time.Sleep(openFor + 50*time.Millisecond) // wait out the open interval
+	if code, _, _ := postPredict(t, ts.URL, "tinynet", "", []byte(`{"input":`)); code != http.StatusBadRequest {
+		t.Fatalf("malformed body: status %d, want 400", code)
+	}
+	if code, _, _ := postPredict(t, ts.URL, "tinynet", "", body); code != http.StatusOK {
+		t.Fatalf("valid request after the malformed one: status %d, want 200", code)
+	}
+}
+
+// TestRetryAfterRoundsUp: a hint is whole seconds rounded up, so a client
+// that honors it never returns before the wait is over, and never less
+// than one.
+func TestRetryAfterRoundsUp(t *testing.T) {
+	for _, c := range []struct {
+		wait time.Duration
+		want string
+	}{
+		{0, "1"},
+		{1500 * time.Millisecond, "2"},
+		{2 * time.Second, "2"},
+	} {
+		if got := retryAfter(c.wait); got != c.want {
+			t.Errorf("retryAfter(%v) = %q, want %q", c.wait, got, c.want)
 		}
 	}
 }
@@ -285,7 +321,7 @@ func TestRegistryTransientParamsRetry(t *testing.T) {
 
 // TestGuardrailDegradesAndRecovers serves tinynet through a
 // pathological predictive plan (Th so high every window is speculated
-// to zero) and asserts the accuracy guardrail: the first audited batch
+// to zero) and asserts the accuracy guardrail: the first audited forward
 // observes the misprediction rate blowing the budget and degrades the
 // model to exact execution (responses flagged degraded), and after the
 // cooldown the model probes predictive mode again.
@@ -294,7 +330,6 @@ func TestGuardrailDegradesAndRecovers(t *testing.T) {
 	path := tinyParams(t, dir, 1e6)
 	s, ts := testServer(t, Config{
 		Models:           []string{"tinynet"},
-		BatchMax:         1,
 		ParamsFiles:      map[string]string{"tinynet": path},
 		MispredictBudget: 0.05,
 		GuardWindow:      4,
@@ -307,16 +342,16 @@ func TestGuardrailDegradesAndRecovers(t *testing.T) {
 	}
 	body := jsonBody(t, tinyElems(t), 3).Bytes()
 
-	// Batch 0 is audited: every window speculates to zero, so any truly
+	// Forward 0 is audited: every window speculates to zero, so any truly
 	// positive window is a misprediction — far over the 5% budget. The
 	// response itself ran predictively; degradation applies from the
-	// next batch.
+	// next forward.
 	code, pr, _ := postPredict(t, ts.URL, "tinynet", ModePredictive, body)
 	if code != http.StatusOK {
-		t.Fatalf("audited batch: status %d", code)
+		t.Fatalf("audited forward: status %d", code)
 	}
 	if pr.Degraded {
-		t.Fatal("audited batch itself flagged degraded")
+		t.Fatal("audited forward itself flagged degraded")
 	}
 
 	// /readyz and /v1/models surface the degradation.
@@ -330,7 +365,7 @@ func TestGuardrailDegradesAndRecovers(t *testing.T) {
 		t.Fatalf("readyz after degrade:\n%s", rz)
 	}
 
-	// Cooldown is 2 degraded batches; both serve through the exact
+	// Cooldown is 2 degraded forwards; both serve through the exact
 	// fallback and say so — in the body and in the X-Snapea-Degraded
 	// response header the gateway reads.
 	for i := 0; i < 2; i++ {
@@ -343,25 +378,25 @@ func TestGuardrailDegradesAndRecovers(t *testing.T) {
 		derr := json.NewDecoder(hr.Body).Decode(&pr)
 		hr.Body.Close()
 		if hr.StatusCode != http.StatusOK || derr != nil {
-			t.Fatalf("degraded batch %d: status %d, decode %v", i, hr.StatusCode, derr)
+			t.Fatalf("degraded forward %d: status %d, decode %v", i, hr.StatusCode, derr)
 		}
 		if !pr.Degraded {
-			t.Fatalf("degraded batch %d not flagged", i)
+			t.Fatalf("degraded forward %d not flagged", i)
 		}
 		if got := hr.Header.Get("X-Snapea-Degraded"); got != "1" {
-			t.Fatalf("degraded batch %d: X-Snapea-Degraded %q, want %q", i, got, "1")
+			t.Fatalf("degraded forward %d: X-Snapea-Degraded %q, want %q", i, got, "1")
 		}
 	}
 
-	// Recovered: the next batch runs predictively again (it is also the
+	// Recovered: the next forward runs predictively again (it is also the
 	// next audit, which will re-degrade — hysteresis needs MinWindows of
-	// fresh evidence, which one tinynet batch provides — but this batch
+	// fresh evidence, which one tinynet forward provides — but this forward
 	// itself is served predictive).
 	code, pr, _ = postPredict(t, ts.URL, "tinynet", ModePredictive, body)
 	if code != http.StatusOK {
-		t.Fatalf("post-recovery batch: status %d", code)
+		t.Fatalf("post-recovery forward: status %d", code)
 	}
 	if pr.Degraded {
-		t.Fatal("post-recovery batch still degraded")
+		t.Fatal("post-recovery forward still degraded")
 	}
 }

@@ -1,28 +1,24 @@
-// Package serve is the batched inference serving subsystem: a
-// stdlib-only HTTP server that runs compiled SnaPEA networks under
-// concurrent load, making the engine's compute savings observable as
-// request latency.
+// Package serve is the inference serving subsystem: a stdlib-only HTTP
+// server that runs compiled SnaPEA networks under concurrent load,
+// making the engine's compute savings observable as request latency.
 //
 // Architecture:
 //
 //   - a model registry lazily compiles and caches snapea.Network plans
 //     keyed by (model, mode) with singleflight dedup, so a burst of cold
 //     requests compiles once (registry.go);
-//   - a per-model dynamic micro-batching scheduler queues requests,
-//     takes whatever is waiting (up to BatchMax) the moment its
-//     dispatcher is free — it never sleeps for partners — runs one
-//     batched Forward on the shared worker pool, and fans results back
-//     per request (batcher.go);
-//   - admission control bounds each queue; overflow is rejected
-//     immediately (the HTTP layer answers 429 with Retry-After), and a
-//     request whose deadline expires while queued gets a 504 while its
-//     batch proceeds without it;
-//   - graceful shutdown stops admission and drains every accepted
-//     request before the dispatchers exit.
+//   - a per-model admission gate runs one batch-1 Forward per request:
+//     a request takes a free one of GOMAXPROCS run slots, or else one of
+//     QueueDepth waiting places (429 with Retry-After when those are
+//     full too) and waits there under its deadline (504 if the deadline
+//     comes first); its Forward runs on its own goroutine with the
+//     request deadline as the watchdog (gate.go);
+//   - graceful shutdown stops admission and answers every admitted
+//     request before Close returns.
 //
-// All serve metrics are runtime metrics: batch composition depends on
-// arrival timing and scheduling, so none of them may enter the
-// deterministic snapshot section (see DESIGN.md, "Serving").
+// All serve metrics are runtime metrics: queue waits and which requests
+// overlap depend on arrival timing and scheduling, so none of them may
+// enter the deterministic snapshot section (see DESIGN.md, "Serving").
 package serve
 
 import (
@@ -71,20 +67,16 @@ type Config struct {
 	// ParamsFiles maps model names to Algorithm 1 parameter files for
 	// predictive-mode serving.
 	ParamsFiles map[string]string
-	// BatchMax caps a batch at this many requests (default 8).
-	BatchMax int
-	// QueueDepth bounds each model's request queue; an arrival beyond it
-	// is rejected with 429 (default 64).
+	// QueueDepth bounds the requests each model holds waiting for a run
+	// slot; an arrival beyond it is rejected with 429 (default 64).
 	QueueDepth int
 	// RequestTimeout is the per-request deadline applied on top of the
-	// client's context (default 5s; <0 disables).
+	// client's context (default 5s; <0 disables). It is also the
+	// watchdog: a forward still running past it fails with ErrWatchdog
+	// and is abandoned, isolating a hung model from the rest of the
+	// server.
 	RequestTimeout time.Duration
-	// BatchDeadline is the watchdog budget for one batch execution; a
-	// batch still running past it fails with ErrBatchDeadline and is
-	// abandoned, isolating a hung model from the rest of the server
-	// (default 30s; <0 disables).
-	BatchDeadline time.Duration
-	// BreakerFailures consecutive batch failures open a model's circuit
+	// BreakerFailures consecutive failed forwards open a model's circuit
 	// breaker (default 5; <0 disables the breaker entirely).
 	BreakerFailures int
 	// BreakerOpenFor is how long an open breaker rejects before
@@ -99,16 +91,16 @@ type Config struct {
 	// model to exact execution until the cooldown elapses (default 0 =
 	// guardrail disabled).
 	MispredictBudget float64
-	// GuardWindow is the guardrail's sliding window in audited batches
+	// GuardWindow is the guardrail's sliding window in audited forwards
 	// (default 32).
 	GuardWindow int
 	// GuardMinWindows is the minimum convolution-window coverage before
 	// the guardrail judges the rate (default 512).
 	GuardMinWindows int64
-	// GuardCooldown is how many degraded batches a model serves before
+	// GuardCooldown is how many degraded forwards a model serves before
 	// the guardrail probes predictive mode again (default 16).
 	GuardCooldown int
-	// AuditEvery runs every Nth healthy predictive batch with exact
+	// AuditEvery runs every Nth healthy predictive forward with exact
 	// misprediction accounting (RunOpts.CollectPrediction) to feed the
 	// guardrail; auditing costs the speculated windows' dense MACs, so
 	// the cadence trades oversight for throughput (default 8; <0
@@ -144,17 +136,11 @@ type Config struct {
 }
 
 func (c Config) normalize() Config {
-	if c.BatchMax == 0 {
-		c.BatchMax = 8
-	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 64
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 5 * time.Second
-	}
-	if c.BatchDeadline == 0 {
-		c.BatchDeadline = 30 * time.Second
 	}
 	if c.BreakerFailures == 0 {
 		c.BreakerFailures = 5
@@ -256,7 +242,7 @@ func (s *Server) Preload(ctx context.Context) error {
 
 // BeginDrain flips /readyz to 503 so load balancers stop routing here,
 // and stops admitting new predictions (503 + Retry-After). Requests
-// already admitted keep draining: the batchers stay open until Close.
+// already admitted keep draining: the gates stay open until Close.
 // Call it before http.Server.Shutdown, which waits for those in-flight
 // handlers.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
@@ -271,7 +257,7 @@ type predictResponse struct {
 	Mode         string    `json:"mode"`
 	Class        int       `json:"class"`
 	Logits       []float32 `json:"logits"`
-	BatchSize    int       `json:"batch_size"`
+	BatchSize    int       `json:"batch_size"` // always 1: a forward is a batch of one
 	QueueUS      int64     `json:"queue_us"`
 	InferUS      int64     `json:"infer_us"`
 	TotalUS      int64     `json:"total_us"`
@@ -372,10 +358,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Drain gate: after BeginDrain, new work is refused up here rather
-	// than racing the batcher teardown below. A request that passed this
+	// than racing the gate teardown below. A request that passed this
 	// check before the flag flipped is admitted work — http.Server.
-	// Shutdown waits for its handler, and the batchers are not closed
-	// until after Shutdown returns, so it still gets a real answer.
+	// Shutdown waits for its handler, and the gates are not closed until
+	// after Shutdown returns, so it still gets a real answer.
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", "1")
 		s.fail(w, r, http.StatusServiceUnavailable, ErrShuttingDown)
@@ -410,48 +396,29 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Circuit breaker: while this model's batches are failing, shed its
-	// load immediately instead of queueing requests into a broken
-	// pipeline. The Retry-After hint is the breaker's remaining open
-	// time, so well-behaved clients return right when probes begin.
-	if ra, berr := e.breaker.Allow(); berr != nil {
-		w.Header().Set("Retry-After", retryAfter(ra))
-		if metrics.Enabled() {
-			metrics.RC("serve.breaker_rejects", metrics.Labels{"model": model, "mode": mode}).Add(1)
-		}
-		s.fail(w, r, statusOf(berr), berr)
-		return
-	}
-
 	input, err := s.decodeInput(r, e)
 	if err != nil {
 		s.fail(w, r, http.StatusBadRequest, err)
 		return
 	}
 
-	req := &request{ctx: ctx, input: input, enq: time.Now(), resp: make(chan response, 1)}
-	if err := e.batcher.enqueue(req); err != nil {
-		s.pool.Put(input)
-		if errors.Is(err, ErrQueueFull) {
+	resp := e.gate.run(ctx, input)
+	if resp.err != nil {
+		switch {
+		case errors.Is(resp.err, ErrQueueFull):
 			// A slot frees within one Forward; a second is the smallest
 			// hint the header can carry (the gateway writes the same).
 			w.Header().Set("Retry-After", "1")
+		case errors.Is(resp.err, resilience.ErrOpen):
+			// Circuit breaker: while this model's forwards are failing,
+			// its load is shed instead of run into a broken pipeline. The
+			// hint is the breaker's remaining open time, so well-behaved
+			// clients return right when probes begin.
+			w.Header().Set("Retry-After", retryAfter(resp.retryAfter))
+			if metrics.Enabled() {
+				metrics.RC("serve.breaker_rejects", metrics.Labels{"model": model, "mode": mode}).Add(1)
+			}
 		}
-		s.fail(w, r, statusOf(err), err)
-		return
-	}
-
-	var resp response
-	select {
-	case resp = <-req.resp:
-	case <-ctx.Done():
-		// The dispatcher still owns the request and will drop it at the
-		// next batch; the buffered resp channel means it never blocks on
-		// us being gone.
-		s.fail(w, r, http.StatusGatewayTimeout, ctx.Err())
-		return
-	}
-	if resp.err != nil {
 		s.fail(w, r, statusOf(resp.err), resp.err)
 		return
 	}
@@ -463,11 +430,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		metrics.RH("serve.e2e_us", lbl, latencyBoundsUS).Observe(total.Microseconds())
 	}
 	w.Header().Set("Content-Type", "application/json")
-	// Per-response observability headers: the cluster gateway (and any
-	// operator with curl -i) reads batching and degrade behavior off the
-	// response itself instead of scraping /metricsz and guessing which
-	// request rode which batch.
-	w.Header().Set("X-Snapea-Batch-Size", strconv.Itoa(resp.batch))
+	// Per-response observability header: the cluster gateway (and any
+	// operator with curl -i) reads degrade behavior off the response
+	// itself instead of scraping /metricsz.
 	if resp.degraded {
 		w.Header().Set("X-Snapea-Degraded", "1")
 	} else {
@@ -478,7 +443,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		Mode:         mode,
 		Class:        resp.class,
 		Logits:       resp.logits,
-		BatchSize:    resp.batch,
+		BatchSize:    1,
 		QueueUS:      resp.queueWait.Microseconds(),
 		InferUS:      resp.inferTime.Microseconds(),
 		TotalUS:      total.Microseconds(),
@@ -575,7 +540,7 @@ func statusOf(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, errBadRequest):
 		return http.StatusBadRequest
-	case errors.Is(err, ErrBatchDeadline),
+	case errors.Is(err, ErrWatchdog),
 		errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusGatewayTimeout
 	default:
@@ -584,9 +549,10 @@ func statusOf(err error) int {
 }
 
 // retryAfter renders a back-off hint (breaker open time, heal backoff)
-// in the whole seconds Retry-After requires, never less than one.
+// in the whole seconds Retry-After requires, rounded up so a client that
+// honors it does not return early, and never less than one.
 func retryAfter(wait time.Duration) string {
-	secs := int64(wait / time.Second)
+	secs := int64((wait + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1
 	}

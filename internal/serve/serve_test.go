@@ -10,13 +10,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
-	"snapea/internal/faults"
 	"snapea/internal/metrics"
 	"snapea/internal/models"
 	"snapea/internal/tensor"
@@ -31,6 +29,29 @@ func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		s.Close()
 	})
 	return s, ts
+}
+
+// preload compiles the configured models, so that a short request
+// deadline times the request rather than a first compile.
+func preload(t *testing.T, s *Server) {
+	t.Helper()
+	if err := s.Preload(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// postStatus posts a tinynet request and returns its status; unlike
+// postPredict it is safe on a goroutine other than the test's own (a
+// transport error is reported with t.Error and reads as status 0).
+func postStatus(t *testing.T, url string, body []byte) int {
+	resp, err := http.Post(url+"/v1/predict?model=tinynet", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Error(err)
+		return 0
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
 }
 
 func jsonBody(t *testing.T, elems int, seed uint64) *bytes.Buffer {
@@ -76,15 +97,11 @@ func TestPredictEndToEnd(t *testing.T) {
 	if len(pr.Logits) != 10 || pr.Class < 0 || pr.Class > 9 {
 		t.Fatalf("logits/class: %+v", pr)
 	}
-	if pr.BatchSize < 1 || pr.TotalUS <= 0 {
+	if pr.BatchSize != 1 || pr.TotalUS <= 0 {
 		t.Fatalf("timing/batch fields: %+v", pr)
 	}
-	// The per-response observability headers mirror the body: batch size
-	// as an integer, degrade flag as 0/1 (the gateway reads these without
-	// parsing JSON).
-	if bs, err := strconv.Atoi(resp.Header.Get("X-Snapea-Batch-Size")); err != nil || bs != pr.BatchSize {
-		t.Fatalf("X-Snapea-Batch-Size %q, want %d", resp.Header.Get("X-Snapea-Batch-Size"), pr.BatchSize)
-	}
+	// The degrade flag mirrors the body as 0/1 (the gateway reads it
+	// without parsing JSON).
 	if got := resp.Header.Get("X-Snapea-Degraded"); got != "0" {
 		t.Fatalf("X-Snapea-Degraded %q, want %q on a healthy model", got, "0")
 	}
@@ -309,139 +326,43 @@ func TestMetricszAndPoolReuse(t *testing.T) {
 	}
 }
 
-// TestConcurrentLoadBatches asserts over HTTP that requests arriving
-// while the dispatcher is busy leave as batches larger than one — the
-// core batching property the CI smoke also checks. The first batch is
-// held in forward by an injected delay (the only one: ServeLimit 1) and
-// the concurrent burst is posted only once that batch has been
-// dispatched, so the burst queues behind a busy dispatcher by
-// construction rather than by winning a race with its wake-up.
-func TestConcurrentLoadBatches(t *testing.T) {
-	s, ts := testServer(t, Config{
-		Models: []string{"tinynet"}, BatchMax: 8, QueueDepth: 256,
-		Faults: faults.Config{Seed: 1, ServeDelay: 50 * time.Millisecond, ServeLimit: 1},
-	})
-	if err := s.Preload(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	e, err := s.reg.get(context.Background(), modelKey{Model: "tinynet", Mode: ModeExact})
-	if err != nil {
-		t.Fatal(err)
-	}
-	elems := tinyElems(t)
+// TestPredictQueueFull429 drives overflow through the HTTP layer: with
+// every run slot held and the one waiting place taken, the next request
+// is rejected with 429 and a Retry-After hint, and the admitted requests
+// are unharmed.
+func TestPredictQueueFull429(t *testing.T) {
+	s, ts := testServer(t, Config{QueueDepth: 1})
+	e, h := holdEntry(t, s)
+	body := jsonBody(t, tinyElems(t), 3).Bytes()
 
-	const n = 32
-	sizes := make([]int, 1+n)
+	slots := runtime.GOMAXPROCS(0)
+	codes := make([]int, slots+1)
 	var wg sync.WaitGroup
 	post := func(i int) {
 		defer wg.Done()
-		resp, err := http.Post(ts.URL+"/v1/predict?model=tinynet", "application/json", jsonBody(t, elems, uint64(i+1)))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		defer resp.Body.Close()
-		var pr predictResponse
-		if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&pr) != nil {
-			t.Errorf("request %d: status %d", i, resp.StatusCode)
-			return
-		}
-		sizes[i] = pr.BatchSize
+		codes[i] = postStatus(t, ts.URL, body)
 	}
-	wg.Add(1)
-	go post(0)
-	for deadline := time.Now().Add(10 * time.Second); e.batcher.batchSeq.Load() == 0; { // batch 0 not yet dispatched
-		if time.Now().After(deadline) {
-			t.Fatal("first request never dispatched")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	for i := 1; i <= n; i++ {
+	for i := 0; i < slots; i++ {
 		wg.Add(1)
 		go post(i)
 	}
+	h.awaitEntered(t, slots)
+	wg.Add(1)
+	go post(slots)
+	awaitWaiting(t, e.gate, 1)
+
+	code, _, ra := postPredict(t, ts.URL, "tinynet", "", body)
+	if code != http.StatusTooManyRequests {
+		t.Fatalf("request past a full queue: status %d, want 429", code)
+	}
+	if ra != "1" {
+		t.Fatalf("429 Retry-After %q, want %q", ra, "1")
+	}
+	h.releaseAll()
 	wg.Wait()
-	if sizes[0] != 1 {
-		t.Fatalf("held request ran in a batch of %d, want 1", sizes[0])
-	}
-	maxBatch := 0
-	for _, s := range sizes[1:] {
-		maxBatch = max(maxBatch, s)
-	}
-	if maxBatch < 2 {
-		t.Fatalf("no request ran in a batch > 1 (sizes %v)", sizes)
-	}
-}
-
-// TestPredictQueueFull429 drives overflow through the HTTP layer:
-// BatchMax 1 keeps the dispatcher busy one Forward per request while
-// concurrent posts overfill the 1-slot queue, so some must be rejected
-// with 429 — and the 429 must carry a Retry-After hint and leave the
-// accepted requests unharmed.
-func TestPredictQueueFull429(t *testing.T) {
-	_, ts := testServer(t, Config{
-		Models: []string{"tinynet"}, BatchMax: 1, QueueDepth: 1,
-	})
-	elems := tinyElems(t)
-	body := jsonBody(t, elems, 3).Bytes()
-
-	var (
-		mu          sync.Mutex
-		ok, full    int
-		retryAfters []string
-	)
-	post := func() {
-		resp, err := http.Post(ts.URL+"/v1/predict?model=tinynet", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		defer resp.Body.Close()
-		io.Copy(io.Discard, resp.Body)
-		mu.Lock()
-		defer mu.Unlock()
-		switch resp.StatusCode {
-		case http.StatusOK:
-			ok++
-		case http.StatusTooManyRequests:
-			full++
-			retryAfters = append(retryAfters, resp.Header.Get("Retry-After"))
-		default:
-			t.Errorf("unexpected status %d", resp.StatusCode)
-		}
-	}
-
-	// Rounds of concurrent posts until a rejection is observed; each
-	// round outnumbers queue capacity (1 queued + 1 in the dispatcher)
-	// several times over, so overflow is all but immediate.
-	for round := 0; round < 100; round++ {
-		var wg sync.WaitGroup
-		for i := 0; i < 16; i++ {
-			wg.Add(1)
-			go func() { defer wg.Done(); post() }()
-		}
-		wg.Wait()
-		mu.Lock()
-		done := full > 0
-		mu.Unlock()
-		if done {
-			break
-		}
-	}
-
-	if full == 0 {
-		t.Fatalf("no 429 after sustained overflow (%d accepted)", ok)
-	}
-	if ok == 0 {
-		t.Fatal("overflow rejected everything; some requests must still succeed")
-	}
-	for _, ra := range retryAfters {
-		if ra == "" {
-			t.Fatal("429 without Retry-After header")
-		}
-		var secs int
-		if _, err := fmt.Sscanf(ra, "%d", &secs); err != nil || secs < 1 {
-			t.Fatalf("Retry-After %q: want a positive whole-second value", ra)
+	for i, c := range codes {
+		if c != http.StatusOK {
+			t.Fatalf("admitted request %d: status %d, want 200", i, c)
 		}
 	}
 }

@@ -32,7 +32,7 @@
 //
 //	snapea-bench -exp fig8 -metrics snap.json
 //	go run ./internal/tools/metricscheck -nonzero engine.windows,sim.cycles snap.json
-//	go run ./internal/tools/metricscheck -nonzero-runtime serve.requests,serve.batch_gt1 serve.json
+//	go run ./internal/tools/metricscheck -nonzero-runtime serve.requests,serve.batches serve.json
 //	go run ./internal/tools/metricscheck -resilience -nonzero-runtime serve.breaker_opens chaos.json
 //	go run ./internal/tools/metricscheck -gateway -max-ratio gateway.hedges_fired/gateway.requests=0.1 gw.json
 package main

@@ -5,18 +5,18 @@
 # injected fault, driving it with snapea-load, SIGTERMing it, and
 # validating the supervision metrics in the snapshot:
 #
-#   1. circuit breaker: a transient batch-error storm (six injected
+#   1. circuit breaker: a transient forward-error storm (six injected
 #      failures) opens the breaker; clients back off per Retry-After,
 #      half-open probes burn through the storm, and a final strict
 #      all-200 load proves the breaker closed again — self-healing with
 #      no restart;
 #   2. watchdog/bulkhead: a stuck-kernel fault (10s injected delay vs a
-#      300ms batch deadline) wedges tinynet's first batch; the hung
-#      batch alone fails (504), lenet keeps serving throughout, and
-#      tinynet's own next batch runs clean;
+#      300ms request deadline) wedges tinynet's first forward; the hung
+#      request alone fails (504), lenet keeps serving throughout, and
+#      tinynet's own next forward runs clean;
 #   3. accuracy guardrail: a pathological predictive plan (Th so high
 #      every window speculates to zero) blows the misprediction budget
-#      on the first audited batch; the model degrades to exact
+#      on the first audited forward; the model degrades to exact
 #      execution, serves through the cooldown, and recovers —
 #      every response a 200 the whole way.
 #
@@ -62,14 +62,14 @@ stop_server() {
 # ---- Phase 1: circuit breaker opens, sheds load, and recovers --------
 echo "chaos-smoke: phase 1 (circuit breaker)"
 "$dir/snapea-serve" -addr localhost:0 -addr-file "$dir/addr1" \
-    -models tinynet -batch 1 \
+    -models tinynet \
     -breaker-failures 3 -breaker-open 500ms -breaker-probes 1 \
     -fault-serve-err 1 -fault-serve-limit 6 \
     -metrics "$dir/chaos1.json" &
 srv_pid=$!
 addr=$(wait_addr "$dir/addr1")
 
-# The storm: 500s from faulted batches, 503s once the breaker opens.
+# The storm: 500s from faulted forwards, 503s once the breaker opens.
 # Clients honor Retry-After, so their retries double as half-open
 # probes; the run must end with the storm absorbed.
 "$dir/snapea-load" -url "http://$addr" -model tinynet -n 40 -c 4 \
@@ -84,28 +84,28 @@ stop_server
     -nonzero-runtime serve.requests,serve.batch_failures,serve.breaker_opens,serve.breaker_transitions,serve.breaker_rejects \
     "$dir/chaos1.json"
 
-# ---- Phase 2: watchdog abandons a hung batch; bulkhead holds ---------
+# ---- Phase 2: watchdog abandons a hung forward; bulkhead holds -------
 echo "chaos-smoke: phase 2 (watchdog + bulkhead)"
 "$dir/snapea-serve" -addr localhost:0 -addr-file "$dir/addr2" \
-    -models tinynet,lenet -batch 1 \
-    -batch-deadline 300ms \
+    -models tinynet,lenet \
+    -request-timeout 300ms \
     -fault-serve-delay 10s -fault-serve-limit 1 -fault-serve-target tinynet/exact \
     -metrics "$dir/chaos2.json" &
 srv_pid=$!
 addr=$(wait_addr "$dir/addr2")
 
-# Wedge tinynet: its first batch hangs on the injected 10s delay and
+# Wedge tinynet: its first forward hangs on the injected 10s delay and
 # must come back as a watchdog 504 at the 300ms deadline.
 "$dir/snapea-load" -url "http://$addr" -model tinynet -n 1 -c 1 \
     -retries 0 -allow 504 >/dev/null
 
-# The bulkhead: lenet serves normally while tinynet's abandoned batch
+# The bulkhead: lenet serves normally while tinynet's abandoned forward
 # is still sleeping off its injected delay.
 "$dir/snapea-load" -url "http://$addr" -model lenet -n 30 -c 4 \
     -allow 200 >/dev/null
 
-# The fault budget is spent: tinynet's dispatcher moved on, next batch
-# is clean.
+# The fault budget is spent and the abandoned forward gave its run slot
+# back: tinynet's next forward is clean.
 "$dir/snapea-load" -url "http://$addr" -model tinynet -n 4 -c 1 \
     -allow 200 >/dev/null
 
@@ -138,7 +138,6 @@ cat > "$dir/bad-params.json" <<'EOF'
 EOF
 "$dir/snapea-serve" -addr localhost:0 -addr-file "$dir/addr3" \
     -models tinynet -params "tinynet=$dir/bad-params.json" \
-    -batch 4 \
     -mispredict-budget 0.05 -audit-every 1 -guard-window 4 -guard-cooldown 4 \
     -metrics "$dir/chaos3.json" &
 srv_pid=$!

@@ -35,7 +35,7 @@ $GO build -o "$dir/snapea-load" ./cmd/snapea-load
 
 for i in 1 2 3; do
     "$dir/snapea-serve" -addr localhost:0 -addr-file "$dir/addr$i" \
-        -models tinynet -batch 8 -queue 256 &
+        -models tinynet -queue 256 &
     eval "rep$i=\$!"
     pids="$pids $!"
 done

@@ -56,7 +56,7 @@ stop_server() {
 # ---- Phase 1: golden capture from a clean server ---------------------
 echo "integrity-smoke: phase 1 (golden capture)"
 "$dir/snapea-serve" -addr localhost:0 -addr-file "$dir/addr1" \
-    -models tinynet -batch 1 &
+    -models tinynet &
 srv_pid=$!
 addr=$(wait_addr "$dir/addr1")
 
@@ -81,7 +81,7 @@ stop_server
 # ---- Phase 2: detect -> quarantine -> heal -> no wrong 200 -----------
 echo "integrity-smoke: phase 2 (quarantine and heal)"
 "$dir/snapea-serve" -addr localhost:0 -addr-file "$dir/addr2" \
-    -models tinynet -batch 1 \
+    -models tinynet \
     -fault-weight-bitflip 1 -fault-weight-flip-limit 1 -fault-seed 7 \
     -canary-every 50ms -scrub-interval 50ms -scrub-mbps -1 -heal-backoff 50ms \
     -metrics "$dir/integrity-metrics.json" &
@@ -157,8 +157,7 @@ fi
 "$dir/snapea-model" -checksum "$dir/params.json" >/dev/null
 "$dir/snapea-model" -verify "$dir/params.json" >/dev/null
 "$dir/snapea-serve" -addr localhost:0 -addr-file "$dir/addr3" \
-    -models tinynet -params "tinynet=$dir/params.json" -require-checksums \
-    -batch 1 &
+    -models tinynet -params "tinynet=$dir/params.json" -require-checksums &
 srv_pid=$!
 addr=$(wait_addr "$dir/addr3")
 "$dir/snapea-load" -url "http://$addr" -model tinynet -mode predictive \

@@ -1,5 +1,5 @@
 #!/bin/sh
-# serve_smoke.sh — end-to-end smoke of the batched inference serving
+# serve_smoke.sh — end-to-end smoke of the inference serving
 # subsystem, run by `make serve-smoke` (part of `make ci`):
 #
 #   1. build snapea-serve and snapea-load;
@@ -10,9 +10,7 @@
 #      not-ready → ready transition) and exits nonzero unless every
 #      response is 200 or 429;
 #   4. SIGTERM the server and wait for a clean drain (exit 0);
-#   5. validate the serve counters in the metrics snapshot — including
-#      serve.batch_gt1, which proves the scheduler actually formed
-#      batches larger than one under concurrent load.
+#   5. validate the serve counters in the metrics snapshot.
 set -eu
 
 GO=${GO:-go}
@@ -28,7 +26,7 @@ $GO build -o "$dir/snapea-serve" ./cmd/snapea-serve
 $GO build -o "$dir/snapea-load" ./cmd/snapea-load
 
 "$dir/snapea-serve" -addr localhost:0 -addr-file "$dir/addr" \
-    -models tinynet -batch 8 -queue 128 \
+    -models tinynet -queue 128 \
     -metrics "$dir/serve-metrics.json" &
 srv_pid=$!
 
@@ -52,7 +50,7 @@ wait "$srv_pid"
 srv_pid=
 
 $GO run ./internal/tools/metricscheck \
-    -nonzero-runtime serve.requests,serve.batches,serve.batch_gt1,serve.compile_cache.misses,serve.tensor_pool.hits \
+    -nonzero-runtime serve.requests,serve.batches,serve.compile_cache.misses,serve.tensor_pool.hits \
     "$dir/serve-metrics.json"
 
 echo "serve-smoke: ok"
