@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fmt vet vet-snapea fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke chaos-smoke cluster-smoke integrity-smoke ci clean
+.PHONY: build test race fmt vet vet-snapea fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke chaos-smoke integrity-smoke ci clean
 
 build:
 	$(GO) build ./...
@@ -55,7 +55,7 @@ ledger-smoke:
 # One iteration of every benchmark — catches bit-rotted bench code
 # without paying for real measurements.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/nn ./internal/snapea ./internal/metrics ./internal/serve ./internal/cluster
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/nn ./internal/snapea ./internal/metrics ./internal/serve
 
 # Determinism gate: outputs, traces, and checkpoints must be identical
 # for every worker count, even when the scheduler has real parallelism
@@ -86,13 +86,6 @@ serve-smoke:
 chaos-smoke:
 	GO=$(GO) sh scripts/chaos_smoke.sh
 
-# Cluster smoke: 3 snapea-serve replicas behind snapea-gateway, measure
-# the gateway's p50 overhead against a direct run (<1ms), SIGTERM one
-# replica mid-run with zero failed accepted requests, and validate the
-# gateway.* metrics including the enforced hedge budget.
-cluster-smoke:
-	GO=$(GO) sh scripts/cluster_smoke.sh
-
 # Integrity smoke: an injected one-bit weight flip is detected by the
 # startup canary, quarantined, healed, and the healed server's answers
 # match a clean server's golden bit-for-bit; plus the checksummed-
@@ -101,7 +94,7 @@ integrity-smoke:
 	GO=$(GO) sh scripts/integrity_smoke.sh
 
 # The tier-1+ gate: everything CI runs before a merge.
-ci: fmt vet vet-snapea build race fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke chaos-smoke cluster-smoke integrity-smoke
+ci: fmt vet vet-snapea build race fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke chaos-smoke integrity-smoke
 
 clean:
 	$(GO) clean ./...

@@ -1,23 +1,19 @@
 // Command snapea-gateway is the cluster front tier: one HTTP endpoint
-// fanning /v1/predict across a fleet of snapea-serve replicas, with
-// health-aware routing, passive ejection, tail-latency hedging, and
-// zero-downtime drain.
+// fanning /v1/predict across a fixed fleet of snapea-serve replicas,
+// with power-of-two-choices routing on in-flight requests, /readyz
+// probe ejection, sequential failover and zero-downtime drain.
 //
 //	snapea-gateway -replicas http://h1:8080,http://h2:8080,http://h3:8080
-//	snapea-gateway -replicas-file fleet.txt -policy hash -hedge-budget 0.05
 //	snapea-gateway -addr localhost:0 -addr-file gateway.addr -metrics gw-metrics.json
 //
-// Endpoints: POST /v1/predict (proxied with failover and hedging),
-// GET /v1/models (proxied), GET /v1/replicas (fleet admin view),
-// /healthz, /readyz (200 while accepting and ≥1 replica is healthy),
-// /metricsz.
+// Endpoints: POST /v1/predict (proxied with failover), GET /v1/models
+// (proxied), /healthz, /readyz (200 while accepting and ≥1 replica is
+// healthy), /metricsz.
 //
-// SIGHUP re-reads -replicas-file and applies the new membership without
-// dropping in-flight requests: removed replicas stop receiving new
-// picks and drain naturally. SIGINT/SIGTERM (or -timeout) triggers
-// graceful shutdown mirroring snapea-serve's exact-drain contract one
-// tier up: /readyz flips to 503, new predictions are refused, in-flight
-// proxied requests finish, then the process exits 0.
+// SIGINT/SIGTERM (or -timeout) triggers graceful shutdown mirroring
+// snapea-serve's exact-drain contract one tier up: /readyz flips to 503,
+// new predictions are refused, in-flight proxied requests finish, then
+// the process exits 0. Bad flags or a bad replica list exit 2.
 package main
 
 import (
@@ -25,12 +21,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"snapea/internal/atomicfile"
@@ -39,34 +34,72 @@ import (
 	"snapea/internal/metrics"
 )
 
+// options is the parsed command line.
+type options struct {
+	addr, addrFile string
+	replicas       string
+	drain, timeout time.Duration
+	cluster        cluster.Config
+	obs            *cli.ObsFlagGroup
+}
+
+// registerFlags registers every snapea-gateway flag on fs.
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.addr, "addr", "localhost:9090", "listen address (use port 0 for an ephemeral port)")
+	fs.StringVar(&o.addrFile, "addr-file", "", "write the bound address to this file once listening (for scripts driving an ephemeral port)")
+	fs.StringVar(&o.replicas, "replicas", "", "comma-separated snapea-serve base URLs")
+	fs.DurationVar(&o.cluster.ProbeInterval, "probe-interval", 250*time.Millisecond, "replica /readyz poll period")
+	fs.DurationVar(&o.cluster.ProbeTimeout, "probe-timeout", time.Second, "per-probe timeout")
+	fs.IntVar(&o.cluster.ProbeFailures, "probe-failures", 2, "consecutive failed probes that eject a replica")
+	fs.IntVar(&o.cluster.Attempts, "attempts", 3, "max sequential failover attempts per request, including the first")
+	fs.DurationVar(&o.cluster.RequestTimeout, "request-timeout", 15*time.Second, "end-to-end deadline per gateway request")
+	fs.DurationVar(&o.drain, "drain-timeout", 15*time.Second, "graceful-shutdown drain budget")
+	fs.DurationVar(&o.timeout, "timeout", 0, "stop serving after this duration (0 = until signalled)")
+	o.obs = cli.ObsFlags(fs)
+	return o
+}
+
+// setup parses args (usage and parse errors go to out), applies the
+// SNAPEA_GATEWAY_* and observability environment defaults, and builds
+// the gateway, which validates the replica list. It returns
+// flag.ErrHelp for -h.
+func setup(args []string, out io.Writer) (*options, *cluster.Gateway, error) {
+	fs := flag.NewFlagSet("snapea-gateway", flag.ContinueOnError)
+	fs.SetOutput(out)
+	o := registerFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, nil, err
+	}
+	if err := cli.ApplyEnv(fs, cli.GatewayEnv(), cli.ObsEnv()); err != nil {
+		return nil, nil, err
+	}
+	for _, v := range strings.Split(o.replicas, ",") {
+		if v = strings.TrimSpace(v); v != "" {
+			o.cluster.Replicas = append(o.cluster.Replicas, v)
+		}
+	}
+	if len(o.cluster.Replicas) == 0 {
+		return nil, nil, errors.New("no replicas: set -replicas")
+	}
+	g, err := cluster.New(o.cluster)
+	if err != nil {
+		return nil, nil, err
+	}
+	return o, g, nil
+}
+
 func main() {
-	addr := flag.String("addr", "localhost:9090", "listen address (use port 0 for an ephemeral port)")
-	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening (for scripts driving an ephemeral port)")
-	replicas := flag.String("replicas", "", "comma-separated snapea-serve base URLs")
-	replicasFile := flag.String("replicas-file", "", "file with one replica URL per line (#-comments allowed); SIGHUP re-reads it")
-	policy := flag.String("policy", cluster.PolicyP2C, "routing policy: p2c (power-of-two-choices on in-flight) or hash (consistent-hash on model name)")
-	probeInterval := flag.Duration("probe-interval", 250*time.Millisecond, "replica /readyz poll period")
-	probeTimeout := flag.Duration("probe-timeout", time.Second, "per-probe timeout")
-	probeFailures := flag.Int("probe-failures", 2, "consecutive failed probes that eject a replica")
-	ejectFailures := flag.Int("eject-failures", 3, "consecutive proxied-request failures that open a replica's breaker (<0 disables passive ejection)")
-	ejectOpen := flag.Duration("eject-open", 2*time.Second, "how long an ejected replica is skipped before a trial request")
-	ejectProbes := flag.Int("eject-probes", 1, "consecutive trial successes that restore an ejected replica")
-	hedgeQuantile := flag.Float64("hedge-quantile", 0.95, "latency quantile that arms the hedge timer (<0 disables hedging)")
-	hedgeBudget := flag.Float64("hedge-budget", 0.1, "max hedges as a fraction of requests (<0 disables hedging)")
-	hedgeMin := flag.Duration("hedge-min", time.Millisecond, "hedge delay floor")
-	hedgeMax := flag.Duration("hedge-max", 500*time.Millisecond, "hedge delay ceiling")
-	attempts := flag.Int("attempts", 3, "max sequential failover attempts per request, including the first")
-	reqTimeout := flag.Duration("request-timeout", 15*time.Second, "end-to-end deadline per gateway request")
-	drain := flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown drain budget")
-	timeout := flag.Duration("timeout", 0, "stop serving after this duration (0 = until signalled)")
-	seed := flag.Uint64("seed", 42, "router RNG seed")
-	obs := cli.ObsFlags(nil)
-	flag.Parse()
-	if err := cli.ApplyEnv(nil, cli.GatewayEnv(), cli.ObsEnv()); err != nil {
-		cli.Fatalf("snapea-gateway", "%v", err)
+	o, g, err := setup(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		cli.Exit(0)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "snapea-gateway: %v\n", err)
+		cli.Exit(2)
 	}
 
-	obsStop, err := obs.Start("snapea-gateway")
+	obsStop, err := o.obs.Start("snapea-gateway")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		cli.Exit(2)
@@ -75,70 +108,17 @@ func main() {
 	// The gateway's counters and /metricsz are part of its contract.
 	metrics.Enable()
 
-	ctx, stop := cli.Context(*timeout)
+	ctx, stop := cli.Context(o.timeout)
 	defer stop()
 
-	urls := splitList(*replicas)
-	if *replicasFile != "" {
-		if len(urls) != 0 {
-			cli.Fatalf("snapea-gateway", "-replicas and -replicas-file are mutually exclusive")
-		}
-		urls, err = readReplicasFile(*replicasFile)
-		if err != nil {
-			cli.Fatalf("snapea-gateway", "%v", err)
-		}
-	}
-	if len(urls) == 0 {
-		cli.Fatalf("snapea-gateway", "no replicas: set -replicas or -replicas-file")
-	}
-
-	g, err := cluster.New(cluster.Config{
-		Replicas:       urls,
-		Policy:         *policy,
-		ProbeInterval:  *probeInterval,
-		ProbeTimeout:   *probeTimeout,
-		ProbeFailures:  *probeFailures,
-		EjectFailures:  *ejectFailures,
-		EjectOpenFor:   *ejectOpen,
-		EjectProbes:    *ejectProbes,
-		HedgeQuantile:  *hedgeQuantile,
-		HedgeBudget:    *hedgeBudget,
-		HedgeMin:       *hedgeMin,
-		HedgeMax:       *hedgeMax,
-		Attempts:       *attempts,
-		RequestTimeout: *reqTimeout,
-		Seed:           *seed,
-	})
-	if err != nil {
-		cli.Fatalf("snapea-gateway", "%v", err)
-	}
-
-	// SIGHUP: re-read the replica list. The file is written atomically
-	// (rename into place), so a plain read never sees a torn list; a
-	// reload that fails validation leaves the current membership intact.
-	if *replicasFile != "" {
-		hup := make(chan os.Signal, 1)
-		signal.Notify(hup, syscall.SIGHUP)
-		go func() {
-			for range hup {
-				if err := g.Replicas().ReloadFile(*replicasFile); err != nil {
-					fmt.Fprintf(os.Stderr, "snapea-gateway: reload: %v\n", err)
-					continue
-				}
-				fmt.Fprintf(os.Stderr, "snapea-gateway: reloaded %s (%d replicas)\n",
-					*replicasFile, len(g.Replicas().Snapshot()))
-			}
-		}()
-	}
-
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		cli.Fatalf("snapea-gateway", "listen: %v", err)
 	}
-	fmt.Fprintf(os.Stderr, "snapea-gateway: listening on http://%s (%d replicas, policy %s)\n",
-		ln.Addr(), len(urls), *policy)
-	if *addrFile != "" {
-		if err := atomicfile.WriteFile(*addrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
+	fmt.Fprintf(os.Stderr, "snapea-gateway: listening on http://%s (%d replicas)\n",
+		ln.Addr(), len(o.cluster.Replicas))
+	if o.addrFile != "" {
+		if err := atomicfile.WriteFile(o.addrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
 			cli.Fatalf("snapea-gateway", "%v", err)
 		}
 	}
@@ -161,7 +141,7 @@ func main() {
 	// still accepting, and only then do the replicas' own drains matter.
 	fmt.Fprintln(os.Stderr, "snapea-gateway: draining")
 	g.BeginDrain()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), o.drain)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		fmt.Fprintf(os.Stderr, "snapea-gateway: shutdown: %v\n", err)
@@ -169,30 +149,4 @@ func main() {
 	}
 	g.Close()
 	fmt.Fprintln(os.Stderr, "snapea-gateway: drained")
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, v := range strings.Split(s, ",") {
-		if v = strings.TrimSpace(v); v != "" {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// readReplicasFile parses the initial replica list from the same format
-// SIGHUP reloads: one URL per line, blank lines and #-comments ignored.
-func readReplicasFile(path string) ([]string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var urls []string
-	for _, line := range strings.Split(string(data), "\n") {
-		if line = strings.TrimSpace(line); line != "" && !strings.HasPrefix(line, "#") {
-			urls = append(urls, line)
-		}
-	}
-	return urls, nil
 }

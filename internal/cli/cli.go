@@ -90,17 +90,13 @@ func BreakerEnv() map[string]string {
 	}
 }
 
-// GatewayEnv maps snapea-gateway's routing, probing, and hedging flags
-// to their environment defaults.
+// GatewayEnv maps snapea-gateway's listen, fleet, probing, and drain
+// flags to their environment defaults.
 func GatewayEnv() map[string]string {
 	return map[string]string{
 		"addr":           "SNAPEA_GATEWAY_ADDR",
 		"replicas":       "SNAPEA_GATEWAY_REPLICAS",
-		"replicas-file":  "SNAPEA_GATEWAY_REPLICAS_FILE",
-		"policy":         "SNAPEA_GATEWAY_POLICY",
 		"probe-interval": "SNAPEA_GATEWAY_PROBE_INTERVAL",
-		"hedge-quantile": "SNAPEA_GATEWAY_HEDGE_QUANTILE",
-		"hedge-budget":   "SNAPEA_GATEWAY_HEDGE_BUDGET",
 		"drain-timeout":  "SNAPEA_GATEWAY_DRAIN_TIMEOUT",
 	}
 }

@@ -291,18 +291,14 @@ var applyEnvGroups = []struct {
 		register: func(fs *flag.FlagSet) {
 			fs.String("addr", "127.0.0.1:9090", "")
 			fs.String("replicas", "", "")
-			fs.String("replicas-file", "", "")
-			fs.String("policy", "p2c", "")
 			fs.Duration("probe-interval", 0, "")
-			fs.Float64("hedge-quantile", 0.95, "")
-			fs.Float64("hedge-budget", 0.1, "")
 			fs.Duration("drain-timeout", 0, "")
 		},
-		flagName: "hedge-budget",
-		envVal:   "0.25",
-		argVal:   "0.05",
-		badVal:   "a-tenth",
-		read:     func(fs *flag.FlagSet) string { return fs.Lookup("hedge-budget").Value.String() },
+		flagName: "probe-interval",
+		envVal:   "100ms",
+		argVal:   "50ms",
+		badVal:   "often",
+		read:     func(fs *flag.FlagSet) string { return fs.Lookup("probe-interval").Value.String() },
 	},
 	{
 		name: "integrity",

@@ -6,8 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -66,16 +64,13 @@ func postPredict(t *testing.T, g *Gateway, query string) *httptest.ResponseRecor
 
 func TestGatewayProxiesPredict(t *testing.T) {
 	rep := fakeReplica(t, okPredict("a"))
-	g := newTestGateway(t, Config{Replicas: []string{rep.URL}, HedgeQuantile: -1})
+	g := newTestGateway(t, Config{Replicas: []string{rep.URL}})
 	rec := postPredict(t, g, "model=tinynet")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", rec.Code, rec.Body.String())
 	}
 	if got := rec.Header().Get("X-Snapea-Replica"); got != rep.URL {
 		t.Fatalf("X-Snapea-Replica = %q, want %q", got, rep.URL)
-	}
-	if got := rec.Header().Get("X-Snapea-Hedged"); got != "0" {
-		t.Fatalf("X-Snapea-Hedged = %q, want 0", got)
 	}
 	// The serve observability headers pass through untouched.
 	if got := rec.Header().Get("X-Snapea-Degraded"); got != "0" {
@@ -87,6 +82,19 @@ func TestGatewayProxiesPredict(t *testing.T) {
 	}
 }
 
+// waitHealthy polls the set until exactly want replicas pass their
+// probes, and fails the test if that takes longer than within.
+func waitHealthy(t *testing.T, g *Gateway, want int, within time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(within)
+	for g.set.Healthy() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("healthy count never reached %d within %v (now %d)", want, within, g.set.Healthy())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func TestGatewayFailoverOnDeadReplica(t *testing.T) {
 	live := fakeReplica(t, okPredict("live"))
 	dead := fakeReplica(t, okPredict("dead"))
@@ -94,43 +102,58 @@ func TestGatewayFailoverOnDeadReplica(t *testing.T) {
 	dead.Close() // connection refused from the start
 	g := newTestGateway(t, Config{
 		Replicas:      []string{live.URL, deadURL},
-		ProbeInterval: time.Hour, // passive path only: breaker must eject
-		HedgeQuantile: -1,
-		EjectFailures: 2,
-		EjectOpenFor:  time.Hour,
+		ProbeInterval: 10 * time.Millisecond,
 	})
-	for i := 0; i < 20; i++ {
-		rec := postPredict(t, g, "model=tinynet")
-		if rec.Code != http.StatusOK {
-			t.Fatalf("request %d: status %d, want failover to keep everything 200", i, rec.Code)
-		}
-		if got := rec.Header().Get("X-Snapea-Replica"); got != live.URL {
-			t.Fatalf("request %d answered by %q, want %q", i, got, live.URL)
-		}
-	}
-	// The dead replica's breaker must have opened: passive ejection.
-	for _, info := range g.Replicas().infos() {
-		if info.URL == deadURL && info.Breaker != "open" {
-			t.Fatalf("dead replica breaker = %s, want open", info.Breaker)
+	check := func(phase string) {
+		t.Helper()
+		for i := 0; i < 20; i++ {
+			rec := postPredict(t, g, "model=tinynet")
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s request %d: status %d, want failover to keep everything 200", phase, i, rec.Code)
+			}
+			if got := rec.Header().Get("X-Snapea-Replica"); got != live.URL {
+				t.Fatalf("%s request %d answered by %q, want %q", phase, i, got, live.URL)
+			}
 		}
 	}
+	// Before the probes eject it, requests that pick the dead replica
+	// fail over to the live one; after, P2C no longer picks it at all.
+	check("pre-ejection")
+	waitHealthy(t, g, 1, 3*time.Second)
+	check("post-ejection")
+}
+
+// abortPredict drops the connection without an answer, as a replica that
+// dies mid-request does: the gateway sees a transport error.
+func abortPredict(w http.ResponseWriter, r *http.Request) {
+	io.Copy(io.Discard, r.Body)
+	panic(http.ErrAbortHandler)
 }
 
 func TestGatewayAllReplicasDown(t *testing.T) {
-	dead := fakeReplica(t, okPredict("dead"))
-	deadURL := dead.URL
-	dead.Close()
+	var ready atomic.Bool
+	ready.Store(true)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+		if !ready.Load() {
+			http.Error(w, "gone", http.StatusServiceUnavailable)
+			return
+		}
+		io.WriteString(w, "ready\n")
+	})
+	mux.HandleFunc("/v1/predict", abortPredict)
+	dying := httptest.NewServer(mux)
+	t.Cleanup(dying.Close)
 	g := newTestGateway(t, Config{
-		Replicas:      []string{deadURL},
-		ProbeInterval: time.Hour,
-		HedgeQuantile: -1,
-		EjectFailures: 1,
-		EjectOpenFor:  time.Hour,
+		Replicas:      []string{dying.URL},
+		ProbeInterval: 10 * time.Millisecond,
 	})
 	if rec := postPredict(t, g, "model=tinynet"); rec.Code != http.StatusBadGateway {
-		t.Fatalf("first request status = %d, want 502 (transport error)", rec.Code)
+		t.Fatalf("first request status = %d, want 502 (transport error, nowhere to fail over)", rec.Code)
 	}
-	// Breaker is now open: the fleet is exhausted before any dial.
+	// The probes eject it: the fleet is exhausted before any dial.
+	ready.Store(false)
+	waitHealthy(t, g, 0, 3*time.Second)
 	rec := postPredict(t, g, "model=tinynet")
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("post-ejection status = %d, want 503", rec.Code)
@@ -138,100 +161,16 @@ func TestGatewayAllReplicasDown(t *testing.T) {
 	if rec.Header().Get("Retry-After") == "" {
 		t.Fatal("503 without Retry-After")
 	}
-}
-
-func TestGatewayHedgeWinsAndCancelsLoser(t *testing.T) {
-	slowCancelled := make(chan struct{}, 1)
-	slow := fakeReplica(t, func(w http.ResponseWriter, r *http.Request) {
-		// Drain the body first (as the real serve handler does): an
-		// unread body suppresses the server's client-disconnect
-		// detection, which this test depends on.
-		io.Copy(io.Discard, r.Body)
-		select {
-		case <-r.Context().Done():
-			slowCancelled <- struct{}{}
-			return
-		case <-time.After(2 * time.Second):
-		}
-		okPredict("slow")(w, r)
-	})
-	fast := fakeReplica(t, okPredict("fast"))
-	// Hash policy pins the model to one home replica; find a model whose
-	// home is the slow one so the hedge must rescue it.
-	g := newTestGateway(t, Config{
-		Replicas:    []string{slow.URL, fast.URL},
-		Policy:      PolicyHash,
-		HedgeBudget: 1.0,
-		HedgeMin:    10 * time.Millisecond,
-		HedgeMax:    10 * time.Millisecond,
-	})
-	model := ""
-	for i := 0; ; i++ {
-		if i > 1000 {
-			t.Fatal("no model hashes to the slow replica")
-		}
-		m := fmt.Sprintf("m-%d", i)
-		if g.rt.pick(g.set, m, nil).URL == slow.URL {
-			model = m
-			break
-		}
-	}
-	start := time.Now()
-	rec := postPredict(t, g, "model="+model)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d, body %s", rec.Code, rec.Body.String())
-	}
-	if got := rec.Header().Get("X-Snapea-Replica"); got != fast.URL {
-		t.Fatalf("answered by %q, want hedge winner %q", got, fast.URL)
-	}
-	if got := rec.Header().Get("X-Snapea-Hedged"); got != "1" {
-		t.Fatalf("X-Snapea-Hedged = %q, want 1", got)
-	}
-	if e2e := time.Since(start); e2e > time.Second {
-		t.Fatalf("e2e %v: hedge did not short-circuit the slow primary", e2e)
-	}
-	select {
-	case <-slowCancelled:
-	case <-time.After(2 * time.Second):
-		t.Fatal("losing attempt was never cancelled")
-	}
-}
-
-func TestGatewayHedgeBudgetEnforced(t *testing.T) {
-	var hits atomic.Int64
-	predict := func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		time.Sleep(5 * time.Millisecond) // slower than the hedge delay
-		okPredict("x")(w, r)
-	}
-	a, b := fakeReplica(t, predict), fakeReplica(t, predict)
-	g := newTestGateway(t, Config{
-		Replicas:    []string{a.URL, b.URL},
-		HedgeBudget: 0.1,
-		HedgeMin:    time.Millisecond,
-		HedgeMax:    time.Millisecond,
-	})
-	const n = 100
-	for i := 0; i < n; i++ {
-		if rec := postPredict(t, g, "model=tinynet"); rec.Code != http.StatusOK {
-			t.Fatalf("request %d: status %d", i, rec.Code)
-		}
-	}
-	hedges := hits.Load() - n
-	if hedges <= 0 {
-		t.Fatal("hedge never fired despite every request exceeding the delay")
-	}
-	if max := int64(0.1 * n); hedges > max {
-		t.Fatalf("%d hedges fired over %d requests, budget 0.1 allows at most %d", hedges, n, max)
-	}
-	if fired := g.budget.fired.Load(); fired != hedges {
-		t.Fatalf("budget accounting says %d fired, backends saw %d", fired, hedges)
+	rec = httptest.NewRecorder()
+	g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "no healthy replicas") {
+		t.Fatalf("readyz with no healthy replica = %d %q, want 503 no healthy replicas", rec.Code, rec.Body.String())
 	}
 }
 
 func TestGatewayDrainGate(t *testing.T) {
 	rep := fakeReplica(t, okPredict("a"))
-	g := newTestGateway(t, Config{Replicas: []string{rep.URL}, HedgeQuantile: -1})
+	g := newTestGateway(t, Config{Replicas: []string{rep.URL}})
 
 	req := httptest.NewRequest(http.MethodGet, "/readyz", nil)
 	rec := httptest.NewRecorder()
@@ -273,21 +212,10 @@ func TestGatewayProbeEjectsAndRecovers(t *testing.T) {
 		Replicas:      []string{flappy.URL, stable.URL},
 		ProbeInterval: 10 * time.Millisecond,
 		ProbeFailures: 2,
-		HedgeQuantile: -1,
 	})
-	waitHealthy := func(want int) {
-		t.Helper()
-		deadline := time.Now().Add(3 * time.Second)
-		for g.set.Healthy() != want {
-			if time.Now().After(deadline) {
-				t.Fatalf("healthy count never reached %d (now %d)", want, g.set.Healthy())
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	waitHealthy(2)
+	waitHealthy(t, g, 2, 3*time.Second)
 	ready.Store(false)
-	waitHealthy(1)
+	waitHealthy(t, g, 1, 3*time.Second)
 	// All traffic lands on the surviving replica, no errors.
 	for i := 0; i < 10; i++ {
 		rec := postPredict(t, g, "model=tinynet")
@@ -296,75 +224,70 @@ func TestGatewayProbeEjectsAndRecovers(t *testing.T) {
 		}
 	}
 	ready.Store(true)
-	waitHealthy(2)
+	waitHealthy(t, g, 2, 3*time.Second)
 }
 
-func TestGatewayReloadFile(t *testing.T) {
-	a := fakeReplica(t, okPredict("a"))
-	b := fakeReplica(t, okPredict("b"))
-	g := newTestGateway(t, Config{Replicas: []string{a.URL}, HedgeQuantile: -1})
+// TestGatewaySlowProbeStallsNoOtherReplica: replica A's /readyz hangs
+// until the probe times out, and replica B's fails. B must be ejected
+// on the probe interval, not after A's probe timeout.
+func TestGatewaySlowProbeStallsNoOtherReplica(t *testing.T) {
+	hung := http.NewServeMux()
+	hung.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+	})
+	hung.HandleFunc("/v1/predict", okPredict("hung"))
+	a := httptest.NewServer(hung)
+	t.Cleanup(a.Close)
+	failing := http.NewServeMux()
+	failing.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "draining", http.StatusServiceUnavailable)
+	})
+	failing.HandleFunc("/v1/predict", okPredict("failing"))
+	b := httptest.NewServer(failing)
+	t.Cleanup(b.Close)
 
-	path := filepath.Join(t.TempDir(), "replicas.txt")
-	content := fmt.Sprintf("# fleet\n%s\n\n%s\n", a.URL, b.URL)
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Replicas().ReloadFile(path); err != nil {
-		t.Fatalf("ReloadFile: %v", err)
-	}
-	if got := len(g.set.Snapshot()); got != 2 {
-		t.Fatalf("membership after reload = %d, want 2", got)
-	}
-
-	// A reload to an empty list must fail and leave membership intact.
-	if err := os.WriteFile(path, []byte("# nothing\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Replicas().ReloadFile(path); err == nil {
-		t.Fatal("ReloadFile accepted an empty list")
-	}
-	if got := len(g.set.Snapshot()); got != 2 {
-		t.Fatalf("failed reload mutated membership: %d replicas", got)
+	g := newTestGateway(t, Config{
+		Replicas:      []string{a.URL, b.URL},
+		ProbeInterval: 10 * time.Millisecond,
+		ProbeTimeout:  time.Second,
+	})
+	// A still counts as healthy until its own probes time out (1 s each),
+	// so a healthy count of 1 means B was ejected.
+	waitHealthy(t, g, 1, 500*time.Millisecond)
+	if rep := g.set.replicas[1]; rep.healthy.Load() {
+		t.Fatalf("replica %s still healthy; the wrong replica was ejected", rep.URL)
 	}
 }
 
-func TestGatewayReplicasEndpoint(t *testing.T) {
-	a := fakeReplica(t, okPredict("a"))
-	b := fakeReplica(t, okPredict("b"))
-	g := newTestGateway(t, Config{Replicas: []string{a.URL, b.URL}, HedgeQuantile: -1})
-	postPredict(t, g, "model=tinynet")
-
-	rec := httptest.NewRecorder()
-	g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/replicas", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	var resp struct {
-		Policy   string        `json:"policy"`
-		Draining bool          `json:"draining"`
-		Replicas []replicaInfo `json:"replicas"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatalf("bad JSON: %v", err)
-	}
-	if resp.Policy != PolicyP2C || resp.Draining || len(resp.Replicas) != 2 {
-		t.Fatalf("replicas view = %+v", resp)
-	}
-	total := int64(0)
-	for _, info := range resp.Replicas {
-		if !info.Healthy || info.Breaker != "closed" {
-			t.Fatalf("replica %s: healthy=%v breaker=%s", info.URL, info.Healthy, info.Breaker)
-		}
-		total += info.Requests
-	}
-	if total != 1 {
-		t.Fatalf("lifetime request count across fleet = %d, want 1", total)
+// TestNewRejectsBadReplicas: the replica list is validated once, at
+// construction.
+func TestNewRejectsBadReplicas(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		replicas []string
+		want     string
+	}{
+		{"empty", nil, "empty"},
+		{"duplicate", []string{"http://a:1", "http://a:1/"}, "duplicate"},
+		{"not a url", []string{"not a url"}, "want scheme://host"},
+		{"no scheme", []string{"/no-scheme"}, "want scheme://host"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := New(Config{Replicas: tc.replicas})
+			if err == nil {
+				g.Close()
+				t.Fatalf("New(%q) accepted bad input", tc.replicas)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("New(%q) error %q, want it to mention %q", tc.replicas, err, tc.want)
+			}
+		})
 	}
 }
 
 func TestGatewayModelsProxy(t *testing.T) {
 	rep := fakeReplica(t, okPredict("a"))
-	g := newTestGateway(t, Config{Replicas: []string{rep.URL}, HedgeQuantile: -1})
+	g := newTestGateway(t, Config{Replicas: []string{rep.URL}})
 	rec := httptest.NewRecorder()
 	g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/models", nil))
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "tinynet") {
@@ -379,7 +302,7 @@ func TestGatewayPassesThroughBackpressure(t *testing.T) {
 		w.WriteHeader(http.StatusTooManyRequests)
 		io.WriteString(w, `{"error":"queue full"}`)
 	})
-	g := newTestGateway(t, Config{Replicas: []string{rep.URL}, HedgeQuantile: -1})
+	g := newTestGateway(t, Config{Replicas: []string{rep.URL}})
 	rec := postPredict(t, g, "model=tinynet")
 	// 429 is not retryable: admission control must not be laundered into
 	// load on a sibling.
@@ -388,11 +311,5 @@ func TestGatewayPassesThroughBackpressure(t *testing.T) {
 	}
 	if rec.Header().Get("Retry-After") != "1" {
 		t.Fatal("Retry-After not passed through")
-	}
-}
-
-func TestGatewayBadPolicy(t *testing.T) {
-	if _, err := New(Config{Replicas: []string{"http://x:1"}, Policy: "round-robin"}); err == nil {
-		t.Fatal("New accepted unknown policy")
 	}
 }

@@ -2,8 +2,8 @@ package cluster
 
 import (
 	"net/http"
+	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // quarantinedPredict mimics a snapea-serve replica whose integrity
@@ -17,19 +17,18 @@ func quarantinedPredict() http.HandlerFunc {
 }
 
 // TestGatewayFailsOverFromQuarantinedReplica pins the cluster tier of
-// the integrity story: quarantine 503s count against the replica's
-// breaker like failures, so traffic fails over to healthy siblings and
-// the quarantined replica is passively ejected.
+// the integrity story. A replica with one model quarantined stays ready
+// (its /readyz still answers 200, since it serves its other models), so
+// it stays in rotation; each request that lands on it fails over to a
+// healthy sibling, and the client never sees the quarantine.
 func TestGatewayFailsOverFromQuarantinedReplica(t *testing.T) {
 	healthy := fakeReplica(t, okPredict("healthy"))
-	sick := fakeReplica(t, quarantinedPredict())
-	g := newTestGateway(t, Config{
-		Replicas:      []string{healthy.URL, sick.URL},
-		ProbeInterval: time.Hour, // passive path only
-		HedgeQuantile: -1,
-		EjectFailures: 2,
-		EjectOpenFor:  time.Hour,
+	var sickHits atomic.Int64
+	sick := fakeReplica(t, func(w http.ResponseWriter, r *http.Request) {
+		sickHits.Add(1)
+		quarantinedPredict()(w, r)
 	})
+	g := newTestGateway(t, Config{Replicas: []string{healthy.URL, sick.URL}})
 	for i := 0; i < 20; i++ {
 		rec := postPredict(t, g, "model=tinynet")
 		if rec.Code != http.StatusOK {
@@ -42,10 +41,8 @@ func TestGatewayFailsOverFromQuarantinedReplica(t *testing.T) {
 			t.Fatalf("request %d: healthy answer carries the quarantine header", i)
 		}
 	}
-	for _, info := range g.Replicas().infos() {
-		if info.URL == sick.URL && info.Breaker != "open" {
-			t.Fatalf("quarantined replica breaker = %s, want open (passive ejection)", info.Breaker)
-		}
+	if sickHits.Load() == 0 {
+		t.Fatal("no request was routed to the quarantined replica; failover went untested")
 	}
 }
 
@@ -54,12 +51,7 @@ func TestGatewayFailsOverFromQuarantinedReplica(t *testing.T) {
 // marker header reach the client so it can back off intelligently.
 func TestGatewayPassesQuarantineHeaderThrough(t *testing.T) {
 	sick := fakeReplica(t, quarantinedPredict())
-	g := newTestGateway(t, Config{
-		Replicas:      []string{sick.URL},
-		ProbeInterval: time.Hour,
-		HedgeQuantile: -1,
-		EjectFailures: 100, // keep the breaker closed; this test is about passthrough
-	})
+	g := newTestGateway(t, Config{Replicas: []string{sick.URL}})
 	rec := postPredict(t, g, "model=tinynet")
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want the replica's 503 passed through", rec.Code)

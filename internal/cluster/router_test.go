@@ -5,62 +5,56 @@ import (
 	"testing"
 )
 
-// testSet builds a Set without starting the probe loop: router tests
-// exercise pick logic against synthetic health/load state, no network.
-func testSet(t *testing.T, urls ...string) *Set {
-	t.Helper()
-	s := &Set{cfg: Config{EjectFailures: -1}.normalize(), byURL: make(map[string]*Replica)}
-	if err := s.SetReplicas(urls); err != nil {
-		t.Fatalf("SetReplicas: %v", err)
+// testSet builds a Set of n healthy replicas without starting the probe
+// loops: router tests exercise pick logic against synthetic health/load
+// state, no network.
+func testSet(n int) *Set {
+	s := &Set{}
+	for i := 0; i < n; i++ {
+		rep := &Replica{URL: fmt.Sprintf("http://replica-%d:8080", i)}
+		rep.healthy.Store(true)
+		s.replicas = append(s.replicas, rep)
 	}
 	return s
 }
 
-func urls(n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = fmt.Sprintf("http://replica-%d:8080", i)
-	}
-	return out
-}
-
 func TestP2CPicksLessLoaded(t *testing.T) {
-	s := testSet(t, urls(2)...)
-	reps := s.Snapshot()
+	s := testSet(2)
+	reps := s.replicas
 	reps[0].inflight.Store(10)
-	rt := newRouter(PolicyP2C, 1)
+	rt := newRouter(1)
 	// With exactly two candidates, p2c always samples both, so the less
 	// loaded replica must win every time.
 	for i := 0; i < 100; i++ {
-		if got := rt.pick(s, "m", nil); got != reps[1] {
+		if got := rt.pick(s, nil); got != reps[1] {
 			t.Fatalf("pick %d chose loaded replica %s", i, got.URL)
 		}
 	}
 }
 
 func TestP2CSkipsUnhealthyAndExcluded(t *testing.T) {
-	s := testSet(t, urls(3)...)
-	reps := s.Snapshot()
+	s := testSet(3)
+	reps := s.replicas
 	reps[0].healthy.Store(false)
 	exclude := map[*Replica]bool{reps[1]: true}
-	rt := newRouter(PolicyP2C, 1)
+	rt := newRouter(1)
 	for i := 0; i < 50; i++ {
-		if got := rt.pick(s, "m", exclude); got != reps[2] {
+		if got := rt.pick(s, exclude); got != reps[2] {
 			t.Fatalf("pick chose %v, want the only eligible replica", got)
 		}
 	}
 	exclude[reps[2]] = true
-	if got := rt.pick(s, "m", exclude); got != nil {
+	if got := rt.pick(s, exclude); got != nil {
 		t.Fatalf("pick with no eligible replicas = %s, want nil", got.URL)
 	}
 }
 
 func TestP2CSpreadsLoad(t *testing.T) {
-	s := testSet(t, urls(4)...)
-	rt := newRouter(PolicyP2C, 7)
+	s := testSet(4)
+	rt := newRouter(7)
 	counts := map[*Replica]int{}
 	for i := 0; i < 4000; i++ {
-		rep := rt.pick(s, "m", nil)
+		rep := rt.pick(s, nil)
 		counts[rep]++
 		// Simulate in-flight load so p2c has a signal to balance on.
 		rep.inflight.Add(1)
@@ -74,122 +68,5 @@ func TestP2CSpreadsLoad(t *testing.T) {
 		if n < 600 || n > 1400 {
 			t.Fatalf("replica %s got %d/4000 picks, want roughly uniform", rep.URL, n)
 		}
-	}
-}
-
-func TestHashStickiness(t *testing.T) {
-	s := testSet(t, urls(4)...)
-	rt := newRouter(PolicyHash, 1)
-	home := rt.pick(s, "resnet", nil)
-	if home == nil {
-		t.Fatal("pick returned nil")
-	}
-	for i := 0; i < 100; i++ {
-		if got := rt.pick(s, "resnet", nil); got != home {
-			t.Fatalf("model remapped from %s to %s with stable membership", home.URL, got.URL)
-		}
-	}
-}
-
-func TestHashSpreadsModels(t *testing.T) {
-	s := testSet(t, urls(4)...)
-	rt := newRouter(PolicyHash, 1)
-	counts := map[*Replica]int{}
-	for i := 0; i < 400; i++ {
-		counts[rt.pick(s, fmt.Sprintf("model-%d", i), nil)]++
-	}
-	if len(counts) != 4 {
-		t.Fatalf("400 models landed on %d/4 replicas", len(counts))
-	}
-	for rep, n := range counts {
-		if n < 25 {
-			t.Fatalf("replica %s owns only %d/400 models, vnode spread too lumpy", rep.URL, n)
-		}
-	}
-}
-
-func TestHashFailoverWalksRing(t *testing.T) {
-	s := testSet(t, urls(3)...)
-	rt := newRouter(PolicyHash, 1)
-	home := rt.pick(s, "resnet", nil)
-	home.healthy.Store(false)
-	alt := rt.pick(s, "resnet", nil)
-	if alt == nil || alt == home {
-		t.Fatalf("failover pick = %v, want a different healthy replica", alt)
-	}
-	// Deterministic failover: the same alternate every time.
-	for i := 0; i < 50; i++ {
-		if got := rt.pick(s, "resnet", nil); got != alt {
-			t.Fatalf("failover pick flapped from %s to %s", alt.URL, got.URL)
-		}
-	}
-	// Recovery: home comes back, traffic returns.
-	home.healthy.Store(true)
-	if got := rt.pick(s, "resnet", nil); got != home {
-		t.Fatalf("after recovery pick = %s, want home %s", got.URL, home.URL)
-	}
-}
-
-func TestHashMinimalRemapOnMembershipChange(t *testing.T) {
-	s := testSet(t, urls(4)...)
-	rt := newRouter(PolicyHash, 1)
-	models := make([]string, 200)
-	before := make([]*Replica, len(models))
-	for i := range models {
-		models[i] = fmt.Sprintf("model-%d", i)
-		before[i] = rt.pick(s, models[i], nil)
-	}
-	// Drop replica 3; only its models should move.
-	if err := s.SetReplicas(urls(3)); err != nil {
-		t.Fatalf("SetReplicas: %v", err)
-	}
-	moved := 0
-	for i, m := range models {
-		after := rt.pick(s, m, nil)
-		if after == nil {
-			t.Fatalf("model %s unroutable after shrink", m)
-		}
-		if after.URL != before[i].URL {
-			if before[i].URL != "http://replica-3:8080" {
-				t.Fatalf("model %s moved from surviving replica %s to %s", m, before[i].URL, after.URL)
-			}
-			moved++
-		}
-	}
-	if moved == 0 {
-		t.Fatal("no models moved after removing a replica that owned some")
-	}
-}
-
-func TestSetReplicasRetainsLiveState(t *testing.T) {
-	s := testSet(t, urls(2)...)
-	old := s.Snapshot()[0]
-	old.inflight.Store(5)
-	old.requests.Store(100)
-	if err := s.SetReplicas(append(urls(2), "http://replica-9:8080")); err != nil {
-		t.Fatalf("SetReplicas: %v", err)
-	}
-	if got := s.Snapshot()[0]; got != old {
-		t.Fatal("retained replica was rebuilt, live state lost")
-	}
-	if len(s.Snapshot()) != 3 {
-		t.Fatalf("membership = %d, want 3", len(s.Snapshot()))
-	}
-}
-
-func TestSetReplicasRejectsBadInput(t *testing.T) {
-	s := testSet(t, urls(2)...)
-	for _, bad := range [][]string{
-		{},
-		{"http://a:1", "http://a:1"},
-		{"not a url"},
-		{"/no-scheme"},
-	} {
-		if err := s.SetReplicas(bad); err == nil {
-			t.Fatalf("SetReplicas(%q) accepted bad input", bad)
-		}
-	}
-	if len(s.Snapshot()) != 2 {
-		t.Fatal("failed SetReplicas mutated membership")
 	}
 }
