@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fmt vet vet-snapea fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke chaos-smoke integrity-smoke ci clean
+.PHONY: build test race fmt vet vet-snapea fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke chaos-smoke integrity-smoke placement ci clean
 
 build:
 	$(GO) build ./...
@@ -92,6 +92,12 @@ chaos-smoke:
 # artifact lifecycle (snapea-model -verify/-checksum, -require-checksums).
 integrity-smoke:
 	GO=$(GO) sh scripts/integrity_smoke.sh
+
+# Code placement: the start address (and mod 64) of the GEMM baseline's
+# and the SnaPEA kernel's hot functions in the benchmark binary. A
+# speedup_vs_gemm A/B quotes both sides; not a gate.
+placement:
+	GO=$(GO) sh scripts/placement.sh
 
 # The tier-1+ gate: everything CI runs before a merge.
 ci: fmt vet vet-snapea build race fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke chaos-smoke integrity-smoke

@@ -283,6 +283,26 @@ const windowSteps = 38
 // Run executes the layer with early activation and returns the output
 // (identical to conv+ReLU for exact kernels) and the trace.
 func (p *LayerPlan) Run(in *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *LayerTrace) {
+	out, tr, issued := p.run(in, opts, true)
+	if metrics.Enabled() {
+		p.recordMetrics(tr, issued)
+	}
+	return out, tr
+}
+
+// runUncounted is Run for a caller that reads the output alone: the
+// same output, bit for bit, without the exact exit tap of each window
+// that the blocked suffix retires — the replays that find it are Eq. (1)
+// bookkeeping, and the output is 0 either way. It computes no trace and
+// records no metrics; Network decides when nothing reads them.
+func (p *LayerPlan) runUncounted(in *tensor.Tensor) *tensor.Tensor {
+	out, _, _ := p.run(in, RunOpts{}, false)
+	return out
+}
+
+// run is Run's body. count says whether the trace and the issued-MAC
+// total it returns are wanted; without it they are incomplete.
+func (p *LayerPlan) run(in *tensor.Tensor, opts RunOpts, count bool) (*tensor.Tensor, *LayerTrace, int64) {
 	out, tr := p.newRun(in, opts)
 	s := in.Shape()
 
@@ -311,7 +331,7 @@ func (p *LayerPlan) Run(in *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *Layer
 	// afterwards in worker order; every shard field is an integer counter,
 	// so the totals are identical for any worker count and any dynamic
 	// assignment of items to workers.
-	parallel.ForCost(items, steps, layerRun{p, in, out, rs, tr, opts, p.mono && nonNegFinite(in.Data())}, layerRun.kernel)
+	parallel.ForCost(items, steps, layerRun{p, in, out, rs, tr, opts, p.mono && nonNegFinite(in.Data()), count}, layerRun.kernel)
 	var issued int64
 	for i := range rs.stats {
 		st := &rs.stats[i]
@@ -328,10 +348,7 @@ func (p *LayerPlan) Run(in *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *Layer
 		seq := p.runSeq.Add(1) - 1
 		p.faults.CorruptActivations(fmt.Sprintf("%s#%d", p.Node, seq), out.Data())
 	}
-	if metrics.Enabled() {
-		p.recordMetrics(tr, issued)
-	}
-	return out, tr
+	return out, tr, issued
 }
 
 // recordMetrics reports one completed layer execution to the metrics
@@ -472,6 +489,7 @@ type layerRun struct {
 	tr      *LayerTrace
 	opts    RunOpts
 	nonNeg  bool // p.mono and the input passed nonNegFinite
+	count   bool // replay suffix exits to their exact tap (Run, not runUncounted)
 }
 
 // kernel computes work item i — all windows of output channel i/N for
@@ -497,7 +515,7 @@ func (r layerRun) kernel(worker, i int) {
 	st, sc := &r.rs.stats[worker], &r.rs.lanes[worker]
 	mono := r.nonNeg && ck.negMono
 	for _, ls := range sp.strips {
-		p.runStrip(ck, ck.offs, ind, outd, inBase+ls.in, ls.n, outBase+ls.out, laneIota[:], mono, r.tr, st, sc, r.opts)
+		p.runStrip(ck, ck.offs, ind, outd, inBase+ls.in, ls.n, outBase+ls.out, laneIota[:], mono, r.count, r.tr, st, sc, r.opts)
 	}
 	if sp.packed == 0 {
 		return
@@ -506,6 +524,6 @@ func (r layerRun) kernel(worker, i int) {
 	groupBase := int(ck.cBase) * p.Conv.KH * p.Conv.KW * sp.packed
 	for c := 0; c < sp.packed; c += maxStripLanes {
 		lanes := min(maxStripLanes, sp.packed-c)
-		p.runStrip(ck, ck.poffs, patch, outd, groupBase+c, lanes, outBase, sp.scatter[c:], mono, r.tr, st, sc, r.opts)
+		p.runStrip(ck, ck.poffs, patch, outd, groupBase+c, lanes, outBase, sp.scatter[c:], mono, r.count, r.tr, st, sc, r.opts)
 	}
 }

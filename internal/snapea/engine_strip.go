@@ -30,9 +30,9 @@ import (
 //  3. the negative suffix in blocks of suffixBlock taps (the last one
 //     shorter if need be) over every lane, unchecked, while 2/5 of the
 //     lanes are live; after each block a branch-free walk splits the live
-//     list into survivors and exits by the sign bit pattern, and the
-//     exits are replayed four at a time from their saved block-start
-//     sums to find each one's exact exit tap;
+//     list into survivors and exits by the sign bit pattern, and — when
+//     the count is wanted — the exits are replayed four at a time from
+//     their saved block-start sums to find each one's exact exit tap;
 //  4. the register drain for what is left: survivors four lanes at a time
 //     with a sign check after every tap.
 //
@@ -427,8 +427,10 @@ func gatherTaps(w []float32, offs []int, src []float32, ls []int32, sums []float
 // patch rows and base the strip's first lane within its group's rows.
 // mono says both premises of the blocked suffix hold: the kernel's
 // suffix weights are all finite and ≤ 0 (ck.negMono) and this Run's
-// input is all finite and ≥ 0.
-func (p *LayerPlan) runStrip(ck *compiledKernel, offs []int, src, outd []float32, base, lanes, outIdx int, oidx []int32, mono bool, tr *LayerTrace, st *traceShard, sc *stripScratch, opts RunOpts) {
+// input is all finite and ≥ 0. count says whether the suffix exits are
+// replayed to their exit taps; without it they keep the zero the fresh
+// output holds and the strip's counters are incomplete.
+func (p *LayerPlan) runStrip(ck *compiledKernel, offs []int, src, outd []float32, base, lanes, outIdx int, oidx []int32, mono, count bool, tr *LayerTrace, st *traceShard, sc *stripScratch, opts RunOpts) {
 	w := ck.w
 	nw := len(w)
 	numSpec := ck.numSpec
@@ -517,15 +519,18 @@ func (p *LayerPlan) runStrip(ck *compiledKernel, offs []int, src, outd []float32
 	// block streams unchecked; one pass then splits the live list into
 	// survivors (compacted in place) and exits without a branch on the
 	// sign, and the exits replay from their saved sums, four at a time,
-	// to the taps at which the reference retires them. Streaming every
-	// lane stops paying once too few are live; the register drain takes
-	// over.
+	// to the taps at which the reference retires them — when the count is
+	// wanted: an uncounted run leaves them at the zero the fresh output
+	// holds. Streaming every lane stops paying once too few are live; the
+	// register drain takes over.
 	if mono {
 		saved := sc.saved[:lanes]
 		exits := sc.exits
 		for i < nw && denseWins(len(active), lanes) {
 			blk := min(suffixBlock, nw-i)
-			copy(saved, acc)
+			if count {
+				copy(saved, acc)
+			}
 			streamTaps(w[i:i+blk], offs[i:], src[base:], acc)
 			issued += int64(lanes * blk)
 			live, exited := 0, 0
@@ -540,7 +545,7 @@ func (p *LayerPlan) runStrip(ck *compiledKernel, offs []int, src, outd []float32
 			if opts.CollectPrediction {
 				truthNeg += int64(exited)
 			}
-			for k := 0; k < exited; k += 4 {
+			for k := 0; count && k < exited; k += 4 {
 				group := exits[k:min(k+4, exited)]
 				taps, nonNeg := gatherTaps(w[i:i+blk], offs[i:], src[base:], group, saved, true)
 				issued += int64(len(group) * taps)

@@ -1,6 +1,7 @@
 package snapea
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -164,6 +165,40 @@ func TestFaultyPlanWorkerInvariance(t *testing.T) {
 	for _, workers := range invarianceWorkerCounts() {
 		if got := run(workers); !reflect.DeepEqual(got, ref) {
 			t.Fatalf("workers=%d: faulty execution diverges from serial run", workers)
+		}
+	}
+}
+
+// TestUncountedForwardWorkerInvariance holds the uncounted forward — what
+// Network.Forward runs with no trace and metrics off — to the counted one
+// bit for bit at every worker count, on a non-negative batch of two
+// through AlexNet: its layers fan out, and their suffixes stream in
+// blocks, so the exits the uncounted run leaves unreplayed are there.
+func TestUncountedForwardWorkerInvariance(t *testing.T) {
+	m := buildAlexNetModel(t)
+	net := CompileExact(m)
+	img := nonNegInput(tensor.Shape{N: 2, C: m.InputShape.C, H: m.InputShape.H, W: m.InputShape.W}, 82)
+	defer parallel.SetLimit(0)
+
+	parallel.SetLimit(1)
+	trace := NewNetTrace()
+	ref := net.Forward(img, RunOpts{}, trace).Data()
+	blocked := 0
+	for name, tr := range trace.Layers {
+		if net.Plans[name].mono && tr.SignZero > 0 {
+			blocked++
+		}
+	}
+	if blocked == 0 {
+		t.Fatal("no layer with a blockable suffix retired a window: the uncounted run has nothing to skip")
+	}
+	for _, workers := range invarianceWorkerCounts() {
+		parallel.SetLimit(workers)
+		got := net.Forward(img, RunOpts{}, nil).Data()
+		for i, v := range ref {
+			if math.Float32bits(got[i]) != math.Float32bits(v) {
+				t.Fatalf("workers=%d: uncounted output[%d] = %v, counted %v", workers, i, got[i], v)
+			}
 		}
 	}
 }

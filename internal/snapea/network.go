@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"snapea/internal/faults"
+	"snapea/internal/metrics"
 	"snapea/internal/models"
 	"snapea/internal/nn"
 	"snapea/internal/tensor"
@@ -119,8 +120,8 @@ func (f *ParamsFile) Check(m *models.Model) error {
 }
 
 // NetTrace aggregates layer traces for one or more forward passes. A
-// single trace may be shared across concurrent Forward calls — the
-// inference server batches requests into one trace per model — so the
+// single trace may be shared across concurrent Forward calls — a caller
+// fanning images out over goroutines may sum them into one — so the
 // aggregate map is guarded by an internal mutex. Direct reads of Layers
 // are only safe once every concurrent Forward has returned.
 type NetTrace struct {
@@ -197,8 +198,12 @@ func (t *NetTrace) Rates() (tnr, fnr float64) {
 }
 
 // exec returns the per-node executor override that routes convolution
-// nodes, and FC nodes when EnableFC was called, through their plans.
+// nodes, and FC nodes when EnableFC was called, through their plans. A
+// count is computed iff it is read: plans run counted (LayerPlan.Run)
+// when there is a trace to add to or metrics to record, and uncounted
+// otherwise — the same outputs, without the suffix replays.
 func (net *Network) exec(opts RunOpts, trace *NetTrace) nn.Exec {
+	count := trace != nil || metrics.Enabled()
 	return func(node *nn.Node, ins []*tensor.Tensor) (*tensor.Tensor, bool) {
 		plan, in := net.Plans[node.Name], ins[0]
 		if plan == nil {
@@ -209,6 +214,9 @@ func (net *Network) exec(opts RunOpts, trace *NetTrace) nn.Exec {
 			s := in.Shape()
 			in = tensor.Wrap(tensor.Shape{N: s.N, C: s.C * s.H * s.W, H: 1, W: 1}, in.Data())
 		}
+		if !count {
+			return plan.runUncounted(in), true
+		}
 		out, tr := plan.Run(in, opts)
 		if trace != nil {
 			trace.Add(tr)
@@ -218,7 +226,8 @@ func (net *Network) exec(opts RunOpts, trace *NetTrace) nn.Exec {
 }
 
 // Forward runs the compiled network on one image, returning the graph
-// output and accumulating layer traces into trace (which may be nil).
+// output and accumulating layer traces into trace (which may be nil;
+// with metrics off too, the layers then run uncounted).
 func (net *Network) Forward(img *tensor.Tensor, opts RunOpts, trace *NetTrace) *tensor.Tensor {
 	return net.Model.Graph.ForwardExec(img, nil, net.exec(opts, trace))
 }
@@ -275,13 +284,15 @@ func (net *Network) CacheAll(img *tensor.Tensor, opts RunOpts) map[string]*tenso
 // taking every other node's value from base, and returns the feature
 // vector. Nodes after `from` in topological order that do not depend on
 // it — sibling branches of a fire or inception module — are not
-// re-executed (and so not traced): their cached values are already what
-// a re-execution would produce. base is not modified.
+// re-executed: their cached values are already what a re-execution
+// would produce. trace (which may be nil) records `from` alone — the
+// layer whose cost Algorithm 1 is measuring; the layers downstream run
+// uncounted unless metrics are on. base is not modified.
 func (net *Network) ForwardFrom(base map[string]*tensor.Tensor, from string, opts RunOpts, trace *NetTrace) []float32 {
 	// vals holds the recomputed nodes, which are exactly the ones whose
 	// value may differ from base's.
 	vals := make(map[string]*tensor.Tensor)
-	exec := net.exec(opts, trace)
+	execFrom, execRest := net.exec(opts, trace), net.exec(opts, nil)
 	lookup := func(name string) *tensor.Tensor {
 		if v, ok := vals[name]; ok {
 			return v
@@ -304,6 +315,10 @@ func (net *Network) ForwardFrom(base map[string]*tensor.Tensor, from string, opt
 		ins := make([]*tensor.Tensor, len(n.Inputs))
 		for j, name := range n.Inputs {
 			ins[j] = lookup(name)
+		}
+		exec := execRest
+		if n.Name == from {
+			exec = execFrom
 		}
 		out, done := exec(n, ins)
 		if !done {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"snapea/internal/metrics"
 	"snapea/internal/models"
 	"snapea/internal/nn"
 	"snapea/internal/tensor"
@@ -331,20 +332,28 @@ func TestNetworkExactEndToEnd(t *testing.T) {
 	}
 }
 
+// TestForwardFromMatchesForward holds ForwardFrom from every layer to the
+// whole forward's features bit for bit, on an exact and on a predictive
+// plan: re-executing a suffix of the graph over cached values is the
+// same computation, counted or not.
 func TestForwardFromMatchesForward(t *testing.T) {
 	m := buildTestModel(t)
 	img := nonNegInput(m.InputShape, 6)
-	net := CompileExact(m)
-	cache := net.CacheAll(img, RunOpts{})
-	full := net.Feature(img, RunOpts{}, nil)
-	for _, node := range net.PlanOrder {
-		part := net.ForwardFrom(cache, node, RunOpts{}, nil)
-		if len(part) != len(full) {
-			t.Fatalf("ForwardFrom(%s): len %d vs %d", node, len(part), len(full))
-		}
-		for i := range part {
-			if math.Abs(float64(part[i]-full[i])) > 1e-4 {
-				t.Fatalf("ForwardFrom(%s) diverged at %d", node, i)
+	for mode, net := range map[string]*Network{
+		"exact":      CompileExact(m),
+		"predictive": Compile(m, speculateAll(m), NegByMagnitude),
+	} {
+		cache := net.CacheAll(img, RunOpts{})
+		full := net.Feature(img, RunOpts{}, NewNetTrace())
+		for _, node := range net.PlanOrder {
+			part := net.ForwardFrom(cache, node, RunOpts{}, nil)
+			if len(part) != len(full) {
+				t.Fatalf("%s: ForwardFrom(%s): len %d vs %d", mode, node, len(part), len(full))
+			}
+			for i := range part {
+				if math.Float32bits(part[i]) != math.Float32bits(full[i]) {
+					t.Fatalf("%s: ForwardFrom(%s) feature %d = %v, Feature %v", mode, node, i, part[i], full[i])
+				}
 			}
 		}
 	}
@@ -380,12 +389,31 @@ func forwardFullSuffix(net *Network, base map[string]*tensor.Tensor, from string
 	return append([]float32(nil), vals[net.Model.FeatureNode].Data()...)
 }
 
+// plansRun runs f with metrics on and returns how many of net's plans it
+// executed, read off engine.runs.
+func plansRun(net *Network, f func()) int {
+	metrics.Reset()
+	metrics.Enable()
+	defer func() {
+		metrics.Disable()
+		metrics.Reset()
+	}()
+	f()
+	ran := 0
+	for _, name := range net.PlanOrder {
+		if metrics.C("engine.runs", metrics.Labels{"layer": name, "mode": net.Plans[name].mode}).Value() > 0 {
+			ran++
+		}
+	}
+	return ran
+}
+
 // TestForwardFromSkipsUnreachable checks, on the two branching graphs,
 // that re-executing only what is downstream of a node changes nothing
-// observable: features and the trace of every executed layer equal the
-// full-suffix result bit for bit, with the node speculating so its
-// value really differs from the cache — and that sibling branches are
-// no longer executed.
+// observable: features equal the full-suffix result bit for bit, with
+// the node speculating so its value really differs from the cache; the
+// trace holds the node alone, equal to the full-suffix trace's entry;
+// and sibling branches are no longer executed.
 func TestForwardFromSkipsUnreachable(t *testing.T) {
 	for _, name := range []string{"squeezenet", "googlenet"} {
 		m, err := models.Build(name, models.Options{Seed: 123})
@@ -407,19 +435,18 @@ func TestForwardFromSkipsUnreachable(t *testing.T) {
 			gotTrace, wantTrace := NewNetTrace(), NewNetTrace()
 			got := net.ForwardFrom(cache, node, opts, gotTrace)
 			want := forwardFullSuffix(net, cache, node, opts, wantTrace)
+			ran := plansRun(net, func() { net.ForwardFrom(cache, node, opts, nil) })
 			net.Plans[node] = exact
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: ForwardFrom(%s) features differ from the full-suffix result", name, node)
 			}
-			if gotTrace.Layers[node] == nil {
-				t.Fatalf("%s: ForwardFrom(%s) did not execute %s", name, node, node)
+			if len(gotTrace.Layers) != 1 || gotTrace.Layers[node] == nil {
+				t.Fatalf("%s: ForwardFrom(%s) traced %d layers, want %s alone", name, node, len(gotTrace.Layers), node)
 			}
-			for layer, tr := range gotTrace.Layers {
-				if !reflect.DeepEqual(tr, wantTrace.Layers[layer]) {
-					t.Fatalf("%s: ForwardFrom(%s): trace of %s differs from the full-suffix result", name, node, layer)
-				}
+			if !reflect.DeepEqual(gotTrace.Layers[node], wantTrace.Layers[node]) {
+				t.Fatalf("%s: ForwardFrom(%s): trace of %s differs from the full-suffix result", name, node, node)
 			}
-			skipped += len(wantTrace.Layers) - len(gotTrace.Layers)
+			skipped += len(wantTrace.Layers) - ran
 		}
 		if skipped <= 0 {
 			t.Fatalf("%s: no layer was spared re-execution", name)
