@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fmt vet vet-snapea fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke chaos-smoke integrity-smoke placement ci clean
+.PHONY: build test race fmt vet vet-snapea fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke placement ci clean
 
 build:
 	$(GO) build ./...
@@ -79,20 +79,6 @@ metrics-smoke:
 serve-smoke:
 	GO=$(GO) sh scripts/serve_smoke.sh
 
-# Chaos smoke: three snapea-serve runs with injected faults proving the
-# resilience layer end to end — circuit breaker opens and self-heals,
-# the request-deadline watchdog isolates a wedged model (bulkhead), and the
-# accuracy guardrail degrades predictive serving to exact and recovers.
-chaos-smoke:
-	GO=$(GO) sh scripts/chaos_smoke.sh
-
-# Integrity smoke: an injected one-bit weight flip is detected by the
-# startup canary, quarantined, healed, and the healed server's answers
-# match a clean server's golden bit-for-bit; plus the checksummed-
-# artifact lifecycle (snapea-model -verify/-checksum, -require-checksums).
-integrity-smoke:
-	GO=$(GO) sh scripts/integrity_smoke.sh
-
 # Code placement: the start address (and mod 64) of the GEMM baseline's
 # and the SnaPEA kernel's hot functions in the benchmark binary. A
 # speedup_vs_gemm A/B quotes both sides; not a gate.
@@ -100,7 +86,7 @@ placement:
 	GO=$(GO) sh scripts/placement.sh
 
 # The tier-1+ gate: everything CI runs before a merge.
-ci: fmt vet vet-snapea build race fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke chaos-smoke integrity-smoke
+ci: fmt vet vet-snapea build race fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke
 
 clean:
 	$(GO) clean ./...

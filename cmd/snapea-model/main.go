@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -50,10 +51,10 @@ func main() {
 	workers.Apply()
 
 	if *checksum != "" {
-		cli.Exit(runChecksum(*checksum))
+		cli.Exit(runChecksum(*checksum, os.Stdout))
 	}
 	if *verify != "" {
-		cli.Exit(runVerify(*verify))
+		cli.Exit(runVerify(*verify, os.Stdout))
 	}
 
 	obsStop, err := obs.Start("snapea-model")
@@ -140,26 +141,27 @@ func isWeights(data []byte) bool {
 	return bytes.HasPrefix(data, []byte(integrity.WeightsMagic))
 }
 
-// runChecksum rewrites an artifact with fresh checksums, atomically.
-// Exit 0 on success, 2 on any error (unreadable, structurally invalid,
-// or already checksummed with mismatching checksums).
-func runChecksum(path string) int {
+// runChecksum rewrites an artifact with fresh checksums, atomically,
+// and reports it to out. Exit 0 on success, 2 on any error (unreadable,
+// structurally invalid, or already checksummed with mismatching
+// checksums).
+func runChecksum(path string, out io.Writer) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "snapea-model:", err)
 		return 2
 	}
-	var out []byte
+	var blessed []byte
 	var what string
 	if isWeights(data) {
-		out, err = integrity.ChecksumWeights(data)
+		blessed, err = integrity.ChecksumWeights(data)
 		what = "checksum trailer"
 	} else {
 		// ParseParams verifies any existing checksum block, so a corrupt
 		// artifact errors out here instead of being re-blessed.
 		var f *snapea.ParamsFile
 		if f, err = snapea.ParseParams(data); err == nil {
-			out, err = f.Marshal()
+			blessed, err = f.Marshal()
 		}
 		what = "checksums block"
 	}
@@ -167,19 +169,19 @@ func runChecksum(path string) int {
 		fmt.Fprintln(os.Stderr, "snapea-model:", err)
 		return 2
 	}
-	if err := atomicfile.WriteFile(path, out, 0o644); err != nil {
+	if err := atomicfile.WriteFile(path, blessed, 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "snapea-model:", err)
 		return 2
 	}
-	fmt.Printf("%s: wrote %s (%d bytes)\n", path, what, len(out))
+	fmt.Fprintf(out, "%s: wrote %s (%d bytes)\n", path, what, len(blessed))
 	return 0
 }
 
 // runVerify checks an artifact's checksums and prints a per-tensor (or
-// per-layer) report. Exit 0 when every checksum matches, 1 on any
+// per-layer) report to out. Exit 0 when every checksum matches, 1 on any
 // mismatch or when the artifact carries no checksums, 2 on structural
 // errors.
-func runVerify(path string) int {
+func runVerify(path string, out io.Writer) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "snapea-model:", err)
@@ -192,7 +194,7 @@ func runVerify(path string) int {
 			return 2
 		}
 		if !checksummed {
-			fmt.Printf("%s: legacy artifact (no checksum trailer); run -checksum to add one\n", path)
+			fmt.Fprintf(out, "%s: legacy artifact (no checksum trailer); run -checksum to add one\n", path)
 			return 1
 		}
 		bad := 0
@@ -202,13 +204,13 @@ func runVerify(path string) int {
 				status = "MISMATCH"
 				bad++
 			}
-			fmt.Printf("%s/%s stored=%08x computed=%08x %s\n", c.Layer, c.Tensor, c.Stored, c.Computed, status)
+			fmt.Fprintf(out, "%s/%s stored=%08x computed=%08x %s\n", c.Layer, c.Tensor, c.Stored, c.Computed, status)
 		}
 		if bad > 0 {
-			fmt.Printf("%s: %d of %d tensors corrupted\n", path, bad, len(checks))
+			fmt.Fprintf(out, "%s: %d of %d tensors corrupted\n", path, bad, len(checks))
 			return 1
 		}
-		fmt.Printf("%s: %d tensors verified\n", path, len(checks))
+		fmt.Fprintf(out, "%s: %d tensors verified\n", path, len(checks))
 		return 0
 	}
 	// Params: decode without checksum enforcement so a corrupt file still
@@ -219,7 +221,7 @@ func runVerify(path string) int {
 		return 2
 	}
 	if f.Checksums == nil {
-		fmt.Printf("%s: legacy artifact (no checksums block); run -checksum to add one\n", path)
+		fmt.Fprintf(out, "%s: legacy artifact (no checksums block); run -checksum to add one\n", path)
 		return 1
 	}
 	nodes := make([]string, 0, len(f.Layers))
@@ -240,12 +242,12 @@ func runVerify(path string) int {
 			status = "MISMATCH"
 			bad++
 		}
-		fmt.Printf("%s stored=%s computed=%s %s\n", node, stored, computed, status)
+		fmt.Fprintf(out, "%s stored=%s computed=%s %s\n", node, stored, computed, status)
 	}
 	if bad > 0 {
-		fmt.Printf("%s: %d of %d layers corrupted\n", path, bad, len(nodes))
+		fmt.Fprintf(out, "%s: %d of %d layers corrupted\n", path, bad, len(nodes))
 		return 1
 	}
-	fmt.Printf("%s: %d layers verified\n", path, len(nodes))
+	fmt.Fprintf(out, "%s: %d layers verified\n", path, len(nodes))
 	return 0
 }

@@ -13,17 +13,18 @@
 // /healthz, /readyz (200 only once the -models preload compiled),
 // /metricsz (full metrics snapshot including the runtime serve section).
 //
-// The integrity layer (-scrub-interval, -canary-every, -scrub-mbps,
-// -require-checksums, -heal-backoff) detects silent corruption of a
-// served model: a startup canary plus a background scrubber and periodic
-// canary quarantine a corrupted model (fast 503 + X-Snapea-Quarantined,
-// quarantined:true in /v1/models and /readyz) while a heal loop
-// recompiles it from the artifact. See DESIGN.md, "Integrity and
-// self-healing".
+// Each served (model, mode) has one health state: a circuit breaker
+// (-breaker-failures), an accuracy guardrail for predictive serving
+// (-mispredict-budget, -audit-every), and the integrity layer
+// (-scrub-interval, -canary-every, -require-checksums): a startup canary
+// plus a background scrubber and periodic canary quarantine a corrupted
+// model (fast 503 + X-Snapea-Quarantined, quarantined:true in /v1/models
+// and /readyz) while a heal loop recompiles it from the artifact. See
+// DESIGN.md, "Health".
 //
 // SIGINT/SIGTERM (or -timeout) triggers graceful shutdown: /readyz flips
 // to 503, the listener stops accepting, every admitted request is
-// answered, then the process exits 0.
+// answered, then the process exits 0. Bad flags exit 2.
 package main
 
 import (
@@ -31,6 +32,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -45,41 +47,92 @@ import (
 	"snapea/internal/snapea"
 )
 
-func main() {
-	addr := flag.String("addr", "localhost:8080", "listen address (use port 0 for an ephemeral port)")
-	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening (for scripts driving an ephemeral port)")
-	modelsFlag := flag.String("models", "tinynet", "comma-separated models to compile at startup; /readyz waits for them")
-	scale := flag.String("scale", "reduced", "model scale: reduced or full")
-	classes := flag.Int("classes", 10, "classifier output classes")
-	seed := flag.Uint64("seed", 42, "deterministic model-build seed")
-	params := flag.String("params", "", "comma-separated model=paramsfile pairs enabling predictive mode per model")
-	negOrder := flag.String("negorder", "magnitude", "negative-weight ordering: magnitude or original")
-	queue := flag.Int("queue", 64, "per-model requests waiting for a run slot; overflow is rejected with 429")
-	reqTimeout := flag.Duration("request-timeout", 5*time.Second, "per-request deadline covering the wait and inference; a forward still running at it is abandoned (<0 disables)")
-	breakerFailures := flag.Int("breaker-failures", 5, "consecutive failed forwards that open a model's circuit breaker (<0 disables)")
-	breakerOpen := flag.Duration("breaker-open", 2*time.Second, "how long an open breaker rejects before half-open probes")
-	breakerProbes := flag.Int("breaker-probes", 2, "consecutive half-open successes that close the breaker")
-	mispredictBudget := flag.Float64("mispredict-budget", 0, "misprediction error budget; exceeding it degrades predictive serving to exact (0 disables)")
-	guardWindow := flag.Int("guard-window", 32, "guardrail sliding window in audited forwards")
-	guardCooldown := flag.Int("guard-cooldown", 16, "degraded forwards served before the guardrail probes predictive mode again")
-	auditEvery := flag.Int64("audit-every", 8, "audit every Nth predictive forward with exact misprediction accounting (<0 disables)")
-	scrubInterval := flag.Duration("scrub-interval", 30*time.Second, "background scrub cadence over compiled model state (<0 disables)")
-	scrubMBps := flag.Float64("scrub-mbps", 64, "scrubber re-hash rate limit in MB/s (<0 unthrottled)")
-	canaryEvery := flag.Duration("canary-every", time.Minute, "canary self-test cadence replaying each model's golden probe (<0 disables, startup check included)")
-	requireChecksums := flag.Bool("require-checksums", false, "reject params artifacts that carry no checksum block")
-	healBackoff := flag.Duration("heal-backoff", time.Second, "delay between failed heal attempts for a quarantined model")
-	drain := flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown drain budget")
-	timeout := flag.Duration("timeout", 0, "stop serving after this duration (0 = until signalled)")
-	faultFlags := cli.FaultFlags(nil)
-	workers := cli.WorkersFlag(nil)
-	obs := cli.ObsFlags(nil)
-	flag.Parse()
-	if err := cli.ApplyEnv(nil, cli.ServeEnv(), cli.BreakerEnv(), cli.IntegrityEnv(), cli.ObsEnv()); err != nil {
-		cli.Fatalf("snapea-serve", "%v", err)
-	}
-	workers.Apply()
+// options is the parsed command line.
+type options struct {
+	addr, addrFile string
+	drain, timeout time.Duration
+	serve          serve.Config
+	workers        *cli.WorkersFlagGroup
+	obs            *cli.ObsFlagGroup
+}
 
-	obsStop, err := obs.Start("snapea-serve")
+// setup parses args (usage and parse errors go to out), applies the
+// environment defaults and builds the server configuration. It returns
+// flag.ErrHelp for -h.
+func setup(args []string, out io.Writer) (*options, error) {
+	fs := flag.NewFlagSet("snapea-serve", flag.ContinueOnError)
+	fs.SetOutput(out)
+	o := &options{}
+	c := &o.serve
+	fs.StringVar(&o.addr, "addr", "localhost:8080", "listen address (use port 0 for an ephemeral port)")
+	fs.StringVar(&o.addrFile, "addr-file", "", "write the bound address to this file once listening (for scripts driving an ephemeral port)")
+	modelsFlag := fs.String("models", "tinynet", "comma-separated models to compile at startup; /readyz waits for them")
+	scale := fs.String("scale", "reduced", "model scale: reduced or full")
+	fs.IntVar(&c.Classes, "classes", 10, "classifier output classes")
+	fs.Uint64Var(&c.Seed, "seed", 42, "deterministic model-build seed")
+	params := fs.String("params", "", "comma-separated model=paramsfile pairs enabling predictive mode per model")
+	negOrder := fs.String("negorder", "magnitude", "negative-weight ordering: magnitude or original")
+	fs.IntVar(&c.QueueDepth, "queue", 64, "per-model requests waiting for a run slot; overflow is rejected with 429")
+	fs.DurationVar(&c.RequestTimeout, "request-timeout", 5*time.Second, "per-request deadline covering the wait and inference; a forward still running at it is abandoned (<0 disables)")
+	fs.IntVar(&c.BreakerFailures, "breaker-failures", 5, "consecutive failed forwards that open a model's circuit breaker (<0 disables)")
+	fs.Float64Var(&c.MispredictBudget, "mispredict-budget", 0, "misprediction error budget; exceeding it degrades predictive serving to exact (0 disables)")
+	fs.Int64Var(&c.AuditEvery, "audit-every", 8, "audit every Nth predictive forward with exact misprediction accounting (<0 disables)")
+	fs.DurationVar(&c.ScrubInterval, "scrub-interval", 30*time.Second, "background scrub cadence over compiled model state (<0 disables)")
+	fs.DurationVar(&c.CanaryEvery, "canary-every", time.Minute, "canary self-test cadence replaying each model's golden probe (<0 disables, startup check included)")
+	fs.BoolVar(&c.RequireChecksums, "require-checksums", false, "reject params artifacts that carry no checksum block")
+	fs.DurationVar(&o.drain, "drain-timeout", 15*time.Second, "graceful-shutdown drain budget")
+	fs.DurationVar(&o.timeout, "timeout", 0, "stop serving after this duration (0 = until signalled)")
+	faultFlags := cli.FaultFlags(fs)
+	o.workers = cli.WorkersFlag(fs)
+	o.obs = cli.ObsFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if err := cli.ApplyEnv(fs, cli.ServeEnv(), cli.ObsEnv()); err != nil {
+		return nil, err
+	}
+
+	var err error
+	if c.Faults, err = faultFlags.Config(c.Seed); err != nil {
+		return nil, err
+	}
+	c.Models = splitList(*modelsFlag)
+	if *scale == "full" {
+		c.Scale = models.Full
+	}
+	switch *negOrder {
+	case "magnitude":
+		c.NegOrder = snapea.NegByMagnitude
+	case "original":
+		c.NegOrder = snapea.NegOriginal
+	default:
+		return nil, fmt.Errorf("unknown -negorder %q (want magnitude or original)", *negOrder)
+	}
+	if *params != "" {
+		c.ParamsFiles = make(map[string]string)
+		for _, pair := range splitList(*params) {
+			name, path, ok := strings.Cut(pair, "=")
+			if !ok {
+				return nil, fmt.Errorf("malformed -params entry %q (want model=path)", pair)
+			}
+			c.ParamsFiles[name] = path
+		}
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := setup(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		cli.Exit(0)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "snapea-serve: %v\n", err)
+		cli.Exit(2)
+	}
+	o.workers.Apply()
+
+	obsStop, err := o.obs.Start("snapea-serve")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		cli.Exit(2)
@@ -89,65 +142,17 @@ func main() {
 	// not an opt-in debug mode.
 	metrics.Enable()
 
-	ctx, stop := cli.Context(*timeout)
+	ctx, stop := cli.Context(o.timeout)
 	defer stop()
 
-	faultCfg, err := faultFlags.Config(*seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "snapea-serve:", err)
-		cli.Exit(2)
-	}
-
-	cfg := serve.Config{
-		Models:           splitList(*modelsFlag),
-		Classes:          *classes,
-		Seed:             *seed,
-		QueueDepth:       *queue,
-		RequestTimeout:   *reqTimeout,
-		BreakerFailures:  *breakerFailures,
-		BreakerOpenFor:   *breakerOpen,
-		BreakerProbes:    *breakerProbes,
-		MispredictBudget: *mispredictBudget,
-		GuardWindow:      *guardWindow,
-		GuardCooldown:    *guardCooldown,
-		AuditEvery:       *auditEvery,
-		Faults:           faultCfg,
-		ScrubInterval:    *scrubInterval,
-		ScrubMBps:        *scrubMBps,
-		CanaryEvery:      *canaryEvery,
-		RequireChecksums: *requireChecksums,
-		HealBackoff:      *healBackoff,
-	}
-	if *scale == "full" {
-		cfg.Scale = models.Full
-	}
-	switch *negOrder {
-	case "magnitude":
-		cfg.NegOrder = snapea.NegByMagnitude
-	case "original":
-		cfg.NegOrder = snapea.NegOriginal
-	default:
-		cli.Fatalf("snapea-serve", "unknown -negorder %q (want magnitude or original)", *negOrder)
-	}
-	if *params != "" {
-		cfg.ParamsFiles = make(map[string]string)
-		for _, pair := range splitList(*params) {
-			name, path, ok := strings.Cut(pair, "=")
-			if !ok {
-				cli.Fatalf("snapea-serve", "malformed -params entry %q (want model=path)", pair)
-			}
-			cfg.ParamsFiles[name] = path
-		}
-	}
-
-	srv := serve.New(cfg)
-	ln, err := net.Listen("tcp", *addr)
+	srv := serve.New(o.serve)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		cli.Fatalf("snapea-serve", "listen: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "snapea-serve: listening on http://%s\n", ln.Addr())
-	if *addrFile != "" {
-		if err := atomicfile.WriteFile(*addrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
+	if o.addrFile != "" {
+		if err := atomicfile.WriteFile(o.addrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
 			cli.Fatalf("snapea-serve", "%v", err)
 		}
 	}
@@ -160,7 +165,7 @@ func main() {
 			return
 		}
 		fmt.Fprintf(os.Stderr, "snapea-serve: ready (%s compiled in %s)\n",
-			*modelsFlag, time.Since(start).Round(time.Millisecond))
+			strings.Join(o.serve.Models, ","), time.Since(start).Round(time.Millisecond))
 	}()
 
 	httpSrv := &http.Server{Handler: srv}
@@ -181,7 +186,7 @@ func main() {
 	// admitted request, then flush observability output.
 	fmt.Fprintln(os.Stderr, "snapea-serve: draining")
 	srv.BeginDrain()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), o.drain)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		fmt.Fprintf(os.Stderr, "snapea-serve: shutdown: %v\n", err)

@@ -69,24 +69,20 @@ func ObsEnv() map[string]string {
 	}
 }
 
-// ServeEnv maps snapea-serve's admission and lifecycle flags to their
-// environment defaults.
+// ServeEnv maps snapea-serve's admission, lifecycle, breaker and
+// integrity flags to their environment defaults, so a fleet can tighten
+// scrub cadence or demand checksummed artifacts without editing each
+// unit file.
 func ServeEnv() map[string]string {
 	return map[string]string{
-		"addr":            "SNAPEA_ADDR",
-		"queue":           "SNAPEA_QUEUE",
-		"request-timeout": "SNAPEA_REQUEST_TIMEOUT",
-		"drain-timeout":   "SNAPEA_DRAIN_TIMEOUT",
-	}
-}
-
-// BreakerEnv maps snapea-serve's circuit-breaker flags to their
-// environment defaults.
-func BreakerEnv() map[string]string {
-	return map[string]string{
-		"breaker-failures": "SNAPEA_BREAKER_FAILURES",
-		"breaker-open":     "SNAPEA_BREAKER_OPEN",
-		"breaker-probes":   "SNAPEA_BREAKER_PROBES",
+		"addr":              "SNAPEA_ADDR",
+		"queue":             "SNAPEA_QUEUE",
+		"request-timeout":   "SNAPEA_REQUEST_TIMEOUT",
+		"drain-timeout":     "SNAPEA_DRAIN_TIMEOUT",
+		"breaker-failures":  "SNAPEA_BREAKER_FAILURES",
+		"scrub-interval":    "SNAPEA_SCRUB_INTERVAL",
+		"canary-every":      "SNAPEA_CANARY_EVERY",
+		"require-checksums": "SNAPEA_REQUIRE_CHECKSUMS",
 	}
 }
 
@@ -98,19 +94,6 @@ func GatewayEnv() map[string]string {
 		"replicas":       "SNAPEA_GATEWAY_REPLICAS",
 		"probe-interval": "SNAPEA_GATEWAY_PROBE_INTERVAL",
 		"drain-timeout":  "SNAPEA_GATEWAY_DRAIN_TIMEOUT",
-	}
-}
-
-// IntegrityEnv maps snapea-serve's integrity-layer flags to their
-// environment defaults, so a fleet can tighten scrub cadence or demand
-// checksummed artifacts without editing each unit file.
-func IntegrityEnv() map[string]string {
-	return map[string]string{
-		"scrub-interval":    "SNAPEA_SCRUB_INTERVAL",
-		"scrub-mbps":        "SNAPEA_SCRUB_MBPS",
-		"canary-every":      "SNAPEA_CANARY_EVERY",
-		"require-checksums": "SNAPEA_REQUIRE_CHECKSUMS",
-		"heal-backoff":      "SNAPEA_HEAL_BACKOFF",
 	}
 }
 

@@ -257,14 +257,9 @@ var applyEnvGroups = []struct {
 		read:     func(fs *flag.FlagSet) string { return fs.Lookup("metrics").Value.String() },
 	},
 	{
-		name: "serve",
-		env:  ServeEnv,
-		register: func(fs *flag.FlagSet) {
-			fs.String("addr", "127.0.0.1:8080", "")
-			fs.Int("queue", 64, "")
-			fs.Duration("request-timeout", 0, "")
-			fs.Duration("drain-timeout", 0, "")
-		},
+		name:     "serve",
+		env:      ServeEnv,
+		register: registerServe,
 		flagName: "queue",
 		envVal:   "128",
 		argVal:   "16",
@@ -272,18 +267,14 @@ var applyEnvGroups = []struct {
 		read:     func(fs *flag.FlagSet) string { return fs.Lookup("queue").Value.String() },
 	},
 	{
-		name: "breaker",
-		env:  BreakerEnv,
-		register: func(fs *flag.FlagSet) {
-			fs.Int("breaker-failures", 5, "")
-			fs.Duration("breaker-open", 0, "")
-			fs.Int("breaker-probes", 2, "")
-		},
-		flagName: "breaker-open",
-		envVal:   "750ms",
-		argVal:   "3s",
-		badVal:   "soonish",
-		read:     func(fs *flag.FlagSet) string { return fs.Lookup("breaker-open").Value.String() },
+		name:     "breaker",
+		env:      ServeEnv,
+		register: registerServe,
+		flagName: "breaker-failures",
+		envVal:   "7",
+		argVal:   "3",
+		badVal:   "several",
+		read:     func(fs *flag.FlagSet) string { return fs.Lookup("breaker-failures").Value.String() },
 	},
 	{
 		name: "gateway",
@@ -301,15 +292,9 @@ var applyEnvGroups = []struct {
 		read:     func(fs *flag.FlagSet) string { return fs.Lookup("probe-interval").Value.String() },
 	},
 	{
-		name: "integrity",
-		env:  IntegrityEnv,
-		register: func(fs *flag.FlagSet) {
-			fs.Duration("scrub-interval", 30*time.Second, "")
-			fs.Float64("scrub-mbps", 64, "")
-			fs.Duration("canary-every", time.Minute, "")
-			fs.Bool("require-checksums", false, "")
-			fs.Duration("heal-backoff", time.Second, "")
-		},
+		name:     "integrity",
+		env:      ServeEnv,
+		register: registerServe,
 		flagName: "scrub-interval",
 		envVal:   "5s",
 		argVal:   "2s",
@@ -332,6 +317,19 @@ var applyEnvGroups = []struct {
 		badVal:   "fast",
 		read:     func(fs *flag.FlagSet) string { return fs.Lookup("rate").Value.String() },
 	},
+}
+
+// registerServe registers every flag ServeEnv names, as snapea-serve
+// does.
+func registerServe(fs *flag.FlagSet) {
+	fs.String("addr", "127.0.0.1:8080", "")
+	fs.Int("queue", 64, "")
+	fs.Duration("request-timeout", 0, "")
+	fs.Duration("drain-timeout", 0, "")
+	fs.Int("breaker-failures", 5, "")
+	fs.Duration("scrub-interval", 30*time.Second, "")
+	fs.Duration("canary-every", time.Minute, "")
+	fs.Bool("require-checksums", false, "")
 }
 
 // TestApplyEnvGroups is the audit of the -workers env-clobber bug class

@@ -63,9 +63,9 @@ type Config struct {
 	NJitter float64
 
 	// Serve-path faults, drawn once per dispatched inference batch (the
-	// chaos harness for the serving subsystem; see internal/serve and
-	// internal/resilience). A batch fault is at most one of delay,
-	// panic, or error, checked in that order.
+	// chaos harness for the serving subsystem; see internal/serve). A
+	// batch fault is at most one of delay, panic, or error, checked in
+	// that order.
 
 	// ServeDelay is added to a faulted serving forward before any
 	// compute — modeling a stalled DMA or a wedged kernel. A delay

@@ -5,13 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"snapea/internal/faults"
 	"snapea/internal/metrics"
-	"snapea/internal/resilience"
 	"snapea/internal/snapea"
 	"snapea/internal/tensor"
 )
@@ -34,29 +32,12 @@ type response struct {
 	inferTime time.Duration // Forward wall clock
 	reduction float64       // MAC reduction (SnaPEA savings)
 	degraded  bool          // served exact because the guardrail tripped
-	// retryAfter is the open breaker's hint, set with resilience.ErrOpen.
+	// retryAfter is the health verdict's hint, set with its err.
 	retryAfter time.Duration
 	err        error
 }
 
-// gateConfig wires one gate's admission bound and supervision hooks. The
-// resilience fields may be nil (disabled).
-type gateConfig struct {
-	label      metrics.Labels
-	site       string // "model/mode", names serve-path fault sites
-	queueDepth int
-	// auditEvery runs every Nth healthy predictive forward with
-	// CollectPrediction so the guardrail sees exact misprediction
-	// counts; <= 0 disables auditing.
-	auditEvery int64
-	breaker    *resilience.Breaker
-	guard      *resilience.Guardrail
-	// fallback is the exact-mode network a degraded predictive model
-	// serves with.
-	fallback *snapea.Network
-}
-
-// gate is the per-(model, mode) admission gate: one request, one
+// openGate readies the entry's admission gate — one request, one
 // Forward. A request takes one of GOMAXPROCS run slots if one is free,
 // or else one of queueDepth waiting places without blocking (or is
 // refused with ErrQueueFull) and waits there under its own context for
@@ -65,139 +46,108 @@ type gateConfig struct {
 // batched forward on this engine, and more slots than cores buy nothing
 // (DESIGN.md, "One request, one Forward"). Gates are per entry, so a
 // wedged or failing model cannot touch another model's slots (the
-// bulkhead).
-type gate struct {
-	net  *snapea.Network
-	pool *tensorPool
-	cfg  gateConfig
-
-	// seq numbers forwards: the audit cadence and the deterministic
-	// serve-path fault sites both key off it.
-	seq atomic.Int64
-
-	waiting chan struct{} // one token per taken waiting place
-	slots   chan struct{} // one token per taken run slot
-
-	mu       sync.RWMutex // guards closing vs. admission
-	closing  bool
-	admitted sync.WaitGroup // requests admitted and not yet answered
-}
-
-func newGate(net *snapea.Network, pool *tensorPool, cfg gateConfig) *gate {
-	if cfg.queueDepth < 1 {
-		cfg.queueDepth = 1
-	}
-	return &gate{
-		net:     net,
-		pool:    pool,
-		cfg:     cfg,
-		waiting: make(chan struct{}, cfg.queueDepth),
-		slots:   make(chan struct{}, runtime.GOMAXPROCS(0)),
-	}
+// bulkhead). The entry's health starts at init and keeps time by now.
+func (e *entry) openGate(pool *tensorPool, queueDepth int, init state, now func() time.Time) {
+	e.pool = pool
+	e.label = metrics.Labels{"model": e.key.Model, "mode": e.key.Mode}
+	e.h = health{s: init, now: now, label: e.label}
+	e.waiting = make(chan struct{}, max(queueDepth, 1))
+	e.slots = make(chan struct{}, runtime.GOMAXPROCS(0))
 }
 
 // admit takes a free run slot (running) or else a waiting place, or
 // refuses at once: ErrQueueFull when every place is taken,
-// ErrShuttingDown once close began. A freed slot goes to a blocked
-// waiter before any newcomer can take it, so waiters are served first.
-// An admitted request must call admitted.Done once it has its answer —
-// the drain contract.
-func (g *gate) admit() (running bool, err error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if g.closing {
+// ErrShuttingDown once the entry is closing. A freed slot goes to a
+// blocked waiter before any newcomer can take it, so waiters are served
+// first. An admitted request must call admitted.Done once it has its
+// answer — the drain contract, which holds because admission and
+// retirement take the same health lock.
+func (e *entry) admit() (running bool, err error) {
+	e.h.mu.Lock()
+	defer e.h.mu.Unlock()
+	if e.h.s.closing {
 		return false, ErrShuttingDown
 	}
 	select {
-	case g.slots <- struct{}{}:
+	case e.slots <- struct{}{}:
 		running = true
 	default:
 		select {
-		case g.waiting <- struct{}{}:
+		case e.waiting <- struct{}{}:
 		default:
 			return false, ErrQueueFull
 		}
 	}
-	g.admitted.Add(1)
+	e.admitted.Add(1)
 	return running, nil
-}
-
-// close stops admission and waits until every admitted request has its
-// answer.
-func (g *gate) close() {
-	g.mu.Lock()
-	g.closing = true
-	g.mu.Unlock()
-	g.admitted.Wait()
 }
 
 // run answers one request. It owns in from the call on. A request whose
 // context ends while it waits for a slot gets the context's error (the
-// HTTP layer's 504) and counts in serve.queue_timeouts. The breaker is
+// HTTP layer's 504) and counts in serve.queue_timeouts. The health is
 // asked only once the request holds its slot, right before its forward,
-// so every admitted probe is followed by a Record.
-func (g *gate) run(ctx context.Context, in *tensor.Tensor) response {
+// so every admitted probe is followed by its outcome.
+func (e *entry) run(ctx context.Context, in *tensor.Tensor) response {
 	enq := time.Now()
-	running, err := g.admit()
+	running, err := e.admit()
 	if err != nil {
-		g.pool.Put(in)
+		e.pool.Put(in)
 		return response{err: err}
 	}
-	defer g.admitted.Done()
+	defer e.admitted.Done()
 	if !running {
 		select {
-		case g.slots <- struct{}{}:
-			<-g.waiting
+		case e.slots <- struct{}{}:
+			<-e.waiting
 		case <-ctx.Done():
-			<-g.waiting
-			g.pool.Put(in)
+			<-e.waiting
+			e.pool.Put(in)
 			if metrics.Enabled() {
-				metrics.RC("serve.queue_timeouts", g.cfg.label).Add(1)
+				metrics.RC("serve.queue_timeouts", e.label).Add(1)
 			}
 			return response{err: ctx.Err()}
 		}
 	}
-	defer func() { <-g.slots }()
+	defer func() { <-e.slots }()
 	queueWait := time.Since(enq)
 	if metrics.Enabled() {
-		metrics.RH("serve.queue_wait_us", g.cfg.label, latencyBoundsUS).Observe(queueWait.Microseconds())
+		metrics.RH("serve.queue_wait_us", e.label, latencyBoundsUS).Observe(queueWait.Microseconds())
 	}
-	if ra, err := g.cfg.breaker.Allow(); err != nil {
-		g.pool.Put(in)
-		return response{err: err, retryAfter: ra}
+	v := e.h.apply(event{kind: evAdmit})
+	if v.err != nil {
+		e.pool.Put(in)
+		return response{err: v.err, retryAfter: v.retryAfter}
 	}
-	r := g.execute(ctx, in)
+	r := e.execute(ctx, in, v.fallback)
 	r.queueWait = queueWait
 	return r
 }
 
-// execute runs one admitted forward and feeds its outcome to the breaker
-// and, for audited or degraded forwards, to the guardrail. Mode
-// selection: a degraded predictive model serves through its exact
-// fallback (latency instead of silent accuracy loss); a healthy one
-// periodically runs an audit forward with exact misprediction accounting.
-func (g *gate) execute(ctx context.Context, in *tensor.Tensor) response {
-	seq := g.seq.Add(1) - 1
+// execute runs one admitted forward and reports its outcome to the
+// health, with the audit or the fallback service it ran. A degraded
+// predictive model serves through its exact fallback (latency instead of
+// silent accuracy loss); a guarded healthy one periodically runs an
+// audit forward with exact misprediction accounting.
+func (e *entry) execute(ctx context.Context, in *tensor.Tensor, fallback bool) response {
+	seq := e.seq.Add(1) - 1
 	var bf faults.BatchFault
-	if inj := g.net.Faults; inj != nil {
-		bf = inj.BatchFault(g.cfg.site, seq)
+	if inj := e.net.Faults; inj != nil {
+		bf = inj.BatchFault(e.key.String(), seq)
 	}
-	net, opts := g.net, snapea.RunOpts{}
-	degraded, audit := false, false
-	if g.cfg.guard != nil {
-		if g.cfg.guard.Degraded() && g.cfg.fallback != nil {
-			net, degraded = g.cfg.fallback, true
-		} else if g.cfg.auditEvery > 0 && seq%g.cfg.auditEvery == 0 {
-			opts.CollectPrediction = true
-			audit = true
-		}
+	net, opts := e.net, snapea.RunOpts{}
+	audit := false
+	if fallback {
+		net = e.fallback
+	} else if e.fallback != nil && e.auditEvery > 0 && seq%e.auditEvery == 0 {
+		opts.CollectPrediction = true
+		audit = true
 	}
 
 	trace := snapea.NewNetTrace()
 	ch := make(chan response, 1) // buffered: an abandoned forward must not block on send
 	abandoned := new(atomic.Bool)
 	start := time.Now()
-	go func() { ch <- g.forward(net, in, opts, trace, bf, abandoned) }()
+	go func() { ch <- e.forward(net, in, opts, trace, bf, abandoned) }()
 	r, ok := await(ctx, ch)
 	if !ok {
 		// The watchdog verdict. Whoever loses the abandoned CAS settles
@@ -207,56 +157,64 @@ func (g *gate) execute(ctx context.Context, in *tensor.Tensor) response {
 		// than re-pooling it. A forward that finished in the same instant
 		// won the CAS, and its answer stands.
 		if abandoned.CompareAndSwap(false, true) {
-			g.pool.noteLeak()
+			e.pool.noteLeak()
 			r = response{err: ErrWatchdog}
 			if metrics.Enabled() {
-				metrics.RC("serve.watchdog_timeouts", g.cfg.label).Add(1)
+				metrics.RC("serve.watchdog_timeouts", e.label).Add(1)
 			}
 		} else {
 			r = <-ch
 		}
 	}
 	r.inferTime = time.Since(start)
-	r.degraded = degraded
-	g.cfg.breaker.Record(r.err)
+	r.degraded = fallback
 
 	if metrics.Enabled() {
-		metrics.RC("serve.batches", g.cfg.label).Add(1)
+		metrics.RC("serve.batches", e.label).Add(1)
 		if r.err != nil {
-			metrics.RC("serve.batch_failures", g.cfg.label).Add(1)
+			metrics.RC("serve.batch_failures", e.label).Add(1)
 		}
 	}
 	if r.err != nil {
+		e.h.apply(event{kind: evFail})
 		return r
 	}
 	r.reduction = trace.Reduction()
+	evs := [2]event{{kind: evOK}}
+	n := 1
 	switch {
-	case degraded:
-		g.cfg.guard.RecordDegraded()
+	case fallback:
+		evs[1], n = event{kind: evDegraded}, 2
 		if metrics.Enabled() {
-			metrics.RC("serve.degraded_batches", g.cfg.label).Add(1)
+			metrics.RC("serve.degraded_batches", e.label).Add(1)
 		}
 	case audit:
 		// Windows and mispredicted (speculatively zeroed, truly
 		// positive) windows; the trace is complete once Forward returned.
-		var windows, mispred int64
+		a := event{kind: evAudit}
 		for _, tr := range trace.Layers {
-			windows += tr.Windows
-			mispred += tr.SpecFN
+			a.windows += tr.Windows
+			a.mispred += tr.SpecFN
 		}
-		g.cfg.guard.RecordAudit(windows, mispred)
+		evs[1], n = a, 2
 		if metrics.Enabled() {
-			metrics.RC("serve.audit_batches", g.cfg.label).Add(1)
-			metrics.RC("serve.audit_windows", g.cfg.label).Add(windows)
-			metrics.RC("serve.audit_mispredictions", g.cfg.label).Add(mispred)
+			metrics.RC("serve.audit_batches", e.label).Add(1)
+			metrics.RC("serve.audit_windows", e.label).Add(a.windows)
+			metrics.RC("serve.audit_mispredictions", e.label).Add(a.mispred)
 		}
+	}
+	// A forward that finished after its entry was quarantined is not
+	// answered: the state at its outcome decides, not the state at its
+	// admission.
+	if v := e.h.apply(evs[:n]...); v.err != nil {
+		return response{err: v.err, retryAfter: v.retryAfter, inferTime: r.inferTime}
 	}
 	return r
 }
 
 // await waits for the forward's answer until the request's deadline and
 // reports false if the deadline came first. A client that hangs up does
-// not end the wait: its forward's outcome still feeds the breaker, and
+// not end the wait: its forward's outcome still feeds the health, and
 // its slot stays taken until the forward ends or the deadline abandons
 // it. Without a deadline the wait is unbounded.
 func await(ctx context.Context, ch <-chan response) (response, bool) {
@@ -286,12 +244,12 @@ func await(ctx context.Context, ch <-chan response) (response, bool) {
 // if the request is still waiting for it, or is handed to reclaim if the
 // watchdog abandoned it in the meantime. Injected faults apply here,
 // under the watchdog, where a real stuck or failing kernel would surface.
-func (g *gate) forward(net *snapea.Network, in *tensor.Tensor, opts snapea.RunOpts, trace *snapea.NetTrace, bf faults.BatchFault, abandoned *atomic.Bool) (r response) {
+func (e *entry) forward(net *snapea.Network, in *tensor.Tensor, opts snapea.RunOpts, trace *snapea.NetTrace, bf faults.BatchFault, abandoned *atomic.Bool) (r response) {
 	defer func() {
 		if abandoned.CompareAndSwap(false, true) {
-			g.pool.Put(in)
+			e.pool.Put(in)
 		} else {
-			g.pool.reclaim(in)
+			e.pool.reclaim(in)
 		}
 		if p := recover(); p != nil {
 			r = response{err: fmt.Errorf("serve: inference failed: %v", p)}

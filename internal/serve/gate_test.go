@@ -91,15 +91,23 @@ func holdNet(t *testing.T) (*snapea.Network, *holdLayer) {
 	return snapea.CompileExact(&models.Model{Name: "hold", Graph: g, InputShape: m.InputShape}), h
 }
 
+// testGate returns a tinynet/exact entry around net with an open gate
+// of queueDepth waiting places and an unsupervised health.
+func testGate(net *snapea.Network, pool *tensorPool, queueDepth int) *entry {
+	e := newEntry(modelKey{Model: "tinynet", Mode: ModeExact})
+	e.net = net
+	e.openGate(pool, queueDepth, state{}, time.Now)
+	return e
+}
+
 // holdEntry installs a ready tinynet/exact registry entry whose forwards
 // park in a holdLayer, for HTTP-level gate tests.
 func holdEntry(t *testing.T, s *Server) (*entry, *holdLayer) {
 	t.Helper()
 	net, h := holdNet(t)
-	key := modelKey{Model: "tinynet", Mode: ModeExact}
-	e := newEntry(key)
-	e.net, e.inShape, e.classes = net, net.Model.InputShape, 10
-	e.gate = newGate(net, s.pool, gateConfig{queueDepth: s.cfg.QueueDepth})
+	e := testGate(net, s.pool, s.cfg.QueueDepth)
+	key := e.key
+	e.inShape, e.classes = net.Model.InputShape, 10
 	close(e.ready)
 	s.reg.mu.Lock()
 	s.reg.entries[key] = e
@@ -108,14 +116,14 @@ func holdEntry(t *testing.T, s *Server) (*entry, *holdLayer) {
 }
 
 // awaitWaiting blocks until exactly n requests hold waiting places.
-func awaitWaiting(t *testing.T, g *gate, n int) {
+func awaitWaiting(t *testing.T, g *entry, n int) {
 	t.Helper()
 	awaitTrue(t, 10*time.Second, "requests to take their waiting places", func() bool { return len(g.waiting) == n })
 }
 
 // runAsync starts n requests through g and returns their answers once
 // all have one.
-func runAsync(g *gate, pool *tensorPool, shape tensor.Shape, n int) func() []response {
+func runAsync(g *entry, pool *tensorPool, shape tensor.Shape, n int) func() []response {
 	out := make([]response, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -143,8 +151,8 @@ func requireOK(t *testing.T, rs []response) {
 func TestLoneRequestRunsAtOnce(t *testing.T) {
 	net, shape := testNet(t)
 	pool := newTensorPool()
-	g := newGate(net, pool, gateConfig{queueDepth: 64})
-	defer g.close()
+	g := testGate(net, pool, 64)
+	defer g.retire()
 
 	r := g.run(context.Background(), testInput(pool, shape, 1))
 	requireOK(t, []response{r})
@@ -159,8 +167,8 @@ func TestLoneRequestRunsAtOnce(t *testing.T) {
 func TestGateBoundsInFlight(t *testing.T) {
 	net, h := holdNet(t)
 	pool := newTensorPool()
-	g := newGate(net, pool, gateConfig{queueDepth: 64})
-	defer func() { h.releaseAll(); g.close() }() // release first: close waits for held forwards
+	g := testGate(net, pool, 64)
+	defer func() { h.releaseAll(); g.retire() }() // release first: retire waits for held forwards
 	slots := runtime.GOMAXPROCS(0)
 	n := 2*slots + 1
 
@@ -187,8 +195,8 @@ func TestQueueOverflow(t *testing.T) {
 	net, h := holdNet(t)
 	pool := newTensorPool()
 	const depth = 2
-	g := newGate(net, pool, gateConfig{queueDepth: depth})
-	defer func() { h.releaseAll(); g.close() }() // release first: close waits for held forwards
+	g := testGate(net, pool, depth)
+	defer func() { h.releaseAll(); g.retire() }() // release first: retire waits for held forwards
 	slots := runtime.GOMAXPROCS(0)
 	shape := net.Model.InputShape
 
@@ -214,8 +222,8 @@ func TestQueuedDeadlineExpires(t *testing.T) {
 
 	net, h := holdNet(t)
 	pool := newTensorPool()
-	g := newGate(net, pool, gateConfig{queueDepth: 4})
-	defer func() { h.releaseAll(); g.close() }() // release first: close waits for held forwards
+	g := testGate(net, pool, 4)
+	defer func() { h.releaseAll(); g.retire() }() // release first: retire waits for held forwards
 	slots := runtime.GOMAXPROCS(0)
 	shape := net.Model.InputShape
 
@@ -243,7 +251,7 @@ func TestCloseDrainsAccepted(t *testing.T) {
 	net, h := holdNet(t)
 	pool := newTensorPool()
 	const depth = 3
-	g := newGate(net, pool, gateConfig{queueDepth: depth})
+	g := testGate(net, pool, depth)
 	slots := runtime.GOMAXPROCS(0)
 	shape := net.Model.InputShape
 
@@ -252,7 +260,7 @@ func TestCloseDrainsAccepted(t *testing.T) {
 	awaitWaiting(t, g, depth)
 	closed := make(chan struct{})
 	go func() {
-		g.close()
+		g.retire()
 		close(closed)
 	}()
 	// Every slot and waiting place is taken, so admission answers

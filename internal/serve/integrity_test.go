@@ -37,12 +37,12 @@ func awaitTrue(t *testing.T, d time.Duration, what string, cond func() bool) {
 // shed with fast 503s, and the heal recompile (fault budget spent)
 // restores bit-identical answers.
 func TestStartupCanaryQuarantinesCorruptCompile(t *testing.T) {
+	enableMetrics(t)
 	cfg := Config{
 		Models:        []string{"tinynet"},
 		Faults:        faults.Config{Seed: 7, WeightBitFlip: 1, WeightFlipLimit: 1},
 		ScrubInterval: -1,        // startup canary only
 		CanaryEvery:   time.Hour, // canary built, no periodic ticks
-		HealBackoff:   5 * time.Millisecond,
 	}
 	s, ts := testServer(t, cfg)
 	r := s.reg
@@ -58,10 +58,10 @@ func TestStartupCanaryQuarantinesCorruptCompile(t *testing.T) {
 	if e.err != nil {
 		t.Fatalf("compile: %v", e.err)
 	}
-	if !e.quarantined.Load() {
+	if e.state().phase != quarantined {
 		t.Fatal("startup canary did not quarantine the corrupted compile")
 	}
-	if reason := e.quarantineReason(); !strings.Contains(reason, "startup canary") {
+	if reason := e.state().reason; !strings.Contains(reason, "startup canary") {
 		t.Fatalf("quarantine reason %q does not name the startup canary", reason)
 	}
 
@@ -125,6 +125,15 @@ func TestStartupCanaryQuarantinesCorruptCompile(t *testing.T) {
 			return false
 		}
 	})
+	if body := getBody(t, ts.URL+"/readyz"); strings.Contains(body, "quarantined=true") {
+		t.Fatalf("/readyz %q still reports a quarantine after the heal", body)
+	}
+	for _, name := range []string{"integrity.canary_runs", "integrity.canary_failures", "integrity.quarantines", "integrity.heals"} {
+		if runtimeCounter(name) <= 0 {
+			t.Errorf("%s = 0 after a quarantine and heal", name)
+		}
+	}
+	assertHealthMetrics(t)
 }
 
 // TestLiveBitFlipDetectedQuarantinedHealed is the tentpole regression:
@@ -140,7 +149,6 @@ func TestLiveBitFlipDetectedQuarantinedHealed(t *testing.T) {
 		Faults:        faults.Config{Seed: 3, WeightFlipLimit: 1},
 		ScrubInterval: time.Hour, // scrubber built; ticks driven by hand
 		CanaryEvery:   time.Hour,
-		HealBackoff:   time.Millisecond,
 	}
 	s, ts := testServer(t, cfg)
 	r := s.reg
@@ -181,7 +189,7 @@ func TestLiveBitFlipDetectedQuarantinedHealed(t *testing.T) {
 
 	// Quarantine without spawning the heal yet, so the shed-traffic
 	// assertions cannot race the swap.
-	if !e.markQuarantined("scrub mismatch in " + bad[0]) {
+	if !e.alarm("scrub mismatch in " + bad[0]) {
 		t.Fatal("entry was already quarantined")
 	}
 	for i := 0; i < 3; i++ {
@@ -227,26 +235,25 @@ func TestSentinelDetectsCorruptionWithinBound(t *testing.T) {
 	cfg := Config{
 		Models:        []string{"tinynet"},
 		ScrubInterval: 5 * time.Millisecond,
-		ScrubMBps:     -1,
 		CanaryEvery:   -1,
-		HealBackoff:   time.Millisecond,
 	}
 	s, _ := testServer(t, cfg)
 	r := s.reg
 	key := modelKey{Model: "tinynet", Mode: ModeExact}
 
-	var state atomic.Uint32
+	var digest atomic.Uint32
 	e := newEntry(key)
+	e.openGate(s.pool, 1, state{}, time.Now)
 	e.scrub = integrity.NewScrubber(nil, -1, []integrity.Region{{
 		Name:   key.String() + "/synthetic",
 		Bytes:  4,
-		Digest: state.Load,
+		Digest: digest.Load,
 	}})
 	close(e.ready)
 	r.mu.Lock()
 	r.entries[key] = e
 	r.mu.Unlock()
-	go r.sentinel(e)
+	go r.supervise(e)
 
 	// Hammer the registry concurrently through detection and heal: the
 	// cache swap must never surface an error or a torn entry.
@@ -270,13 +277,13 @@ func TestSentinelDetectsCorruptionWithinBound(t *testing.T) {
 	}
 
 	corrupted := time.Now()
-	state.Store(1)
-	awaitTrue(t, 2*time.Second, "sentinel to quarantine", func() bool { return e.quarantined.Load() })
+	digest.Store(1)
+	awaitTrue(t, 2*time.Second, "sentinel to quarantine", func() bool { return e.state().phase == quarantined })
 	if d := time.Since(corrupted); d > 2*time.Second {
 		t.Fatalf("detection took %v, want under the 2s bound", d)
 	}
-	if !strings.Contains(e.quarantineReason(), "scrub mismatch") {
-		t.Fatalf("quarantine reason %q", e.quarantineReason())
+	if reason := e.state().reason; !strings.Contains(reason, "scrub mismatch") {
+		t.Fatalf("quarantine reason %q", reason)
 	}
 
 	// The heal must evict the quarantined entry's cached compile and
@@ -286,7 +293,7 @@ func TestSentinelDetectsCorruptionWithinBound(t *testing.T) {
 		r.mu.Lock()
 		cur := r.entries[key]
 		r.mu.Unlock()
-		return cur != e && !cur.quarantined.Load()
+		return cur != e && cur.state().phase != quarantined
 	})
 	if r.compiles.Load() <= before-1 {
 		t.Fatal("heal did not recompile")

@@ -14,7 +14,6 @@ import (
 	"snapea/internal/integrity"
 	"snapea/internal/metrics"
 	"snapea/internal/models"
-	"snapea/internal/resilience"
 	"snapea/internal/snapea"
 	"snapea/internal/tensor"
 )
@@ -52,28 +51,41 @@ type entry struct {
 	stop chan struct{}
 
 	// Valid after ready is closed.
-	net     *snapea.Network
-	inShape tensor.Shape // single-image input shape (N=1)
-	classes int
-	gate    *gate
-	breaker *resilience.Breaker
-	guard   *resilience.Guardrail
-	err     error
+	net *snapea.Network
+	// fallback is the exact-mode network a degraded predictive entry
+	// serves with; an entry without one is unguarded and never audited.
+	fallback *snapea.Network
+	inShape  tensor.Shape // single-image input shape (N=1)
+	classes  int
+	err      error
 	// transient marks err as retryable: the registry swaps in a fresh
 	// entry on the next get instead of serving the cached failure.
 	transient bool
 
+	// The admission gate and the health (gate.go, health.go), opened on
+	// a successful compile.
+	pool  *tensorPool
+	label metrics.Labels
+	// auditEvery runs every Nth healthy predictive forward with
+	// CollectPrediction so the guardrail sees exact misprediction
+	// counts; <= 0 disables auditing.
+	auditEvery int64
+	h          health
+	// seq numbers forwards: the audit cadence and the deterministic
+	// serve-path fault sites both key off it.
+	seq      atomic.Int64
+	waiting  chan struct{}  // one token per taken waiting place
+	slots    chan struct{}  // one token per taken run slot
+	admitted sync.WaitGroup // requests admitted and not yet answered
+
 	// Integrity supervision (see internal/integrity). scrub re-hashes the
 	// compiled plans against load-time digests; canary replays the golden
-	// probe. quarantined flips once, when either detects corruption: the
-	// HTTP layer then sheds this model's traffic with fast 503s while the
-	// heal loop compiles a replacement from the artifact.
-	scrub       *integrity.Scrubber
-	canary      *integrity.Canary
-	quarantined atomic.Bool
-	quarMu      sync.Mutex
-	quarReason  string
-	retireOnce  sync.Once
+	// probe. Either one's alarm quarantines the entry: the HTTP layer then
+	// sheds this model's traffic with fast 503s while the heal loop
+	// compiles a replacement from the artifact.
+	scrub      *integrity.Scrubber
+	canary     *integrity.Canary
+	retireOnce sync.Once
 }
 
 func newEntry(key modelKey) *entry {
@@ -81,39 +93,27 @@ func newEntry(key modelKey) *entry {
 }
 
 // retire ends the entry's supervised life: the sentinel and any heal
-// loop watching it exit, and its gate drains. Idempotent — the heal
-// swap and registry shutdown may both retire the same entry.
+// loop watching it exit, admission stops, and retire returns once every
+// admitted request has its answer. Idempotent — the heal swap and
+// registry shutdown may both retire the same entry.
 func (e *entry) retire() {
 	e.retireOnce.Do(func() {
 		close(e.stop)
-		if e.gate != nil {
-			e.gate.close()
+		if e.slots != nil {
+			e.h.apply(event{kind: evRetire})
+			e.admitted.Wait()
 		}
 	})
 }
 
-// markQuarantined flips the entry into quarantine and records why.
-// Returns false when the entry was already quarantined.
-func (e *entry) markQuarantined(reason string) bool {
-	if !e.quarantined.CompareAndSwap(false, true) {
-		return false
-	}
-	e.quarMu.Lock()
-	e.quarReason = reason
-	e.quarMu.Unlock()
-	if metrics.Enabled() {
-		lbl := metrics.Labels{"model": e.key.Model, "mode": e.key.Mode}
-		metrics.RC("integrity.quarantines", lbl).Add(1)
-		metrics.RG("integrity.quarantined", lbl).Set(1)
-	}
-	return true
+// alarm quarantines the entry and reports whether this alarm began the
+// quarantine (the first reason wins).
+func (e *entry) alarm(reason string) bool {
+	return e.h.apply(event{kind: evAlarm, reason: reason}).err != nil
 }
 
-func (e *entry) quarantineReason() string {
-	e.quarMu.Lock()
-	defer e.quarMu.Unlock()
-	return e.quarReason
-}
+// state returns the entry's health state.
+func (e *entry) state() state { return e.h.snapshot() }
 
 // registry lazily compiles and caches snapea.Network plans and their
 // admission gates.
@@ -133,10 +133,13 @@ type registry struct {
 	// compiles counts actual compilations (not cache hits); the
 	// singleflight tests read it.
 	compiles atomic.Int64
+	// now is every entry's health clock; tests substitute it before the
+	// first compile.
+	now func() time.Time
 }
 
 func newRegistry(cfg Config, pool *tensorPool) *registry {
-	r := &registry{cfg: cfg, pool: pool, entries: make(map[modelKey]*entry)}
+	r := &registry{cfg: cfg, pool: pool, entries: make(map[modelKey]*entry), now: time.Now}
 	if cfg.Faults.Enabled() {
 		r.inj = faults.New(cfg.Faults)
 	}
@@ -155,24 +158,15 @@ func (r *registry) get(ctx context.Context, key modelKey) (*entry, error) {
 		return nil, ErrShuttingDown
 	}
 	e, ok := r.entries[key]
+	retry := false
 	if ok {
 		select {
 		case <-e.ready:
-			if e.err != nil && e.transient {
-				// Retry a transiently-failed compile: replace the slot so
-				// concurrent getters singleflight onto the new attempt.
-				e = newEntry(key)
-				r.entries[key] = e
-				r.mu.Unlock()
-				if metrics.Enabled() {
-					metrics.RC("serve.compile_retries", nil).Add(1)
-				}
-				r.compile(e)
-				r.postCompile(e)
-				return e.result()
-			}
+			retry = e.err != nil && e.transient
 		default:
 		}
+	}
+	if ok && !retry {
 		r.mu.Unlock()
 		if metrics.Enabled() {
 			metrics.RC("serve.compile_cache.hits", nil).Add(1)
@@ -184,14 +178,24 @@ func (r *registry) get(ctx context.Context, key modelKey) (*entry, error) {
 			return nil, ctx.Err()
 		}
 	}
+	// A miss, or a transiently failed compile to retry: install a fresh
+	// slot so concurrent getters singleflight onto this attempt.
 	e = newEntry(key)
 	r.entries[key] = e
 	r.mu.Unlock()
 	if metrics.Enabled() {
-		metrics.RC("serve.compile_cache.misses", nil).Add(1)
+		if retry {
+			metrics.RC("serve.compile_retries", nil).Add(1)
+		} else {
+			metrics.RC("serve.compile_cache.misses", nil).Add(1)
+		}
 	}
 	r.compile(e)
-	r.postCompile(e)
+	// The installed entry's supervised life starts here, once; heal's
+	// candidates are never installed here (heal owns them until the swap).
+	if e.err == nil {
+		go r.supervise(e)
+	}
 	return e.result()
 }
 
@@ -202,9 +206,9 @@ func (e *entry) result() (*entry, error) {
 	return e, nil
 }
 
-// compile builds and compiles the entry's network, constructs its
-// supervision (circuit breaker, and for predictive entries the accuracy
-// guardrail with an exact-mode fallback network), then closes ready.
+// compile builds and compiles the entry's network and opens its gate,
+// whose health guards a predictive entry with an exact-mode fallback
+// network when a misprediction budget is set, then closes ready.
 func (r *registry) compile(e *entry) {
 	defer close(e.ready)
 	r.compiles.Add(1)
@@ -220,7 +224,6 @@ func (r *registry) compile(e *entry) {
 	// The injector is server-wide (see registry.inj) so fault budgets
 	// span recompiles instead of resetting per compile.
 	inj := r.inj
-	var fallback *snapea.Network
 	var params map[string]snapea.LayerParams
 	switch e.key.Mode {
 	case ModeExact:
@@ -266,8 +269,8 @@ func (r *registry) compile(e *entry) {
 		e.net = snapea.CompileFaulty(m, params, cfg.NegOrder, inj)
 		// The guardrail degrades this model to exact execution; compile
 		// the exact sibling now so degradation never stalls on a compile.
-		// Guarding without a fallback would be a one-way trip, so the
-		// guardrail exists only when the fallback does.
+		// Guarding without a fallback would be a one-way trip, so only an
+		// entry with a fallback is guarded.
 		if cfg.MispredictBudget > 0 {
 			fe, ferr := r.get(context.Background(), modelKey{Model: e.key.Model, Mode: ModeExact})
 			if ferr != nil {
@@ -275,7 +278,7 @@ func (r *registry) compile(e *entry) {
 				e.transient = true
 				return
 			}
-			fallback = fe.net
+			e.fallback = fe.net
 		}
 	default:
 		e.err = fmt.Errorf("%w: unknown mode %q (want %s or %s)", errBadRequest, e.key.Mode, ModeExact, ModePredictive)
@@ -284,53 +287,12 @@ func (r *registry) compile(e *entry) {
 	e.inShape = m.InputShape
 	e.classes = cfg.Classes // normalize defaults it to 10
 
-	lbl := metrics.Labels{"model": e.key.Model, "mode": e.key.Mode}
-	if cfg.BreakerFailures >= 0 {
-		e.breaker = resilience.NewBreaker(resilience.BreakerConfig{
-			Failures: cfg.BreakerFailures,
-			OpenFor:  cfg.BreakerOpenFor,
-			Probes:   cfg.BreakerProbes,
-			OnTransition: func(from, to resilience.State) {
-				if !metrics.Enabled() {
-					return
-				}
-				metrics.RG("serve.breaker_state", lbl).Set(int64(to))
-				metrics.RC("serve.breaker_transitions", lbl).Add(1)
-				if to == resilience.Open {
-					metrics.RC("serve.breaker_opens", lbl).Add(1)
-				}
-			},
-		})
+	init := state{limit: max(cfg.BreakerFailures, 0)}
+	if e.fallback != nil {
+		init.budget = cfg.MispredictBudget
 	}
-	if fallback != nil {
-		e.guard = resilience.NewGuardrail(resilience.GuardConfig{
-			Budget:     cfg.MispredictBudget,
-			Window:     cfg.GuardWindow,
-			MinWindows: cfg.GuardMinWindows,
-			Cooldown:   cfg.GuardCooldown,
-			OnChange: func(degraded bool) {
-				if !metrics.Enabled() {
-					return
-				}
-				if degraded {
-					metrics.RG("serve.degraded", lbl).Set(1)
-					metrics.RC("serve.degrade_events", lbl).Add(1)
-				} else {
-					metrics.RG("serve.degraded", lbl).Set(0)
-					metrics.RC("serve.recover_events", lbl).Add(1)
-				}
-			},
-		})
-	}
-	e.gate = newGate(e.net, r.pool, gateConfig{
-		label:      lbl,
-		site:       e.key.String(),
-		queueDepth: cfg.QueueDepth,
-		auditEvery: cfg.AuditEvery,
-		breaker:    e.breaker,
-		guard:      e.guard,
-		fallback:   fallback,
-	})
+	e.auditEvery = cfg.AuditEvery
+	e.openGate(r.pool, cfg.QueueDepth, init, r.now)
 
 	// Integrity supervision. The scrubber captures load-time digests of
 	// every compiled conv plan (the canary covers the rest of the network
@@ -345,7 +307,7 @@ func (r *registry) compile(e *entry) {
 				Digest: p.StateDigest,
 			})
 		}
-		e.scrub = integrity.NewScrubber(lbl, cfg.ScrubMBps, regions)
+		e.scrub = integrity.NewScrubber(e.label, scrubMBps, regions)
 	}
 	// The canary replays a deterministic dense probe and compares outputs
 	// bit-for-bit. Its golden comes from a clean twin compile when the
@@ -356,27 +318,23 @@ func (r *registry) compile(e *entry) {
 	// without one, as does CanaryEvery < 0.
 	if cfg.CanaryEvery >= 0 && !activationFaulty(cfg.Faults) {
 		probe := integrity.ProbeData(cfg.Seed, e.key.String(), e.inShape.Elems())
-		run := func() []float32 {
+		replay := func(net *snapea.Network) []float32 {
 			in := tensor.New(e.inShape)
 			copy(in.Data(), probe)
-			out := e.net.Forward(in, snapea.RunOpts{}, nil)
-			return append([]float32(nil), out.Data()...)
+			return append([]float32(nil), net.Forward(in, snapea.RunOpts{}, nil).Data()...)
 		}
 		var golden []float32
 		if compileCorrupting(cfg.Faults) {
-			clean := snapea.CompileFaulty(m, params, cfg.NegOrder, nil)
-			in := tensor.New(e.inShape)
-			copy(in.Data(), probe)
-			golden = append([]float32(nil), clean.Forward(in, snapea.RunOpts{}, nil).Data()...)
+			golden = replay(snapea.CompileFaulty(m, params, cfg.NegOrder, nil))
 		} else {
-			golden = run()
+			golden = replay(e.net)
 		}
-		e.canary = integrity.NewCanary(lbl, golden, run)
+		e.canary = integrity.NewCanary(e.label, golden, func() []float32 { return replay(e.net) })
 		// Startup self-test: a model corrupted before it ever serves is
-		// quarantined here, before its first request. postCompile spawns
-		// the heal.
+		// quarantined here, before its first request; its supervisor
+		// heals it.
 		if cerr := e.canary.Check(); cerr != nil {
-			e.markQuarantined(fmt.Sprintf("startup canary: %v", cerr))
+			e.alarm(fmt.Sprintf("startup canary: %v", cerr))
 		}
 	}
 }
@@ -392,29 +350,24 @@ func compileCorrupting(c faults.Config) bool {
 // would trip a canary on every run by design.
 func activationFaulty(c faults.Config) bool { return c.ActBitFlip > 0 || c.NaNRate > 0 }
 
-// postCompile starts the compiled entry's supervised life: a sentinel
-// goroutine for healthy entries, a heal loop for entries the startup
-// canary already quarantined. Called exactly once per entry installed in
-// the map, after compile returns (never for heal's candidate entries,
-// whose lifecycle heal owns until the swap).
-func (r *registry) postCompile(e *entry) {
-	switch {
-	case e.err != nil:
-	case e.quarantined.Load():
-		go r.heal(e)
-	default:
-		go r.sentinel(e)
+// supervise watches an installed entry until an alarm quarantines it
+// (the startup canary may already have), then heals it; the healed
+// replacement is supervised in turn.
+func (r *registry) supervise(e *entry) {
+	if e.state().phase == quarantined || r.sentinel(e) {
+		r.heal(e)
 	}
 }
 
 // sentinel is one entry's background integrity watcher: it scrubs the
 // compiled state and replays the canary on their configured intervals,
-// quarantines the entry on the first alarm, and exits. A scrub alarm is
-// confirmed at the output level by an immediate canary run so the
-// quarantine reason carries both views.
+// and on the first alarm quarantines the entry and reports true. A
+// scrub alarm is confirmed at the output level by an immediate canary
+// run so the quarantine reason carries both views. It reports false
+// when the entry retires or has nothing to watch.
 //
 //snapea:runtime
-func (r *registry) sentinel(e *entry) {
+func (r *registry) sentinel(e *entry) bool {
 	var scrubC, canaryC <-chan time.Time
 	if e.scrub != nil && r.cfg.ScrubInterval > 0 {
 		t := time.NewTicker(r.cfg.ScrubInterval)
@@ -427,37 +380,26 @@ func (r *registry) sentinel(e *entry) {
 		canaryC = t.C
 	}
 	if scrubC == nil && canaryC == nil {
-		return
+		return false
 	}
 	for {
 		select {
 		case <-e.stop:
-			return
+			return false
 		case <-scrubC:
 			if bad := e.scrub.Scrub(); len(bad) > 0 {
 				reason := "scrub mismatch in " + strings.Join(bad, ", ")
 				if cerr := e.canary.Check(); cerr != nil {
 					reason += fmt.Sprintf("; confirmed: %v", cerr)
 				}
-				r.quarantine(e, reason)
-				return
+				return e.alarm(reason)
 			}
 		case <-canaryC:
 			if cerr := e.canary.Check(); cerr != nil {
-				r.quarantine(e, fmt.Sprintf("canary: %v", cerr))
-				return
+				return e.alarm(fmt.Sprintf("canary: %v", cerr))
 			}
 		}
 	}
-}
-
-// quarantine flips the entry into quarantine (the HTTP layer starts
-// shedding its traffic immediately) and spawns the heal loop.
-func (r *registry) quarantine(e *entry, reason string) {
-	if !e.markQuarantined(reason) {
-		return
-	}
-	go r.heal(e)
 }
 
 // heal replaces a quarantined entry with a fresh compile from the
@@ -472,7 +414,6 @@ func (r *registry) quarantine(e *entry, reason string) {
 //
 //snapea:runtime
 func (r *registry) heal(old *entry) {
-	lbl := metrics.Labels{"model": old.key.Model, "mode": old.key.Mode}
 	for {
 		r.mu.Lock()
 		live := !r.closed && r.entries[old.key] == old
@@ -482,7 +423,7 @@ func (r *registry) heal(old *entry) {
 		}
 		fresh := newEntry(old.key)
 		r.compile(fresh) // closes fresh.ready itself
-		if fresh.err == nil && !fresh.quarantined.Load() {
+		if fresh.err == nil && fresh.state().phase != quarantined {
 			r.mu.Lock()
 			if r.closed || r.entries[old.key] != old {
 				r.mu.Unlock()
@@ -493,20 +434,20 @@ func (r *registry) heal(old *entry) {
 			r.mu.Unlock()
 			old.retire()
 			if metrics.Enabled() {
-				metrics.RC("integrity.heals", lbl).Add(1)
-				metrics.RG("integrity.quarantined", lbl).Set(0)
+				metrics.RC("integrity.heals", old.label).Add(1)
+				metrics.RG("integrity.quarantined", old.label).Set(0)
 			}
-			go r.sentinel(fresh)
+			go r.supervise(fresh)
 			return
 		}
 		fresh.retire()
 		if metrics.Enabled() {
-			metrics.RC("integrity.heal_failures", lbl).Add(1)
+			metrics.RC("integrity.heal_failures", old.label).Add(1)
 		}
 		select {
 		case <-old.stop:
 			return
-		case <-time.After(r.cfg.HealBackoff):
+		case <-time.After(healBackoff):
 		}
 	}
 }

@@ -82,16 +82,16 @@ func tinyParams(t *testing.T, dir string, th float64) string {
 
 // TestBreakerOpensAndRecovers drives the full breaker cycle over HTTP:
 // an injected fault storm fails forwards until the breaker opens (503 +
-// Retry-After without running a forward), and once the storm passes a
-// half-open probe closes it again — self-healing, no restart.
+// Retry-After without running a forward), and once the storm passes
+// half-open probes close it again — self-healing, no restart.
 func TestBreakerOpensAndRecovers(t *testing.T) {
-	_, ts := testServer(t, Config{
+	enableMetrics(t)
+	s, ts := testServer(t, Config{
 		Models:          []string{"tinynet"},
 		BreakerFailures: 3,
-		BreakerOpenFor:  100 * time.Millisecond,
-		BreakerProbes:   1,
 		Faults:          faults.Config{Seed: 7, ServeErrRate: 1, ServeLimit: 3},
 	})
+	clock := fakeClockOn(s)
 	body := jsonBody(t, tinyElems(t), 3).Bytes()
 
 	// Three faulted forwards: 500s that count as breaker failures.
@@ -114,12 +114,14 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 		t.Fatalf("Retry-After %q: want a positive whole-second value", ra)
 	}
 
-	// After the open interval a probe is admitted; the fault budget is
-	// exhausted, so it succeeds and closes the breaker.
-	time.Sleep(150 * time.Millisecond)
-	code, _, _ = postPredict(t, ts.URL, "tinynet", "", body)
-	if code != http.StatusOK {
-		t.Fatalf("half-open probe: status %d, want 200", code)
+	// After the open interval probes are admitted one at a time; the
+	// fault budget is exhausted, so they succeed and close the breaker.
+	clock.Advance(breakerOpenFor)
+	for i := 0; i < breakerProbes; i++ {
+		code, _, _ = postPredict(t, ts.URL, "tinynet", "", body)
+		if code != http.StatusOK {
+			t.Fatalf("half-open probe %d: status %d, want 200", i, code)
+		}
 	}
 
 	// /v1/models reports the restored breaker.
@@ -139,6 +141,12 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 			t.Fatalf("%s/%s breaker %q after recovery, want closed", mi.Model, mi.Mode, mi.Breaker)
 		}
 	}
+	for _, name := range []string{"serve.requests", "serve.batch_failures", "serve.breaker_opens", "serve.breaker_transitions", "serve.breaker_rejects"} {
+		if runtimeCounter(name) <= 0 {
+			t.Errorf("%s = 0 after a breaker cycle", name)
+		}
+	}
+	assertHealthMetrics(t)
 }
 
 // TestWatchdogIsolatesHungModel wedges tinynet with an injected stuck
@@ -147,6 +155,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 // before the injected delay ends, and tinynet itself serves again on the
 // next (clean) forward.
 func TestWatchdogIsolatesHungModel(t *testing.T) {
+	enableMetrics(t)
 	const delay = 3 * time.Second
 	s, ts := testServer(t, Config{
 		Models:         []string{"tinynet", "lenet"},
@@ -192,6 +201,12 @@ func TestWatchdogIsolatesHungModel(t *testing.T) {
 	if code, _, _ := postPredict(t, ts.URL, "tinynet", "", tinyBody); code != http.StatusOK {
 		t.Fatalf("tinynet after wedge: status %d, want 200", code)
 	}
+	for _, name := range []string{"serve.watchdog_timeouts", "serve.batch_failures"} {
+		if got := runtimeCounter(name); got != 1 {
+			t.Errorf("%s = %d, want 1 (the one wedged forward)", name, got)
+		}
+	}
+	assertHealthMetrics(t)
 }
 
 // TestServePanicAnswers500 injects a panic into a serving forward: the
@@ -199,13 +214,12 @@ func TestWatchdogIsolatesHungModel(t *testing.T) {
 // a one-failure threshold the next request is shed with a 503), and once
 // the open interval passes the model serves again.
 func TestServePanicAnswers500(t *testing.T) {
-	_, ts := testServer(t, Config{
+	s, ts := testServer(t, Config{
 		Models:          []string{"tinynet"},
 		BreakerFailures: 1,
-		BreakerOpenFor:  50 * time.Millisecond,
-		BreakerProbes:   1,
 		Faults:          faults.Config{Seed: 7, ServePanicRate: 1, ServeLimit: 1},
 	})
+	clock := fakeClockOn(s)
 	body := jsonBody(t, tinyElems(t), 3).Bytes()
 
 	if code, _, _ := postPredict(t, ts.URL, "tinynet", "", body); code != http.StatusInternalServerError {
@@ -214,6 +228,7 @@ func TestServePanicAnswers500(t *testing.T) {
 	if code, _, _ := postPredict(t, ts.URL, "tinynet", "", body); code != http.StatusServiceUnavailable {
 		t.Fatalf("after the panic: status %d, want 503 from the opened breaker", code)
 	}
+	clock.Advance(breakerOpenFor)
 	awaitTrue(t, 5*time.Second, "the model to serve again", func() bool {
 		code, _, _ := postPredict(t, ts.URL, "tinynet", "", body)
 		return code == http.StatusOK
@@ -225,20 +240,18 @@ func TestServePanicAnswers500(t *testing.T) {
 // open interval has passed is answered 400 without asking the breaker,
 // so the valid request after it is the probe and gets its 200.
 func TestBreakerProbeNotTakenByBadRequest(t *testing.T) {
-	const openFor = 100 * time.Millisecond
-	_, ts := testServer(t, Config{
+	s, ts := testServer(t, Config{
 		Models:          []string{"tinynet"},
 		BreakerFailures: 1,
-		BreakerOpenFor:  openFor,
-		BreakerProbes:   1,
 		Faults:          faults.Config{Seed: 7, ServeErrRate: 1, ServeLimit: 1},
 	})
+	clock := fakeClockOn(s)
 	body := jsonBody(t, tinyElems(t), 3).Bytes()
 
 	if code, _, _ := postPredict(t, ts.URL, "tinynet", "", body); code != http.StatusInternalServerError {
 		t.Fatalf("faulted forward: status %d, want 500", code)
 	}
-	time.Sleep(openFor + 50*time.Millisecond) // wait out the open interval
+	clock.Advance(breakerOpenFor) // wait out the open interval
 	if code, _, _ := postPredict(t, ts.URL, "tinynet", "", []byte(`{"input":`)); code != http.StatusBadRequest {
 		t.Fatalf("malformed body: status %d, want 400", code)
 	}
@@ -324,17 +337,16 @@ func TestRegistryTransientParamsRetry(t *testing.T) {
 // to zero) and asserts the accuracy guardrail: the first audited forward
 // observes the misprediction rate blowing the budget and degrades the
 // model to exact execution (responses flagged degraded), and after the
-// cooldown the model probes predictive mode again.
+// cooldown the model probes predictive mode again. Every response is a
+// 200: the guardrail trades MAC savings for accuracy, never availability.
 func TestGuardrailDegradesAndRecovers(t *testing.T) {
+	enableMetrics(t)
 	dir := t.TempDir()
 	path := tinyParams(t, dir, 1e6)
 	s, ts := testServer(t, Config{
 		Models:           []string{"tinynet"},
 		ParamsFiles:      map[string]string{"tinynet": path},
 		MispredictBudget: 0.05,
-		GuardWindow:      4,
-		GuardMinWindows:  1,
-		GuardCooldown:    2,
 		AuditEvery:       1,
 	})
 	if err := s.Preload(context.Background()); err != nil {
@@ -365,10 +377,10 @@ func TestGuardrailDegradesAndRecovers(t *testing.T) {
 		t.Fatalf("readyz after degrade:\n%s", rz)
 	}
 
-	// Cooldown is 2 degraded forwards; both serve through the exact
+	// The cooldown's degraded forwards all serve through the exact
 	// fallback and say so — in the body and in the X-Snapea-Degraded
 	// response header the gateway reads.
-	for i := 0; i < 2; i++ {
+	for i := 0; i < guardCooldown; i++ {
 		hr, err := http.Post(ts.URL+"/v1/predict?model=tinynet&mode="+ModePredictive,
 			"application/json", bytes.NewReader(body))
 		if err != nil {
@@ -399,4 +411,10 @@ func TestGuardrailDegradesAndRecovers(t *testing.T) {
 	if pr.Degraded {
 		t.Fatal("post-recovery forward still degraded")
 	}
+	for _, name := range []string{"serve.audit_batches", "serve.audit_mispredictions", "serve.degrade_events", "serve.degraded_batches", "serve.recover_events"} {
+		if runtimeCounter(name) <= 0 {
+			t.Errorf("%s = 0 after a degrade and recovery", name)
+		}
+	}
+	assertHealthMetrics(t)
 }

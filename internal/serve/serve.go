@@ -13,6 +13,9 @@
 //     full too) and waits there under its deadline (504 if the deadline
 //     comes first); its Forward runs on its own goroutine with the
 //     request deadline as the watchdog (gate.go);
+//   - each entry's health — breaker, accuracy guardrail, integrity
+//     quarantine and retirement — is one state changed by one pure
+//     transition function (health.go);
 //   - graceful shutdown stops admission and answers every admitted
 //     request before Close returns.
 //
@@ -38,7 +41,6 @@ import (
 	"snapea/internal/faults"
 	"snapea/internal/metrics"
 	"snapea/internal/models"
-	"snapea/internal/resilience"
 	"snapea/internal/snapea"
 	"snapea/internal/tensor"
 )
@@ -79,27 +81,12 @@ type Config struct {
 	// BreakerFailures consecutive failed forwards open a model's circuit
 	// breaker (default 5; <0 disables the breaker entirely).
 	BreakerFailures int
-	// BreakerOpenFor is how long an open breaker rejects before
-	// admitting half-open probes (default 2s).
-	BreakerOpenFor time.Duration
-	// BreakerProbes consecutive half-open successes close the breaker
-	// again (default 2).
-	BreakerProbes int
 	// MispredictBudget is the accuracy guardrail's error budget: the
 	// tolerated fraction of mispredicted (wrongly speculative-zeroed)
 	// windows over the audit window. Exceeding it degrades a predictive
 	// model to exact execution until the cooldown elapses (default 0 =
 	// guardrail disabled).
 	MispredictBudget float64
-	// GuardWindow is the guardrail's sliding window in audited forwards
-	// (default 32).
-	GuardWindow int
-	// GuardMinWindows is the minimum convolution-window coverage before
-	// the guardrail judges the rate (default 512).
-	GuardMinWindows int64
-	// GuardCooldown is how many degraded forwards a model serves before
-	// the guardrail probes predictive mode again (default 16).
-	GuardCooldown int
 	// AuditEvery runs every Nth healthy predictive forward with exact
 	// misprediction accounting (RunOpts.CollectPrediction) to feed the
 	// guardrail; auditing costs the speculated windows' dense MACs, so
@@ -117,22 +104,14 @@ type Config struct {
 	// each served model's compiled state against its load-time digests
 	// (default 30s; <0 disables scrubbing).
 	ScrubInterval time.Duration
-	// ScrubMBps bounds the scrubber's re-hash rate in MB/s so scrubbing
-	// never starves the serving path of memory bandwidth (default 64;
-	// <0 unthrottled).
-	ScrubMBps float64
 	// CanaryEvery is the cadence of the canary self-test replaying each
 	// model's golden probe (default 60s; <0 disables the canary entirely,
 	// startup check included — required for chaos configs that
 	// intentionally serve corrupted activations).
 	CanaryEvery time.Duration
-	// RequireChecksums rejects weights and params artifacts that carry no
-	// checksum trailer/block; by default legacy artifacts load unchecked.
+	// RequireChecksums rejects params files that carry no checksums
+	// block; by default legacy params load unchecked.
 	RequireChecksums bool
-	// HealBackoff is the delay between failed heal attempts for a
-	// quarantined model, and the Retry-After hint on its 503s
-	// (default 1s).
-	HealBackoff time.Duration
 }
 
 func (c Config) normalize() Config {
@@ -144,21 +123,6 @@ func (c Config) normalize() Config {
 	}
 	if c.BreakerFailures == 0 {
 		c.BreakerFailures = 5
-	}
-	if c.BreakerOpenFor <= 0 {
-		c.BreakerOpenFor = 2 * time.Second
-	}
-	if c.BreakerProbes <= 0 {
-		c.BreakerProbes = 2
-	}
-	if c.GuardWindow <= 0 {
-		c.GuardWindow = 32
-	}
-	if c.GuardMinWindows <= 0 {
-		c.GuardMinWindows = 512
-	}
-	if c.GuardCooldown <= 0 {
-		c.GuardCooldown = 16
 	}
 	if c.AuditEvery == 0 {
 		c.AuditEvery = 8
@@ -172,14 +136,8 @@ func (c Config) normalize() Config {
 	if c.ScrubInterval == 0 {
 		c.ScrubInterval = 30 * time.Second
 	}
-	if c.ScrubMBps == 0 {
-		c.ScrubMBps = 64
-	}
 	if c.CanaryEvery == 0 {
 		c.CanaryEvery = 60 * time.Second
-	}
-	if c.HealBackoff <= 0 {
-		c.HealBackoff = time.Second
 	}
 	return c
 }
@@ -290,8 +248,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		// broken model does not flip overall readiness (the server still
 		// serves its other models), but operators see it here.
 		for _, e := range s.reg.list() {
+			st := e.state()
 			fmt.Fprintf(w, "%s breaker=%s degraded=%v quarantined=%v\n",
-				e.key, e.breaker.State(), e.guard.Degraded(), e.quarantined.Load())
+				e.key, breakerNames[st.breaker()], st.degraded, st.phase == quarantined)
 		}
 	}
 }
@@ -321,15 +280,16 @@ type modelInfo struct {
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	var out []modelInfo
 	for _, e := range s.reg.list() {
+		st := e.state()
 		out = append(out, modelInfo{
 			Model:       e.key.Model,
 			Mode:        e.key.Mode,
 			InputShape:  e.inShape.String(),
 			InputElems:  e.inShape.Elems(),
 			Classes:     e.classes,
-			Breaker:     e.breaker.State().String(),
-			Degraded:    e.guard.Degraded(),
-			Quarantined: e.quarantined.Load(),
+			Breaker:     breakerNames[st.breaker()],
+			Degraded:    st.degraded,
+			Quarantined: st.phase == quarantined,
 		})
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -377,22 +337,17 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 	e, err := s.reg.get(ctx, modelKey{Model: model, Mode: mode})
 	if err != nil {
-		s.fail(w, r, statusOf(err), err)
+		s.refuse(w, r, nil, err, 0)
 		return
 	}
 
 	// Quarantine gate: a model whose integrity layer detected corruption
-	// sheds all traffic with a fast 503 — never a wrong answer — while
-	// the heal loop recompiles it from the artifact. The Retry-After hint
-	// is the heal backoff, the soonest a replacement could be serving.
-	if e.quarantined.Load() {
-		w.Header().Set("Retry-After", retryAfter(s.cfg.HealBackoff))
-		w.Header().Set("X-Snapea-Quarantined", "1")
-		if metrics.Enabled() {
-			metrics.RC("integrity.quarantine_rejects", metrics.Labels{"model": model, "mode": mode}).Add(1)
-		}
-		s.fail(w, r, http.StatusServiceUnavailable,
-			fmt.Errorf("%w: %s", errQuarantined, e.quarantineReason()))
+	// sheds all traffic with a fast 503 — never a wrong answer — before
+	// its body is read, while the heal loop recompiles it from the
+	// artifact.
+	if st := e.state(); st.phase == quarantined {
+		v := st.shed()
+		s.refuse(w, r, e.label, v.err, v.retryAfter)
 		return
 	}
 
@@ -402,24 +357,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp := e.gate.run(ctx, input)
+	resp := e.run(ctx, input)
 	if resp.err != nil {
-		switch {
-		case errors.Is(resp.err, ErrQueueFull):
-			// A slot frees within one Forward; a second is the smallest
-			// hint the header can carry (the gateway writes the same).
-			w.Header().Set("Retry-After", "1")
-		case errors.Is(resp.err, resilience.ErrOpen):
-			// Circuit breaker: while this model's forwards are failing,
-			// its load is shed instead of run into a broken pipeline. The
-			// hint is the breaker's remaining open time, so well-behaved
-			// clients return right when probes begin.
-			w.Header().Set("Retry-After", retryAfter(resp.retryAfter))
-			if metrics.Enabled() {
-				metrics.RC("serve.breaker_rejects", metrics.Labels{"model": model, "mode": mode}).Add(1)
-			}
-		}
-		s.fail(w, r, statusOf(resp.err), resp.err)
+		s.refuse(w, r, e.label, resp.err, resp.retryAfter)
 		return
 	}
 
@@ -514,6 +454,47 @@ func (s *Server) decodeInput(r *http.Request, e *entry) (t *tensor.Tensor, err e
 	return t, nil
 }
 
+// refuse answers a request the registry, the gate or the entry's health
+// turned away: the error decides the status, the Retry-After hint and
+// the quarantine marker. lbl labels the breaker and quarantine counters.
+func (s *Server) refuse(w http.ResponseWriter, r *http.Request, lbl metrics.Labels, err error, wait time.Duration) {
+	code := http.StatusInternalServerError
+	switch {
+	case errors.Is(err, ErrQueueFull):
+		// A slot frees within one Forward; a second is the smallest
+		// hint the header can carry (the gateway writes the same).
+		code = http.StatusTooManyRequests
+		w.Header().Set("Retry-After", "1")
+	case errors.Is(err, errOpen):
+		// While this model's forwards are failing, its load is shed
+		// instead of run into a broken pipeline. The hint is the
+		// breaker's remaining open time, so well-behaved clients return
+		// right when probes begin.
+		code = http.StatusServiceUnavailable
+		w.Header().Set("Retry-After", retryAfter(wait))
+		if metrics.Enabled() {
+			metrics.RC("serve.breaker_rejects", lbl).Add(1)
+		}
+	case errors.Is(err, errQuarantined):
+		code = http.StatusServiceUnavailable
+		w.Header().Set("Retry-After", retryAfter(wait))
+		w.Header().Set("X-Snapea-Quarantined", "1")
+		if metrics.Enabled() {
+			metrics.RC("integrity.quarantine_rejects", lbl).Add(1)
+		}
+	case errors.Is(err, ErrShuttingDown):
+		code = http.StatusServiceUnavailable
+	case errors.Is(err, errUnknownModel):
+		code = http.StatusNotFound
+	case errors.Is(err, errBadRequest):
+		code = http.StatusBadRequest
+	case errors.Is(err, ErrWatchdog),
+		errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		code = http.StatusGatewayTimeout
+	}
+	s.fail(w, r, code, err)
+}
+
 // fail writes a JSON error body with the mapped status and counts it.
 func (s *Server) fail(w http.ResponseWriter, r *http.Request, code int, err error) {
 	if metrics.Enabled() {
@@ -526,26 +507,6 @@ func (s *Server) fail(w http.ResponseWriter, r *http.Request, code int, err erro
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(errorResponse{Error: err.Error()})
-}
-
-// statusOf maps admission/registry/resilience errors to HTTP statuses.
-func statusOf(err error) int {
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		return http.StatusTooManyRequests
-	case errors.Is(err, ErrShuttingDown), errors.Is(err, resilience.ErrOpen),
-		errors.Is(err, errQuarantined):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, errUnknownModel):
-		return http.StatusNotFound
-	case errors.Is(err, errBadRequest):
-		return http.StatusBadRequest
-	case errors.Is(err, ErrWatchdog),
-		errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return http.StatusGatewayTimeout
-	default:
-		return http.StatusInternalServerError
-	}
 }
 
 // retryAfter renders a back-off hint (breaker open time, heal backoff)

@@ -349,7 +349,7 @@ func TestPredictQueueFull429(t *testing.T) {
 	h.awaitEntered(t, slots)
 	wg.Add(1)
 	go post(slots)
-	awaitWaiting(t, e.gate, 1)
+	awaitWaiting(t, e, 1)
 
 	code, _, ra := postPredict(t, ts.URL, "tinynet", "", body)
 	if code != http.StatusTooManyRequests {

@@ -41,7 +41,7 @@ type OptConfig struct {
 	// than 86% of the error occurs on the small positive values") and
 	// the reason misspeculation barely moves classification. This is
 	// the kernel-granularity substitute for the paper's per-kernel
-	// full-network Simulate (see DESIGN.md). Zero means 2.
+	// full-network Simulate (see DESIGN.md). Zero means 3.
 	FNBudgetScale float64
 	// SoftScale maps ε to the surrogate budget (SoftLoss × ε·SoftScale):
 	// a mean correct-class probability drop is mostly margin erosion
