@@ -30,12 +30,11 @@ race:
 	$(GO) test -race $$($(GO) list ./... | grep -v '^snapea/benchmark$$')
 	$(GO) test -race -short ./benchmark
 
-# Short fuzz runs over the two binary/JSON loaders, the execution
-# kernel (geometry × params × input bytes, strip kernel vs the scalar
+# Short fuzz runs over the params JSON loader, the execution kernel
+# (geometry × params × input bytes, strip kernel vs the scalar
 # reference) and the serving input decode (fast path vs encoding/json)
 # — enough to catch regressions without an open-ended campaign.
 fuzz-smoke:
-	$(GO) test ./internal/models -run '^$$' -fuzz 'FuzzLoadWeights' -fuzztime 10s
 	$(GO) test ./internal/snapea -run '^$$' -fuzz 'FuzzLoadParams' -fuzztime 10s
 	$(GO) test ./internal/snapea -run '^$$' -fuzz 'FuzzStripEquivalence' -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzDecodeInput' -fuzztime 10s

@@ -4,20 +4,20 @@
 //
 //	snapea-model -net googlenet -scale full
 //
-// It is also the offline integrity tool for serialized artifacts —
-// SNAPEA01 weights containers and params JSON files:
+// It is also the offline integrity tool for params JSON files, the one
+// artifact the repository writes (weights are rebuilt from the model
+// name and seed):
 //
-//	snapea-model -checksum alexnet.weights.bin    # rewrite with a fresh checksum trailer
-//	snapea-model -verify alexnet.params.json      # per-tensor report; exit 1 on mismatch or legacy
+//	snapea-model -checksum alexnet.params.json    # rewrite with a fresh checksums block
+//	snapea-model -verify alexnet.params.json      # per-layer report; exit 1 on mismatch or legacy
 //
-// Both modes detect the artifact kind from its bytes (weights magic vs
-// JSON) and need no model build. -checksum rewrites atomically and
-// refuses to re-checksum an artifact whose existing checksums already
-// mismatch — that would bless corruption as authentic.
+// Neither mode builds a model; a file that is not params JSON exits 2.
+// -checksum rewrites atomically and refuses to re-checksum an artifact
+// whose existing checksums already mismatch — that would bless
+// corruption as authentic.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -27,7 +27,6 @@ import (
 
 	"snapea/internal/atomicfile"
 	"snapea/internal/cli"
-	"snapea/internal/integrity"
 	"snapea/internal/models"
 	"snapea/internal/nn"
 	"snapea/internal/report"
@@ -39,8 +38,8 @@ func main() {
 	net := flag.String("net", "alexnet", "network (alexnet googlenet squeezenet vggnet lenet tinynet)")
 	scale := flag.String("scale", "full", "reduced or full")
 	classes := flag.Int("classes", 1000, "output classes")
-	checksum := flag.String("checksum", "", "rewrite this weights/params artifact with fresh checksums (atomic) and exit")
-	verify := flag.String("verify", "", "verify this artifact's checksums (per-tensor report) and exit; exit 1 on mismatch or missing checksums")
+	checksum := flag.String("checksum", "", "rewrite this params file with fresh checksums (atomic) and exit")
+	verify := flag.String("verify", "", "verify this params file's checksums (per-layer report) and exit; exit 1 on mismatch or missing checksums")
 	timeout := flag.Duration("timeout", 0, "abort after this duration (0 = none)")
 	workers := cli.WorkersFlag(nil)
 	obs := cli.ObsFlags(nil)
@@ -135,35 +134,21 @@ func main() {
 		d.ConvLayers, d.FCLayers, d.ModelSizeMB, float64(totalMACs)/1e9)
 }
 
-// isWeights reports whether the artifact bytes are a SNAPEA01 weights
-// container (anything else is treated as a params JSON file).
-func isWeights(data []byte) bool {
-	return bytes.HasPrefix(data, []byte(integrity.WeightsMagic))
-}
-
-// runChecksum rewrites an artifact with fresh checksums, atomically,
+// runChecksum rewrites a params file with fresh checksums, atomically,
 // and reports it to out. Exit 0 on success, 2 on any error (unreadable,
-// structurally invalid, or already checksummed with mismatching
-// checksums).
+// not params JSON, or already checksummed with mismatching checksums).
 func runChecksum(path string, out io.Writer) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "snapea-model:", err)
 		return 2
 	}
+	// ParseParams verifies any existing checksum block, so a corrupt
+	// artifact errors out here instead of being re-blessed.
 	var blessed []byte
-	var what string
-	if isWeights(data) {
-		blessed, err = integrity.ChecksumWeights(data)
-		what = "checksum trailer"
-	} else {
-		// ParseParams verifies any existing checksum block, so a corrupt
-		// artifact errors out here instead of being re-blessed.
-		var f *snapea.ParamsFile
-		if f, err = snapea.ParseParams(data); err == nil {
-			blessed, err = f.Marshal()
-		}
-		what = "checksums block"
+	f, err := snapea.ParseParams(data)
+	if err == nil {
+		blessed, err = f.Marshal()
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "snapea-model:", err)
@@ -173,12 +158,12 @@ func runChecksum(path string, out io.Writer) int {
 		fmt.Fprintln(os.Stderr, "snapea-model:", err)
 		return 2
 	}
-	fmt.Fprintf(out, "%s: wrote %s (%d bytes)\n", path, what, len(blessed))
+	fmt.Fprintf(out, "%s: wrote checksums block (%d bytes)\n", path, len(blessed))
 	return 0
 }
 
-// runVerify checks an artifact's checksums and prints a per-tensor (or
-// per-layer) report to out. Exit 0 when every checksum matches, 1 on any
+// runVerify checks a params file's checksums and prints a per-layer
+// report to out. Exit 0 when every checksum matches, 1 on any
 // mismatch or when the artifact carries no checksums, 2 on structural
 // errors.
 func runVerify(path string, out io.Writer) int {
@@ -187,33 +172,7 @@ func runVerify(path string, out io.Writer) int {
 		fmt.Fprintln(os.Stderr, "snapea-model:", err)
 		return 2
 	}
-	if isWeights(data) {
-		checks, checksummed, err := integrity.VerifyWeights(data)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "snapea-model:", err)
-			return 2
-		}
-		if !checksummed {
-			fmt.Fprintf(out, "%s: legacy artifact (no checksum trailer); run -checksum to add one\n", path)
-			return 1
-		}
-		bad := 0
-		for _, c := range checks {
-			status := "ok"
-			if !c.OK {
-				status = "MISMATCH"
-				bad++
-			}
-			fmt.Fprintf(out, "%s/%s stored=%08x computed=%08x %s\n", c.Layer, c.Tensor, c.Stored, c.Computed, status)
-		}
-		if bad > 0 {
-			fmt.Fprintf(out, "%s: %d of %d tensors corrupted\n", path, bad, len(checks))
-			return 1
-		}
-		fmt.Fprintf(out, "%s: %d tensors verified\n", path, len(checks))
-		return 0
-	}
-	// Params: decode without checksum enforcement so a corrupt file still
+	// Decode without checksum enforcement so a corrupt file still
 	// yields the full per-layer report instead of one error.
 	var f snapea.ParamsFile
 	if err := json.Unmarshal(data, &f); err != nil {

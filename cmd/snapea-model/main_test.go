@@ -13,11 +13,16 @@ import (
 // -verify and -checksum in order: a legacy file fails -verify, -checksum
 // blesses it and -verify then passes, a value edited after blessing
 // fails -verify with a MISMATCH line, and -checksum refuses to bless the
-// edited file.
+// edited file. A file that is not params JSON (here a binary weights
+// dump) is refused by both.
 func TestParamsChecksumLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "tinynet-params.json")
 	edited := filepath.Join(dir, "tinynet-params-edited.json")
+	dump := filepath.Join(dir, "tinynet.weights.bin")
+	if err := os.WriteFile(dump, []byte("\x00\x01\x02\x03tinynet\xff"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	legacy := `{"network": "tinynet", "epsilon": 0.03, "base_accuracy": 0, "final_accuracy": 0,
 "predictive_layers": ["conv1"], "layers": {"conv1": [` +
 		strings.TrimSuffix(strings.Repeat(`{"Th": 0.25, "N": 1}, `, 8), ", ") + `]}}`
@@ -52,6 +57,8 @@ func TestParamsChecksumLifecycle(t *testing.T) {
 		{"blessed passes -verify", nil, runVerify, path, 0, "1 layers verified"},
 		{"edited value fails -verify", edit, runVerify, edited, 1, "MISMATCH"},
 		{"-checksum refuses the edited file", nil, runChecksum, edited, 2, ""},
+		{"non-JSON fails -verify", nil, runVerify, dump, 2, ""},
+		{"-checksum refuses non-JSON", nil, runChecksum, dump, 2, ""},
 	} {
 		if step.before != nil {
 			step.before(t)

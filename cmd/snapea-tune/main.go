@@ -3,14 +3,26 @@
 // kernel) as JSON — the artifact the accelerator's weight/index buffers
 // are loaded from.
 //
+// It emits the experiment suite's parameters: the network is the
+// suite's prepared model for -seed (built, calibrated, head trained;
+// internal/experiments) and Algorithm 1 runs in the suite's
+// configuration, so the file is byte-identical to the one snapea-bench
+// and snapea-sim -mode predictive tune for the same -net, -seed, -eps
+// and -opt-images.
+//
 // The run is cancellable and resumable: SIGINT (or -timeout expiry)
 // stops between optimization stages with the completed work checkpointed,
 // and -resume restarts from the checkpoint and produces results
-// identical to an uninterrupted run.
+// identical to an uninterrupted run. A checkpoint records a digest of
+// the optimizer's inputs, so one written under another -seed or
+// -opt-images is refused.
 //
 //	snapea-tune -net googlenet -eps 0.03 -o params.json
 //	snapea-tune -net vggnet -timeout 10m -checkpoint tune.ckpt
 //	snapea-tune -net vggnet -checkpoint tune.ckpt -resume
+//
+// Exit codes: 0 ok, 1 failure, 2 bad flags or a refused checkpoint,
+// 3 interrupted.
 package main
 
 import (
@@ -18,126 +30,179 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
+	"slices"
+	"strings"
+	"time"
 
 	"snapea/internal/atomicfile"
-	"snapea/internal/calib"
 	"snapea/internal/cli"
-	"snapea/internal/dataset"
+	"snapea/internal/experiments"
 	"snapea/internal/models"
 	"snapea/internal/snapea"
-	"snapea/internal/tensor"
-	"snapea/internal/train"
 )
 
-func main() {
-	net := flag.String("net", "googlenet", "network to tune")
-	eps := flag.Float64("eps", 0.03, "acceptable accuracy loss ε")
-	seed := flag.Uint64("seed", 42, "deterministic seed")
-	out := flag.String("o", "", "output JSON path (default stdout)")
-	optImgs := flag.Int("opt-images", 6, "optimization-set size")
-	verbose := flag.Bool("v", false, "log optimizer progress")
-	timeout := flag.Duration("timeout", 0, "abort (with checkpoint) after this duration (0 = none)")
-	ckptPath := flag.String("checkpoint", "", "checkpoint file (default: <-o path>.ckpt, or snapea-tune.ckpt)")
-	resume := flag.Bool("resume", false, "resume from the checkpoint file")
-	workers := cli.WorkersFlag(nil)
-	obs := cli.ObsFlags(nil)
-	flag.Parse()
-	workers.Apply()
+// options is the parsed command line.
+type options struct {
+	net       string
+	eps       float64
+	seed      uint64
+	out       string
+	optImages int
+	verbose   bool
+	timeout   time.Duration
+	ckptPath  string
+	resume    bool
+	workers   *cli.WorkersFlagGroup
+	obs       *cli.ObsFlagGroup
+}
 
-	obsStop, err := obs.Start("snapea-tune")
+// parse parses and validates args before any work is done; usage and
+// errors go to stderr. It returns flag.ErrHelp for -h.
+func parse(args []string, stderr io.Writer) (*options, error) {
+	fs := flag.NewFlagSet("snapea-tune", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o := &options{}
+	fs.StringVar(&o.net, "net", "googlenet", "network to tune ("+strings.Join(models.Names(), " ")+")")
+	fs.Float64Var(&o.eps, "eps", 0.03, "acceptable accuracy loss ε (finite, >= 0)")
+	fs.Uint64Var(&o.seed, "seed", 42, "deterministic seed")
+	fs.StringVar(&o.out, "o", "", "output JSON path (default stdout)")
+	fs.IntVar(&o.optImages, "opt-images", 10, "optimization-set size (> 0)")
+	fs.BoolVar(&o.verbose, "v", false, "log pipeline and optimizer progress")
+	fs.DurationVar(&o.timeout, "timeout", 0, "abort (with checkpoint) after this duration (0 = none)")
+	fs.StringVar(&o.ckptPath, "checkpoint", "", "checkpoint file (default: <-o path>.ckpt, or snapea-tune.ckpt)")
+	fs.BoolVar(&o.resume, "resume", false, "resume from the checkpoint file")
+	o.workers = cli.WorkersFlag(fs)
+	o.obs = cli.ObsFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	var err error
+	switch {
+	case !slices.Contains(models.Names(), o.net):
+		err = fmt.Errorf("unknown network %q", o.net)
+	case math.IsNaN(o.eps) || math.IsInf(o.eps, 0) || o.eps < 0:
+		err = fmt.Errorf("-eps %v: want a finite ε >= 0", o.eps)
+	case o.optImages <= 0:
+		err = fmt.Errorf("-opt-images %d: want at least one image", o.optImages)
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		cli.Exit(2)
+		fmt.Fprintln(stderr, "snapea-tune:", err)
+		fs.Usage()
+		return nil, err
+	}
+	if o.ckptPath == "" {
+		o.ckptPath = "snapea-tune.ckpt"
+		if o.out != "" {
+			o.ckptPath = o.out + ".ckpt"
+		}
+	}
+	return o, nil
+}
+
+func main() {
+	cli.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command; it returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	o, err := parse(args, stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	if err != nil {
+		return 2
+	}
+	o.workers.Apply()
+	obsStop, err := o.obs.Start("snapea-tune")
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	defer obsStop()
-
-	if *ckptPath == "" {
-		if *out != "" {
-			*ckptPath = *out + ".ckpt"
-		} else {
-			*ckptPath = "snapea-tune.ckpt"
-		}
-	}
-
-	ctx, stop := cli.Context(*timeout)
+	ctx, stop := cli.Context(o.timeout)
 	defer stop()
+	return tune(ctx, o, stdout, stderr)
+}
 
-	m, err := models.Build(*net, models.Options{Seed: *seed})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "snapea-tune:", err)
-		cli.Exit(2)
-	}
-	samples := dataset.Generate(40+*optImgs, dataset.Config{HW: m.InputShape.H, Seed: *seed + 1})
-	trainSet, optSet := samples[:40], samples[40:]
-
-	calImgs := make([]*tensor.Tensor, 6)
-	for i := range calImgs {
-		calImgs[i] = trainSet[i].Image
-	}
-	calib.Calibrate(m, calImgs)
-
-	trImgs := make([]*tensor.Tensor, len(trainSet))
-	trLabels := make([]int, len(trainSet))
-	for i, s := range trainSet {
-		trImgs[i], trLabels[i] = s.Image, s.Label
-	}
-	train.TrainHead(m.Head, train.Features(m, trImgs), trLabels, train.Config{Seed: *seed})
-
-	imgs := make([]*tensor.Tensor, len(optSet))
-	lbls := make([]int, len(optSet))
-	for i, s := range optSet {
-		imgs[i], lbls[i] = s.Image, s.Label
-	}
-	network := snapea.CompileExact(m)
-	opt := snapea.NewOptimizer(network, m.Head, imgs, lbls, snapea.OptConfig{Epsilon: *eps})
-	if *verbose {
-		opt.SetLog(func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) })
-	}
-
-	var ck *snapea.OptCheckpoint
-	if *resume {
-		ck, err = snapea.LoadOptCheckpoint(*ckptPath)
+// tune prepares the suite's model, runs Algorithm 1 under ctx with
+// checkpointing, and writes the params file.
+func tune(ctx context.Context, o *options, stdout, stderr io.Writer) int {
+	ck := snapea.NewOptCheckpoint(o.net, o.eps)
+	if o.resume {
+		var err error
+		if ck, err = snapea.LoadOptCheckpoint(o.ckptPath); err == nil {
+			err = ck.Compatible(o.net, o.eps)
+		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "snapea-tune:", err)
-			cli.Exit(2)
+			fmt.Fprintln(stderr, "snapea-tune:", err)
+			return 2
 		}
-		if err := ck.Compatible(*net, *eps); err != nil {
-			fmt.Fprintln(os.Stderr, "snapea-tune:", err)
-			cli.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "snapea-tune: resuming from %s (%d profiled, %d locally optimized layers)\n",
-			*ckptPath, len(ck.Profiled), len(ck.Local))
-	} else {
-		ck = snapea.NewOptCheckpoint(*net, *eps)
+		fmt.Fprintf(stderr, "snapea-tune: resuming from %s (%d profiled, %d locally optimized layers)\n",
+			o.ckptPath, len(ck.Profiled), len(ck.Local))
 	}
-	opt.SetCheckpoint(ck, func(ck *snapea.OptCheckpoint) error { return ck.Save(*ckptPath) })
 
-	res, err := opt.RunCtx(ctx)
+	cfg := experiments.Config{Networks: []string{o.net}, Seed: o.seed, OptImages: o.optImages, Ctx: ctx}
+	if o.verbose {
+		cfg.Out = stderr
+	}
+	saved := false
+	interrupted := func(err error) int {
+		if saved {
+			fmt.Fprintf(stderr, "snapea-tune: interrupted (%v); progress saved to %s — rerun with -resume to finish\n", err, o.ckptPath)
+		} else {
+			fmt.Fprintf(stderr, "snapea-tune: interrupted (%v) before any progress was saved\n", err)
+		}
+		return 3
+	}
+	p, err := experiments.New(cfg).PreparedErr(o.net)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			fmt.Fprintf(os.Stderr, "snapea-tune: interrupted (%v); progress saved to %s — rerun with -resume to finish\n",
-				err, *ckptPath)
-			cli.Exit(3)
+		if ctx.Err() != nil {
+			return interrupted(err)
 		}
-		cli.Fatalf("snapea-tune", "%v", err)
+		fmt.Fprintln(stderr, "snapea-tune:", err)
+		return 1
 	}
 
-	file := res.File(*net, *eps)
+	_, opt := p.Optimizer(o.eps)
+	if o.verbose {
+		opt.SetLog(func(f string, a ...any) { fmt.Fprintf(stderr, f+"\n", a...) })
+	}
+	opt.SetCheckpoint(ck, func(ck *snapea.OptCheckpoint) error {
+		saved = true
+		return ck.Save(o.ckptPath)
+	})
+	res, err := opt.RunCtx(ctx)
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return interrupted(err)
+	}
+	if err != nil {
+		// Besides cancellation, RunCtx fails only on a checkpoint that
+		// does not belong to this run.
+		fmt.Fprintln(stderr, "snapea-tune:", err)
+		return 2
+	}
+
+	file := res.File(o.net, o.eps)
 	enc, err := file.Marshal()
 	if err != nil {
-		cli.Fatalf("snapea-tune", "%v", err)
+		fmt.Fprintln(stderr, "snapea-tune:", err)
+		return 1
 	}
-	if *out == "" {
-		fmt.Println(string(enc))
+	if o.out == "" {
+		fmt.Fprintln(stdout, string(enc))
 	} else {
-		if err := atomicfile.WriteFile(*out, enc, 0o644); err != nil {
-			cli.Fatalf("snapea-tune", "%v", err)
+		if err := atomicfile.WriteFile(o.out, enc, 0o644); err != nil {
+			fmt.Fprintln(stderr, "snapea-tune:", err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "snapea-tune: wrote %s (%d predictive layers, loss %.3f)\n",
-			*out, len(file.Predictive), res.BaseAcc-res.FinalAcc)
+		fmt.Fprintf(stderr, "snapea-tune: wrote %s (%d predictive layers, loss %.3f)\n",
+			o.out, len(file.Predictive), res.BaseAcc-res.FinalAcc)
 	}
 	// A finished run owns its checkpoint; leaving it behind would make a
 	// later -resume silently reuse stale state.
-	os.Remove(*ckptPath)
+	os.Remove(o.ckptPath)
+	return 0
 }

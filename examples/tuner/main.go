@@ -1,77 +1,37 @@
 // Tuner demonstrates the paper's central knob: Algorithm 1's acceptable
 // accuracy loss ε controls how aggressively the predictive mode
-// speculates. Sweeping ε prints the trade-off curve between computation
-// reduction and measured accuracy — the paper's Figure 11 in miniature,
-// on the fast TinyNet model.
+// speculates. Sweeping ε through the experiment suite's predictive runs
+// prints the trade-off curve between computation reduction and measured
+// accuracy — the paper's Figure 11 in miniature, on the fast TinyNet
+// model.
 package main
 
 import (
 	"fmt"
 	"os"
 
-	"snapea/internal/calib"
-	"snapea/internal/dataset"
-	"snapea/internal/models"
+	"snapea/internal/experiments"
 	"snapea/internal/report"
-	"snapea/internal/snapea"
-	"snapea/internal/tensor"
-	"snapea/internal/train"
 )
 
 func main() {
-	m, err := models.Build("tinynet", models.Options{Seed: 11, Classes: 4})
-	if err != nil {
-		panic(err)
-	}
-	samples := dataset.Generate(160, dataset.Config{Classes: 4, HW: m.InputShape.H, Seed: 13})
-	trainSet, optSet, testSet := samples[:96], samples[96:120], samples[120:]
-
-	calImgs := make([]*tensor.Tensor, 8)
-	for i := range calImgs {
-		calImgs[i] = trainSet[i].Image
-	}
-	calib.Calibrate(m, calImgs)
-
-	imgs := func(s []dataset.Sample) []*tensor.Tensor {
-		out := make([]*tensor.Tensor, len(s))
-		for i := range s {
-			out[i] = s[i].Image
-		}
-		return out
-	}
-	lbls := func(s []dataset.Sample) []int {
-		out := make([]int, len(s))
-		for i := range s {
-			out[i] = s[i].Label
-		}
-		return out
-	}
-	train.TrainHead(m.Head, train.Features(m, imgs(trainSet)), lbls(trainSet), train.Config{FeatureNoise: 0.05})
-	baseAcc := train.Accuracy(m.Head, train.Features(m, imgs(testSet)), lbls(testSet))
-	fmt.Printf("baseline test accuracy: %.1f%% on %d images\n\n", 100*baseAcc, len(testSet))
+	s := experiments.New(experiments.Config{
+		Networks: []string{"tinynet"}, Seed: 11, Classes: 4,
+		TrainImages: 96, OptImages: 24, TestImages: 40,
+	})
+	p := s.Prepared("tinynet")
+	fmt.Printf("baseline test accuracy: %.1f%% on %d images\n\n", 100*p.BaseTestAcc, len(p.TestImgs))
 
 	t := report.Table{
 		Title:   "The accuracy knob: ε vs computation (TinyNet)",
 		Headers: []string{"ε", "Predictive Layers", "MAC Reduction", "Test Accuracy"},
 	}
 	for _, eps := range []float64{0, 0.01, 0.03, 0.05, 0.10} {
-		net := snapea.CompileExact(m)
-		opt := snapea.NewOptimizer(net, m.Head, imgs(optSet), lbls(optSet), snapea.OptConfig{
-			Epsilon:  eps,
-			SoftLoss: true,
-		})
-		res := opt.Run()
-
-		trace := snapea.NewNetTrace()
-		feats := make([][]float32, len(testSet))
-		for i, s := range testSet {
-			feats[i] = net.Feature(s.Image, snapea.RunOpts{}, trace)
-		}
-		acc := train.Accuracy(m.Head, feats, lbls(testSet))
+		r := s.Predictive("tinynet", eps)
 		t.Add(report.Pct(eps),
-			fmt.Sprintf("%d/%d", len(res.Predictive), len(res.Params)),
-			report.Pct(trace.Reduction()),
-			report.Pct(acc))
+			fmt.Sprintf("%d/%d", len(r.Opt.Predictive), len(r.Opt.Params)),
+			report.Pct(r.Trace.Reduction()),
+			report.Pct(r.TestAcc))
 	}
 	t.Render(os.Stdout)
 	fmt.Println("\nε=0 is the pure exact mode: fewer MACs, identical accuracy.")

@@ -324,6 +324,16 @@ func (s *Suite) buildPrepared(name string) (*Prepared, error) {
 	return p, nil
 }
 
+// Optimizer returns Algorithm 1 at ε over the prepared model and its
+// optimization set, with the exact-mode network it tunes: a run leaves
+// that network compiled with the chosen parameters. This is the one
+// configuration a tuned model is made with — the suite's predictive
+// runs and snapea-tune both start here.
+func (p *Prepared) Optimizer(eps float64) (*snapea.Network, *snapea.Optimizer) {
+	net := snapea.CompileExact(p.Model)
+	return net, snapea.NewOptimizer(net, p.Model.Head, p.OptImgs, p.OptLabels, snapea.OptConfig{Epsilon: eps, SoftLoss: true})
+}
+
 // ExactRun is the exact-mode evaluation of one network: traced test-set
 // execution plus cycle simulations of SnaPEA and the EYERISS baseline.
 type ExactRun struct {
@@ -413,15 +423,7 @@ func (s *Suite) PredictiveErr(name string, eps float64) (*PredRun, error) {
 		}
 		ctx := s.ctx()
 		s.logf("[%s] Algorithm 1 at ε=%.1f%% on %d optimization images", name, 100*eps, len(p.OptImgs))
-		net := snapea.CompileExact(p.Model)
-		opt := snapea.NewOptimizer(net, p.Model.Head, p.OptImgs, p.OptLabels, snapea.OptConfig{
-			Epsilon:     eps,
-			NCandidates: []int{2, 4, 8},
-			ThQuantiles: []float64{0.4, 0.6, 0.75},
-			MaxWindows:  128,
-			T:           3,
-			SoftLoss:    true,
-		})
+		net, opt := p.Optimizer(eps)
 		if s.Cfg.Verbose && s.Cfg.Out != nil {
 			opt.SetLog(func(f string, a ...any) { fmt.Fprintf(s.Cfg.Out, "  "+f+"\n", a...) })
 		}

@@ -12,9 +12,9 @@
 //
 // Detection is layered (the "detection lattice", DESIGN.md):
 //
-//   - CRC32C trailers on the weights and params artifacts catch
-//     corruption at rest, verified at load (internal/models,
-//     internal/snapea) and offline (snapea-model -verify);
+//   - CRC32C checksums in the params artifact catch corruption at
+//     rest, verified at load (internal/snapea) and offline
+//     (snapea-model -verify);
 //   - the Scrubber re-hashes compiled in-memory state against its
 //     load-time digests on a rate-limited background cadence, catching
 //     post-load mutation;
@@ -46,8 +46,8 @@ import (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Checksum returns the CRC32C (Castagnoli) digest of data — the
-// algorithm behind every artifact trailer and in-memory scrub digest in
-// the repository.
+// algorithm behind every artifact checksum and in-memory scrub digest
+// in the repository.
 func Checksum(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
 
 // Update extends a running CRC32C digest with data, for callers hashing
@@ -111,19 +111,6 @@ func NewScrubber(labels metrics.Labels, mbps float64, regions []Region) *Scrubbe
 		s.golden[i] = reg.Digest()
 	}
 	return s
-}
-
-// Bytes returns the total scrubbable state size, the numerator of one
-// pass's rate-limit budget.
-func (s *Scrubber) Bytes() int {
-	if s == nil {
-		return 0
-	}
-	n := 0
-	for _, reg := range s.regions {
-		n += reg.Bytes
-	}
-	return n
 }
 
 // Scrub re-hashes every region and returns the names of those whose

@@ -1,7 +1,6 @@
 package integrity
 
 import (
-	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
@@ -57,9 +56,6 @@ func TestScrubberDetectsMutation(t *testing.T) {
 		{Name: "b", Bytes: 4, Digest: func() uint32 { return Checksum(buf[4:]) }},
 	}
 	s := NewScrubber(nil, -1, regions)
-	if got := s.Bytes(); got != 8 {
-		t.Fatalf("Bytes = %d, want 8", got)
-	}
 	if bad := s.Scrub(); len(bad) != 0 {
 		t.Fatalf("clean scrub flagged %v", bad)
 	}
@@ -72,9 +68,6 @@ func TestScrubberDetectsMutation(t *testing.T) {
 
 func TestScrubberNilSafe(t *testing.T) {
 	var s *Scrubber
-	if s.Bytes() != 0 {
-		t.Fatal("nil scrubber Bytes != 0")
-	}
 	if bad := s.Scrub(); bad != nil {
 		t.Fatalf("nil scrubber Scrub = %v", bad)
 	}
@@ -106,198 +99,4 @@ func TestCanaryLengthMismatch(t *testing.T) {
 	if err := c.Check(); err == nil {
 		t.Fatal("canary accepted an output of the wrong length")
 	}
-}
-
-// --- SNAPEA01 container fixtures -----------------------------------
-
-func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-
-func appendStr(b []byte, s string) []byte {
-	b = appendU32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-func appendFloats(b []byte, vals []float32) []byte {
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(vals)))
-	for _, v := range vals {
-		b = appendU32(b, math.Float32bits(v))
-	}
-	return b
-}
-
-// testContainer builds a structurally valid legacy (trailer-less)
-// SNAPEA01 container with the given layers.
-func testContainer(layers ...string) []byte {
-	b := []byte(WeightsMagic)
-	b = appendStr(b, "testnet")
-	b = appendU32(b, uint32(len(layers)))
-	for i, name := range layers {
-		b = appendStr(b, name)
-		w := make([]float32, 4+i)
-		for j := range w {
-			w[j] = float32(i+1) * float32(j+1) * 0.25
-		}
-		b = appendFloats(b, w)
-		b = appendFloats(b, []float32{float32(i) - 0.5})
-	}
-	return b
-}
-
-func TestWeightsTrailerRoundTrip(t *testing.T) {
-	crcs := []uint32{0, 0xdeadbeef, 42}
-	tr := AppendWeightsTrailer(nil, crcs)
-	got, err := ParseWeightsTrailer(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(crcs) {
-		t.Fatalf("parsed %d records, want %d", len(got), len(crcs))
-	}
-	for i := range crcs {
-		if got[i] != crcs[i] {
-			t.Fatalf("record %d = %08x, want %08x", i, got[i], crcs[i])
-		}
-	}
-}
-
-func TestWeightsTrailerRejectsMalformed(t *testing.T) {
-	tr := AppendWeightsTrailer(nil, []uint32{1, 2})
-	cases := map[string][]byte{
-		"trailing byte": append(append([]byte(nil), tr...), 0xAB),
-		"bad magic":     append([]byte("SNPCRC99"), tr[8:]...),
-		"truncated":     tr[:len(tr)-2],
-		"huge count":    append([]byte(TrailerMagic), 0xff, 0xff, 0xff, 0xff),
-	}
-	for name, data := range cases {
-		if _, err := ParseWeightsTrailer(data); err == nil {
-			t.Errorf("%s: trailer accepted", name)
-		}
-	}
-}
-
-func TestChecksumWeightsAddsTrailer(t *testing.T) {
-	legacy := testContainer("conv1", "conv2")
-	if _, checksummed, err := VerifyWeights(legacy); err != nil || checksummed {
-		t.Fatalf("legacy verify = (checksummed=%v, err=%v), want (false, nil)", checksummed, err)
-	}
-	out, err := ChecksumWeights(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checks, checksummed, err := VerifyWeights(out)
-	if err != nil || !checksummed {
-		t.Fatalf("checksummed verify = (checksummed=%v, err=%v)", checksummed, err)
-	}
-	if len(checks) != 4 { // weights+bias per layer
-		t.Fatalf("got %d tensor checks, want 4", len(checks))
-	}
-	for _, c := range checks {
-		if !c.OK {
-			t.Fatalf("fresh trailer reports mismatch for %s/%s", c.Layer, c.Tensor)
-		}
-	}
-	// Re-checksumming an intact artifact is idempotent.
-	again, err := ChecksumWeights(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(again) != string(out) {
-		t.Fatal("re-checksum of an intact artifact changed its bytes")
-	}
-}
-
-func TestVerifyWeightsDetectsCorruption(t *testing.T) {
-	out, err := ChecksumWeights(testContainer("conv1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip a bit inside the first weight payload: magic(8) + name frame +
-	// layer count + layer-name frame + float count prefix puts the first
-	// weight byte well past offset 40; byte 40 is inside the container
-	// for this fixture. Locate it structurally instead: corrupt the last
-	// payload byte before the trailer (the bias float).
-	payloadEnd := len(out) - (len(TrailerMagic) + 4 + 4*2)
-	corrupt := append([]byte(nil), out...)
-	corrupt[payloadEnd-2] ^= 0x01
-	checks, checksummed, err := VerifyWeights(corrupt)
-	if err != nil || !checksummed {
-		t.Fatalf("verify = (checksummed=%v, err=%v)", checksummed, err)
-	}
-	bad := 0
-	for _, c := range checks {
-		if !c.OK {
-			bad++
-		}
-	}
-	if bad != 1 {
-		t.Fatalf("%d tensors flagged, want exactly 1", bad)
-	}
-	// And re-checksumming the corrupt artifact must refuse.
-	if _, err := ChecksumWeights(corrupt); err == nil || !strings.Contains(err.Error(), "refusing") {
-		t.Fatalf("ChecksumWeights on corrupt artifact = %v, want refusal", err)
-	}
-}
-
-func TestVerifyWeightsTrailerCountMismatch(t *testing.T) {
-	data := AppendWeightsTrailer(testContainer("conv1"), []uint32{1}) // 2 tensors, 1 record
-	if _, _, err := VerifyWeights(data); err == nil {
-		t.Fatal("short trailer accepted")
-	}
-}
-
-func TestVerifyWeightsStructuralErrors(t *testing.T) {
-	cases := map[string][]byte{
-		"empty":       nil,
-		"bad magic":   []byte("NOTSNAPE" + "rest"),
-		"truncated":   testContainer("conv1")[:20],
-		"huge layers": appendU32(appendStr([]byte(WeightsMagic), "m"), 0xffffffff),
-	}
-	for name, data := range cases {
-		if _, _, err := VerifyWeights(data); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
-// FuzzVerifyWeights is the trailer-parser fuzz target: arbitrary bytes
-// must never panic or over-allocate, and anything ChecksumWeights
-// accepts must re-verify clean.
-func FuzzVerifyWeights(f *testing.F) {
-	legacy := testContainer("conv1", "conv2")
-	checksummed, err := ChecksumWeights(legacy)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(legacy)
-	f.Add(checksummed)
-	f.Add(append(append([]byte(nil), checksummed...), 0xAB)) // trailing garbage
-	corrupt := append([]byte(nil), checksummed...)
-	corrupt[len(corrupt)/2] ^= 0x10
-	f.Add(corrupt)
-	f.Add(checksummed[:len(checksummed)-3]) // truncated trailer
-	f.Add([]byte(WeightsMagic))
-	f.Add([]byte(TrailerMagic))
-	f.Add(appendU32(appendStr([]byte(WeightsMagic), "m"), 0xfffffff0)) // forged layer count
-	f.Fuzz(func(t *testing.T, data []byte) {
-		checks, hasTrailer, err := VerifyWeights(data)
-		if err != nil {
-			return
-		}
-		if hasTrailer != (checks != nil) {
-			t.Fatalf("trailer=%v but checks=%v", hasTrailer, checks)
-		}
-		out, err := ChecksumWeights(data)
-		if err != nil {
-			return // corrupt-but-parsable artifacts are refused; fine
-		}
-		reChecks, reTrailer, reErr := VerifyWeights(out)
-		if reErr != nil || !reTrailer {
-			t.Fatalf("ChecksumWeights output does not verify: trailer=%v err=%v", reTrailer, reErr)
-		}
-		for _, c := range reChecks {
-			if !c.OK {
-				t.Fatalf("ChecksumWeights output has mismatching tensor %s/%s", c.Layer, c.Tensor)
-			}
-		}
-	})
 }

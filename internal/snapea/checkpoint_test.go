@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -40,11 +41,12 @@ func TestCheckpointLoadRejectsCorrupt(t *testing.T) {
 		return p
 	}
 	cases := map[string]string{
-		"garbage":     `{"version": 1, "epsilon"`,
+		"garbage":     `{"version": 2, "epsilon"`,
 		"bad version": `{"version": 99, "epsilon": 0.05}`,
-		"neg epsilon": `{"version": 1, "epsilon": -1}`,
-		"huge N":      `{"version": 1, "epsilon": 0.05, "profiled": {"c": [[{"param": {"th": 0, "n": 999999999}}]]}}`,
-		"overflow Th": `{"version": 1, "epsilon": 0.05, "profiled": {"c": [[{"param": {"th": 1e39, "n": 4}}]]}}`,
+		"version 1":   `{"version": 1, "epsilon": 0.05}`,
+		"neg epsilon": `{"version": 2, "epsilon": -1}`,
+		"huge N":      `{"version": 2, "epsilon": 0.05, "profiled": {"c": [[{"param": {"th": 0, "n": 999999999}}]]}}`,
+		"overflow Th": `{"version": 2, "epsilon": 0.05, "profiled": {"c": [[{"param": {"th": 1e39, "n": 4}}]]}}`,
 	}
 	for name, body := range cases {
 		if _, err := LoadOptCheckpoint(write(name+".json", body)); err == nil {
@@ -76,14 +78,14 @@ func TestCheckpointCompatible(t *testing.T) {
 func TestOptimizerRejectsIncompatibleCheckpoint(t *testing.T) {
 	m, optImgs, optLabels, _, _ := pipeline(t, 27)
 	net := CompileExact(m)
-	o := NewOptimizer(net, m.Head, optImgs, optLabels, OptConfig{Epsilon: 0.05})
+	o := NewOptimizer(net, m.Head, optImgs, optLabels, wideGrid(0.05))
 	o.SetCheckpoint(NewOptCheckpoint("", 0.10), nil)
 	if _, err := o.RunCtx(context.Background()); err == nil {
 		t.Fatal("ε-mismatched checkpoint accepted")
 	}
 	ck := NewOptCheckpoint("", 0.05)
 	ck.Profiled["no-such-layer"] = [][]Candidate{}
-	o2 := NewOptimizer(CompileExact(m), m.Head, optImgs, optLabels, OptConfig{Epsilon: 0.05})
+	o2 := NewOptimizer(CompileExact(m), m.Head, optImgs, optLabels, wideGrid(0.05))
 	o2.SetCheckpoint(ck, nil)
 	if _, err := o2.RunCtx(context.Background()); err == nil {
 		t.Fatal("checkpoint naming an absent layer accepted")
@@ -100,7 +102,9 @@ func TestOptimizerResumeIdentical(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "opt.ckpt")
 
 	// Reference: uninterrupted run.
-	ref := NewOptimizer(CompileExact(m), m.Head, optImgs, optLabels, OptConfig{Epsilon: eps})
+	refPath := filepath.Join(t.TempDir(), "ref.ckpt")
+	ref := NewOptimizer(CompileExact(m), m.Head, optImgs, optLabels, wideGrid(eps))
+	ref.SetCheckpoint(NewOptCheckpoint("tinynet", eps), func(ck *OptCheckpoint) error { return ck.Save(refPath) })
 	want, err := ref.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +114,7 @@ func TestOptimizerResumeIdentical(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	saves := 0
-	interrupted := NewOptimizer(CompileExact(m), m.Head, optImgs, optLabels, OptConfig{Epsilon: eps})
+	interrupted := NewOptimizer(CompileExact(m), m.Head, optImgs, optLabels, wideGrid(eps))
 	interrupted.SetCheckpoint(NewOptCheckpoint("tinynet", eps), func(ck *OptCheckpoint) error {
 		saves++
 		if err := ck.Save(path); err != nil {
@@ -137,7 +141,7 @@ func TestOptimizerResumeIdentical(t *testing.T) {
 	if len(ck.Profiled) == 0 {
 		t.Fatal("checkpoint holds no profiled layers")
 	}
-	resumed := NewOptimizer(CompileExact(m), m.Head, optImgs, optLabels, OptConfig{Epsilon: eps})
+	resumed := NewOptimizer(CompileExact(m), m.Head, optImgs, optLabels, wideGrid(eps))
 	resumed.SetCheckpoint(ck, func(ck *OptCheckpoint) error { return ck.Save(path) })
 	got, err := resumed.RunCtx(context.Background())
 	if err != nil {
@@ -151,11 +155,68 @@ func TestOptimizerResumeIdentical(t *testing.T) {
 		t.Fatalf("resumed accuracies differ: want %.4f/%.4f got %.4f/%.4f",
 			want.BaseAcc, want.FinalAcc, got.BaseAcc, got.FinalAcc)
 	}
+	wantCk, err := os.ReadFile(refPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotCk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(wantCk) != string(gotCk) {
+		t.Fatalf("resumed run's final checkpoint differs from the uninterrupted run's (%d vs %d bytes)", len(gotCk), len(wantCk))
+	}
+}
+
+// TestOptimizerRefusesCheckpointOfOtherInputs interrupts a run after its
+// first checkpoint save and resumes it with inputs that share the
+// network name and ε but not the optimization: another model seed,
+// another optimization set, another configuration. Each resume must be
+// refused rather than blend two runs' profiles.
+func TestOptimizerRefusesCheckpointOfOtherInputs(t *testing.T) {
+	const eps = 0.08
+	m, optImgs, optLabels, testImgs, testLabels := pipeline(t, 1)
+	path := filepath.Join(t.TempDir(), "seed1.ckpt")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	o := NewOptimizer(CompileExact(m), m.Head, optImgs, optLabels, wideGrid(eps))
+	o.SetCheckpoint(NewOptCheckpoint("tinynet", eps), func(ck *OptCheckpoint) error {
+		cancel()
+		return ck.Save(path)
+	})
+	if _, err := o.RunCtx(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run returned %v, want context.Canceled", err)
+	}
+
+	m2, optImgs2, optLabels2, _, _ := pipeline(t, 2)
+	soft := wideGrid(eps)
+	soft.SoftLoss = true
+	for _, c := range []struct {
+		name string
+		opt  *Optimizer
+	}{
+		{"model seed 2", NewOptimizer(CompileExact(m2), m2.Head, optImgs2, optLabels2, wideGrid(eps))},
+		{"other optimization set", NewOptimizer(CompileExact(m), m.Head, testImgs, testLabels, wideGrid(eps))},
+		{"other configuration", NewOptimizer(CompileExact(m), m.Head, optImgs, optLabels, soft)},
+	} {
+		ck, err := LoadOptCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ck.Compatible("tinynet", eps); err != nil {
+			t.Fatalf("%s: (network, ε) check already differs: %v", c.name, err)
+		}
+		c.opt.SetCheckpoint(ck, nil)
+		_, err = c.opt.RunCtx(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "optimizer inputs") {
+			t.Fatalf("%s: resume returned %v, want an inputs mismatch", c.name, err)
+		}
+	}
 }
 
 func TestOptimizerCanceledBeforeStart(t *testing.T) {
 	m, optImgs, optLabels, _, _ := pipeline(t, 28)
-	o := NewOptimizer(CompileExact(m), m.Head, optImgs, optLabels, OptConfig{Epsilon: 0.05})
+	o := NewOptimizer(CompileExact(m), m.Head, optImgs, optLabels, wideGrid(0.05))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := o.RunCtx(ctx); !errors.Is(err, context.Canceled) {

@@ -111,7 +111,7 @@ func TestOptimizerWorkerInvariance(t *testing.T) {
 	run := func(workers int) (*Result, []byte) {
 		parallel.SetLimit(workers)
 		net := CompileExact(m)
-		opt := NewOptimizer(net, m.Head, optImgs, optLabels, OptConfig{Epsilon: 0.05})
+		opt := NewOptimizer(net, m.Head, optImgs, optLabels, wideGrid(0.05))
 		path := filepath.Join(t.TempDir(), "inv.ckpt")
 		opt.SetCheckpoint(NewOptCheckpoint("tinynet", 0.05), func(ck *OptCheckpoint) error {
 			return ck.Save(path)

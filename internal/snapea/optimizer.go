@@ -15,39 +15,25 @@ import (
 	"snapea/internal/train"
 )
 
-// OptConfig parameterizes Algorithm 1.
+// OptConfig parameterizes Algorithm 1. The zero value of every field
+// but Epsilon and SoftLoss selects the configuration the experiment
+// suite, snapea-tune and the repo benchmark all run.
 type OptConfig struct {
 	// Epsilon is the acceptable classification-accuracy loss ε.
 	Epsilon float64
 	// NCandidates are the group counts tried per kernel (the paper's
-	// "number of groups" N). Zero-length means {4, 8, 16}.
+	// "number of groups" N). Zero-length means {2, 4, 8}.
 	NCandidates []int
 	// ThQuantiles are the quantiles of each kernel's speculation-prefix
 	// partial-sum distribution used as threshold candidates.
-	// Zero-length means {0.2, 0.35, 0.5, 0.65}.
+	// Zero-length means {0.4, 0.6, 0.75}.
 	ThQuantiles []float64
 	// MaxWindows caps the number of convolution windows sampled per
-	// kernel during profiling. Zero means 64.
+	// kernel during profiling. Zero means 128.
 	MaxWindows int
 	// T is the number of per-layer configurations the local pass
-	// examines (the paper's T). Zero means 4.
+	// examines (the paper's T). Zero means 3.
 	T int
-	// FNBudgetScale maps ε to the kernel-level error budget used during
-	// profiling: a candidate is acceptable when the *mass* of positive
-	// convolution outputs it would squash to zero is at most
-	// FNBudgetScale × ε of the kernel's total positive output mass.
-	// Budgeting mass rather than count makes the admitted errors land
-	// on small positive values — the property the paper reports ("more
-	// than 86% of the error occurs on the small positive values") and
-	// the reason misspeculation barely moves classification. This is
-	// the kernel-granularity substitute for the paper's per-kernel
-	// full-network Simulate (see DESIGN.md). Zero means 3.
-	FNBudgetScale float64
-	// SoftScale maps ε to the surrogate budget (SoftLoss × ε·SoftScale):
-	// a mean correct-class probability drop is mostly margin erosion
-	// that never crosses the argmax boundary, so a budget of ε on it is
-	// far stricter than ε of 0/1 accuracy. Zero means 3.
-	SoftScale float64
 	// SoftLoss makes the local and global passes budget the mean drop
 	// of the correct class's softmax probability instead of the 0/1
 	// accuracy. With an optimization set of n images, 0/1 accuracy
@@ -56,27 +42,39 @@ type OptConfig struct {
 	// thousands-of-images D resolves. The reported accuracies remain
 	// hard 0/1.
 	SoftLoss bool
-	NegOrder NegOrder
 }
+
+const (
+	// fnBudgetScale maps ε to the kernel-level error budget used during
+	// profiling: a candidate is acceptable when the *mass* of positive
+	// convolution outputs it would squash to zero is at most
+	// fnBudgetScale × ε of the kernel's total positive output mass.
+	// Budgeting mass rather than count makes the admitted errors land
+	// on small positive values — the property the paper reports ("more
+	// than 86% of the error occurs on the small positive values") and
+	// the reason misspeculation barely moves classification. This is
+	// the kernel-granularity substitute for the paper's per-kernel
+	// full-network Simulate (see DESIGN.md).
+	fnBudgetScale = 3
+	// softScale maps ε to the surrogate budget (SoftLoss ≤ ε·softScale):
+	// a mean correct-class probability drop is mostly margin erosion
+	// that never crosses the argmax boundary, so a budget of ε on it is
+	// far stricter than ε of 0/1 accuracy.
+	softScale = 3
+)
 
 func (c OptConfig) normalize() OptConfig {
 	if len(c.NCandidates) == 0 {
-		c.NCandidates = []int{4, 8, 16}
+		c.NCandidates = []int{2, 4, 8}
 	}
 	if len(c.ThQuantiles) == 0 {
-		c.ThQuantiles = []float64{0.2, 0.35, 0.5, 0.65}
+		c.ThQuantiles = []float64{0.4, 0.6, 0.75}
 	}
 	if c.MaxWindows == 0 {
-		c.MaxWindows = 64
+		c.MaxWindows = 128
 	}
 	if c.T == 0 {
-		c.T = 4
-	}
-	if c.FNBudgetScale == 0 {
-		c.FNBudgetScale = 3
-	}
-	if c.SoftScale == 0 {
-		c.SoftScale = 3
+		c.T = 3
 	}
 	return c
 }
@@ -245,6 +243,15 @@ func (o *Optimizer) RunCtx(ctx context.Context) (*Result, error) {
 		if err := o.ckpt.Compatible("", o.cfg.Epsilon); err != nil {
 			return nil, err
 		}
+		inputs := o.inputsDigest()
+		switch {
+		case o.ckpt.Inputs == inputs:
+		case o.ckpt.Inputs == "" && len(o.ckpt.Profiled) == 0 && len(o.ckpt.Local) == 0:
+			o.ckpt.Inputs = inputs
+		default:
+			return nil, fmt.Errorf("snapea: checkpoint is for optimizer inputs %q, run has %q (another model, seed, optimization set or configuration)",
+				o.ckpt.Inputs, inputs)
+		}
 		for node := range o.ckpt.Profiled {
 			if o.net.Plans[node] == nil {
 				return nil, fmt.Errorf("snapea: checkpoint names layer %q absent from the network", node)
@@ -351,7 +358,7 @@ func (o *Optimizer) prepare() {
 // setPlan recompiles one layer's plan with new parameters.
 func (o *Optimizer) setPlan(node string, params LayerParams) {
 	old := o.net.Plans[node]
-	o.net.Plans[node] = old.recompile(params, o.cfg.NegOrder)
+	o.net.Plans[node] = old.recompile(params, o.net.NegOrder)
 }
 
 // kernelProfilingPass implements KERNELPROFILINGPASS: for every kernel it
@@ -371,7 +378,7 @@ func (o *Optimizer) kernelProfilingPass(ctx context.Context) (map[string][][]Can
 	sp := metrics.StartSpan("tune/profile")
 	defer sp.End()
 	start := progressClock()
-	fnBudget := math.Min(0.5, o.cfg.FNBudgetScale*o.cfg.Epsilon)
+	fnBudget := math.Min(0.5, fnBudgetScale*o.cfg.Epsilon)
 	out := make(map[string][][]Candidate, len(o.net.PlanOrder))
 	for li, node := range o.net.PlanOrder {
 		if o.ckpt != nil {
@@ -430,7 +437,7 @@ func (o *Optimizer) profileKernel(node string, k int, wins []float32, fnBudget f
 	w := conv.Kernel(k)
 	bias := conv.Bias[k]
 	// Exact baseline per window.
-	rkE := Reorder(w, Exact, o.cfg.NegOrder)
+	rkE := Reorder(w, Exact, o.net.NegOrder)
 	var exactOps float64
 	fulls := make([]float64, nWin)
 	for wi := range fulls {
@@ -450,7 +457,7 @@ func (o *Optimizer) profileKernel(node string, k int, wins []float32, fnBudget f
 		if n >= ksz {
 			continue
 		}
-		rk := Reorder(w, KernelParam{N: n}, o.cfg.NegOrder)
+		rk := Reorder(w, KernelParam{N: n}, o.net.NegOrder)
 		// Speculation-prefix sums per window → threshold grid.
 		sums := make([]float64, nWin)
 		for wi := range sums {
@@ -713,7 +720,7 @@ func (o *Optimizer) loss(feats [][]float32) float64 {
 			drop += d
 		}
 	}
-	return drop / float64(len(feats)) / o.cfg.SoftScale
+	return drop / float64(len(feats)) / softScale
 }
 
 // globalOptimizationPass implements GLOBALOPTIMIZATIONPASS with the

@@ -29,7 +29,9 @@ func profiledOptimizer(t *testing.T, eps float64) (*Optimizer, map[string][][]Ca
 	}
 	train.TrainHead(m.Head, train.Features(m, imgs), lbls, train.Config{})
 	net := CompileExact(m)
-	o := NewOptimizer(net, m.Head, imgs, lbls, OptConfig{Epsilon: eps, SoftLoss: true})
+	cfg := wideGrid(eps)
+	cfg.SoftLoss = true
+	o := NewOptimizer(net, m.Head, imgs, lbls, cfg)
 	o.prepare()
 	paramK, err := o.kernelProfilingPass(context.Background())
 	if err != nil {

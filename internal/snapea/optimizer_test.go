@@ -32,6 +32,20 @@ func pipeline(t testing.TB, seed uint64) (*models.Model, []*tensor.Tensor, []int
 	return m, imagesOf(optSet), labelsOf(optSet), imagesOf(testSet), labelsOf(testSet)
 }
 
+// wideGrid is Algorithm 1 over a wider candidate grid than the default
+// one (N ∈ {4, 8, 16}, Th quantiles {0.2, 0.35, 0.5, 0.65}, 64 windows,
+// T = 4) and the 0/1 loss. The package's optimizer tests pin their
+// assertions to this grid.
+func wideGrid(eps float64) OptConfig {
+	return OptConfig{
+		Epsilon:     eps,
+		NCandidates: []int{4, 8, 16},
+		ThQuantiles: []float64{0.2, 0.35, 0.5, 0.65},
+		MaxWindows:  64,
+		T:           4,
+	}
+}
+
 func imagesOf(s []dataset.Sample) []*tensor.Tensor {
 	out := make([]*tensor.Tensor, len(s))
 	for i := range s {
@@ -51,7 +65,7 @@ func labelsOf(s []dataset.Sample) []int {
 func TestOptimizerRespectsEpsilon(t *testing.T) {
 	m, optImgs, optLabels, _, _ := pipeline(t, 21)
 	net := CompileExact(m)
-	opt := NewOptimizer(net, m.Head, optImgs, optLabels, OptConfig{Epsilon: 0.05})
+	opt := NewOptimizer(net, m.Head, optImgs, optLabels, wideGrid(0.05))
 	res := opt.Run()
 	if res.BaseAcc-res.FinalAcc > 0.05+1e-9 {
 		t.Fatalf("optimizer exceeded ε: base %.3f final %.3f", res.BaseAcc, res.FinalAcc)
@@ -64,7 +78,7 @@ func TestOptimizerRespectsEpsilon(t *testing.T) {
 func TestOptimizerEpsilonZeroIsExact(t *testing.T) {
 	m, optImgs, optLabels, _, _ := pipeline(t, 22)
 	net := CompileExact(m)
-	opt := NewOptimizer(net, m.Head, optImgs, optLabels, OptConfig{Epsilon: 0})
+	opt := NewOptimizer(net, m.Head, optImgs, optLabels, wideGrid(0))
 	res := opt.Run()
 	if len(res.Predictive) != 0 {
 		t.Fatalf("ε=0 selected %d predictive layers", len(res.Predictive))
@@ -85,7 +99,7 @@ func TestOptimizerSavesOps(t *testing.T) {
 	}
 	exactOps, denseOps := exactTrace.Totals()
 
-	opt := NewOptimizer(net, m.Head, optImgs, optLabels, OptConfig{Epsilon: 0.10})
+	opt := NewOptimizer(net, m.Head, optImgs, optLabels, wideGrid(0.10))
 	res := opt.Run()
 	if len(res.Predictive) == 0 {
 		t.Skip("optimizer found no predictive layer within ε on this toy model")
@@ -108,7 +122,7 @@ func TestOptimizerMonotoneInEpsilon(t *testing.T) {
 	m, optImgs, optLabels, testImgs, _ := pipeline(t, 24)
 	ops := func(eps float64) int64 {
 		net := CompileExact(m)
-		NewOptimizer(net, m.Head, optImgs, optLabels, OptConfig{Epsilon: eps}).Run()
+		NewOptimizer(net, m.Head, optImgs, optLabels, wideGrid(eps)).Run()
 		tr := NewNetTrace()
 		for _, img := range testImgs {
 			net.Forward(img, RunOpts{}, tr)

@@ -149,7 +149,7 @@ func BenchmarkOptimizerRunCtx(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				net := CompileExact(m)
-				opt := NewOptimizer(net, m.Head, optImgs, optLabels, OptConfig{Epsilon: 0.05})
+				opt := NewOptimizer(net, m.Head, optImgs, optLabels, wideGrid(0.05))
 				if _, err := opt.RunCtx(ctx); err != nil {
 					b.Fatal(err)
 				}

@@ -84,7 +84,7 @@ func TestParamsCheckAgainstModel(t *testing.T) {
 func TestOptimizerOutputPassesValidation(t *testing.T) {
 	m, optImgs, optLabels, _, _ := pipeline(t, 29)
 	net := CompileExact(m)
-	res := NewOptimizer(net, m.Head, optImgs, optLabels, OptConfig{Epsilon: 0.05}).Run()
+	res := NewOptimizer(net, m.Head, optImgs, optLabels, wideGrid(0.05)).Run()
 	data, err := res.File("tinynet", 0.05).Marshal()
 	if err != nil {
 		t.Fatal(err)

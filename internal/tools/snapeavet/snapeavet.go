@@ -113,6 +113,7 @@ func DefaultConfig(modPath string) Config {
 			{p("internal/snapea"), "Compile"},
 			{p("internal/snapea"), "CompileFaulty"},
 			{p("internal/experiments"), "BenchCheckpoint.Save"},
+			{p("internal/experiments"), "Suite.PreparedErr"},
 			{p("internal/metrics"), "Registry.Snapshot"},
 			{p("internal/metrics"), "Snapshot.WriteJSON"},
 			{p("internal/metrics"), "Snapshot.WriteCSV"},
