@@ -60,7 +60,7 @@ bench-smoke:
 # for every worker count, even when the scheduler has real parallelism
 # to play with.
 invariance:
-	GOMAXPROCS=2 $(GO) test -race -run WorkerInvariance ./internal/nn ./internal/snapea
+	GOMAXPROCS=2 $(GO) test -race -run WorkerInvariance ./internal/nn ./internal/snapea ./internal/dataset ./internal/train
 
 # Observability smoke: one real experiment with -metrics, then validate
 # the snapshot parses and the engine/sim counters actually recorded.

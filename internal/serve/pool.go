@@ -37,14 +37,7 @@ func newTensorPool() *tensorPool {
 // Get returns a tensor of the given shape, reusing a pooled one when
 // available. Contents are undefined.
 func (p *tensorPool) Get(s tensor.Shape) *tensor.Tensor {
-	p.mu.Lock()
-	sp, ok := p.pools[s]
-	if !ok {
-		sp = &sync.Pool{}
-		p.pools[s] = sp
-	}
-	p.mu.Unlock()
-	if v := sp.Get(); v != nil {
+	if v := p.pool(s).Get(); v != nil {
 		if metrics.Enabled() {
 			metrics.RC("serve.tensor_pool.hits", nil).Add(1)
 		}
@@ -88,12 +81,17 @@ func (p *tensorPool) Put(t *tensor.Tensor) {
 	if t == nil {
 		return
 	}
+	p.pool(t.Shape()).Put(t)
+}
+
+// pool returns the pool for shape s, creating it on first use.
+func (p *tensorPool) pool(s tensor.Shape) *sync.Pool {
 	p.mu.Lock()
-	sp, ok := p.pools[t.Shape()]
+	defer p.mu.Unlock()
+	sp, ok := p.pools[s]
 	if !ok {
 		sp = &sync.Pool{}
-		p.pools[t.Shape()] = sp
+		p.pools[s] = sp
 	}
-	p.mu.Unlock()
-	sp.Put(t)
+	return sp
 }

@@ -125,6 +125,9 @@ func TestOptimizerWorkerInvariance(t *testing.T) {
 	}
 
 	refRes, refCkpt := run(1)
+	if refRes.GlobalIters == 0 {
+		t.Fatal("the global pass made no move: its incremental evaluation goes untested")
+	}
 	for _, workers := range invarianceWorkerCounts() {
 		if workers == 1 {
 			continue

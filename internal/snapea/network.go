@@ -2,6 +2,7 @@ package snapea
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"snapea/internal/faults"
@@ -285,12 +286,26 @@ func (net *Network) CacheAll(img *tensor.Tensor, opts RunOpts) map[string]*tenso
 // vector. Nodes after `from` in topological order that do not depend on
 // it — sibling branches of a fire or inception module — are not
 // re-executed: their cached values are already what a re-execution
-// would produce. trace (which may be nil) records `from` alone — the
-// layer whose cost Algorithm 1 is measuring; the layers downstream run
-// uncounted unless metrics are on. base is not modified.
+// would produce. Neither are the consumers of a recomputed node whose
+// output came out bit-identical to base's. trace (which may be nil)
+// records `from` alone — the layer whose cost Algorithm 1 is measuring;
+// the layers downstream run uncounted unless metrics are on. base is
+// not modified.
 func (net *Network) ForwardFrom(base map[string]*tensor.Tensor, from string, opts RunOpts, trace *NetTrace) []float32 {
-	// vals holds the recomputed nodes, which are exactly the ones whose
-	// value may differ from base's.
+	t, ok := net.forwardFrom(base, from, opts, trace)[net.Model.FeatureNode]
+	if !ok {
+		// `from` does not reach the feature node, or did not change it.
+		t = base[net.Model.FeatureNode]
+	}
+	feat := make([]float32, len(t.Data()))
+	copy(feat, t.Data())
+	return feat
+}
+
+// forwardFrom is ForwardFrom's walk. It returns the recomputed nodes
+// whose values differ from base's in Float32bits: with base's values
+// for every other node, they are what a full forward would produce.
+func (net *Network) forwardFrom(base map[string]*tensor.Tensor, from string, opts RunOpts, trace *NetTrace) map[string]*tensor.Tensor {
 	vals := make(map[string]*tensor.Tensor)
 	execFrom, execRest := net.exec(opts, trace), net.exec(opts, nil)
 	lookup := func(name string) *tensor.Tensor {
@@ -302,6 +317,7 @@ func (net *Network) ForwardFrom(base map[string]*tensor.Tensor, from string, opt
 		}
 		panic("snapea: ForwardFrom missing value for " + name)
 	}
+	found := false
 	for _, n := range net.Model.Graph.Nodes() {
 		stale := n.Name == from
 		for _, name := range n.Inputs {
@@ -318,20 +334,31 @@ func (net *Network) ForwardFrom(base map[string]*tensor.Tensor, from string, opt
 		}
 		exec := execRest
 		if n.Name == from {
-			exec = execFrom
+			exec, found = execFrom, true
 		}
 		out, done := exec(n, ins)
 		if !done {
 			out = n.Layer.Forward(ins)
 		}
-		vals[n.Name] = out
+		if old, ok := base[n.Name]; !ok || !sameBits(old.Data(), out.Data()) {
+			vals[n.Name] = out
+		}
 	}
-	if len(vals) == 0 {
+	if !found {
 		panic("snapea: ForwardFrom unknown node " + from)
 	}
-	// The feature node comes from the cache when `from` does not reach it.
-	t := lookup(net.Model.FeatureNode)
-	feat := make([]float32, len(t.Data()))
-	copy(feat, t.Data())
-	return feat
+	return vals
+}
+
+// sameBits reports whether a and b hold the same float32 bit patterns.
+func sameBits(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, v := range a {
+		if math.Float32bits(v) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -16,14 +16,28 @@ func (rk *ReorderedKernel) Op(x []float32, bias float32) (ops int, out float32) 
 	if len(x) != len(rk.Weights) {
 		panic("snapea: Op input length mismatch")
 	}
-	acc := bias
-	i := 0
-	for ; i < rk.NumSpec; i++ {
-		acc += rk.Weights[i] * x[i]
-	}
+	acc := rk.prefixSum(x, bias)
 	if rk.NumSpec > 0 && acc <= rk.Th {
 		return rk.NumSpec, 0
 	}
+	return rk.opPastPrefix(x, acc)
+}
+
+// prefixSum is the partial sum Op compares against Th: the bias plus the
+// NumSpec speculation-prefix products, in execution order.
+func (rk *ReorderedKernel) prefixSum(x []float32, bias float32) float32 {
+	acc := bias
+	for i := 0; i < rk.NumSpec; i++ {
+		acc += rk.Weights[i] * x[i]
+	}
+	return acc
+}
+
+// opPastPrefix is Op once the prefix did not speculate: it continues
+// from the prefix sum acc through the positive and negative regions. It
+// does not depend on Th.
+func (rk *ReorderedKernel) opPastPrefix(x []float32, acc float32) (ops int, out float32) {
+	i := rk.NumSpec
 	for ; i < rk.PosEnd; i++ {
 		acc += rk.Weights[i] * x[i]
 	}

@@ -131,7 +131,6 @@ type Optimizer struct {
 	baseProb  []float64          // correct-class probability per image, exact execution
 	temp      float64            // calibrated softmax temperature for the surrogate
 	exactOps  map[string]float64 // per-layer exact-mode ops on D
-	lastAcc   float64            // hard accuracy of the most recent evalFull
 	log       func(string, ...any)
 
 	// ckpt accumulates resumable state; saveCkpt (if set) persists it
@@ -396,12 +395,9 @@ func (o *Optimizer) kernelProfilingPass(ctx context.Context) (map[string][][]Can
 		wins := o.gatherWindows(node, windows)
 		kands := make([][]Candidate, conv.OutC)
 		outCg := conv.OutC / conv.Groups
-		scratch := make([][]float32, parallel.Workers(conv.OutC))
+		scratch := make([]profileScratch, parallel.Workers(conv.OutC))
 		err := parallel.ForCtx(ctx, conv.OutC, func(w, k int) {
-			if scratch[w] == nil {
-				scratch[w] = make([]float32, conv.KernelSize())
-			}
-			kands[k] = o.profileKernel(node, k, wins[k/outCg], fnBudget, scratch[w])
+			kands[k] = o.profileKernel(node, k, wins[k/outCg], fnBudget, &scratch[w])
 		})
 		if err != nil {
 			return nil, err
@@ -425,21 +421,50 @@ func (o *Optimizer) kernelProfilingPass(ctx context.Context) (map[string][][]Can
 	return out, nil
 }
 
+// profileScratch is one profiling worker's reusable storage: a gathered
+// window and the per-window arrays of the kernel being profiled.
+type profileScratch struct {
+	gath                []float32
+	fulls, sums, sorted []float64
+	prefix              []float32
+	rest                []int
+}
+
+// size readies the scratch for kernels of ksz taps over nWin windows.
+func (s *profileScratch) size(ksz, nWin int) {
+	if len(s.gath) != ksz {
+		s.gath = make([]float32, ksz)
+	}
+	if len(s.fulls) != nWin {
+		s.fulls = make([]float64, nWin)
+		s.sums = make([]float64, nWin)
+		s.sorted = make([]float64, nWin)
+		s.prefix = make([]float32, nWin)
+		s.rest = make([]int, nWin)
+	}
+}
+
 // profileKernel runs the (th, n) candidate grid for one kernel over the
 // layer's sampled windows — wins, the kernel's group's window matrix
 // from gatherWindows — and returns the accepted candidates sorted by
-// ascending op, with the exact fallback appended. gath is scratch of
-// kernel size.
-func (o *Optimizer) profileKernel(node string, k int, wins []float32, fnBudget float64, gath []float32) []Candidate {
+// ascending op, with the exact fallback appended.
+//
+// For a fixed n the reordered kernel does not depend on th, so each
+// window is run once per n, not once per (n, th): Op with threshold th
+// counts NumSpec when the float32 prefix sum is ≤ th (false for NaN, as
+// in Op), and otherwise its count past the prefix. Every threshold's op
+// total is read off those two per-window values.
+func (o *Optimizer) profileKernel(node string, k int, wins []float32, fnBudget float64, s *profileScratch) []Candidate {
 	conv := o.net.Plans[node].Conv
 	ksz := conv.KernelSize()
 	nWin := len(wins) / ksz
+	s.size(ksz, nWin)
+	gath, fulls, sums, prefix, rest := s.gath, s.fulls, s.sums, s.prefix, s.rest
 	w := conv.Kernel(k)
 	bias := conv.Bias[k]
 	// Exact baseline per window.
 	rkE := Reorder(w, Exact, o.net.NegOrder)
 	var exactOps float64
-	fulls := make([]float64, nWin)
 	for wi := range fulls {
 		xbuf := wins[wi*ksz : (wi+1)*ksz]
 		rkE.gatherInto(xbuf, gath)
@@ -458,27 +483,31 @@ func (o *Optimizer) profileKernel(node string, k int, wins []float32, fnBudget f
 			continue
 		}
 		rk := Reorder(w, KernelParam{N: n}, o.net.NegOrder)
-		// Speculation-prefix sums per window → threshold grid.
-		sums := make([]float64, nWin)
+		// Speculation-prefix sums per window → threshold grid; the
+		// float32 prefix and past-prefix count → every threshold's ops.
 		for wi := range sums {
 			xbuf := wins[wi*ksz : (wi+1)*ksz]
-			s := float64(bias)
+			sum := float64(bias)
 			for i := 0; i < rk.NumSpec; i++ {
-				s += float64(rk.Weights[i]) * float64(xbuf[rk.Index[i]])
+				sum += float64(rk.Weights[i]) * float64(xbuf[rk.Index[i]])
 			}
-			sums[wi] = s
+			sums[wi] = sum
+			rk.gatherInto(xbuf, gath)
+			prefix[wi] = rk.prefixSum(gath, bias)
+			rest[wi], _ = rk.opPastPrefix(gath, prefix[wi])
 		}
-		sorted := append([]float64(nil), sums...)
+		sorted := append(s.sorted[:0], sums...)
 		sort.Float64s(sorted)
 		for _, q := range o.cfg.ThQuantiles {
 			th := float32(sorted[int(q*float64(len(sorted)-1))])
-			rk.Th = th
 			var ops float64
 			var fn, pos int
 			var fnMass, posMass float64
 			for wi := range sums {
-				rk.gatherInto(wins[wi*ksz:(wi+1)*ksz], gath)
-				op, _ := rk.Op(gath, bias)
+				op := rest[wi]
+				if rk.NumSpec > 0 && prefix[wi] <= th {
+					op = rk.NumSpec
+				}
 				ops += float64(op)
 				if fulls[wi] >= 0 {
 					pos++
@@ -740,7 +769,12 @@ func (o *Optimizer) globalOptimizationPass(ctx context.Context, paramL map[strin
 		remaining[node] = append([]LayerChoice(nil), choices[1:]...)
 		o.setPlan(node, choices[0].Params)
 	}
-	err := o.evalFull()
+	// vals holds every node's value per image under the current plans,
+	// so a move re-executes from its own layer only.
+	vals := parallel.Map(len(o.images), func(_, i int) map[string]*tensor.Tensor {
+		return o.net.CacheAll(o.images[i], RunOpts{})
+	})
+	err, acc := o.evalCached(vals)
 	iters := 0
 	for err > o.cfg.Epsilon {
 		if cerr := ctx.Err(); cerr != nil {
@@ -753,7 +787,7 @@ func (o *Optimizer) globalOptimizationPass(ctx context.Context, paramL map[strin
 		current[node] = remaining[node][idx]
 		remaining[node] = append(remaining[node][:idx:idx], remaining[node][idx+1:]...)
 		o.setPlan(node, current[node].Params)
-		err = o.evalFull()
+		err, acc = o.evalMove(vals, node)
 		iters++
 		o.logf("optimizer: global iter %d moved %s, loss %.4f", iters, node, err)
 	}
@@ -763,7 +797,7 @@ func (o *Optimizer) globalOptimizationPass(ctx context.Context, paramL map[strin
 	res := &Result{
 		Params:      make(map[string]LayerParams, len(current)),
 		Predictive:  make(map[string]bool, len(current)),
-		FinalAcc:    o.lastAcc,
+		FinalAcc:    acc,
 		GlobalIters: iters,
 	}
 	for node, choice := range current {
@@ -812,15 +846,29 @@ func (o *Optimizer) adjustParam(current map[string]LayerChoice, remaining map[st
 	return bestNode, bestIdx, true
 }
 
-// evalFull measures the loss with the network's current plans. Images
-// fan out across the worker pool into index-keyed feature slots; the
-// loss itself is computed serially over them in image order.
-func (o *Optimizer) evalFull() float64 {
-	feats := parallel.Map(len(o.images), func(_, i int) []float32 {
-		return o.net.Feature(o.images[i], RunOpts{}, nil)
+// evalMove measures the loss after the global pass moved node to a new
+// plan. vals holds every node's value per image under the plans before
+// the move; each image re-executes from node and folds the nodes whose
+// values changed back into its cache, so vals ends up equal to a full
+// forward under the new plans. Images fan out across the worker pool,
+// each writing only its own cache.
+func (o *Optimizer) evalMove(vals []map[string]*tensor.Tensor, node string) (loss, acc float64) {
+	parallel.For(len(vals), func(_, i int) {
+		for name, v := range o.net.forwardFrom(vals[i], node, RunOpts{}, nil) {
+			vals[i][name] = v
+		}
 	})
-	o.lastAcc = train.Accuracy(o.head, feats, o.labels)
-	return o.loss(feats)
+	return o.evalCached(vals)
+}
+
+// evalCached measures the loss and the hard accuracy of the feature
+// vectors in vals, serially in image order.
+func (o *Optimizer) evalCached(vals []map[string]*tensor.Tensor) (loss, acc float64) {
+	feats := make([][]float32, len(vals))
+	for i, v := range vals {
+		feats[i] = v[o.net.Model.FeatureNode].Data()
+	}
+	return o.loss(feats), train.Accuracy(o.head, feats, o.labels)
 }
 
 // String summarizes a result.

@@ -135,8 +135,8 @@ func BenchmarkLayerPlanRunSmallPlanes(b *testing.B) {
 }
 
 // BenchmarkOptimizerRunCtx measures a full Algorithm 1 run (profiling,
-// local, and global passes) on the TinyNet pipeline at each worker
-// count. The setup — model build, calibration, head training — happens
+// local, and global passes) in the suite's configuration on the TinyNet
+// pipeline at each worker count. The setup — model build, calibration, head training — happens
 // once outside the timer.
 func BenchmarkOptimizerRunCtx(b *testing.B) {
 	m, optImgs, optLabels, _, _ := pipeline(b, 41)
@@ -149,7 +149,7 @@ func BenchmarkOptimizerRunCtx(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				net := CompileExact(m)
-				opt := NewOptimizer(net, m.Head, optImgs, optLabels, wideGrid(0.05))
+				opt := NewOptimizer(net, m.Head, optImgs, optLabels, OptConfig{Epsilon: 0.05, SoftLoss: true})
 				if _, err := opt.RunCtx(ctx); err != nil {
 					b.Fatal(err)
 				}

@@ -10,6 +10,7 @@ import (
 
 	"snapea/internal/models"
 	"snapea/internal/nn"
+	"snapea/internal/parallel"
 	"snapea/internal/tensor"
 )
 
@@ -46,12 +47,13 @@ func (c Config) normalize() Config {
 }
 
 // Features runs the model's graph on each image and returns the
-// flattened output of the feature node (the head's input).
+// flattened output of the feature node (the head's input). Images fan
+// out across the worker pool into index-keyed slots.
 func Features(m *models.Model, images []*tensor.Tensor) [][]float32 {
 	out := make([][]float32, len(images))
-	for i, img := range images {
-		out[i] = FeatureOf(m, img)
-	}
+	parallel.For(len(images), func(_, i int) {
+		out[i] = FeatureOf(m, images[i])
+	})
 	return out
 }
 
