@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fmt vet vet-snapea fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke placement ci clean
+.PHONY: build test race alloc-guard fmt vet vet-snapea fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke placement ci clean
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,14 @@ test:
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v '^snapea/benchmark$$')
 	$(GO) test -race -short ./benchmark
+
+# Allocation guard, non-race: Algorithm 1's local pass re-executes into
+# reused per-worker buffers, and TestEvalLayerWorkingSet holds one
+# evalLayer to under a tenth of the bytes it allocated with fresh
+# tensors. The race detector changes what allocates, so the test is
+# built without it and `race` never runs it.
+alloc-guard:
+	$(GO) test -count=1 -run 'TestEvalLayerWorkingSet' ./internal/snapea
 
 # Short fuzz runs over the params JSON loader, the execution kernel
 # (geometry × params × input bytes, strip kernel vs the scalar
@@ -85,7 +93,7 @@ placement:
 	GO=$(GO) sh scripts/placement.sh
 
 # The tier-1+ gate: everything CI runs before a merge.
-ci: fmt vet vet-snapea build race fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke
+ci: fmt vet vet-snapea build race alloc-guard fuzz-smoke bench-smoke ledger-smoke invariance metrics-smoke serve-smoke
 
 clean:
 	$(GO) clean ./...

@@ -19,8 +19,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -31,31 +33,45 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (fig1 fig2 table1 table2 table3 fig8 fig9 fig10 table4 table5 fig11 fig12 ablations pruning sparsity faults all)")
-	nets := flag.String("nets", "", "comma-separated networks (default: alexnet,googlenet,squeezenet,vggnet)")
-	scale := flag.String("scale", "reduced", "model scale: reduced or full")
-	eps := flag.Float64("eps", 0.03, "acceptable accuracy loss for the predictive mode")
-	seed := flag.Uint64("seed", 42, "deterministic seed")
-	verbose := flag.Bool("v", false, "stream optimizer progress")
-	testImgs := flag.Int("test-images", 0, "held-out test images per network (0 = suite default)")
-	optImgs := flag.Int("opt-images", 0, "optimization-set images (0 = suite default)")
-	trainImgs := flag.Int("train-images", 0, "classifier-head training images (0 = suite default)")
-	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = none)")
-	ckptPath := flag.String("checkpoint", "snapea-bench.ckpt", "batch checkpoint file for -exp all")
-	resume := flag.Bool("resume", false, "skip experiments the checkpoint records as done")
-	faultFlags := cli.FaultFlags(nil)
-	workers := cli.WorkersFlag(nil)
-	obs := cli.ObsFlags(nil)
-	flag.Parse()
-	if err := cli.ApplyEnv(nil, cli.ObsEnv()); err != nil {
-		cli.Fatalf("snapea-bench", "%v", err)
+	cli.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: tables go to stdout, everything else to
+// stderr. It returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("snapea-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment to run (fig1 fig2 table1 table2 table3 fig8 fig9 fig10 table4 table5 fig11 fig12 ablations pruning sparsity faults all)")
+	nets := fs.String("nets", "", "comma-separated networks (default: alexnet,googlenet,squeezenet,vggnet)")
+	scale := fs.String("scale", "reduced", "model scale: reduced or full")
+	eps := fs.Float64("eps", 0.03, "acceptable accuracy loss for the predictive mode")
+	seed := fs.Uint64("seed", 42, "deterministic seed")
+	verbose := fs.Bool("v", false, "stream optimizer progress")
+	testImgs := fs.Int("test-images", 0, "held-out test images per network (0 = suite default)")
+	optImgs := fs.Int("opt-images", 0, "optimization-set images (0 = suite default)")
+	trainImgs := fs.Int("train-images", 0, "classifier-head training images (0 = suite default)")
+	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = none)")
+	ckptPath := fs.String("checkpoint", "snapea-bench.ckpt", "batch checkpoint file for -exp all")
+	resume := fs.Bool("resume", false, "skip experiments the checkpoint records as done")
+	faultFlags := cli.FaultFlags(fs)
+	workers := cli.WorkersFlag(fs)
+	obs := cli.ObsFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if err := cli.ApplyEnv(fs, cli.ObsEnv()); err != nil {
+		fmt.Fprintln(stderr, "snapea-bench:", err)
+		return 1
 	}
 	workers.Apply()
 
 	obsStop, err := obs.Start("snapea-bench")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		cli.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	defer obsStop()
 
@@ -64,15 +80,15 @@ func main() {
 
 	faultCfg, err := faultFlags.Config(*seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "snapea-bench:", err)
-		cli.Exit(2)
+		fmt.Fprintln(stderr, "snapea-bench:", err)
+		return 2
 	}
 
 	cfg := experiments.Config{
 		Seed:        *seed,
 		Epsilon:     *eps,
 		Verbose:     *verbose,
-		Out:         os.Stdout,
+		Out:         stdout,
 		TestImages:  *testImgs,
 		OptImages:   *optImgs,
 		TrainImages: *trainImgs,
@@ -97,9 +113,9 @@ func main() {
 			}
 		}
 		if pick == nil {
-			fmt.Fprintf(os.Stderr, "snapea-bench: unknown experiment %q\n", *exp)
-			flag.Usage()
-			cli.Exit(2)
+			fmt.Fprintf(stderr, "snapea-bench: unknown experiment %q\n", *exp)
+			fs.Usage()
+			return 2
 		}
 		list = []experiments.NamedExperiment{*pick}
 	}
@@ -110,10 +126,10 @@ func main() {
 		if *resume {
 			ck, err = experiments.LoadBenchCheckpoint(*ckptPath)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "snapea-bench:", err)
-				cli.Exit(2)
+				fmt.Fprintln(stderr, "snapea-bench:", err)
+				return 2
 			}
-			fmt.Fprintf(os.Stderr, "snapea-bench: resuming, %d experiments already done\n", len(ck.Done))
+			fmt.Fprintf(stderr, "snapea-bench: resuming, %d experiments already done\n", len(ck.Done))
 		} else {
 			ck = experiments.NewBenchCheckpoint()
 		}
@@ -130,23 +146,24 @@ func main() {
 	failures := s.RunList(list, ck, save)
 
 	if err := ctx.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "snapea-bench: interrupted after %s (%v)", time.Since(start).Round(time.Second), err)
+		fmt.Fprintf(stderr, "snapea-bench: interrupted after %s (%v)", time.Since(start).Round(time.Second), err)
 		if ck != nil {
-			fmt.Fprintf(os.Stderr, "; %d experiments checkpointed to %s — rerun with -resume", len(ck.Done), *ckptPath)
+			fmt.Fprintf(stderr, "; %d experiments checkpointed to %s — rerun with -resume", len(ck.Done), *ckptPath)
 		}
-		fmt.Fprintln(os.Stderr)
-		cli.Exit(3)
+		fmt.Fprintln(stderr)
+		return 3
 	}
 	if len(failures) > 0 {
-		fmt.Fprintf(os.Stderr, "snapea-bench: %d experiment(s) failed:\n", len(failures))
+		fmt.Fprintf(stderr, "snapea-bench: %d experiment(s) failed:\n", len(failures))
 		for _, f := range failures {
-			fmt.Fprintf(os.Stderr, "  %s: %v\n", f.Name, f.Err)
+			fmt.Fprintf(stderr, "  %s: %v\n", f.Name, f.Err)
 		}
-		cli.Exit(1)
+		return 1
 	}
 	// A complete batch owns its checkpoint; remove it so the next run
 	// starts fresh.
 	if *exp == "all" && ck != nil {
 		os.Remove(*ckptPath)
 	}
+	return 0
 }

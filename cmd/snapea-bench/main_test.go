@@ -1,0 +1,41 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"snapea/internal/parallel"
+)
+
+// TestStdoutIndependentOfWorkers runs Figure 9 on two small networks at
+// one and two workers. Fig9 prepares and tunes the networks
+// concurrently, so any progress line written to stdout lands in
+// schedule order; the tables alone are deterministic, and stdout must
+// carry nothing else: no "[net] ..." progress line, and the same bytes
+// at both worker counts. (At these sizes the two networks rarely
+// overlap, so the byte comparison alone would seldom see a stray line.)
+func TestStdoutIndependentOfWorkers(t *testing.T) {
+	defer parallel.SetLimit(0)
+	var outs []string
+	for _, workers := range []string{"1", "2"} {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-exp", "fig9", "-nets", "tinynet,lenet", "-workers", workers,
+			"-test-images", "4", "-opt-images", "4", "-train-images", "8"}, &stdout, &stderr)
+		if code != 0 {
+			t.Fatalf("workers=%s: exit %d\n%s", workers, code, stderr.String())
+		}
+		if !strings.Contains(stdout.String(), "Figure 9") {
+			t.Fatalf("workers=%s: no Figure 9 table on stdout:\n%s", workers, stdout.String())
+		}
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			if strings.HasPrefix(line, "[") {
+				t.Fatalf("workers=%s: progress line on stdout: %q", workers, line)
+			}
+		}
+		outs = append(outs, stdout.String())
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("stdout differs between 1 and 2 workers:\n--- 1 worker\n%s--- 2 workers\n%s", outs[0], outs[1])
+	}
+}

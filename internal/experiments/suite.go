@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"runtime/debug"
 	"sync"
 
@@ -44,10 +45,13 @@ type Config struct {
 	TestImages  int
 	// Epsilon is the predictive-mode accuracy budget; 0 means 3%.
 	Epsilon float64
-	// Verbose streams optimizer progress to Out.
+	// Verbose streams optimizer progress with the suite's own.
 	Verbose bool
-	// Out receives rendered tables; nil discards experiment logging
-	// (results are still returned).
+	// Out receives the rendered tables; nil discards them (results are
+	// still returned). While Out is set, progress lines — pipeline
+	// stages, skips, failures — go to stderr: networks are prepared
+	// concurrently, so their order is the schedule's, and Out's bytes
+	// must not depend on it.
 	Out io.Writer
 	// Ctx, when non-nil, aborts pipeline-stage computation on
 	// cancellation or deadline: the stage accessors' Err variants return
@@ -137,6 +141,7 @@ type Failure struct {
 // Suite runs experiments with shared, cached pipeline results.
 type Suite struct {
 	Cfg Config
+	log io.Writer // progress lines: stderr while Out is set, else nil
 
 	mu       sync.Mutex
 	prepared map[string]*memo[*Prepared]
@@ -150,13 +155,16 @@ type Suite struct {
 // New creates a Suite.
 func New(cfg Config) *Suite {
 	cfg = cfg.normalize()
+	var log io.Writer
 	if cfg.Out != nil {
-		// Serialize all table/log writes so concurrent experiments never
-		// race on the caller's writer (bytes.Buffer is not thread-safe).
+		// Serialize all table writes so concurrent experiments never race
+		// on the caller's writer (bytes.Buffer is not thread-safe).
 		cfg.Out = &lockedWriter{w: cfg.Out}
+		log = os.Stderr
 	}
 	return &Suite{
 		Cfg:      cfg,
+		log:      log,
 		prepared: make(map[string]*memo[*Prepared]),
 		exact:    make(map[string]*memo[*ExactRun]),
 		pred:     make(map[string]*memo[*PredRun]),
@@ -184,8 +192,8 @@ func (s *Suite) ctx() context.Context {
 }
 
 func (s *Suite) logf(format string, args ...any) {
-	if s.Cfg.Out != nil {
-		fmt.Fprintf(s.Cfg.Out, format+"\n", args...)
+	if s.log != nil {
+		fmt.Fprintf(s.log, format+"\n", args...)
 	}
 }
 
@@ -424,8 +432,8 @@ func (s *Suite) PredictiveErr(name string, eps float64) (*PredRun, error) {
 		ctx := s.ctx()
 		s.logf("[%s] Algorithm 1 at ε=%.1f%% on %d optimization images", name, 100*eps, len(p.OptImgs))
 		net, opt := p.Optimizer(eps)
-		if s.Cfg.Verbose && s.Cfg.Out != nil {
-			opt.SetLog(func(f string, a ...any) { fmt.Fprintf(s.Cfg.Out, "  "+f+"\n", a...) })
+		if s.Cfg.Verbose && s.log != nil {
+			opt.SetLog(func(f string, a ...any) { s.logf("  "+f, a...) })
 		}
 		res, err := opt.RunCtx(ctx)
 		if err != nil {

@@ -23,6 +23,14 @@ type Layer interface {
 	OutShape(ins []tensor.Shape) tensor.Shape
 }
 
+// mustOutShape panics unless out has the shape want, which a layer's
+// OutShape computed for the inputs its ForwardInto was given.
+func mustOutShape(want tensor.Shape, out *tensor.Tensor) {
+	if got := out.Shape(); got != want {
+		panic(fmt.Sprintf("nn: output tensor %v, layer computes %v", got, want))
+	}
+}
+
 // InputName is the reserved node name that refers to the graph input.
 const InputName = "input"
 

@@ -145,12 +145,19 @@ func (Concat) OutShape(ins []tensor.Shape) tensor.Shape {
 
 // Forward implements Layer.
 func (c Concat) Forward(ins []*tensor.Tensor) *tensor.Tensor {
-	shapes := make([]tensor.Shape, len(ins))
-	for i, t := range ins {
-		shapes[i] = t.Shape()
-	}
-	os := c.OutShape(shapes)
-	out := tensor.New(os)
+	var buf [8]tensor.Shape
+	out := tensor.New(c.OutShape(appendShapes(buf[:0], ins)))
+	c.ForwardInto(ins, out)
+	return out
+}
+
+// ForwardInto is Forward into out, a tensor of the shape OutShape
+// reports that may hold anything: every output plane is copied from an
+// input plane.
+func (c Concat) ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor) {
+	var buf [8]tensor.Shape
+	os := c.OutShape(appendShapes(buf[:0], ins))
+	mustOutShape(os, out)
 	outd := out.Data()
 	plane := os.H * os.W
 	for n := 0; n < os.N; n++ {
@@ -162,7 +169,15 @@ func (c Concat) Forward(ins []*tensor.Tensor) *tensor.Tensor {
 			cOff += s.C
 		}
 	}
-	return out
+}
+
+// appendShapes appends the shapes of ins to dst. Concat passes an empty
+// slice of a stack array, so up to eight inputs allocate nothing.
+func appendShapes(dst []tensor.Shape, ins []*tensor.Tensor) []tensor.Shape {
+	for _, t := range ins {
+		dst = append(dst, t.Shape())
+	}
+	return dst
 }
 
 // Softmax normalizes the channel dimension into a probability

@@ -35,18 +35,26 @@ func poolDim(in, k, stride, pad int, ceil bool) int {
 	return num/stride + 1
 }
 
-// Forward implements Layer. Planes are independent work items. Within a
-// plane it goes tap-major over one output row at a time: for each (ky,
+// Forward implements Layer.
+func (p *MaxPool2D) Forward(ins []*tensor.Tensor) *tensor.Tensor {
+	out := tensor.New(p.OutShape([]tensor.Shape{one(ins).Shape()}))
+	p.ForwardInto(ins, out)
+	return out
+}
+
+// ForwardInto is Forward into out, a tensor of the shape OutShape
+// reports that may hold anything: every output element is written.
+// Planes are independent work items. Within a plane it goes tap-major over one output row at a time: for each (ky,
 // kx) the outputs whose tap lands inside the input form one span, hoisted
 // out of the inner loop, so that loop is a strided compare-and-keep with
 // no window bounds to test. Each output still meets its taps in (ky, kx)
 // order under the same `v > m` test — which keeps the first of a ±0 tie
 // and never picks a NaN, neither of which the builtin max does.
-func (p *MaxPool2D) Forward(ins []*tensor.Tensor) *tensor.Tensor {
+func (p *MaxPool2D) ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor) {
 	in := one(ins)
 	s := in.Shape()
 	os := p.OutShape([]tensor.Shape{s})
-	out := tensor.New(os)
+	mustOutShape(os, out)
 	r := poolRun{
 		in: in.Data(), out: out.Data(),
 		k: p.K, stride: p.Stride, pad: p.Pad,
@@ -58,7 +66,6 @@ func (p *MaxPool2D) Forward(ins []*tensor.Tensor) *tensor.Tensor {
 		hi0: min(os.W, (s.W+p.Pad+p.Stride-1)/p.Stride),
 	}
 	parallel.ForCost(s.N*s.C, os.H*os.W*p.K*p.K, r, poolRun.plane)
-	return out
 }
 
 // poolRun is one Forward's operands.

@@ -56,11 +56,11 @@ func BenchmarkCountedVsUncounted(b *testing.B) {
 					}
 				})
 				b.Run(node+"/uncounted", func(b *testing.B) {
-					_, _, counted := plan.run(in, RunOpts{}, true)
-					_, _, uncounted := plan.run(in, RunOpts{}, false)
+					_, _, counted := plan.run(in, nil, RunOpts{}, true)
+					_, _, uncounted := plan.run(in, nil, RunOpts{}, false)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						plan.runUncounted(in)
+						plan.runTo(nil, in, RunOpts{}, false)
 					}
 					b.ReportMetric(float64(counted-uncounted), "replay-taps/op")
 				})

@@ -248,13 +248,24 @@ func (p *LayerPlan) OutShape(batch int) tensor.Shape {
 	return tensor.Shape{N: batch, C: p.outC, H: p.outH, W: p.outW}
 }
 
-// newRun checks the input against the compiled geometry and allocates
-// the zeroed output and the trace header — what Run and the two serial
-// executors (runReference, RunFixed) all start from.
-func (p *LayerPlan) newRun(in *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *LayerTrace) {
+// newRun checks the input against the compiled geometry and returns a
+// zeroed output and the trace header — what Run and the two serial
+// executors (runReference, RunFixed) all start from. The output is out,
+// cleared, when out is non-nil, and a fresh tensor otherwise: the
+// executors leave a window that exits early, and every window of a stuck
+// kernel, at the output's 0, so a reused tensor must start as a fresh
+// one does.
+func (p *LayerPlan) newRun(in, out *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *LayerTrace) {
 	s := in.Shape()
 	if s.C != p.inShape.C || s.H != p.inShape.H || s.W != p.inShape.W {
 		panic(fmt.Sprintf("snapea: %s compiled for %v, got %v", p.Node, p.inShape, s))
+	}
+	if out == nil {
+		out = tensor.New(p.OutShape(s.N))
+	} else if out.Shape() != p.OutShape(s.N) {
+		panic(fmt.Sprintf("snapea: %s computes %v, output tensor is %v", p.Node, p.OutShape(s.N), out.Shape()))
+	} else {
+		clear(out.Data())
 	}
 	tr := &LayerTrace{
 		Node:        p.Node,
@@ -271,7 +282,7 @@ func (p *LayerPlan) newRun(in *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *La
 	if opts.CollectWindows {
 		tr.Ops = make([]int32, tr.Windows)
 	}
-	return tensor.New(p.OutShape(s.N)), tr
+	return out, tr
 }
 
 // windowSteps prices a window's fixed cost (accumulator set-up, worklist,
@@ -283,27 +294,28 @@ const windowSteps = 38
 // Run executes the layer with early activation and returns the output
 // (identical to conv+ReLU for exact kernels) and the trace.
 func (p *LayerPlan) Run(in *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *LayerTrace) {
-	out, tr, issued := p.run(in, opts, true)
-	if metrics.Enabled() {
+	return p.runTo(nil, in, opts, true)
+}
+
+// runTo is Run into out (a fresh tensor when out is nil; see newRun),
+// counted or not. Uncounted is for a caller that reads the output alone:
+// the same output, bit for bit, without the exact exit tap of each
+// window that the blocked suffix retires — the replays that find it are
+// Eq. (1) bookkeeping, and the output is 0 either way. An uncounted run's
+// trace is incomplete and it records no metrics; Network decides when
+// nothing reads them.
+func (p *LayerPlan) runTo(out, in *tensor.Tensor, opts RunOpts, count bool) (*tensor.Tensor, *LayerTrace) {
+	out, tr, issued := p.run(in, out, opts, count)
+	if count && metrics.Enabled() {
 		p.recordMetrics(tr, issued)
 	}
 	return out, tr
 }
 
-// runUncounted is Run for a caller that reads the output alone: the
-// same output, bit for bit, without the exact exit tap of each window
-// that the blocked suffix retires — the replays that find it are Eq. (1)
-// bookkeeping, and the output is 0 either way. It computes no trace and
-// records no metrics; Network decides when nothing reads them.
-func (p *LayerPlan) runUncounted(in *tensor.Tensor) *tensor.Tensor {
-	out, _, _ := p.run(in, RunOpts{}, false)
-	return out
-}
-
-// run is Run's body. count says whether the trace and the issued-MAC
+// run is runTo's body. count says whether the trace and the issued-MAC
 // total it returns are wanted; without it they are incomplete.
-func (p *LayerPlan) run(in *tensor.Tensor, opts RunOpts, count bool) (*tensor.Tensor, *LayerTrace, int64) {
-	out, tr := p.newRun(in, opts)
+func (p *LayerPlan) run(in, out *tensor.Tensor, opts RunOpts, count bool) (*tensor.Tensor, *LayerTrace, int64) {
+	out, tr := p.newRun(in, out, opts)
 	s := in.Shape()
 
 	// One work item per (kernel, image) pair, priced from the geometry: a
@@ -489,7 +501,7 @@ type layerRun struct {
 	tr      *LayerTrace
 	opts    RunOpts
 	nonNeg  bool // p.mono and the input passed nonNegFinite
-	count   bool // replay suffix exits to their exact tap (Run, not runUncounted)
+	count   bool // replay suffix exits to their exact tap (a counted run)
 }
 
 // kernel computes work item i — all windows of output channel i/N for

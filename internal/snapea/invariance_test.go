@@ -9,8 +9,10 @@ import (
 	"testing"
 
 	"snapea/internal/faults"
+	"snapea/internal/models"
 	"snapea/internal/nn"
 	"snapea/internal/parallel"
+	"snapea/internal/prune"
 	"snapea/internal/tensor"
 )
 
@@ -144,6 +146,43 @@ func TestOptimizerWorkerInvariance(t *testing.T) {
 		}
 		if string(ckpt) != string(refCkpt) {
 			t.Fatalf("workers=%d: checkpoint bytes diverge (%d vs %d bytes)", workers, len(ckpt), len(refCkpt))
+		}
+	}
+}
+
+// TestOptimizerPrunedWorkerInvariance tunes statically pruned TinyNets —
+// one zero weight in conv2's first kernel, and prune.Convs at 50 % — to
+// completion at one and two workers, and requires identical parameters.
+// Reorder drops zero weights, so Algorithm 1 profiles kernels shorter
+// than their KernelSize; profiling used to hand Op a kernel-size window
+// and panic ("Op input length mismatch").
+func TestOptimizerPrunedWorkerInvariance(t *testing.T) {
+	defer parallel.SetLimit(0)
+	for _, tc := range []struct {
+		name  string
+		prune func(m *models.Model)
+	}{
+		{"one zero weight", func(m *models.Model) {
+			m.Graph.Node("conv2").Layer.(*nn.Conv2D).Weights.Data()[0] = 0
+		}},
+		{"50% pruned", func(m *models.Model) { prune.Convs(m, 0.5) }},
+	} {
+		var ref *Result
+		for _, workers := range []int{1, 2} {
+			parallel.SetLimit(workers)
+			m, optImgs, optLabels, _, _ := pipeline(t, 31)
+			tc.prune(m)
+			res := NewOptimizer(CompileExact(m), m.Head, optImgs, optLabels, wideGrid(0.05)).Run()
+			if len(res.Params) != len(m.ConvNodes()) {
+				t.Fatalf("%s, workers=%d: params for %d of %d layers", tc.name, workers, len(res.Params), len(m.ConvNodes()))
+			}
+			if ref == nil {
+				ref = res
+				continue
+			}
+			if !reflect.DeepEqual(res.Params, ref.Params) || !reflect.DeepEqual(res.ParamK, ref.ParamK) {
+				t.Fatalf("%s: parameters at 2 workers diverge from the serial run", tc.name)
+			}
 		}
 	}
 }

@@ -63,8 +63,9 @@ func runIssued(plan *LayerPlan, in *tensor.Tensor, opts RunOpts) (*tensor.Tensor
 
 // assertRunMatches holds one Run to a runReference result: outputs
 // Float32bits-identical, traces equal, and the issued-MAC total equal to
-// issuedOracle's scalar recomputation — and the uncounted run's output
-// Float32bits-identical too.
+// issuedOracle's scalar recomputation — and the uncounted run's output,
+// written into a tensor that held other values, Float32bits-identical
+// too.
 func assertRunMatches(t *testing.T, label string, plan *LayerPlan, in *tensor.Tensor, opts RunOpts, want *tensor.Tensor, wtr *LayerTrace, issued int64) {
 	t.Helper()
 	// Both runs draw activation faults from the same run sequence number
@@ -72,7 +73,9 @@ func assertRunMatches(t *testing.T, label string, plan *LayerPlan, in *tensor.Te
 	seq := plan.runSeq.Load()
 	got, gtr, gotIssued := runIssued(plan, in, opts)
 	plan.runSeq.Store(seq)
-	uncounted := plan.runUncounted(in)
+	dirty := tensor.New(want.Shape())
+	dirty.Fill(-7)
+	uncounted, _ := plan.runTo(dirty, in, RunOpts{}, false)
 	for i, w := range want.Data() {
 		if g := got.Data()[i]; math.Float32bits(g) != math.Float32bits(w) {
 			t.Fatalf("%s: output[%d] = %v, reference %v", label, i, g, w)

@@ -200,10 +200,11 @@ func (t *NetTrace) Rates() (tnr, fnr float64) {
 
 // exec returns the per-node executor override that routes convolution
 // nodes, and FC nodes when EnableFC was called, through their plans. A
-// count is computed iff it is read: plans run counted (LayerPlan.Run)
-// when there is a trace to add to or metrics to record, and uncounted
-// otherwise — the same outputs, without the suffix replays.
-func (net *Network) exec(opts RunOpts, trace *NetTrace) nn.Exec {
+// count is computed iff it is read: plans run counted when there is a
+// trace to add to or metrics to record, and uncounted otherwise — the
+// same outputs, without the suffix replays. With a workset, plan outputs
+// are drawn from it.
+func (net *Network) exec(opts RunOpts, trace *NetTrace, ws *workset) nn.Exec {
 	count := trace != nil || metrics.Enabled()
 	return func(node *nn.Node, ins []*tensor.Tensor) (*tensor.Tensor, bool) {
 		plan, in := net.Plans[node.Name], ins[0]
@@ -215,10 +216,11 @@ func (net *Network) exec(opts RunOpts, trace *NetTrace) nn.Exec {
 			s := in.Shape()
 			in = tensor.Wrap(tensor.Shape{N: s.N, C: s.C * s.H * s.W, H: 1, W: 1}, in.Data())
 		}
-		if !count {
-			return plan.runUncounted(in), true
+		var out *tensor.Tensor
+		if ws != nil {
+			out = ws.draw(plan.OutShape(in.Shape().N))
 		}
-		out, tr := plan.Run(in, opts)
+		out, tr := plan.runTo(out, in, opts, count)
 		if trace != nil {
 			trace.Add(tr)
 		}
@@ -230,7 +232,7 @@ func (net *Network) exec(opts RunOpts, trace *NetTrace) nn.Exec {
 // output and accumulating layer traces into trace (which may be nil;
 // with metrics off too, the layers then run uncounted).
 func (net *Network) Forward(img *tensor.Tensor, opts RunOpts, trace *NetTrace) *tensor.Tensor {
-	return net.Model.Graph.ForwardExec(img, nil, net.exec(opts, trace))
+	return net.Model.Graph.ForwardExec(img, nil, net.exec(opts, trace, nil))
 }
 
 // ForwardChecked is Forward behind the boundary validation the hardened
@@ -265,7 +267,7 @@ func (net *Network) Feature(img *tensor.Tensor, opts RunOpts, trace *NetTrace) [
 			copy(cp, t.Data())
 			feat = cp
 		}
-	}, net.exec(opts, trace))
+	}, net.exec(opts, trace, nil))
 	return feat
 }
 
@@ -277,7 +279,7 @@ func (net *Network) CacheAll(img *tensor.Tensor, opts RunOpts) map[string]*tenso
 	vals := map[string]*tensor.Tensor{nn.InputName: img}
 	net.Model.Graph.ForwardExec(img, func(name string, t *tensor.Tensor) {
 		vals[name] = t
-	}, net.exec(opts, nil))
+	}, net.exec(opts, nil, nil))
 	return vals
 }
 
@@ -291,23 +293,33 @@ func (net *Network) CacheAll(img *tensor.Tensor, opts RunOpts) map[string]*tenso
 // records `from` alone — the layer whose cost Algorithm 1 is measuring;
 // the layers downstream run uncounted unless metrics are on. base is
 // not modified.
-func (net *Network) ForwardFrom(base map[string]*tensor.Tensor, from string, opts RunOpts, trace *NetTrace) []float32 {
-	t, ok := net.forwardFrom(base, from, opts, trace)[net.Model.FeatureNode]
+//
+// ws (which may be nil) supplies the recomputed outputs of plans and of
+// intoLayer nodes; every tensor drawn from it goes back to it once the
+// feature vector has been copied out, so a caller that passes the same
+// workset call after call runs in a fixed working set.
+func (net *Network) ForwardFrom(base map[string]*tensor.Tensor, from string, opts RunOpts, trace *NetTrace, ws *workset) []float32 {
+	t, ok := net.forwardFrom(base, from, opts, trace, ws)[net.Model.FeatureNode]
 	if !ok {
 		// `from` does not reach the feature node, or did not change it.
 		t = base[net.Model.FeatureNode]
 	}
 	feat := make([]float32, len(t.Data()))
 	copy(feat, t.Data())
+	if ws != nil {
+		ws.reclaim()
+	}
 	return feat
 }
 
 // forwardFrom is ForwardFrom's walk. It returns the recomputed nodes
 // whose values differ from base's in Float32bits: with base's values
 // for every other node, they are what a full forward would produce.
-func (net *Network) forwardFrom(base map[string]*tensor.Tensor, from string, opts RunOpts, trace *NetTrace) map[string]*tensor.Tensor {
+// With a workset, every plan and intoLayer output is drawn from it,
+// and the returned values are valid until its next reclaim.
+func (net *Network) forwardFrom(base map[string]*tensor.Tensor, from string, opts RunOpts, trace *NetTrace, ws *workset) map[string]*tensor.Tensor {
 	vals := make(map[string]*tensor.Tensor)
-	execFrom, execRest := net.exec(opts, trace), net.exec(opts, nil)
+	execFrom, execRest := net.exec(opts, trace, ws), net.exec(opts, nil, ws)
 	lookup := func(name string) *tensor.Tensor {
 		if v, ok := vals[name]; ok {
 			return v
@@ -338,7 +350,7 @@ func (net *Network) forwardFrom(base map[string]*tensor.Tensor, from string, opt
 		}
 		out, done := exec(n, ins)
 		if !done {
-			out = n.Layer.Forward(ins)
+			out = forwardLayer(n.Layer, ins, ws)
 		}
 		if old, ok := base[n.Name]; !ok || !sameBits(old.Data(), out.Data()) {
 			vals[n.Name] = out
@@ -348,6 +360,67 @@ func (net *Network) forwardFrom(base map[string]*tensor.Tensor, from string, opt
 		panic("snapea: ForwardFrom unknown node " + from)
 	}
 	return vals
+}
+
+// intoLayer is a layer that can write its output into a tensor drawn
+// from a workset, whatever the tensor held: nn.Concat and nn.MaxPool2D.
+type intoLayer interface {
+	OutShape(ins []tensor.Shape) tensor.Shape
+	ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor)
+}
+
+// forwardLayer runs a layer no plan executes: an intoLayer into a tensor
+// drawn from ws when there is one, anything else through Forward.
+func forwardLayer(l nn.Layer, ins []*tensor.Tensor, ws *workset) *tensor.Tensor {
+	into, ok := l.(intoLayer)
+	if !ok || ws == nil {
+		return l.Forward(ins)
+	}
+	shapes := make([]tensor.Shape, len(ins))
+	for i, t := range ins {
+		shapes[i] = t.Shape()
+	}
+	out := ws.draw(into.OutShape(shapes))
+	into.ForwardInto(ins, out)
+	return out
+}
+
+// workset is one worker's reusable storage for ForwardFrom's walk: the
+// backing arrays of the tensors drawn since the last reclaim, and free
+// arrays keyed by element count. Tensors are drawn, never returned one
+// by one — a Dropout node's value is its input tensor, so walking the
+// recomputed values would return a shared array twice — and reclaim
+// returns each drawn array exactly once. The zero value is ready to use;
+// a workset serves one goroutine at a time.
+type workset struct {
+	free  map[int][][]float32
+	drawn [][]float32
+}
+
+// draw returns a tensor of shape s on a free array of its element count,
+// holding whatever it last held, or on a fresh one.
+func (ws *workset) draw(s tensor.Shape) *tensor.Tensor {
+	n := s.Elems()
+	var d []float32
+	if l := ws.free[n]; len(l) > 0 {
+		d, ws.free[n] = l[len(l)-1], l[:len(l)-1]
+	} else {
+		d = make([]float32, n)
+	}
+	ws.drawn = append(ws.drawn, d)
+	return tensor.Wrap(s, d)
+}
+
+// reclaim makes every array drawn since the last reclaim free again.
+// No tensor drawn before it may be read after.
+func (ws *workset) reclaim() {
+	if ws.free == nil {
+		ws.free = make(map[int][][]float32)
+	}
+	for _, d := range ws.drawn {
+		ws.free[len(d)] = append(ws.free[len(d)], d)
+	}
+	ws.drawn = ws.drawn[:0]
 }
 
 // sameBits reports whether a and b hold the same float32 bit patterns.

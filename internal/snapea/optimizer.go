@@ -126,6 +126,7 @@ type Optimizer struct {
 	cfg    OptConfig
 
 	caches    []map[string]*tensor.Tensor // exact-execution node values per image
+	ws        []workset                   // evalLayer's per-worker outputs, during the local pass
 	baseFeats [][]float32
 	baseAcc   float64
 	baseProb  []float64          // correct-class probability per image, exact execution
@@ -315,7 +316,7 @@ func (o *Optimizer) prepare() {
 		vals := map[string]*tensor.Tensor{nn.InputName: img}
 		o.net.Model.Graph.ForwardExec(img, func(name string, t *tensor.Tensor) {
 			vals[name] = t
-		}, o.net.exec(RunOpts{}, trace))
+		}, o.net.exec(RunOpts{}, trace, nil))
 		o.caches[i] = vals
 		feat := vals[o.net.Model.FeatureNode]
 		cp := make([]float32, len(feat.Data()))
@@ -454,16 +455,23 @@ func (s *profileScratch) size(ksz, nWin int) {
 // counts NumSpec when the float32 prefix sum is ≤ th (false for NaN, as
 // in Op), and otherwise its count past the prefix. Every threshold's op
 // total is read off those two per-window values.
+//
+// Reorder drops a kernel's zero weights (static pruning), so the
+// executed kernel has nnz ≤ ksz taps: windows are gathered into nnz
+// slots, and an n ≥ nnz is skipped like an n ≥ ksz — a prefix that
+// covers every tap skips nothing.
 func (o *Optimizer) profileKernel(node string, k int, wins []float32, fnBudget float64, s *profileScratch) []Candidate {
 	conv := o.net.Plans[node].Conv
 	ksz := conv.KernelSize()
 	nWin := len(wins) / ksz
 	s.size(ksz, nWin)
-	gath, fulls, sums, prefix, rest := s.gath, s.fulls, s.sums, s.prefix, s.rest
+	fulls, sums, prefix, rest := s.fulls, s.sums, s.prefix, s.rest
 	w := conv.Kernel(k)
 	bias := conv.Bias[k]
 	// Exact baseline per window.
 	rkE := Reorder(w, Exact, o.net.NegOrder)
+	nnz := len(rkE.Index)
+	gath := s.gath[:nnz]
 	var exactOps float64
 	for wi := range fulls {
 		xbuf := wins[wi*ksz : (wi+1)*ksz]
@@ -479,7 +487,7 @@ func (o *Optimizer) profileKernel(node string, k int, wins []float32, fnBudget f
 	exactOps /= float64(nWin)
 	var accepted []Candidate
 	for _, n := range o.cfg.NCandidates {
-		if n >= ksz {
+		if n >= nnz {
 			continue
 		}
 		rk := Reorder(w, KernelParam{N: n}, o.net.NegOrder)
@@ -630,6 +638,7 @@ func (rk *ReorderedKernel) gatherInto(orig, dst []float32) {
 func (o *Optimizer) localOptimizationPass(ctx context.Context, paramK map[string][][]Candidate) (map[string][]LayerChoice, error) {
 	sp := metrics.StartSpan("tune/local")
 	defer sp.End()
+	defer func() { o.ws = nil }()
 	start := progressClock()
 	out := make(map[string][]LayerChoice, len(o.net.PlanOrder))
 	for li, node := range o.net.PlanOrder {
@@ -691,17 +700,23 @@ func (o *Optimizer) localOptimizationPass(ctx context.Context, paramK map[string
 // features land in index-keyed slots and each image's trace is private,
 // merged afterwards in image order. TotalOps is an integer counter, so
 // the measured op total — and with it every greedy decision downstream —
-// cannot depend on evaluation order or worker count.
+// cannot depend on evaluation order or worker count. Each worker
+// re-executes into its own workset, which the optimizer keeps from one
+// call to the next: the suffix's outputs are garbage once the feature
+// is copied out, so the local pass reuses one working set of them.
 func (o *Optimizer) evalLayer(node string, params LayerParams) (op float64, errLoss float64) {
 	old := o.net.Plans[node]
 	o.setPlan(node, params)
 	defer func() { o.net.Plans[node] = old }()
 
+	if w := parallel.Workers(len(o.images)); len(o.ws) < w {
+		o.ws = make([]workset, w)
+	}
 	feats := make([][]float32, len(o.images))
 	traces := make([]*NetTrace, len(o.images))
-	parallel.For(len(o.images), func(_, i int) {
+	parallel.For(len(o.images), func(w, i int) {
 		traces[i] = NewNetTrace()
-		feats[i] = o.net.ForwardFrom(o.caches[i], node, RunOpts{}, traces[i])
+		feats[i] = o.net.ForwardFrom(o.caches[i], node, RunOpts{}, traces[i], &o.ws[w])
 	})
 	var ops int64
 	for _, tr := range traces {
@@ -854,7 +869,7 @@ func (o *Optimizer) adjustParam(current map[string]LayerChoice, remaining map[st
 // each writing only its own cache.
 func (o *Optimizer) evalMove(vals []map[string]*tensor.Tensor, node string) (loss, acc float64) {
 	parallel.For(len(vals), func(_, i int) {
-		for name, v := range o.net.forwardFrom(vals[i], node, RunOpts{}, nil) {
+		for name, v := range o.net.forwardFrom(vals[i], node, RunOpts{}, nil, nil) {
 			vals[i][name] = v
 		}
 	})

@@ -346,7 +346,7 @@ func TestForwardFromMatchesForward(t *testing.T) {
 		cache := net.CacheAll(img, RunOpts{})
 		full := net.Feature(img, RunOpts{}, NewNetTrace())
 		for _, node := range net.PlanOrder {
-			part := net.ForwardFrom(cache, node, RunOpts{}, nil)
+			part := net.ForwardFrom(cache, node, RunOpts{}, nil, nil)
 			if len(part) != len(full) {
 				t.Fatalf("%s: ForwardFrom(%s): len %d vs %d", mode, node, len(part), len(full))
 			}
@@ -367,7 +367,7 @@ func forwardFullSuffix(net *Network, base map[string]*tensor.Tensor, from string
 	for k, v := range base {
 		vals[k] = v
 	}
-	exec := net.exec(opts, trace)
+	exec := net.exec(opts, trace, nil)
 	started := false
 	for _, n := range net.Model.Graph.Nodes() {
 		if n.Name == from {
@@ -433,9 +433,9 @@ func TestForwardFromSkipsUnreachable(t *testing.T) {
 			}
 			net.Plans[node] = exact.recompile(params, NegByMagnitude)
 			gotTrace, wantTrace := NewNetTrace(), NewNetTrace()
-			got := net.ForwardFrom(cache, node, opts, gotTrace)
+			got := net.ForwardFrom(cache, node, opts, gotTrace, nil)
 			want := forwardFullSuffix(net, cache, node, opts, wantTrace)
-			ran := plansRun(net, func() { net.ForwardFrom(cache, node, opts, nil) })
+			ran := plansRun(net, func() { net.ForwardFrom(cache, node, opts, nil, nil) })
 			net.Plans[node] = exact
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: ForwardFrom(%s) features differ from the full-suffix result", name, node)
