@@ -30,13 +30,14 @@ race:
 	$(GO) test -race $$($(GO) list ./... | grep -v '^snapea/benchmark$$')
 	$(GO) test -race -short ./benchmark
 
-# Allocation guard, non-race: Algorithm 1's local pass re-executes into
-# reused per-worker buffers, and TestEvalLayerWorkingSet holds one
-# evalLayer to under a tenth of the bytes it allocated with fresh
-# tensors. The race detector changes what allocates, so the test is
-# built without it and `race` never runs it.
+# Allocation guard, non-race: every forward runs in a workset of its
+# network's pool, and TestForwardWorkingSet (one Forward on reduced VGG)
+# and TestEvalLayerWorkingSet (one evalLayer of Algorithm 1's local pass)
+# each hold the call to under a tenth of the bytes it allocated with
+# fresh tensors. The race detector changes what allocates, so the tests
+# are built without it and `race` never runs them.
 alloc-guard:
-	$(GO) test -count=1 -run 'TestEvalLayerWorkingSet' ./internal/snapea
+	$(GO) test -count=1 -run 'TestForwardWorkingSet|TestEvalLayerWorkingSet' ./internal/snapea
 
 # Short fuzz runs over the params JSON loader, the execution kernel
 # (geometry × params × input bytes, strip kernel vs the scalar

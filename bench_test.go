@@ -38,6 +38,7 @@ func benchSuite() *experiments.Suite {
 		suite = experiments.New(experiments.Config{
 			Networks: nets,
 			Out:      os.Stdout,
+			Log:      os.Stderr,
 		})
 		suite.Prewarm()
 	})

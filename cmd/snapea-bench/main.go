@@ -89,6 +89,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Epsilon:     *eps,
 		Verbose:     *verbose,
 		Out:         stdout,
+		Log:         stderr,
 		TestImages:  *testImgs,
 		OptImages:   *optImgs,
 		TrainImages: *trainImgs,

@@ -15,6 +15,7 @@ import (
 // carry nothing else: no "[net] ..." progress line, and the same bytes
 // at both worker counts. (At these sizes the two networks rarely
 // overlap, so the byte comparison alone would seldom see a stray line.)
+// The progress lines go to the stderr writer run was handed.
 func TestStdoutIndependentOfWorkers(t *testing.T) {
 	defer parallel.SetLimit(0)
 	var outs []string
@@ -32,6 +33,9 @@ func TestStdoutIndependentOfWorkers(t *testing.T) {
 			if strings.HasPrefix(line, "[") {
 				t.Fatalf("workers=%s: progress line on stdout: %q", workers, line)
 			}
+		}
+		if !strings.Contains(stderr.String(), "[tinynet] ") {
+			t.Fatalf("workers=%s: no [tinynet] progress line on run's stderr:\n%s", workers, stderr.String())
 		}
 		outs = append(outs, stdout.String())
 	}

@@ -62,6 +62,7 @@ func main() {
 		Seed:     *seed,
 		Epsilon:  *eps,
 		Out:      os.Stderr,
+		Log:      os.Stderr,
 		Ctx:      ctx,
 	})
 

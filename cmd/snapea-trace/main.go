@@ -56,6 +56,7 @@ func main() {
 		Networks: []string{*net},
 		Seed:     *seed,
 		Out:      os.Stdout,
+		Log:      os.Stderr,
 		Ctx:      ctx,
 	})
 	stats, err := s.StopProfileErr(*net)

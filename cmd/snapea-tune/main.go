@@ -146,7 +146,7 @@ func tune(ctx context.Context, o *options, stdout, stderr io.Writer) int {
 
 	cfg := experiments.Config{Networks: []string{o.net}, Seed: o.seed, OptImages: o.optImages, Ctx: ctx}
 	if o.verbose {
-		cfg.Out = stderr
+		cfg.Log = stderr
 	}
 	saved := false
 	interrupted := func(err error) int {

@@ -44,19 +44,24 @@ func interrupt(t *testing.T, args ...string) {
 	}
 }
 
-func runOK(t *testing.T, args ...string) {
+// runOK runs snapea-tune with args, requires exit 0 and returns what it
+// wrote to its stderr.
+func runOK(t *testing.T, args ...string) string {
 	t.Helper()
 	var stderr bytes.Buffer
 	if code := run(args, &bytes.Buffer{}, &stderr); code != 0 {
 		t.Fatalf("snapea-tune %v: exit %d\n%s", args, code, stderr.String())
 	}
+	return stderr.String()
 }
 
 // TestTuneWritesSuiteParams pins snapea-tune to the experiment suite:
 // the params file is byte-identical to the suite's predictive run for
 // the same (network, seed, ε, optimization-set size), whether the run
 // goes through uninterrupted or is interrupted after its first
-// checkpoint and resumed.
+// checkpoint and resumed. The uninterrupted run is verbose: -v changes
+// no byte of the params, and the suite's progress lines land on the
+// stderr writer run was handed.
 func TestTuneWritesSuiteParams(t *testing.T) {
 	const seed, eps, optImages = 3, 0.05, 6
 	want, err := experiments.New(experiments.Config{Networks: []string{"tinynet"}, Seed: seed, OptImages: optImages}).
@@ -70,7 +75,9 @@ func TestTuneWritesSuiteParams(t *testing.T) {
 		return append([]string{"-net", "tinynet", "-seed", "3", "-eps", "0.05", "-opt-images", "6",
 			"-o", filepath.Join(dir, out)}, extra...)
 	}
-	runOK(t, args("whole.json")...)
+	if log := runOK(t, args("whole.json", "-v")...); !strings.Contains(log, "[tinynet] ") {
+		t.Fatalf("snapea-tune -v wrote no [tinynet] progress line to run's stderr:\n%s", log)
+	}
 	interrupt(t, args("resumed.json")...)
 	runOK(t, args("resumed.json", "-resume")...)
 

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"runtime/debug"
 	"sync"
 
@@ -48,11 +47,13 @@ type Config struct {
 	// Verbose streams optimizer progress with the suite's own.
 	Verbose bool
 	// Out receives the rendered tables; nil discards them (results are
-	// still returned). While Out is set, progress lines — pipeline
-	// stages, skips, failures — go to stderr: networks are prepared
-	// concurrently, so their order is the schedule's, and Out's bytes
-	// must not depend on it.
+	// still returned).
 	Out io.Writer
+	// Log receives the progress lines — pipeline stages, skips,
+	// failures; nil discards them. Networks are prepared concurrently,
+	// so the lines come in the schedule's order, and a caller keeps them
+	// off the writer whose bytes must not depend on it.
+	Log io.Writer
 	// Ctx, when non-nil, aborts pipeline-stage computation on
 	// cancellation or deadline: the stage accessors' Err variants return
 	// the context error, and the panicking accessors propagate it as a
@@ -141,7 +142,6 @@ type Failure struct {
 // Suite runs experiments with shared, cached pipeline results.
 type Suite struct {
 	Cfg Config
-	log io.Writer // progress lines: stderr while Out is set, else nil
 
 	mu       sync.Mutex
 	prepared map[string]*memo[*Prepared]
@@ -155,16 +155,16 @@ type Suite struct {
 // New creates a Suite.
 func New(cfg Config) *Suite {
 	cfg = cfg.normalize()
-	var log io.Writer
+	// Serialize all writes so concurrent experiments never race on the
+	// caller's writers (bytes.Buffer is not thread-safe).
 	if cfg.Out != nil {
-		// Serialize all table writes so concurrent experiments never race
-		// on the caller's writer (bytes.Buffer is not thread-safe).
 		cfg.Out = &lockedWriter{w: cfg.Out}
-		log = os.Stderr
+	}
+	if cfg.Log != nil {
+		cfg.Log = &lockedWriter{w: cfg.Log}
 	}
 	return &Suite{
 		Cfg:      cfg,
-		log:      log,
 		prepared: make(map[string]*memo[*Prepared]),
 		exact:    make(map[string]*memo[*ExactRun]),
 		pred:     make(map[string]*memo[*PredRun]),
@@ -192,8 +192,8 @@ func (s *Suite) ctx() context.Context {
 }
 
 func (s *Suite) logf(format string, args ...any) {
-	if s.log != nil {
-		fmt.Fprintf(s.log, format+"\n", args...)
+	if s.Cfg.Log != nil {
+		fmt.Fprintf(s.Cfg.Log, format+"\n", args...)
 	}
 }
 
@@ -432,7 +432,7 @@ func (s *Suite) PredictiveErr(name string, eps float64) (*PredRun, error) {
 		ctx := s.ctx()
 		s.logf("[%s] Algorithm 1 at ε=%.1f%% on %d optimization images", name, 100*eps, len(p.OptImgs))
 		net, opt := p.Optimizer(eps)
-		if s.Cfg.Verbose && s.log != nil {
+		if s.Cfg.Verbose && s.Cfg.Log != nil {
 			opt.SetLog(func(f string, a ...any) { s.logf("  "+f, a...) })
 		}
 		res, err := opt.RunCtx(ctx)

@@ -76,15 +76,22 @@ const lrnPowSteps = 20
 // β ≥ 0, where float32(float64(±0)/scale) is that same ±0. After a ReLU
 // that is two elements in three, and each skips a math.Pow.
 func (l *LRN) Forward(ins []*tensor.Tensor) *tensor.Tensor {
+	out := tensor.New(l.OutShape([]tensor.Shape{one(ins).Shape()}))
+	l.ForwardInto(ins, out)
+	return out
+}
+
+// ForwardInto is Forward into out, a tensor of the shape OutShape
+// reports that may hold anything: every output element is written.
+func (l *LRN) ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor) {
 	in := one(ins)
 	s := l.OutShape([]tensor.Shape{in.Shape()})
-	out := tensor.New(s)
+	mustOutShape(s, out)
 	r := lrnRun{
 		in: in.Data(), out: out.Data(), channels: s.C, plane: s.H * s.W,
 		half: l.Size / 2, aos: l.Alpha / float64(l.Size), k: l.K, beta: l.Beta,
 	}
 	parallel.ForCost(s.N*s.C, r.plane*(l.Size+lrnPowSteps), r, lrnRun.normalize)
-	return out
 }
 
 // lrnRun is one Forward's operands.

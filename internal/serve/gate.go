@@ -265,7 +265,7 @@ func (e *entry) forward(net *snapea.Network, in *tensor.Tensor, opts snapea.RunO
 		return response{err: bf.Err}
 	}
 	out := net.Forward(in, opts, trace)
-	return response{logits: append([]float32(nil), out.Data()...), class: out.ArgMax()}
+	return response{logits: out.Data(), class: out.ArgMax()}
 }
 
 // latencyBoundsUS buckets microsecond latencies from 100µs to ~10s.

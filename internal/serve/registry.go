@@ -321,7 +321,7 @@ func (r *registry) compile(e *entry) {
 		replay := func(net *snapea.Network) []float32 {
 			in := tensor.New(e.inShape)
 			copy(in.Data(), probe)
-			return append([]float32(nil), net.Forward(in, snapea.RunOpts{}, nil).Data()...)
+			return net.Forward(in, snapea.RunOpts{}, nil).Data()
 		}
 		var golden []float32
 		if compileCorrupting(cfg.Faults) {

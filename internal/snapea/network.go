@@ -29,6 +29,12 @@ type Network struct {
 	// Faults is the injector the network was compiled with; nil for a
 	// clean network.
 	Faults *faults.Injector
+
+	// pool holds the idle worksets Forward, Feature and ForwardFrom draw
+	// their activations from: one per forward that ran at once. A
+	// mutex-guarded list, not a sync.Pool, which a GC empties.
+	poolMu sync.Mutex
+	pool   []*workset
 }
 
 // Compile builds a Network. params maps conv node names to per-kernel
@@ -202,15 +208,15 @@ func (t *NetTrace) Rates() (tnr, fnr float64) {
 // nodes, and FC nodes when EnableFC was called, through their plans. A
 // count is computed iff it is read: plans run counted when there is a
 // trace to add to or metrics to record, and uncounted otherwise — the
-// same outputs, without the suffix replays. With a workset, plan outputs
-// are drawn from it.
+// same outputs, without the suffix replays. With a workset, the outputs
+// of plans and of intoLayers are drawn from it.
 func (net *Network) exec(opts RunOpts, trace *NetTrace, ws *workset) nn.Exec {
 	count := trace != nil || metrics.Enabled()
 	return func(node *nn.Node, ins []*tensor.Tensor) (*tensor.Tensor, bool) {
 		plan, in := net.Plans[node.Name], ins[0]
 		if plan == nil {
 			if plan = net.FCPlans[node.Name]; plan == nil {
-				return nil, false
+				return ws.forward(node.Layer, ins)
 			}
 			// The flatten nn.FC does: {N,C,H,W} → {N,C·H·W,1,1}.
 			s := in.Shape()
@@ -230,9 +236,12 @@ func (net *Network) exec(opts RunOpts, trace *NetTrace, ws *workset) nn.Exec {
 
 // Forward runs the compiled network on one image, returning the graph
 // output and accumulating layer traces into trace (which may be nil;
-// with metrics off too, the layers then run uncounted).
+// with metrics off too, the layers then run uncounted). The output is
+// the caller's: the activations run in a workset of the network's pool.
 func (net *Network) Forward(img *tensor.Tensor, opts RunOpts, trace *NetTrace) *tensor.Tensor {
-	return net.Model.Graph.ForwardExec(img, nil, net.exec(opts, trace, nil))
+	ws := net.take()
+	defer net.give(ws)
+	return net.Model.Graph.ForwardExec(img, nil, net.exec(opts, trace, ws)).Clone()
 }
 
 // ForwardChecked is Forward behind the boundary validation the hardened
@@ -260,14 +269,14 @@ func (net *Network) ForwardChecked(img *tensor.Tensor, opts RunOpts, trace *NetT
 // (the classifier head's input), so accuracy under SnaPEA execution can
 // be measured with the trained head.
 func (net *Network) Feature(img *tensor.Tensor, opts RunOpts, trace *NetTrace) []float32 {
+	ws := net.take()
+	defer net.give(ws)
 	var feat []float32
 	net.Model.Graph.ForwardExec(img, func(name string, t *tensor.Tensor) {
 		if name == net.Model.FeatureNode {
-			cp := make([]float32, len(t.Data()))
-			copy(cp, t.Data())
-			feat = cp
+			feat = append([]float32(nil), t.Data()...)
 		}
-	}, net.exec(opts, trace, nil))
+	}, net.exec(opts, trace, ws))
 	return feat
 }
 
@@ -293,30 +302,23 @@ func (net *Network) CacheAll(img *tensor.Tensor, opts RunOpts) map[string]*tenso
 // records `from` alone — the layer whose cost Algorithm 1 is measuring;
 // the layers downstream run uncounted unless metrics are on. base is
 // not modified.
-//
-// ws (which may be nil) supplies the recomputed outputs of plans and of
-// intoLayer nodes; every tensor drawn from it goes back to it once the
-// feature vector has been copied out, so a caller that passes the same
-// workset call after call runs in a fixed working set.
-func (net *Network) ForwardFrom(base map[string]*tensor.Tensor, from string, opts RunOpts, trace *NetTrace, ws *workset) []float32 {
+func (net *Network) ForwardFrom(base map[string]*tensor.Tensor, from string, opts RunOpts, trace *NetTrace) []float32 {
+	ws := net.take()
+	defer net.give(ws)
 	t, ok := net.forwardFrom(base, from, opts, trace, ws)[net.Model.FeatureNode]
 	if !ok {
 		// `from` does not reach the feature node, or did not change it.
 		t = base[net.Model.FeatureNode]
 	}
-	feat := make([]float32, len(t.Data()))
-	copy(feat, t.Data())
-	if ws != nil {
-		ws.reclaim()
-	}
-	return feat
+	return append([]float32(nil), t.Data()...)
 }
 
 // forwardFrom is ForwardFrom's walk. It returns the recomputed nodes
 // whose values differ from base's in Float32bits: with base's values
 // for every other node, they are what a full forward would produce.
 // With a workset, every plan and intoLayer output is drawn from it,
-// and the returned values are valid until its next reclaim.
+// and the returned values are valid until its next reclaim; without
+// one (the global pass, which keeps them), they are fresh.
 func (net *Network) forwardFrom(base map[string]*tensor.Tensor, from string, opts RunOpts, trace *NetTrace, ws *workset) map[string]*tensor.Tensor {
 	vals := make(map[string]*tensor.Tensor)
 	execFrom, execRest := net.exec(opts, trace, ws), net.exec(opts, nil, ws)
@@ -350,7 +352,7 @@ func (net *Network) forwardFrom(base map[string]*tensor.Tensor, from string, opt
 		}
 		out, done := exec(n, ins)
 		if !done {
-			out = forwardLayer(n.Layer, ins, ws)
+			out = n.Layer.Forward(ins)
 		}
 		if old, ok := base[n.Name]; !ok || !sameBits(old.Data(), out.Data()) {
 			vals[n.Name] = out
@@ -363,38 +365,60 @@ func (net *Network) forwardFrom(base map[string]*tensor.Tensor, from string, opt
 }
 
 // intoLayer is a layer that can write its output into a tensor drawn
-// from a workset, whatever the tensor held: nn.Concat and nn.MaxPool2D.
+// from a workset, whatever the tensor held: nn.Concat, nn.MaxPool2D and
+// nn.LRN.
 type intoLayer interface {
 	OutShape(ins []tensor.Shape) tensor.Shape
 	ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor)
 }
 
-// forwardLayer runs a layer no plan executes: an intoLayer into a tensor
-// drawn from ws when there is one, anything else through Forward.
-func forwardLayer(l nn.Layer, ins []*tensor.Tensor, ws *workset) *tensor.Tensor {
-	into, ok := l.(intoLayer)
-	if !ok || ws == nil {
-		return l.Forward(ins)
-	}
-	shapes := make([]tensor.Shape, len(ins))
-	for i, t := range ins {
-		shapes[i] = t.Shape()
-	}
-	out := ws.draw(into.OutShape(shapes))
-	into.ForwardInto(ins, out)
-	return out
+// workset is one forward's reusable storage: the backing arrays of the
+// tensors drawn since the last reclaim, and free arrays keyed by element
+// count. Tensors are drawn, never returned one by one — a Dropout node's
+// value is its input tensor, so walking the values would return a shared
+// array twice — and reclaim returns each drawn array exactly once. The
+// zero value is ready to use; a workset serves one forward at a time.
+type workset struct {
+	free   map[int][][]float32
+	drawn  [][]float32
+	shapes []tensor.Shape // forward's input shapes, reused
 }
 
-// workset is one worker's reusable storage for ForwardFrom's walk: the
-// backing arrays of the tensors drawn since the last reclaim, and free
-// arrays keyed by element count. Tensors are drawn, never returned one
-// by one — a Dropout node's value is its input tensor, so walking the
-// recomputed values would return a shared array twice — and reclaim
-// returns each drawn array exactly once. The zero value is ready to use;
-// a workset serves one goroutine at a time.
-type workset struct {
-	free  map[int][][]float32
-	drawn [][]float32
+// take returns an idle workset from the network's pool, or a new one.
+func (net *Network) take() *workset {
+	net.poolMu.Lock()
+	defer net.poolMu.Unlock()
+	n := len(net.pool)
+	if n == 0 {
+		return new(workset)
+	}
+	ws := net.pool[n-1]
+	net.pool = net.pool[:n-1]
+	return ws
+}
+
+// give reclaims ws and returns it to the network's pool.
+func (net *Network) give(ws *workset) {
+	ws.reclaim()
+	net.poolMu.Lock()
+	net.pool = append(net.pool, ws)
+	net.poolMu.Unlock()
+}
+
+// forward runs an intoLayer into a tensor drawn from ws. It reports
+// false, computing nothing, for any other layer or a nil workset.
+func (ws *workset) forward(l nn.Layer, ins []*tensor.Tensor) (*tensor.Tensor, bool) {
+	into, ok := l.(intoLayer)
+	if !ok || ws == nil {
+		return nil, false
+	}
+	ws.shapes = ws.shapes[:0]
+	for _, t := range ins {
+		ws.shapes = append(ws.shapes, t.Shape())
+	}
+	out := ws.draw(into.OutShape(ws.shapes))
+	into.ForwardInto(ins, out)
+	return out, true
 }
 
 // draw returns a tensor of shape s on a free array of its element count,

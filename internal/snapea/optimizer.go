@@ -126,7 +126,6 @@ type Optimizer struct {
 	cfg    OptConfig
 
 	caches    []map[string]*tensor.Tensor // exact-execution node values per image
-	ws        []workset                   // evalLayer's per-worker outputs, during the local pass
 	baseFeats [][]float32
 	baseAcc   float64
 	baseProb  []float64          // correct-class probability per image, exact execution
@@ -638,7 +637,6 @@ func (rk *ReorderedKernel) gatherInto(orig, dst []float32) {
 func (o *Optimizer) localOptimizationPass(ctx context.Context, paramK map[string][][]Candidate) (map[string][]LayerChoice, error) {
 	sp := metrics.StartSpan("tune/local")
 	defer sp.End()
-	defer func() { o.ws = nil }()
 	start := progressClock()
 	out := make(map[string][]LayerChoice, len(o.net.PlanOrder))
 	for li, node := range o.net.PlanOrder {
@@ -700,23 +698,17 @@ func (o *Optimizer) localOptimizationPass(ctx context.Context, paramK map[string
 // features land in index-keyed slots and each image's trace is private,
 // merged afterwards in image order. TotalOps is an integer counter, so
 // the measured op total — and with it every greedy decision downstream —
-// cannot depend on evaluation order or worker count. Each worker
-// re-executes into its own workset, which the optimizer keeps from one
-// call to the next: the suffix's outputs are garbage once the feature
-// is copied out, so the local pass reuses one working set of them.
+// cannot depend on evaluation order or worker count.
 func (o *Optimizer) evalLayer(node string, params LayerParams) (op float64, errLoss float64) {
 	old := o.net.Plans[node]
 	o.setPlan(node, params)
 	defer func() { o.net.Plans[node] = old }()
 
-	if w := parallel.Workers(len(o.images)); len(o.ws) < w {
-		o.ws = make([]workset, w)
-	}
 	feats := make([][]float32, len(o.images))
 	traces := make([]*NetTrace, len(o.images))
-	parallel.For(len(o.images), func(w, i int) {
+	parallel.For(len(o.images), func(_, i int) {
 		traces[i] = NewNetTrace()
-		feats[i] = o.net.ForwardFrom(o.caches[i], node, RunOpts{}, traces[i], &o.ws[w])
+		feats[i] = o.net.ForwardFrom(o.caches[i], node, RunOpts{}, traces[i])
 	})
 	var ops int64
 	for _, tr := range traces {

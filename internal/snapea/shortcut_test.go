@@ -234,7 +234,7 @@ func TestForwardFromStopsAtUnchangedValue(t *testing.T) {
 		want := cache[m.FeatureNode].Data()
 		for _, node := range net.PlanOrder {
 			var got []float32
-			ran := plansRun(net, func() { got = net.ForwardFrom(cache, node, RunOpts{}, nil, nil) })
+			ran := plansRun(net, func() { got = net.ForwardFrom(cache, node, RunOpts{}, nil) })
 			if ran != 1 {
 				t.Fatalf("%s: ForwardFrom(%s) with unchanged params ran %d plans, want 1", name, node, ran)
 			}
@@ -248,7 +248,7 @@ func TestForwardFromStopsAtUnchangedValue(t *testing.T) {
 			if net.Plans[n.Name] != nil || n.Name == nn.InputName {
 				continue
 			}
-			if ran := plansRun(net, func() { net.ForwardFrom(cache, n.Name, RunOpts{}, nil, nil) }); ran != 0 {
+			if ran := plansRun(net, func() { net.ForwardFrom(cache, n.Name, RunOpts{}, nil) }); ran != 0 {
 				t.Fatalf("%s: ForwardFrom(%s) with unchanged inputs ran %d plans, want 0", name, n.Name, ran)
 			}
 		}

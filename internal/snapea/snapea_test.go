@@ -346,7 +346,7 @@ func TestForwardFromMatchesForward(t *testing.T) {
 		cache := net.CacheAll(img, RunOpts{})
 		full := net.Feature(img, RunOpts{}, NewNetTrace())
 		for _, node := range net.PlanOrder {
-			part := net.ForwardFrom(cache, node, RunOpts{}, nil, nil)
+			part := net.ForwardFrom(cache, node, RunOpts{}, nil)
 			if len(part) != len(full) {
 				t.Fatalf("%s: ForwardFrom(%s): len %d vs %d", mode, node, len(part), len(full))
 			}
@@ -433,9 +433,9 @@ func TestForwardFromSkipsUnreachable(t *testing.T) {
 			}
 			net.Plans[node] = exact.recompile(params, NegByMagnitude)
 			gotTrace, wantTrace := NewNetTrace(), NewNetTrace()
-			got := net.ForwardFrom(cache, node, opts, gotTrace, nil)
+			got := net.ForwardFrom(cache, node, opts, gotTrace)
 			want := forwardFullSuffix(net, cache, node, opts, wantTrace)
-			ran := plansRun(net, func() { net.ForwardFrom(cache, node, opts, nil, nil) })
+			ran := plansRun(net, func() { net.ForwardFrom(cache, node, opts, nil) })
 			net.Plans[node] = exact
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: ForwardFrom(%s) features differ from the full-suffix result", name, node)

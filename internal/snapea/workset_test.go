@@ -2,8 +2,12 @@ package snapea
 
 import (
 	"math"
+	"sync"
 	"testing"
 
+	"snapea/internal/calib"
+	"snapea/internal/dataset"
+	"snapea/internal/models"
 	"snapea/internal/nn"
 	"snapea/internal/tensor"
 )
@@ -23,33 +27,45 @@ func firstCandidates(o *Optimizer, node string) LayerParams {
 	return params
 }
 
-// checkWorksetIdle fails unless ws holds no drawn array and its free
-// arrays are pairwise distinct: an array returned twice would be drawn
-// for two live tensors at once.
-func checkWorksetIdle(t *testing.T, label string, ws *workset) {
+// checkPoolIdle fails unless every workset in net's pool holds no drawn
+// array and the free arrays of them all are pairwise distinct: an array
+// returned twice would be drawn for two live tensors at once.
+func checkPoolIdle(t *testing.T, label string, net *Network) {
 	t.Helper()
-	if len(ws.drawn) != 0 {
-		t.Fatalf("%s: %d arrays still drawn after ForwardFrom", label, len(ws.drawn))
-	}
 	seen := make(map[*float32]bool)
-	for _, list := range ws.free {
-		for _, d := range list {
-			if seen[&d[0]] {
-				t.Fatalf("%s: an array of %d elements is free twice", label, len(d))
+	for _, ws := range net.pool {
+		if len(ws.drawn) != 0 {
+			t.Fatalf("%s: %d arrays still drawn after the forward returned", label, len(ws.drawn))
+		}
+		for _, list := range ws.free {
+			for _, d := range list {
+				if seen[&d[0]] {
+					t.Fatalf("%s: an array of %d elements is free twice", label, len(d))
+				}
+				seen[&d[0]] = true
 			}
-			seen[&d[0]] = true
 		}
 	}
 }
 
-// TestWorksetMatchesFreshTensors drives one workset dirty through
-// ForwardFrom — from six layers a network, exact and first-candidate
+// freshFeatureFrom is ForwardFrom on fresh tensors: the walk without a
+// workset.
+func freshFeatureFrom(net *Network, base map[string]*tensor.Tensor, from string) []float32 {
+	t, ok := net.forwardFrom(base, from, RunOpts{}, NewNetTrace(), nil)[net.Model.FeatureNode]
+	if !ok {
+		t = base[net.Model.FeatureNode]
+	}
+	return t.Data()
+}
+
+// TestWorksetMatchesFreshTensors drives the network's workset dirty
+// through ForwardFrom — from six layers a network, exact and first-candidate
 // params, both images, on the exact network and on one whose every
 // kernel speculates (N = 2, Th = 0) — on reduced SqueezeNet (plans, Concat, MaxPool2D,
 // and a Dropout whose value is its input, a drawn Concat output) and
 // GoogLeNet (inception concats, pools, LRN). Every feature must equal,
 // in Float32bits, the walk that allocates fresh tensors, and after
-// every walk the workset must hold each array once, none drawn.
+// every walk the pool must hold each array once, none drawn.
 func TestWorksetMatchesFreshTensors(t *testing.T) {
 	for _, name := range []string{"squeezenet", "googlenet"} {
 		o := calibratedOptimizer(t, name, OptConfig{Epsilon: 0.03, SoftLoss: true})
@@ -78,7 +94,6 @@ func TestWorksetMatchesFreshTensors(t *testing.T) {
 			first[node] = firstCandidates(o, node)
 		}
 
-		var ws workset
 		walks := 0
 		for _, mode := range []struct {
 			name   string
@@ -95,14 +110,14 @@ func TestWorksetMatchesFreshTensors(t *testing.T) {
 					o.setPlan(node, params)
 					for i, cache := range mode.caches {
 						label := name + "/" + mode.name + "/" + node
-						want := net.ForwardFrom(cache, node, RunOpts{}, NewNetTrace(), nil)
-						got := net.ForwardFrom(cache, node, RunOpts{}, NewNetTrace(), &ws)
+						want := freshFeatureFrom(net, cache, node)
+						got := net.ForwardFrom(cache, node, RunOpts{}, NewNetTrace())
 						for j := range want {
 							if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
 								t.Fatalf("%s params %d image %d: feature[%d] = %v from the workset, %v fresh", label, pi, i, j, got[j], want[j])
 							}
 						}
-						checkWorksetIdle(t, label, &ws)
+						checkPoolIdle(t, label, net)
 						walks++
 					}
 				}
@@ -125,14 +140,108 @@ func TestWorksetMatchesFreshTensors(t *testing.T) {
 					kind = "plan"
 				}
 			}
-			if kind != "" && len(ws.free[o.caches[0][n.Name].Shape().Elems()]) > 0 {
-				drewKind[kind] = true
+			for _, ws := range net.pool {
+				if kind != "" && len(ws.free[o.caches[0][n.Name].Shape().Elems()]) > 0 {
+					drewKind[kind] = true
+				}
 			}
 		}
 		for _, kind := range []string{"plan", "concat", "maxpool"} {
 			if !drewKind[kind] {
 				t.Fatalf("%s: no %s output was drawn from the workset in %d walks", name, kind, walks)
 			}
+		}
+	}
+}
+
+// lastDrawn returns the last node in m's graph whose output a forward
+// draws from its workset: a ReLU convolution or an intoLayer.
+func lastDrawn(m *models.Model) string {
+	last := ""
+	for _, n := range m.Graph.Nodes() {
+		conv, isConv := n.Layer.(*nn.Conv2D)
+		if _, into := n.Layer.(intoLayer); into || isConv && conv.ReLU {
+			last = n.Name
+		}
+	}
+	return last
+}
+
+// TestSharedWorksetsMatchFreshTensors runs Forward and Feature from four
+// goroutines at once on one Network, so the pool's worksets are shared,
+// dirty with the other image's values, and raced under -race. It covers
+// reduced TinyNet, AlexNet, VGG, GoogLeNet and SqueezeNet, each exact and
+// with every kernel speculating (N = 2, Th = 0). Forward returns the
+// deepest drawn node (the graph's output is moved there), so an output
+// that aliased a workset would show. Every output must equal, in
+// Float32bits, the forward on fresh tensors, and an output and a feature
+// taken before the 20 concurrent forwards must not change across them.
+func TestSharedWorksetsMatchFreshTensors(t *testing.T) {
+	const goroutines, rounds = 4, 5
+	for _, name := range []string{"tinynet", "alexnet", "vggnet", "googlenet", "squeezenet"} {
+		m, err := models.Build(name, models.Options{Seed: 123})
+		if err != nil {
+			t.Fatal(err)
+		}
+		images := imagesOf(dataset.Generate(2, dataset.Config{HW: m.InputShape.H, Seed: 17}))
+		calib.Calibrate(m, images)
+		m.Graph.SetOutput(lastDrawn(m))
+		spec := make(map[string]LayerParams)
+		for _, n := range m.Graph.Nodes() {
+			if conv, ok := n.Layer.(*nn.Conv2D); ok && conv.ReLU {
+				spec[n.Name] = make(LayerParams, conv.OutC)
+				for k := range spec[n.Name] {
+					spec[n.Name][k] = KernelParam{N: 2}
+				}
+			}
+		}
+		for _, mode := range []struct {
+			name string
+			net  *Network
+		}{{"exact", CompileExact(m)}, {"predictive", Compile(m, spec, NegByMagnitude)}} {
+			net, label := mode.net, name+"/"+mode.name
+			wantOut := make([][]float32, len(images))
+			wantFeat := make([][]float32, len(images))
+			for i, img := range images {
+				wantOut[i] = m.Graph.ForwardExec(img, func(node string, t *tensor.Tensor) {
+					if node == m.FeatureNode {
+						wantFeat[i] = t.Data()
+					}
+				}, net.exec(RunOpts{}, nil, nil)).Data()
+			}
+			heldOut := net.Forward(images[0], RunOpts{}, nil).Data()
+			heldFeat := net.Feature(images[0], RunOpts{}, nil)
+
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for r := 0; r < rounds; r++ {
+						i := (g + r) % len(images)
+						if r%2 == 0 {
+							if got := net.Forward(images[i], RunOpts{}, nil).Data(); !sameBits(got, wantOut[i]) {
+								t.Errorf("%s: Forward of image %d differs from fresh tensors", label, i)
+								return
+							}
+						} else if got := net.Feature(images[i], RunOpts{}, nil); !sameBits(got, wantFeat[i]) {
+							t.Errorf("%s: Feature of image %d differs from fresh tensors", label, i)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			if !sameBits(heldOut, wantOut[0]) || !sameBits(heldFeat, wantFeat[0]) {
+				t.Fatalf("%s: an output held across %d forwards changed", label, goroutines*rounds)
+			}
+			if len(net.pool) == 0 || len(net.pool) > goroutines {
+				t.Fatalf("%s: %d worksets pooled after forwards by %d goroutines", label, len(net.pool), goroutines)
+			}
+			checkPoolIdle(t, label, net)
 		}
 	}
 }
