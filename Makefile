@@ -31,13 +31,15 @@ race:
 	$(GO) test -race -short ./benchmark
 
 # Allocation guard, non-race: every forward runs in a workset of its
-# network's pool, and TestForwardWorkingSet (one Forward on reduced VGG)
-# and TestEvalLayerWorkingSet (one evalLayer of Algorithm 1's local pass)
-# each hold the call to under a tenth of the bytes it allocated with
-# fresh tensors. The race detector changes what allocates, so the tests
-# are built without it and `race` never runs them.
+# network's pool and Algorithm 1 compiles into spare plans.
+# TestForwardWorkingSet (one Forward on reduced VGG) and
+# TestEvalLayerWorkingSet (one evalLayer of Algorithm 1's local pass)
+# hold the call under a byte bound, and
+# TestRecompileIntoSpareAllocatesNothing holds a recompile into a spare
+# plan to no allocation. The race detector changes what allocates, so
+# the tests are built without it and `race` never runs them.
 alloc-guard:
-	$(GO) test -count=1 -run 'TestForwardWorkingSet|TestEvalLayerWorkingSet' ./internal/snapea
+	$(GO) test -count=1 -run 'TestForwardWorkingSet|TestEvalLayerWorkingSet|TestRecompileIntoSpareAllocatesNothing' ./internal/snapea
 
 # Short fuzz runs over the params JSON loader, the execution kernel
 # (geometry × params × input bytes, strip kernel vs the scalar

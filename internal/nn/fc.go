@@ -46,12 +46,19 @@ func (f *FC) OutShape(ins []tensor.Shape) tensor.Shape {
 // neuron still starts from its bias and adds its own products in input
 // order, so the result does not depend on the blocking.
 func (f *FC) Forward(ins []*tensor.Tensor) *tensor.Tensor {
+	out := tensor.New(f.OutShape([]tensor.Shape{one(ins).Shape()}))
+	f.ForwardInto(ins, out)
+	return out
+}
+
+// ForwardInto is Forward into out, a tensor of the shape OutShape
+// reports that may hold anything: every output element is written.
+func (f *FC) ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor) {
 	in := one(ins)
 	s := in.Shape()
-	out := tensor.New(f.OutShape([]tensor.Shape{s}))
+	mustOutShape(f.OutShape([]tensor.Shape{s}), out)
 	blocks := (f.Out + 3) / 4
 	parallel.ForCost(s.N*blocks, 4*f.In, fcRun{f, in.Data(), out.Data(), blocks}, fcRun.block)
-	return out
 }
 
 // fcRun is one Forward's operands.

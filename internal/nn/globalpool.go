@@ -15,10 +15,18 @@ func (GlobalAvgPool) OutShape(ins []tensor.Shape) tensor.Shape {
 }
 
 // Forward implements Layer.
-func (GlobalAvgPool) Forward(ins []*tensor.Tensor) *tensor.Tensor {
+func (g GlobalAvgPool) Forward(ins []*tensor.Tensor) *tensor.Tensor {
+	out := tensor.New(g.OutShape([]tensor.Shape{one(ins).Shape()}))
+	g.ForwardInto(ins, out)
+	return out
+}
+
+// ForwardInto is Forward into out, a tensor of the shape OutShape
+// reports that may hold anything: every output element is written.
+func (g GlobalAvgPool) ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor) {
 	in := one(ins)
 	s := in.Shape()
-	out := tensor.New(tensor.Shape{N: s.N, C: s.C, H: 1, W: 1})
+	mustOutShape(g.OutShape([]tensor.Shape{s}), out)
 	ind, outd := in.Data(), out.Data()
 	plane := s.H * s.W
 	for n := 0; n < s.N; n++ {
@@ -31,5 +39,4 @@ func (GlobalAvgPool) Forward(ins []*tensor.Tensor) *tensor.Tensor {
 			outd[n*s.C+c] = float32(acc / float64(plane))
 		}
 	}
-	return out
 }

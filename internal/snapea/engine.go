@@ -91,6 +91,15 @@ type compiledKernel struct {
 	negMono bool
 }
 
+// kernelTables is a plan's per-kernel tables, one arena per kind, each
+// sized for every tap of every kernel: a recompile into the plan fits
+// whatever zero weights it elides. w's length is the taps in use.
+type kernelTables struct {
+	w           []float32
+	index       []int32
+	offs, poffs []int
+}
+
 // tapCoords returns reordered tap i's channel (within the kernel's
 // group) and kernel row and column.
 func (p *LayerPlan) tapCoords(ck *compiledKernel, i int) (ci, ky, kx int) {
@@ -112,6 +121,11 @@ type LayerPlan struct {
 	outH    int
 	outW    int
 	kernels []compiledKernel
+	// tables holds kernel k's w, index, offs and poffs as its windows,
+	// back to back in kernel order, as the accelerator's buffers do.
+	tables kernelTables
+	// reorder is compile's scratch, kept for a compile into this plan.
+	reorder reorderScratch
 	// strip is the compile-time decomposition of the output geometry into
 	// in-place strips and packed windows, and the owner of the run scratch
 	// (engine_strip.go). Shared with plans recompiled from this one.
@@ -147,20 +161,26 @@ func NewLayerPlan(node string, conv *nn.Conv2D, inShape tensor.Shape, params Lay
 // which is exactly the failure mode the fault sweep measures) and marks
 // stuck-at-zero kernels. A nil injector compiles a clean plan.
 func NewLayerPlanFaulty(node string, conv *nn.Conv2D, inShape tensor.Shape, params LayerParams, negOrder NegOrder, inj *faults.Injector) *LayerPlan {
-	return compileLayer(node, conv, inShape, nil, params, negOrder, inj)
+	return compileLayer(node, conv, inShape, nil, params, negOrder, inj, nil)
 }
 
-// recompile compiles the plan's layer again with other parameters,
-// reusing its geometry: the strip plan depends on the shape only, so the
-// Algorithm-1 passes, which recompile a layer about a hundred times per
-// tune, neither rebuild it nor reallocate the scratch it retains.
-func (p *LayerPlan) recompile(params LayerParams, negOrder NegOrder) *LayerPlan {
-	return compileLayer(p.Node, p.Conv, p.inShape, p.strip, params, negOrder, nil)
+// recompile compiles the plan's layer again with other parameters, into
+// dst (a plan no caller holds and nothing runs) or, when dst is nil, a new
+// plan. It reuses the geometry: the strip plan depends on the shape only,
+// so the Algorithm-1 passes, which recompile a layer about a hundred
+// times per tune, neither rebuild it nor reallocate its scratch, and into
+// a reused dst they allocate nothing.
+func (p *LayerPlan) recompile(dst *LayerPlan, params LayerParams, negOrder NegOrder) *LayerPlan {
+	if dst == p {
+		panic("snapea: " + p.Node + " recompiled into itself")
+	}
+	return compileLayer(p.Node, p.Conv, p.inShape, p.strip, params, negOrder, nil, dst)
 }
 
 // compileLayer builds a plan on the given strip plan, or on a fresh one
-// when sp is nil.
-func compileLayer(node string, conv *nn.Conv2D, inShape tensor.Shape, sp *stripPlan, params LayerParams, negOrder NegOrder, inj *faults.Injector) *LayerPlan {
+// when sp is nil: into dst when dst is big enough, setting every field as
+// a fresh compile does, and into a new plan otherwise.
+func compileLayer(node string, conv *nn.Conv2D, inShape tensor.Shape, sp *stripPlan, params LayerParams, negOrder NegOrder, inj *faults.Injector, dst *LayerPlan) *LayerPlan {
 	if params == nil {
 		params = AllExact(conv.OutC)
 	}
@@ -182,13 +202,19 @@ func compileLayer(node string, conv *nn.Conv2D, inShape tensor.Shape, sp *stripP
 	if sp == nil {
 		sp = planStrips(conv, inShape, os.H, os.W)
 	}
-	p := &LayerPlan{
-		Node: node, Conv: conv, Params: params, NegOrder: negOrder,
-		inShape: inShape, outC: conv.OutC, outH: os.H, outW: os.W,
-		kernels: make([]compiledKernel, conv.OutC),
-		strip:   sp,
-		mode:    "exact",
+	size := conv.OutC * conv.KernelSize()
+	p := dst
+	if p == nil || cap(p.kernels) < conv.OutC || cap(p.tables.w) < size || sp.packed > 0 && cap(p.tables.poffs) < size {
+		p = &LayerPlan{kernels: make([]compiledKernel, conv.OutC),
+			tables: kernelTables{w: make([]float32, size), index: make([]int32, size), offs: make([]int, size)}}
+		if sp.packed > 0 {
+			p.tables.poffs = make([]int, size)
+		}
 	}
+	p.Node, p.Conv, p.Params, p.NegOrder = node, conv, params, negOrder
+	p.inShape, p.outC, p.outH, p.outW = inShape, conv.OutC, os.H, os.W
+	p.kernels, p.strip, p.mode, p.mono, p.faults = p.kernels[:conv.OutC], sp, "exact", false, inj
+	p.runSeq.Store(0)
 	for _, kp := range params {
 		if !kp.IsExact() {
 			p.mode = "predictive"
@@ -199,13 +225,16 @@ func compileLayer(node string, conv *nn.Conv2D, inShape tensor.Shape, sp *stripP
 	outCg := conv.OutC / conv.Groups
 	plane := inShape.H * inShape.W
 	khw := conv.KH * conv.KW
+	t := &p.tables
+	t.w = t.w[:size]
+	off := 0
 	for k := 0; k < conv.OutC; k++ {
-		rk := Reorder(conv.Kernel(k), params[k], negOrder)
-		nw := len(rk.Weights)
+		rk := reorderInto(conv.Kernel(k), params[k], negOrder, t.w[off:], t.index[off:], &p.reorder)
+		end := off + len(rk.Weights)
 		ck := compiledKernel{
 			w:       rk.Weights,
 			index:   rk.Index,
-			offs:    make([]int, nw),
+			offs:    t.offs[off:end:end],
 			numSpec: rk.NumSpec,
 			posEnd:  rk.PosEnd,
 			th:      rk.Th,
@@ -213,7 +242,7 @@ func compileLayer(node string, conv *nn.Conv2D, inShape tensor.Shape, sp *stripP
 			cBase:   int32((k / outCg) * inCg),
 		}
 		if sp.packed > 0 {
-			ck.poffs = make([]int, nw)
+			ck.poffs = t.poffs[off:end:end]
 		}
 		for i, orig := range rk.Index {
 			ci, rem := int(orig)/khw, int(orig)%khw
@@ -225,7 +254,7 @@ func compileLayer(node string, conv *nn.Conv2D, inShape tensor.Shape, sp *stripP
 		if inj != nil {
 			inj.FlipWeightBits(fmt.Sprintf("%s/k%d", node, k), ck.w)
 		}
-		ck.negMono = nw-ck.posEnd >= suffixBlock
+		ck.negMono = end-off-ck.posEnd >= suffixBlock
 		for _, v := range ck.w[ck.posEnd:] {
 			if !(v <= 0 && v >= -math.MaxFloat32) {
 				ck.negMono = false
@@ -233,12 +262,13 @@ func compileLayer(node string, conv *nn.Conv2D, inShape tensor.Shape, sp *stripP
 		}
 		p.mono = p.mono || ck.negMono
 		p.kernels[k] = ck
+		off = end
 	}
+	t.w = t.w[:off]
 	if inj != nil {
 		for _, k := range inj.StuckKernels(node, conv.OutC) {
 			p.kernels[k].stuck = true
 		}
-		p.faults = inj
 	}
 	return p
 }
@@ -254,8 +284,8 @@ func (p *LayerPlan) OutShape(batch int) tensor.Shape {
 // cleared, when out is non-nil, and a fresh tensor otherwise: the
 // executors leave a window that exits early, and every window of a stuck
 // kernel, at the output's 0, so a reused tensor must start as a fresh
-// one does.
-func (p *LayerPlan) newRun(in, out *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *LayerTrace) {
+// one does. The header is written to tr.
+func (p *LayerPlan) newRun(in, out *tensor.Tensor, opts RunOpts, tr *LayerTrace) (*tensor.Tensor, *LayerTrace) {
 	s := in.Shape()
 	if s.C != p.inShape.C || s.H != p.inShape.H || s.W != p.inShape.W {
 		panic(fmt.Sprintf("snapea: %s compiled for %v, got %v", p.Node, p.inShape, s))
@@ -267,7 +297,7 @@ func (p *LayerPlan) newRun(in, out *tensor.Tensor, opts RunOpts) (*tensor.Tensor
 	} else {
 		clear(out.Data())
 	}
-	tr := &LayerTrace{
+	*tr = LayerTrace{
 		Node:        p.Node,
 		KernelSize:  p.Conv.KernelSize(),
 		Batch:       s.N,
@@ -301,9 +331,9 @@ func (p *LayerPlan) Run(in *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *Layer
 // counted or not. Uncounted is for a caller that reads the output alone:
 // the same output, bit for bit, without the exact exit tap of each
 // window that the blocked suffix retires — the replays that find it are
-// Eq. (1) bookkeeping, and the output is 0 either way. An uncounted run's
-// trace is incomplete and it records no metrics; Network decides when
-// nothing reads them.
+// Eq. (1) bookkeeping, and the output is 0 either way. An uncounted run
+// returns no trace and records no metrics; Network decides when nothing
+// reads them.
 func (p *LayerPlan) runTo(out, in *tensor.Tensor, opts RunOpts, count bool) (*tensor.Tensor, *LayerTrace) {
 	out, tr, issued := p.run(in, out, opts, count)
 	if count && metrics.Enabled() {
@@ -313,22 +343,28 @@ func (p *LayerPlan) runTo(out, in *tensor.Tensor, opts RunOpts, count bool) (*te
 }
 
 // run is runTo's body. count says whether the trace and the issued-MAC
-// total it returns are wanted; without it they are incomplete.
+// total it returns are wanted; without it the trace is nil and the total
+// incomplete.
 func (p *LayerPlan) run(in, out *tensor.Tensor, opts RunOpts, count bool) (*tensor.Tensor, *LayerTrace, int64) {
-	out, tr := p.newRun(in, out, opts)
 	s := in.Shape()
 
 	// One work item per (kernel, image) pair, priced from the geometry: a
 	// layer under parallel.InlineSteps runs on the caller with worker 0's
 	// shard alone — waking a helper costs more than a short layer does.
-	items, steps := p.outC*s.N, p.outH*p.outW*(tr.KernelSize+windowSteps)
+	items, steps := p.outC*s.N, p.outH*p.outW*(p.Conv.KernelSize()+windowSteps)
+	sp := p.strip
+	rs := sp.acquire(parallel.WorkersCost(items, steps), s.N)
+	// Nothing reads an uncounted run's trace: it is the run state's.
+	tr := &rs.trace
+	if count {
+		tr = new(LayerTrace)
+	}
+	out, tr = p.newRun(in, out, opts, tr)
 
 	// Windows that cannot stream in place are gathered first, one patch
 	// matrix per image shared by every kernel. The copy is 1/OutC of the
 	// packed windows' dense work and runs inline: fanning it out measured
 	// no faster than waking a second worker costs.
-	sp := p.strip
-	rs := sp.acquire(parallel.WorkersCost(items, steps), s.N)
 	if sp.packed > 0 {
 		img := s.C * s.H * s.W
 		for n := 0; n < s.N; n++ {
@@ -356,6 +392,9 @@ func (p *LayerPlan) run(in, out *tensor.Tensor, opts RunOpts, count bool) (*tens
 		tr.SpecFN += st.SpecFN
 	}
 	sp.release(rs)
+	if !count {
+		tr = nil
+	}
 	if p.faults != nil {
 		seq := p.runSeq.Add(1) - 1
 		p.faults.CorruptActivations(fmt.Sprintf("%s#%d", p.Node, seq), out.Data())

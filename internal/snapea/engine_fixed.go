@@ -21,7 +21,7 @@ import (
 // of the lane machinery.
 func (p *LayerPlan) RunFixed(in *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *LayerTrace) {
 	s := in.Shape()
-	out, tr := p.newRun(in, nil, opts)
+	out, tr := p.newRun(in, nil, opts, new(LayerTrace))
 	qin := fixed.Quantize(in.Data())
 	conv := p.Conv
 	outd := out.Data()

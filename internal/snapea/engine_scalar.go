@@ -15,7 +15,7 @@ import (
 // fault injections. It runs serially and records no metrics.
 func (p *LayerPlan) runReference(in *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *LayerTrace) {
 	s := in.Shape()
-	out, tr := p.newRun(in, nil, opts)
+	out, tr := p.newRun(in, nil, opts, new(LayerTrace))
 	for k := 0; k < p.outC; k++ {
 		for n := 0; n < s.N; n++ {
 			p.runKernelScalar(n, k, in, out, tr, tr, opts)

@@ -157,6 +157,7 @@ type runState struct {
 	stats []traceShard
 	lanes []stripScratch
 	patch [][]float32
+	trace LayerTrace // an uncounted run's, which nothing reads
 }
 
 // traceShard is one worker's counters: the LayerTrace fields Run merges

@@ -17,44 +17,40 @@ import (
 // bytes, the scrubber's rate-limit accounting unit: the reordered
 // weight buffer plus the per-kernel speculation scalars.
 func (p *LayerPlan) StateBytes() int {
-	n := 0
-	for k := range p.kernels {
-		n += 4*len(p.kernels[k].w) + 24
-	}
-	return n
+	return 4*len(p.tables.w) + 24*len(p.kernels)
 }
 
 // StateDigest returns the CRC32C of the plan's compiled speculation
-// state: every kernel's reordered weights, threshold, bias, speculation
-// boundaries, and stuck flag, in kernel order. Each kernel has exactly
-// one weight buffer — every window, border or interior, in place or
-// packed, reads KernelWeights(k) — so the digest covers every weight an
-// execution can touch. Byte-identical state digests identically, so a
-// digest mismatch against the load-time value is proof of in-memory
-// corruption.
+// state: the weight arena, which holds every kernel's reordered weights
+// back to back in kernel order, then every kernel's threshold, bias,
+// speculation boundaries and stuck flag. Every window, border or
+// interior, in place or packed, reads its kernel's weights from the
+// arena (KernelWeights(k) is kernel k's window of it), so the digest
+// covers every weight an execution can touch. Byte-identical state
+// digests identically, so a digest mismatch against the load-time value
+// is proof of in-memory corruption.
 func (p *LayerPlan) StateDigest() uint32 {
-	var b [24]byte
+	var buf [4096]byte
 	crc := uint32(0)
-	buf := make([]byte, 0, 4096)
+	for w := p.tables.w; len(w) > 0; w = w[min(len(w), len(buf)/4):] {
+		b := buf[:0]
+		for _, v := range w[:min(len(w), len(buf)/4)] {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+		}
+		crc = integrity.Update(crc, b)
+	}
 	for k := range p.kernels {
 		ck := &p.kernels[k]
-		buf = buf[:0]
-		for _, w := range ck.w {
-			var f [4]byte
-			binary.LittleEndian.PutUint32(f[:], math.Float32bits(w))
-			buf = append(buf, f[:]...)
-		}
-		crc = integrity.Update(crc, buf)
-		binary.LittleEndian.PutUint32(b[0:], math.Float32bits(ck.th))
-		binary.LittleEndian.PutUint32(b[4:], math.Float32bits(ck.bias))
-		binary.LittleEndian.PutUint64(b[8:], uint64(ck.numSpec))
-		binary.LittleEndian.PutUint64(b[16:], uint64(ck.posEnd))
-		crc = integrity.Update(crc, b[:])
+		b := binary.LittleEndian.AppendUint32(buf[:0], math.Float32bits(ck.th))
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(ck.bias))
+		b = binary.LittleEndian.AppendUint64(b, uint64(ck.numSpec))
+		b = binary.LittleEndian.AppendUint64(b, uint64(ck.posEnd))
 		if ck.stuck {
-			crc = integrity.Update(crc, []byte{1})
+			b = append(b, 1)
 		} else {
-			crc = integrity.Update(crc, []byte{0})
+			b = append(b, 0)
 		}
+		crc = integrity.Update(crc, b)
 	}
 	return crc
 }

@@ -365,8 +365,8 @@ func (net *Network) forwardFrom(base map[string]*tensor.Tensor, from string, opt
 }
 
 // intoLayer is a layer that can write its output into a tensor drawn
-// from a workset, whatever the tensor held: nn.Concat, nn.MaxPool2D and
-// nn.LRN.
+// from a workset, whatever the tensor held: nn.Concat, nn.MaxPool2D,
+// nn.LRN, nn.FC and nn.GlobalAvgPool.
 type intoLayer interface {
 	OutShape(ins []tensor.Shape) tensor.Shape
 	ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -133,6 +134,11 @@ type Optimizer struct {
 	exactOps  map[string]float64 // per-layer exact-mode ops on D
 	log       func(string, ...any)
 
+	// spare holds per node a plan this optimizer compiled that no one
+	// holds or runs, for the node's next compile to go into.
+	spare map[string]*LayerPlan
+	wins  []float32 // gatherWindows' matrix, grown to the largest layer
+
 	// ckpt accumulates resumable state; saveCkpt (if set) persists it
 	// after every completed unit of work.
 	ckpt     *OptCheckpoint
@@ -144,7 +150,7 @@ func NewOptimizer(net *Network, head *nn.FC, images []*tensor.Tensor, labels []i
 	if len(images) == 0 || len(images) != len(labels) {
 		panic("snapea: optimizer needs a non-empty labelled optimization set")
 	}
-	return &Optimizer{net: net, head: head, images: images, labels: labels, cfg: cfg.normalize()}
+	return &Optimizer{net: net, head: head, images: images, labels: labels, cfg: cfg.normalize(), spare: make(map[string]*LayerPlan)}
 }
 
 // SetLog installs a progress logger (Printf-style).
@@ -301,9 +307,12 @@ func (o *Optimizer) RunCtx(ctx context.Context) (*Result, error) {
 // are then merged serially in image order, so the prepared state is
 // identical for any worker count.
 func (o *Optimizer) prepare() {
-	// Reset every plan to exact.
+	// Reset every plan to exact, unless it is already what that gives.
 	for _, name := range o.net.PlanOrder {
-		o.setPlan(name, AllExact(o.net.Plans[name].Conv.OutC))
+		p := o.net.Plans[name]
+		if p.faults != nil || p.NegOrder != o.net.NegOrder || slices.ContainsFunc(p.Params, func(kp KernelParam) bool { return kp != Exact }) {
+			o.setPlan(name, AllExact(p.Conv.OutC))
+		}
 	}
 	o.caches = make([]map[string]*tensor.Tensor, len(o.images))
 	o.baseFeats = make([][]float32, len(o.images))
@@ -354,10 +363,11 @@ func (o *Optimizer) prepare() {
 	o.logf("optimizer: base accuracy %.3f on %d images (temp %.2f)", o.baseAcc, len(o.images), o.temp)
 }
 
-// setPlan recompiles one layer's plan with new parameters.
+// setPlan installs the node's plan recompiled with new parameters, in
+// its spare when it has one. The plan it replaces is left as it was.
 func (o *Optimizer) setPlan(node string, params LayerParams) {
-	old := o.net.Plans[node]
-	o.net.Plans[node] = old.recompile(params, o.net.NegOrder)
+	o.net.Plans[node] = o.net.Plans[node].recompile(o.spare[node], params, o.net.NegOrder)
+	delete(o.spare, node)
 }
 
 // kernelProfilingPass implements KERNELPROFILINGPASS: for every kernel it
@@ -422,18 +432,22 @@ func (o *Optimizer) kernelProfilingPass(ctx context.Context) (map[string][][]Can
 }
 
 // profileScratch is one profiling worker's reusable storage: a gathered
-// window and the per-window arrays of the kernel being profiled.
+// window, the reordered kernel and the per-window arrays of the kernel
+// being profiled.
 type profileScratch struct {
 	gath                []float32
 	fulls, sums, sorted []float64
 	prefix              []float32
 	rest                []int
+	w                   []float32
+	idx                 []int32
+	reorder             reorderScratch
 }
 
 // size readies the scratch for kernels of ksz taps over nWin windows.
 func (s *profileScratch) size(ksz, nWin int) {
 	if len(s.gath) != ksz {
-		s.gath = make([]float32, ksz)
+		s.gath, s.w, s.idx = make([]float32, ksz), make([]float32, ksz), make([]int32, ksz)
 	}
 	if len(s.fulls) != nWin {
 		s.fulls = make([]float64, nWin)
@@ -468,7 +482,7 @@ func (o *Optimizer) profileKernel(node string, k int, wins []float32, fnBudget f
 	w := conv.Kernel(k)
 	bias := conv.Bias[k]
 	// Exact baseline per window.
-	rkE := Reorder(w, Exact, o.net.NegOrder)
+	rkE := reorderInto(w, Exact, o.net.NegOrder, s.w, s.idx, &s.reorder)
 	nnz := len(rkE.Index)
 	gath := s.gath[:nnz]
 	var exactOps float64
@@ -489,7 +503,7 @@ func (o *Optimizer) profileKernel(node string, k int, wins []float32, fnBudget f
 		if n >= nnz {
 			continue
 		}
-		rk := Reorder(w, KernelParam{N: n}, o.net.NegOrder)
+		rk := reorderInto(w, KernelParam{N: n}, o.net.NegOrder, s.w, s.idx, &s.reorder)
 		// Speculation-prefix sums per window → threshold grid; the
 		// float32 prefix and past-prefix count → every threshold's ops.
 		for wi := range sums {
@@ -583,14 +597,18 @@ func (o *Optimizer) sampleWindows(node string) []windowRef {
 // sampled windows' input values back to back, each in original flattened
 // kernel order with zero padding. A window depends only on its group and
 // position, so it is gathered once here rather than once per kernel and
-// candidate.
+// candidate. The matrix is o.wins, valid until the next call.
 func (o *Optimizer) gatherWindows(node string, windows []windowRef) [][]float32 {
 	conv := o.net.Plans[node].Conv
 	inCg := conv.InC / conv.Groups
 	ksz := conv.KernelSize()
+	per := len(windows) * ksz
+	if cap(o.wins) < conv.Groups*per {
+		o.wins = make([]float32, conv.Groups*per)
+	}
 	wins := make([][]float32, conv.Groups)
 	for g := range wins {
-		wins[g] = make([]float32, len(windows)*ksz)
+		wins[g] = o.wins[g*per : (g+1)*per]
 		for wi, win := range windows {
 			in := o.layerInput(node, win.img)
 			s := in.Shape()
@@ -603,6 +621,7 @@ func (o *Optimizer) gatherWindows(node string, windows []windowRef) [][]float32 
 					iy := win.iy0 + ky
 					for kx := 0; kx < conv.KW; kx++ {
 						ix := win.ix0 + kx
+						x[i] = 0
 						if iy >= 0 && iy < s.H && ix >= 0 && ix < s.W {
 							x[i] = ind[base+iy*s.W+ix]
 						}
@@ -701,7 +720,8 @@ func (o *Optimizer) localOptimizationPass(ctx context.Context, paramK map[string
 // cannot depend on evaluation order or worker count.
 func (o *Optimizer) evalLayer(node string, params LayerParams) (op float64, errLoss float64) {
 	old := o.net.Plans[node]
-	o.setPlan(node, params)
+	o.spare[node] = old.recompile(o.spare[node], params, o.net.NegOrder)
+	o.net.Plans[node] = o.spare[node]
 	defer func() { o.net.Plans[node] = old }()
 
 	feats := make([][]float32, len(o.images))
@@ -793,7 +813,9 @@ func (o *Optimizer) globalOptimizationPass(ctx context.Context, paramL map[strin
 		}
 		current[node] = remaining[node][idx]
 		remaining[node] = append(remaining[node][:idx:idx], remaining[node][idx+1:]...)
+		old := o.net.Plans[node]
 		o.setPlan(node, current[node].Params)
+		o.spare[node] = old // compiled by this pass, held by no caller
 		err, acc = o.evalMove(vals, node)
 		iters++
 		o.logf("optimizer: global iter %d moved %s, loss %.4f", iters, node, err)

@@ -6,10 +6,7 @@
 // parameters (Th, N) per kernel under an accuracy-loss budget ε.
 package snapea
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // KernelParam is one kernel's speculation parameter pair (Th, N) from the
 // paper: after the N speculation-prefix MACs, a partial sum ≤ Th predicts
@@ -77,39 +74,73 @@ type ReorderedKernel struct {
 // which can never change the sum or the sign trajectory — is simply
 // never issued. This is how static pruning and SnaPEA compose.
 func Reorder(w []float32, p KernelParam, negOrder NegOrder) ReorderedKernel {
+	return reorderInto(w, p, negOrder, make([]float32, len(w)), make([]int32, len(w)), new(reorderScratch))
+}
+
+// reorderScratch is reorderInto's working storage, reused from call to
+// call: the index lists and the sort over them.
+type reorderScratch struct {
+	inSpec                  []bool
+	nonzero, spec, pos, neg []int32
+	order                   kernelOrder
+}
+
+// kernelOrder sorts kernel positions by ascending w, or by ascending |w|
+// when abs is set. sort.Sort runs the same pdqsort as sort.Slice, so a
+// tie ends where sort.Slice put it.
+type kernelOrder struct {
+	idx []int32
+	w   []float32
+	abs bool
+}
+
+func (s *kernelOrder) Len() int      { return len(s.idx) }
+func (s *kernelOrder) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
+func (s *kernelOrder) Less(a, b int) bool {
+	x, y := s.w[s.idx[a]], s.w[s.idx[b]]
+	if s.abs {
+		x, y = abs32(x), abs32(y)
+	}
+	return x < y
+}
+
+// reorderInto is Reorder writing the kernel's weights and index buffer
+// into dstW and dstIdx, each at least len(w) long, and working in s. The
+// returned kernel's Weights and Index are their prefixes, capped at
+// their length.
+func reorderInto(w []float32, p KernelParam, negOrder NegOrder, dstW []float32, dstIdx []int32, s *reorderScratch) ReorderedKernel {
 	n := len(w)
 	if n == 0 {
 		panic("snapea: empty kernel")
 	}
-	spec := make([]int32, 0, p.N)
-	inSpec := make([]bool, n)
-	nonzero := make([]int32, 0, n)
+	if cap(s.inSpec) < n {
+		b := make([]int32, 4*n)
+		*s = reorderScratch{inSpec: make([]bool, n), nonzero: b[:0:n], spec: b[n : n : 2*n], pos: b[2*n : 2*n : 3*n], neg: b[3*n : 3*n]}
+	}
+	inSpec := s.inSpec[:n]
+	clear(inSpec)
+	nonzero, spec := s.nonzero[:0], s.spec[:0]
 	for i := 0; i < n; i++ {
 		if w[i] != 0 {
 			nonzero = append(nonzero, int32(i))
 		}
 	}
 	if p.N > 0 && len(nonzero) > 0 {
-		groups := p.N
-		if groups > len(nonzero) {
-			groups = len(nonzero)
-		}
-		byMag := append([]int32(nil), nonzero...)
-		sort.Slice(byMag, func(a, b int) bool {
-			return abs32(w[byMag[a]]) < abs32(w[byMag[b]])
-		})
+		groups := min(p.N, len(nonzero))
+		// The sort runs in pos's storage, which is free until the split.
+		byMag := append(s.pos[:0], nonzero...)
+		s.order = kernelOrder{idx: byMag, w: w, abs: true}
+		sort.Sort(&s.order)
 		// Split into `groups` near-equal contiguous chunks and take the
 		// last (largest-magnitude) element of each.
 		for g := 0; g < groups; g++ {
-			end := (g+1)*len(byMag)/groups - 1
-			idx := byMag[end]
+			idx := byMag[(g+1)*len(byMag)/groups-1]
 			spec = append(spec, idx)
 			inSpec[idx] = true
 		}
 	}
 
-	pos := make([]int32, 0, n)
-	neg := make([]int32, 0, n)
+	pos, neg := s.pos[:0], s.neg[:0]
 	for _, i := range nonzero {
 		if inSpec[i] {
 			continue
@@ -121,29 +152,24 @@ func Reorder(w []float32, p KernelParam, negOrder NegOrder) ReorderedKernel {
 		}
 	}
 	if negOrder == NegByMagnitude {
-		sort.Slice(neg, func(a, b int) bool { return w[neg[a]] < w[neg[b]] })
+		s.order = kernelOrder{idx: neg, w: w}
+		sort.Sort(&s.order)
 	}
 
-	rk := ReorderedKernel{
-		Weights: make([]float32, 0, len(nonzero)),
-		Index:   make([]int32, 0, len(nonzero)),
-		NumSpec: len(spec),
-		Th:      p.Th,
-	}
-	appendIdx := func(idxs []int32) {
+	nw := 0
+	for _, idxs := range [3][]int32{spec, pos, neg} {
 		for _, i := range idxs {
-			rk.Weights = append(rk.Weights, w[i])
-			rk.Index = append(rk.Index, i)
+			dstW[nw], dstIdx[nw] = w[i], i
+			nw++
 		}
 	}
-	appendIdx(spec)
-	appendIdx(pos)
-	rk.PosEnd = len(rk.Weights)
-	appendIdx(neg)
-	if len(rk.Weights) != len(nonzero) {
-		panic(fmt.Sprintf("snapea: reorder lost weights: %d != %d", len(rk.Weights), len(nonzero)))
+	return ReorderedKernel{
+		Weights: dstW[:nw:nw],
+		Index:   dstIdx[:nw:nw],
+		NumSpec: len(spec),
+		PosEnd:  len(spec) + len(pos),
+		Th:      p.Th,
 	}
-	return rk
 }
 
 // ReorderNaivePrefix builds the speculation prefix the paper argues

@@ -431,7 +431,7 @@ func TestForwardFromSkipsUnreachable(t *testing.T) {
 			for k := range params {
 				params[k] = KernelParam{Th: 0.01, N: 1}
 			}
-			net.Plans[node] = exact.recompile(params, NegByMagnitude)
+			net.Plans[node] = exact.recompile(nil, params, NegByMagnitude)
 			gotTrace, wantTrace := NewNetTrace(), NewNetTrace()
 			got := net.ForwardFrom(cache, node, opts, gotTrace)
 			want := forwardFullSuffix(net, cache, node, opts, wantTrace)

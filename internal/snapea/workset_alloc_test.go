@@ -14,17 +14,23 @@ import (
 // evalLayerFreshBytes is what one evalLayer on reduced SqueezeNet's
 // conv1 allocated when every recomputed node's output was a fresh
 // tensor: 1,984,674 bytes, measured as TestEvalLayerWorkingSet measures.
-// The local pass now re-executes into the network's worksets and the call
-// allocates 188,145 bytes, 162,560 of them the recompiled conv1 plan.
+// Re-executing into the network's worksets took it to 186,976 bytes,
+// 162,560 of them the recompiled conv1 plan; compiling into the node's
+// spare plan took it to 15,568.
 const evalLayerFreshBytes = 1984674
+
+// evalLayerBound is a fifth of what evalLayer allocated with worksets but
+// a fresh plan per call (186,976 bytes).
+const evalLayerBound = 186976 / 5
 
 // TestEvalLayerWorkingSet holds the local pass to its fixed working set:
 // after one warm-up call, one evalLayer on reduced SqueezeNet's conv1 —
 // at its first candidates, so the whole network below it re-executes on
-// both images — must allocate under a tenth of evalLayerFreshBytes. One
-// worker, so the warm-up fills the workset the measured call draws from.
-// The race detector changes what allocates, so the file is built
-// without it and `make alloc-guard` runs it in CI.
+// both images — must allocate under evalLayerBound. One worker, so the
+// warm-up fills the workset the measured call draws from and the spare
+// plan the measured call compiles into. The race detector changes what
+// allocates, so the file is built without it and `make alloc-guard` runs
+// it in CI.
 func TestEvalLayerWorkingSet(t *testing.T) {
 	parallel.SetLimit(1)
 	defer parallel.SetLimit(0)
@@ -37,21 +43,27 @@ func TestEvalLayerWorkingSet(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("evalLayer(conv1) allocated %d bytes", got)
-	if got >= evalLayerFreshBytes/10 {
-		t.Fatalf("evalLayer(conv1) allocated %d bytes, want < %d (a tenth of %d with fresh tensors)",
-			got, evalLayerFreshBytes/10, evalLayerFreshBytes)
+	if got >= evalLayerBound {
+		t.Fatalf("evalLayer(conv1) allocated %d bytes, want < %d (%d with fresh tensors and plans)",
+			got, evalLayerBound, evalLayerFreshBytes)
 	}
 }
 
 // forwardFreshBytes is what one Network.Forward on reduced VGG allocated
 // when every plan, max-pool and Concat output was a fresh tensor:
-// 1,242,736 bytes, measured as TestForwardWorkingSet measures. Forward
-// now runs in a workset of the network's pool and allocates 12,000.
+// 1,242,736 bytes, measured as TestForwardWorkingSet measures. Running
+// in a workset of the network's pool took it to 12,000; drawing the FC
+// outputs from it too, and building no trace for an uncounted plan run,
+// to 1,680.
 const forwardFreshBytes = 1242736
 
+// forwardBound bounds a warm uncounted Forward's bytes: its graph
+// output, value table and executor closure.
+const forwardBound = 3000
+
 // TestForwardWorkingSet holds a forward to its fixed working set: after
-// one warm-up, one Forward on reduced VGG must allocate under a tenth of
-// forwardFreshBytes. One worker, as TestEvalLayerWorkingSet.
+// one warm-up, one Forward on reduced VGG must allocate under
+// forwardBound. One worker, as TestEvalLayerWorkingSet.
 func TestForwardWorkingSet(t *testing.T) {
 	parallel.SetLimit(1)
 	defer parallel.SetLimit(0)
@@ -68,8 +80,33 @@ func TestForwardWorkingSet(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("Forward allocated %d bytes", got)
-	if got >= forwardFreshBytes/10 {
-		t.Fatalf("Forward allocated %d bytes, want < %d (a tenth of %d with fresh tensors)",
-			got, forwardFreshBytes/10, forwardFreshBytes)
+	if got >= forwardBound {
+		t.Fatalf("Forward allocated %d bytes, want < %d (%d with fresh tensors)",
+			got, forwardBound, forwardFreshBytes)
+	}
+}
+
+// TestRecompileIntoSpareAllocatesNothing holds Algorithm 1's recompile to
+// its spare plan: once the spare has been compiled into, compiling every
+// reduced-SqueezeNet layer into it again, exact or predictive, makes no
+// allocation.
+func TestRecompileIntoSpareAllocatesNothing(t *testing.T) {
+	m, err := models.Build("squeezenet", models.Options{Seed: 123})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := CompileExact(m)
+	for _, node := range net.PlanOrder {
+		base := net.Plans[node]
+		pred := make(LayerParams, base.Conv.OutC)
+		for k := range pred {
+			pred[k] = KernelParam{Th: 0.01, N: min(4, base.Conv.KernelSize()-1)}
+		}
+		for _, params := range []LayerParams{AllExact(base.Conv.OutC), pred} {
+			spare := base.recompile(nil, params, NegByMagnitude)
+			if n := testing.AllocsPerRun(5, func() { base.recompile(spare, params, NegByMagnitude) }); n != 0 {
+				t.Fatalf("%s: a recompile into the spare made %v allocations, want 0", node, n)
+			}
+		}
 	}
 }
