@@ -13,10 +13,10 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Repo-specific static analysis: determinism, durability, and lifecycle
+# Repo-specific static analysis: determinism, durability, and metric
 # invariants go vet cannot see (map-iteration order into encoders,
 # wall-clock reachable from byte-identical artifacts, non-atomic
-# artifact writes, tensor-pool leaks, metric-domain mismatches).
+# artifact writes, metric-domain mismatches).
 vet-snapea:
 	$(GO) run ./cmd/snapea-vet ./...
 

@@ -28,6 +28,10 @@ var (
 // newRouter directly.
 const routerSeed = 42
 
+// maxBodyBytes bounds the request body the gateway buffers for
+// re-sending.
+const maxBodyBytes = 16 << 20
+
 // Config parameterizes a Gateway. Zero values mean defaults; explicit
 // negatives disable where noted.
 type Config struct {
@@ -48,11 +52,6 @@ type Config struct {
 	// RequestTimeout is the end-to-end deadline per gateway request
 	// (default 15s; <0 disables).
 	RequestTimeout time.Duration
-	// MaxBodyBytes bounds the request body the gateway will buffer for
-	// re-sending (default 16 MiB).
-	MaxBodyBytes int64
-	// Client overrides the backend HTTP client (tests).
-	Client *http.Client
 }
 
 func (c Config) normalize() Config {
@@ -70,14 +69,6 @@ func (c Config) normalize() Config {
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 15 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 16 << 20
-	}
-	if c.Client == nil {
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConnsPerHost = 64
-		c.Client = &http.Client{Transport: tr}
 	}
 	return c
 }
@@ -226,7 +217,7 @@ func (g *Gateway) attempt(ctx context.Context, rep *Replica, path, query, conten
 		}
 		return res
 	}
-	resp, err := g.cfg.Client.Do(req)
+	resp, err := g.set.client.Do(req)
 	if err != nil {
 		return fail(err)
 	}
@@ -261,7 +252,7 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 		g.fail(w, http.StatusServiceUnavailable, ErrDraining)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		g.fail(w, http.StatusBadRequest, fmt.Errorf("cluster: read request body: %w", err))
 		return
@@ -327,7 +318,7 @@ func (g *Gateway) handleModels(w http.ResponseWriter, r *http.Request) {
 		g.fail(w, http.StatusBadGateway, err)
 		return
 	}
-	resp, err := g.cfg.Client.Do(req)
+	resp, err := g.set.client.Do(req)
 	if err != nil {
 		g.fail(w, http.StatusBadGateway, err)
 		return

@@ -56,6 +56,8 @@ type Replica struct {
 type Set struct {
 	cfg      Config
 	replicas []*Replica // config order; never modified after newSet
+	// client carries probes and proxied requests to the members.
+	client *http.Client
 
 	probeCancel context.CancelFunc
 	probes      sync.WaitGroup
@@ -68,7 +70,9 @@ func newSet(cfg Config) (*Set, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, fmt.Errorf("cluster: replica list is empty")
 	}
-	s := &Set{cfg: cfg}
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = 64
+	s := &Set{cfg: cfg, client: &http.Client{Transport: tr}}
 	seen := make(map[string]bool, len(cfg.Replicas))
 	for _, raw := range cfg.Replicas {
 		raw = strings.TrimRight(strings.TrimSpace(raw), "/")
@@ -148,7 +152,7 @@ func (s *Set) probe(ctx context.Context, rep *Replica) {
 	ok := false
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, rep.URL+"/readyz", nil)
 	if err == nil {
-		resp, rerr := s.cfg.Client.Do(req)
+		resp, rerr := s.client.Do(req)
 		if rerr == nil {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()

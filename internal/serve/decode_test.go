@@ -10,7 +10,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"testing/iotest"
 
+	"snapea/internal/snapea"
 	"snapea/internal/tensor"
 )
 
@@ -97,14 +99,62 @@ var decodeSeeds = []struct {
 	{``, 1, false},
 }
 
-// FuzzDecodeInput: for arbitrary bytes and element counts 0–8, the fast
-// path followed by its fallback returns exactly what encoding/json alone
-// returns — same accept/reject, same bits per element, same error text.
+// rawOracle is the buffered raw decode that readRaw replaced: read the
+// whole body under the raw limit, check its length, then convert — the
+// definition of the raw body's accepted language and error texts.
+func rawOracle(body io.Reader, shape tensor.Shape) ([]float32, error) {
+	elems := shape.Elems()
+	var buf bytes.Buffer
+	_, rerr := buf.ReadFrom(http.MaxBytesReader(nil, io.NopCloser(body), int64(elems)*4+(1<<16)))
+	raw := buf.Bytes()
+	if rerr != nil {
+		return nil, fmt.Errorf("serve: read body: %w", rerr)
+	}
+	if len(raw) != elems*4 {
+		return nil, fmt.Errorf("serve: raw input is %d bytes, want %d (%d float32, shape %s)",
+			len(raw), elems*4, elems, shape)
+	}
+	d := make([]float32, elems)
+	for i := range d {
+		d[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
+	}
+	if i := snapea.FirstNonFinite(d); i >= 0 {
+		return nil, fmt.Errorf("serve: non-finite input at element %d", i)
+	}
+	return d, nil
+}
+
+// rawSeeds are raw bodies for n-element inputs around the raw limit
+// (4n + 64 KiB) and the float boundaries: 0, 3, 4n-1, 4n, 4n+1, the
+// limit and one byte past it, and a NaN in an otherwise valid body.
+func rawSeeds(n int) [][]byte {
+	limit := 4*n + 1<<16
+	body := func(size int) []byte {
+		b := make([]byte, size)
+		for i := 0; i+4 <= size; i += 4 {
+			binary.LittleEndian.PutUint32(b[i:], math.Float32bits(float32(i/4)-2.5))
+		}
+		return b
+	}
+	nan := body(4 * n)
+	binary.LittleEndian.PutUint32(nan[4*(n/2):], 0x7fc00001)
+	return [][]byte{body(0), body(3), body(4*n - 1), body(4 * n), body(4*n + 1), body(limit), body(limit + 1), nan}
+}
+
+// FuzzDecodeInput: for arbitrary bytes and element counts 0–8, the JSON
+// fast path followed by its fallback returns exactly what encoding/json
+// alone returns, and the raw decode exactly what rawOracle returns —
+// same accept/reject, same bits per element, same error text — however
+// the body's reads are split.
 func FuzzDecodeInput(f *testing.F) {
 	for _, s := range decodeSeeds {
 		f.Add([]byte(s.body), uint8(s.elems))
 	}
-	s := &Server{pool: newTensorPool()}
+	for _, n := range []int{1, 5, 8} {
+		for _, b := range rawSeeds(n) {
+			f.Add(b, uint8(n))
+		}
+	}
 	f.Fuzz(func(t *testing.T, raw []byte, n uint8) {
 		shape := tensor.Shape{N: 1, C: int(n % 9), H: 1, W: 1}
 		want, wantErr := jsonOracle(raw, shape)
@@ -117,20 +167,41 @@ func FuzzDecodeInput(f *testing.F) {
 		if !shape.Valid() {
 			return // a zero-element model cannot exist; decodeInput has no tensor for it
 		}
-		// Content-Length only sizes the read buffer: unknown, short of the
-		// body and exact must all decode alike.
-		for _, cl := range []int64{-1, int64(len(raw) / 2), int64(len(raw))} {
-			req := &http.Request{Body: io.NopCloser(bytes.NewReader(raw)), ContentLength: cl}
-			got, err := s.decodeInput(req, &entry{inShape: shape})
+		check := func(what string, req *http.Request, want []float32, wantErr error) {
+			t.Helper()
+			got, err := decodeInput(req, shape)
 			switch {
 			case (err == nil) != (wantErr == nil):
-				t.Fatalf("%q (Content-Length %d): decodeInput err %v, encoding/json err %v", raw, cl, err, wantErr)
+				t.Fatalf("%q (%s): decodeInput err %v, oracle err %v", raw, what, err, wantErr)
 			case err != nil && err.Error() != wantErr.Error():
-				t.Fatalf("%q (Content-Length %d): error text %q, want %q", raw, cl, err, wantErr)
+				t.Fatalf("%q (%s): error text %q, want %q", raw, what, err, wantErr)
 			case err == nil && !sameBits(got.Data(), want):
-				t.Fatalf("%q (Content-Length %d): decoded %v, want %v", raw, cl, got.Data(), want)
+				t.Fatalf("%q (%s): decoded %v, want %v", raw, what, got.Data(), want)
 			}
-			s.pool.Put(got)
+		}
+		// Content-Length only sizes the JSON read buffer: unknown, short
+		// of the body and exact must all decode alike.
+		for _, cl := range []int64{-1, int64(len(raw) / 2), int64(len(raw))} {
+			req := &http.Request{Body: io.NopCloser(bytes.NewReader(raw)), ContentLength: cl}
+			check(fmt.Sprintf("JSON, Content-Length %d", cl), req, want, wantErr)
+		}
+		// The raw body is decoded as it is read, so reads that split a
+		// float, and data that arrives with io.EOF, must not matter.
+		for _, r := range []struct {
+			name string
+			wrap func(io.Reader) io.Reader
+		}{
+			{"whole", func(r io.Reader) io.Reader { return r }},
+			{"OneByteReader", iotest.OneByteReader},
+			{"HalfReader", iotest.HalfReader},
+			{"DataErrReader", iotest.DataErrReader},
+		} {
+			want, wantErr := rawOracle(r.wrap(bytes.NewReader(raw)), shape)
+			req := &http.Request{
+				Header: http.Header{"Content-Type": {"application/octet-stream"}},
+				Body:   io.NopCloser(r.wrap(bytes.NewReader(raw))),
+			}
+			check("raw, "+r.name, req, want, wantErr)
 		}
 	})
 }
@@ -171,8 +242,6 @@ func BenchmarkDecodeInput(b *testing.B) {
 	for i, v := range in.Data() {
 		binary.LittleEndian.PutUint32(rawBytes[4*i:], math.Float32bits(v))
 	}
-	s := &Server{pool: newTensorPool()}
-	e := &entry{inShape: shape}
 	for _, c := range []struct {
 		name, contentType string
 		body              []byte
@@ -188,11 +257,9 @@ func BenchmarkDecodeInput(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				req.Body = io.NopCloser(bytes.NewReader(c.body))
 				req.ContentLength = int64(len(c.body))
-				t, err := s.decodeInput(req, e)
-				if err != nil {
+				if _, err := decodeInput(req, shape); err != nil {
 					b.Fatal(err)
 				}
-				s.pool.Put(t)
 			}
 		})
 	}

@@ -47,8 +47,7 @@ type response struct {
 // (DESIGN.md, "One request, one Forward"). Gates are per entry, so a
 // wedged or failing model cannot touch another model's slots (the
 // bulkhead). The entry's health starts at init and keeps time by now.
-func (e *entry) openGate(pool *tensorPool, queueDepth int, init state, now func() time.Time) {
-	e.pool = pool
+func (e *entry) openGate(queueDepth int, init state, now func() time.Time) {
 	e.label = metrics.Labels{"model": e.key.Model, "mode": e.key.Mode}
 	e.h = health{s: init, now: now, label: e.label}
 	e.waiting = make(chan struct{}, max(queueDepth, 1))
@@ -82,16 +81,15 @@ func (e *entry) admit() (running bool, err error) {
 	return running, nil
 }
 
-// run answers one request. It owns in from the call on. A request whose
-// context ends while it waits for a slot gets the context's error (the
-// HTTP layer's 504) and counts in serve.queue_timeouts. The health is
-// asked only once the request holds its slot, right before its forward,
-// so every admitted probe is followed by its outcome.
+// run answers one request. A request whose context ends while it waits
+// for a slot gets the context's error (the HTTP layer's 504) and counts
+// in serve.queue_timeouts. The health is asked only once the request
+// holds its slot, right before its forward, so every admitted probe is
+// followed by its outcome.
 func (e *entry) run(ctx context.Context, in *tensor.Tensor) response {
 	enq := time.Now()
 	running, err := e.admit()
 	if err != nil {
-		e.pool.Put(in)
 		return response{err: err}
 	}
 	defer e.admitted.Done()
@@ -101,7 +99,6 @@ func (e *entry) run(ctx context.Context, in *tensor.Tensor) response {
 			<-e.waiting
 		case <-ctx.Done():
 			<-e.waiting
-			e.pool.Put(in)
 			if metrics.Enabled() {
 				metrics.RC("serve.queue_timeouts", e.label).Add(1)
 			}
@@ -115,7 +112,6 @@ func (e *entry) run(ctx context.Context, in *tensor.Tensor) response {
 	}
 	v := e.h.apply(event{kind: evAdmit})
 	if v.err != nil {
-		e.pool.Put(in)
 		return response{err: v.err, retryAfter: v.retryAfter}
 	}
 	r := e.execute(ctx, in, v.fallback)
@@ -150,14 +146,12 @@ func (e *entry) execute(ctx context.Context, in *tensor.Tensor, fallback bool) r
 	go func() { ch <- e.forward(net, in, opts, trace, bf, abandoned) }()
 	r, ok := await(ctx, ch)
 	if !ok {
-		// The watchdog verdict. Whoever loses the abandoned CAS settles
-		// the input tensor's fate: the handler marks it leaked
-		// (serve.tensor_pool.leaks) the moment it abandons the forward,
-		// and if the forward ever finishes it reclaims the tensor rather
-		// than re-pooling it. A forward that finished in the same instant
-		// won the CAS, and its answer stands.
+		// The watchdog verdict, unless a forward that finished in the
+		// same instant won the abandoned CAS: then its answer stands.
+		// An abandoned forward keeps running, and holding its input,
+		// until it returns; serve.abandoned_forwards counts it till then.
 		if abandoned.CompareAndSwap(false, true) {
-			e.pool.noteLeak()
+			e.noteAbandoned(1)
 			r = response{err: ErrWatchdog}
 			if metrics.Enabled() {
 				metrics.RC("serve.watchdog_timeouts", e.label).Add(1)
@@ -239,17 +233,15 @@ func await(ctx context.Context, ch <-chan response) (response, bool) {
 
 // forward runs the input through the compiled network, converting an
 // engine panic — or an injected one — into an error so one poisoned
-// request cannot take the server down. It owns the input tensor: when
-// forward finishes, however it finishes, the tensor returns to the pool
-// if the request is still waiting for it, or is handed to reclaim if the
-// watchdog abandoned it in the meantime. Injected faults apply here,
-// under the watchdog, where a real stuck or failing kernel would surface.
+// request cannot take the server down. When forward finishes, however
+// it finishes, it wins the abandoned CAS if the request still waits for
+// its answer, and otherwise leaves the count of abandoned forwards.
+// Injected faults apply here, under the watchdog, where a real stuck or
+// failing kernel would surface.
 func (e *entry) forward(net *snapea.Network, in *tensor.Tensor, opts snapea.RunOpts, trace *snapea.NetTrace, bf faults.BatchFault, abandoned *atomic.Bool) (r response) {
 	defer func() {
-		if abandoned.CompareAndSwap(false, true) {
-			e.pool.Put(in)
-		} else {
-			e.pool.reclaim(in)
+		if !abandoned.CompareAndSwap(false, true) {
+			e.noteAbandoned(-1)
 		}
 		if p := recover(); p != nil {
 			r = response{err: fmt.Errorf("serve: inference failed: %v", p)}
@@ -266,6 +258,17 @@ func (e *entry) forward(net *snapea.Network, in *tensor.Tensor, opts snapea.RunO
 	}
 	out := net.Forward(in, opts, trace)
 	return response{logits: out.Data(), class: out.ArgMax()}
+}
+
+// noteAbandoned moves the entry's count of abandoned forwards that are
+// still running by d and publishes it as serve.abandoned_forwards.
+func (e *entry) noteAbandoned(d int64) {
+	e.abandonMu.Lock()
+	defer e.abandonMu.Unlock()
+	e.abandoned += d
+	if metrics.Enabled() {
+		metrics.RG("serve.abandoned_forwards", e.label).Set(e.abandoned)
+	}
 }
 
 // latencyBoundsUS buckets microsecond latencies from 100µs to ~10s.

@@ -26,8 +26,8 @@ func testNet(t *testing.T) (*snapea.Network, tensor.Shape) {
 	return snapea.CompileExact(m), m.InputShape
 }
 
-func testInput(pool *tensorPool, shape tensor.Shape, seed uint64) *tensor.Tensor {
-	in := pool.Get(shape)
+func testInput(shape tensor.Shape, seed uint64) *tensor.Tensor {
+	in := tensor.New(shape)
 	tensor.FillNorm(in, tensor.NewRNG(seed), 0, 1)
 	return in
 }
@@ -93,10 +93,10 @@ func holdNet(t *testing.T) (*snapea.Network, *holdLayer) {
 
 // testGate returns a tinynet/exact entry around net with an open gate
 // of queueDepth waiting places and an unsupervised health.
-func testGate(net *snapea.Network, pool *tensorPool, queueDepth int) *entry {
+func testGate(net *snapea.Network, queueDepth int) *entry {
 	e := newEntry(modelKey{Model: "tinynet", Mode: ModeExact})
 	e.net = net
-	e.openGate(pool, queueDepth, state{}, time.Now)
+	e.openGate(queueDepth, state{}, time.Now)
 	return e
 }
 
@@ -105,7 +105,7 @@ func testGate(net *snapea.Network, pool *tensorPool, queueDepth int) *entry {
 func holdEntry(t *testing.T, s *Server) (*entry, *holdLayer) {
 	t.Helper()
 	net, h := holdNet(t)
-	e := testGate(net, s.pool, s.cfg.QueueDepth)
+	e := testGate(net, s.cfg.QueueDepth)
 	key := e.key
 	e.inShape, e.classes = net.Model.InputShape, 10
 	close(e.ready)
@@ -123,14 +123,14 @@ func awaitWaiting(t *testing.T, g *entry, n int) {
 
 // runAsync starts n requests through g and returns their answers once
 // all have one.
-func runAsync(g *entry, pool *tensorPool, shape tensor.Shape, n int) func() []response {
+func runAsync(g *entry, shape tensor.Shape, n int) func() []response {
 	out := make([]response, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out[i] = g.run(context.Background(), testInput(pool, shape, uint64(i+1)))
+			out[i] = g.run(context.Background(), testInput(shape, uint64(i+1)))
 		}(i)
 	}
 	return func() []response { wg.Wait(); return out }
@@ -150,11 +150,10 @@ func requireOK(t *testing.T, rs []response) {
 // alone.
 func TestLoneRequestRunsAtOnce(t *testing.T) {
 	net, shape := testNet(t)
-	pool := newTensorPool()
-	g := testGate(net, pool, 64)
+	g := testGate(net, 64)
 	defer g.retire()
 
-	r := g.run(context.Background(), testInput(pool, shape, 1))
+	r := g.run(context.Background(), testInput(shape, 1))
 	requireOK(t, []response{r})
 	if r.queueWait > time.Second {
 		t.Fatalf("idle gate made a lone request wait %v", r.queueWait)
@@ -166,13 +165,12 @@ func TestLoneRequestRunsAtOnce(t *testing.T) {
 // for a slot and all are answered.
 func TestGateBoundsInFlight(t *testing.T) {
 	net, h := holdNet(t)
-	pool := newTensorPool()
-	g := testGate(net, pool, 64)
+	g := testGate(net, 64)
 	defer func() { h.releaseAll(); g.retire() }() // release first: retire waits for held forwards
 	slots := runtime.GOMAXPROCS(0)
 	n := 2*slots + 1
 
-	answers := runAsync(g, pool, net.Model.InputShape, n)
+	answers := runAsync(g, net.Model.InputShape, n)
 	h.awaitEntered(t, slots)
 	awaitWaiting(t, g, n-slots)
 	select {
@@ -193,17 +191,16 @@ func TestGateBoundsInFlight(t *testing.T) {
 // answered.
 func TestQueueOverflow(t *testing.T) {
 	net, h := holdNet(t)
-	pool := newTensorPool()
 	const depth = 2
-	g := testGate(net, pool, depth)
+	g := testGate(net, depth)
 	defer func() { h.releaseAll(); g.retire() }() // release first: retire waits for held forwards
 	slots := runtime.GOMAXPROCS(0)
 	shape := net.Model.InputShape
 
-	answers := runAsync(g, pool, shape, slots+depth)
+	answers := runAsync(g, shape, slots+depth)
 	h.awaitEntered(t, slots)
 	awaitWaiting(t, g, depth)
-	if r := g.run(context.Background(), testInput(pool, shape, 99)); !errors.Is(r.err, ErrQueueFull) {
+	if r := g.run(context.Background(), testInput(shape, 99)); !errors.Is(r.err, ErrQueueFull) {
 		t.Fatalf("request past a full queue: err = %v, want ErrQueueFull", r.err)
 	}
 	h.releaseAll()
@@ -221,17 +218,16 @@ func TestQueuedDeadlineExpires(t *testing.T) {
 	defer metrics.Reset()
 
 	net, h := holdNet(t)
-	pool := newTensorPool()
-	g := testGate(net, pool, 4)
+	g := testGate(net, 4)
 	defer func() { h.releaseAll(); g.retire() }() // release first: retire waits for held forwards
 	slots := runtime.GOMAXPROCS(0)
 	shape := net.Model.InputShape
 
-	answers := runAsync(g, pool, shape, slots)
+	answers := runAsync(g, shape, slots)
 	h.awaitEntered(t, slots)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if r := g.run(ctx, testInput(pool, shape, 99)); !errors.Is(r.err, context.DeadlineExceeded) {
+	if r := g.run(ctx, testInput(shape, 99)); !errors.Is(r.err, context.DeadlineExceeded) {
 		t.Fatalf("expired waiter: err = %v, want DeadlineExceeded", r.err)
 	}
 	if n := len(g.waiting); n != 0 {
@@ -249,13 +245,12 @@ func TestQueuedDeadlineExpires(t *testing.T) {
 // or still waiting for a slot — has its answer.
 func TestCloseDrainsAccepted(t *testing.T) {
 	net, h := holdNet(t)
-	pool := newTensorPool()
 	const depth = 3
-	g := testGate(net, pool, depth)
+	g := testGate(net, depth)
 	slots := runtime.GOMAXPROCS(0)
 	shape := net.Model.InputShape
 
-	answers := runAsync(g, pool, shape, slots+depth)
+	answers := runAsync(g, shape, slots+depth)
 	h.awaitEntered(t, slots)
 	awaitWaiting(t, g, depth)
 	closed := make(chan struct{})
@@ -291,6 +286,19 @@ func runtimeCounter(name string) int64 {
 		for _, p := range rt.Counters {
 			if p.Name == name {
 				n += p.Value
+			}
+		}
+	}
+	return n
+}
+
+// runtimeGauge sums a runtime gauge across its label sets.
+func runtimeGauge(name string) int64 {
+	var n int64
+	if rt := metrics.Export(true).Runtime; rt != nil {
+		for _, g := range rt.Gauges {
+			if g.Name == name {
+				n += g.Value
 			}
 		}
 	}

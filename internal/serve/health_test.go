@@ -522,7 +522,7 @@ func stepEntry(t *testing.T, s *Server, now func() time.Time) (*entry, *stepLaye
 	net := snapea.CompileExact(&models.Model{Name: "step", Graph: g, InputShape: m.InputShape})
 	e := newEntry(modelKey{Model: "tinynet", Mode: ModeExact})
 	e.net, e.fallback, e.inShape, e.classes = net, net, m.InputShape, 10
-	e.openGate(s.pool, 64, state{limit: 2, budget: 0.05}, now)
+	e.openGate(64, state{limit: 2, budget: 0.05}, now)
 	e.canary = integrity.NewCanary(e.label, []float32{0}, func() []float32 { return []float32{1} })
 	close(e.ready)
 	s.reg.mu.Lock()

@@ -243,7 +243,7 @@ func TestSentinelDetectsCorruptionWithinBound(t *testing.T) {
 
 	var digest atomic.Uint32
 	e := newEntry(key)
-	e.openGate(s.pool, 1, state{}, time.Now)
+	e.openGate(1, state{}, time.Now)
 	e.scrub = integrity.NewScrubber(nil, -1, []integrity.Region{{
 		Name:   key.String() + "/synthetic",
 		Bytes:  4,

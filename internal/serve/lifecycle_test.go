@@ -111,10 +111,11 @@ func TestDrainAdmissionRace(t *testing.T) {
 
 // TestWatchdogLeakAccounting wedges a forward permanently (injected
 // delay of an hour against a 200ms request deadline) and asserts the
-// leak accounting: the stranded input tensor is counted in
-// serve.tensor_pool leaks, and the pool re-allocates around it so the
-// model keeps serving.
+// abandon accounting: the stranded forward, and the input it holds, is
+// counted in serve.abandoned_forwards while it runs, and the model
+// keeps serving.
 func TestWatchdogLeakAccounting(t *testing.T) {
+	enableMetrics(t)
 	s, ts := testServer(t, Config{
 		Models:         []string{"tinynet"},
 		RequestTimeout: 200 * time.Millisecond,
@@ -131,29 +132,26 @@ func TestWatchdogLeakAccounting(t *testing.T) {
 	if code, _, _ := postPredict(t, ts.URL, "tinynet", "", body); code != http.StatusGatewayTimeout {
 		t.Fatalf("wedged forward: status %d, want 504", code)
 	}
-	if got := s.pool.leaks.Load(); got != 1 {
-		t.Fatalf("tensor_pool leaks = %d after abandoned forward, want 1", got)
-	}
-	if got := s.pool.leaked.Load(); got != 1 {
-		t.Fatalf("tensor_pool leaked gauge = %d, want 1", got)
+	if got := runtimeGauge("serve.abandoned_forwards"); got != 1 {
+		t.Fatalf("serve.abandoned_forwards = %d after abandoned forward, want 1", got)
 	}
 
-	// Bounded re-allocation: the fault budget is exhausted, so the next
-	// forward is clean and must succeed on a freshly allocated tensor.
+	// The fault budget is exhausted, so the next forward is clean and
+	// must succeed on its own input.
 	if code, _, _ := postPredict(t, ts.URL, "tinynet", "", body); code != http.StatusOK {
-		t.Fatalf("post-leak predict: status %d, want 200", code)
+		t.Fatalf("post-abandon predict: status %d, want 200", code)
 	}
-	if got := s.pool.reclaims.Load(); got != 0 {
-		t.Fatalf("tensor_pool reclaims = %d while forward still wedged, want 0", got)
+	if got := runtimeGauge("serve.abandoned_forwards"); got != 1 {
+		t.Fatalf("serve.abandoned_forwards = %d while forward still wedged, want 1", got)
 	}
 }
 
 // TestWatchdogLeakReclaimed wedges a forward briefly (delay longer than
 // the request deadline but shorter than the test) and asserts the other
-// half of the handshake: when the abandoned forward finally finishes,
-// the tensor is reclaimed — the leaked gauge returns to zero and the
-// reclaim is counted.
+// half of the handshake: when the abandoned forward finally returns,
+// serve.abandoned_forwards returns to zero.
 func TestWatchdogLeakReclaimed(t *testing.T) {
+	enableMetrics(t)
 	s, ts := testServer(t, Config{
 		Models:         []string{"tinynet"},
 		RequestTimeout: 100 * time.Millisecond,
@@ -170,16 +168,10 @@ func TestWatchdogLeakReclaimed(t *testing.T) {
 	if code, _, _ := postPredict(t, ts.URL, "tinynet", "", body); code != http.StatusGatewayTimeout {
 		t.Fatalf("wedged forward: status %d, want 504", code)
 	}
-	if got := s.pool.leaked.Load(); got != 1 {
-		t.Fatalf("tensor_pool leaked gauge = %d right after abandon, want 1", got)
+	if got := runtimeGauge("serve.abandoned_forwards"); got != 1 {
+		t.Fatalf("serve.abandoned_forwards = %d right after abandon, want 1", got)
 	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for s.pool.leaked.Load() != 0 || s.pool.reclaims.Load() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("abandoned forward not reclaimed: leaked=%d reclaims=%d",
-				s.pool.leaked.Load(), s.pool.reclaims.Load())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	awaitTrue(t, 5*time.Second, "the abandoned forward to return", func() bool {
+		return runtimeGauge("serve.abandoned_forwards") == 0
+	})
 }

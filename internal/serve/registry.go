@@ -64,7 +64,6 @@ type entry struct {
 
 	// The admission gate and the health (gate.go, health.go), opened on
 	// a successful compile.
-	pool  *tensorPool
 	label metrics.Labels
 	// auditEvery runs every Nth healthy predictive forward with
 	// CollectPrediction so the guardrail sees exact misprediction
@@ -77,6 +76,10 @@ type entry struct {
 	waiting  chan struct{}  // one token per taken waiting place
 	slots    chan struct{}  // one token per taken run slot
 	admitted sync.WaitGroup // requests admitted and not yet answered
+	// abandoned counts forwards the watchdog gave up on that have not
+	// yet returned (noteAbandoned).
+	abandonMu sync.Mutex
+	abandoned int64
 
 	// Integrity supervision (see internal/integrity). scrub re-hashes the
 	// compiled plans against load-time digests; canary replays the golden
@@ -118,8 +121,7 @@ func (e *entry) state() state { return e.h.snapshot() }
 // registry lazily compiles and caches snapea.Network plans and their
 // admission gates.
 type registry struct {
-	cfg  Config
-	pool *tensorPool
+	cfg Config
 	// inj is the server-wide fault injector, shared by every compile so
 	// lifetime budgets (ServeLimit, WeightFlipLimit) span recompiles —
 	// which is what makes self-heal meaningful under injected faults: a
@@ -138,8 +140,8 @@ type registry struct {
 	now func() time.Time
 }
 
-func newRegistry(cfg Config, pool *tensorPool) *registry {
-	r := &registry{cfg: cfg, pool: pool, entries: make(map[modelKey]*entry), now: time.Now}
+func newRegistry(cfg Config) *registry {
+	r := &registry{cfg: cfg, entries: make(map[modelKey]*entry), now: time.Now}
 	if cfg.Faults.Enabled() {
 		r.inj = faults.New(cfg.Faults)
 	}
@@ -292,7 +294,7 @@ func (r *registry) compile(e *entry) {
 		init.budget = cfg.MispredictBudget
 	}
 	e.auditEvery = cfg.AuditEvery
-	e.openGate(r.pool, cfg.QueueDepth, init, r.now)
+	e.openGate(cfg.QueueDepth, init, r.now)
 
 	// Integrity supervision. The scrubber captures load-time digests of
 	// every compiled conv plan (the canary covers the rest of the network

@@ -25,14 +25,11 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -42,7 +39,6 @@ import (
 	"snapea/internal/metrics"
 	"snapea/internal/models"
 	"snapea/internal/snapea"
-	"snapea/internal/tensor"
 )
 
 // Sentinel errors the HTTP layer maps to statuses: errUnknownModel to
@@ -149,7 +145,6 @@ func (c Config) normalize() Config {
 type Server struct {
 	cfg      Config
 	reg      *registry
-	pool     *tensorPool
 	mux      *http.ServeMux
 	ready    atomic.Bool
 	draining atomic.Bool
@@ -159,12 +154,10 @@ type Server struct {
 // flip readiness.
 func New(cfg Config) *Server {
 	cfg = cfg.normalize()
-	pool := newTensorPool()
 	s := &Server{
-		cfg:  cfg,
-		reg:  newRegistry(cfg, pool),
-		pool: pool,
-		mux:  http.NewServeMux(),
+		cfg: cfg,
+		reg: newRegistry(cfg),
+		mux: http.NewServeMux(),
 	}
 	s.mux.HandleFunc("/v1/predict", s.handlePredict)
 	s.mux.HandleFunc("/v1/models", s.handleModels)
@@ -351,7 +344,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	input, err := s.decodeInput(r, e)
+	input, err := decodeInput(r, e.inShape)
 	if err != nil {
 		s.fail(w, r, http.StatusBadRequest, err)
 		return
@@ -390,68 +383,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		MacReduction: resp.reduction,
 		Degraded:     resp.degraded,
 	})
-}
-
-// decodeInput reads the request body as either JSON ({"input": [...]})
-// or raw little-endian float32 (Content-Type: application/octet-stream)
-// into a pooled {1,C,H,W} tensor. The input must carry exactly the
-// model's input element count and be finite — early termination is
-// undefined on non-finite partial sums.
-func (s *Server) decodeInput(r *http.Request, e *entry) (t *tensor.Tensor, err error) {
-	elems := e.inShape.Elems()
-	limit := int64(elems)*4 + (1 << 16)
-	body := http.MaxBytesReader(nil, r.Body, limit)
-	t = s.pool.Get(e.inShape)
-	defer func() {
-		if err != nil {
-			s.pool.Put(t)
-			t = nil
-		}
-	}()
-	// Read into one buffer sized from Content-Length (a hint, capped by
-	// the limit): growing from nothing copies an 8 KB body about four
-	// times over. What is read, and every error, is the same either way.
-	var buf bytes.Buffer
-	if n := min(r.ContentLength, limit); n > 0 {
-		buf.Grow(int(n) + bytes.MinRead)
-	}
-	_, rerr := buf.ReadFrom(body)
-	raw := buf.Bytes()
-	if r.Header.Get("Content-Type") == "application/octet-stream" {
-		if rerr != nil {
-			return nil, fmt.Errorf("serve: read body: %w", rerr)
-		}
-		if len(raw) != elems*4 {
-			return nil, fmt.Errorf("serve: raw input is %d bytes, want %d (%d float32, shape %s)",
-				len(raw), elems*4, elems, e.inShape)
-		}
-		d := t.Data()
-		for i := range d {
-			d[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
-		}
-	} else if rerr != nil || !parseInput(raw, t.Data()) {
-		// Not the canonical body (see parseInput): encoding/json decides,
-		// over the same stream — the bytes already read, then body again,
-		// whose sticky EOF or read error ends it as it always did.
-		var in struct {
-			Input []float32 `json:"input"`
-		}
-		if jerr := json.NewDecoder(io.MultiReader(bytes.NewReader(raw), body)).Decode(&in); jerr != nil {
-			return nil, fmt.Errorf("serve: decode JSON body: %w", jerr)
-		}
-		if len(in.Input) != elems {
-			return nil, fmt.Errorf("serve: input has %d elements, want %d (shape %s)",
-				len(in.Input), elems, e.inShape)
-		}
-		copy(t.Data(), in.Input)
-	}
-	// One boundary scan via the engine's shared validator; the layers
-	// below run unchecked (see snapea.FirstNonFinite on why once is
-	// enough).
-	if i := snapea.FirstNonFinite(t.Data()); i >= 0 {
-		return nil, fmt.Errorf("serve: non-finite input at element %d", i)
-	}
-	return t, nil
 }
 
 // refuse answers a request the registry, the gate or the entry's health

@@ -139,6 +139,101 @@ func TestPredictRawBody(t *testing.T) {
 	}
 }
 
+// longestFloat32JSON returns a float32 whose encoding/json text is the
+// longest, and that length. It marshals both signs of every binade's
+// first and last 64 values and of every 8191st value between them, so
+// each binade's largest and smallest magnitudes and its many 8- and
+// 9-digit values are all among the candidates.
+func longestFloat32JSON(t *testing.T) (float32, int) {
+	t.Helper()
+	var best float32
+	longest := 0
+	try := func(bits uint32) {
+		f := math.Float32frombits(bits)
+		b, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) > longest {
+			best, longest = f, len(b)
+		}
+	}
+	const mant = 1 << 23
+	var ms []uint32
+	for m := uint32(0); m < 64; m++ {
+		ms = append(ms, m, mant-1-m)
+	}
+	for m := uint32(64); m < mant-64; m += 8191 {
+		ms = append(ms, m)
+	}
+	for exp := uint32(0); exp < 255; exp++ { // 255 is Inf and NaN
+		for _, m := range ms {
+			try(exp<<23 | m)
+			try(1<<31 | exp<<23 | m)
+		}
+	}
+	return best, longest
+}
+
+// TestBodiesOfEveryModel: for every model, a JSON body and a raw body of
+// the same input both answer 200 with bit-identical logits, and a JSON
+// body whose every element has the longest text encoding/json writes
+// for a float32 fits the JSON body limit.
+func TestBodiesOfEveryModel(t *testing.T) {
+	longest, n := longestFloat32JSON(t)
+	if n != maxFloat32JSON {
+		t.Fatalf("longest encoding/json float32 text is %d bytes (%v), maxFloat32JSON is %d", n, longest, maxFloat32JSON)
+	}
+	// Compiles come before, and no deadline during, the requests: under
+	// the race detector a vggnet forward takes seconds.
+	s, ts := testServer(t, Config{Models: models.Names(), RequestTimeout: -1})
+	preload(t, s)
+	post := func(t *testing.T, model, contentType string, body []byte) predictResponse {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/predict?model="+model, contentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			msg, _ := io.ReadAll(resp.Body)
+			t.Fatalf("%s %s body of %d bytes: status %d: %s", model, contentType, len(body), resp.StatusCode, msg)
+		}
+		var pr predictResponse
+		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+			t.Fatal(err)
+		}
+		return pr
+	}
+	for _, model := range models.Names() {
+		t.Run(model, func(t *testing.T) {
+			elems := modelElems(t, model)
+			jsonBytes := jsonBody(t, elems, 5).Bytes()
+			var in struct{ Input []float32 }
+			if err := json.Unmarshal(jsonBytes, &in); err != nil {
+				t.Fatal(err)
+			}
+			raw := make([]byte, 4*elems)
+			for i, v := range in.Input {
+				binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
+			}
+			fromJSON := post(t, model, "application/json", jsonBytes)
+			fromRaw := post(t, model, "application/octet-stream", raw)
+			if !sameBits(fromJSON.Logits, fromRaw.Logits) {
+				t.Fatalf("JSON logits %v, raw logits %v", fromJSON.Logits, fromRaw.Logits)
+			}
+			for i := range in.Input {
+				in.Input[i] = longest
+			}
+			body, err := json.Marshal(map[string][]float32{"input": in.Input})
+			if err != nil {
+				t.Fatal(err)
+			}
+			post(t, model, "application/json", body)
+		})
+	}
+}
+
 func TestPredictValidation(t *testing.T) {
 	_, ts := testServer(t, Config{Models: []string{"tinynet"}})
 	elems := tinyElems(t)
@@ -269,7 +364,7 @@ func TestModelsEndpoint(t *testing.T) {
 	}
 }
 
-func TestMetricszAndPoolReuse(t *testing.T) {
+func TestMetricszRuntimeSection(t *testing.T) {
 	metrics.Reset()
 	metrics.Enable()
 	defer metrics.Disable()
@@ -306,11 +401,6 @@ func TestMetricszAndPoolReuse(t *testing.T) {
 	}
 	if rt["serve.batches"] == 0 {
 		t.Fatal("serve.batches not recorded")
-	}
-	// Sequential requests over the same shape must reuse pooled tensors:
-	// after the first few allocations the pool serves hits.
-	if rt["serve.tensor_pool.hits"] == 0 {
-		t.Fatalf("tensor pool recorded no hits (misses=%d)", rt["serve.tensor_pool.misses"])
 	}
 	// Serve metrics are schedule-dependent and must stay out of the
 	// deterministic section.

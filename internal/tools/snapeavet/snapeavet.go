@@ -1,10 +1,10 @@
 // Package snapeavet is the repository's custom static-analysis pass: a
 // stdlib-only checker (go/parser + go/types + go/ast, no external
-// modules) that enforces the determinism, durability and lifecycle
+// modules) that enforces the determinism, durability and metric
 // invariants the headline claims rest on — exact-mode equivalence,
-// worker-invariant traces, bit-identical checkpoint resume, balanced
-// tensor pooling. Conventions that were previously enforced only by
-// after-the-fact tests become build-breaking diagnostics:
+// worker-invariant traces, bit-identical checkpoint resume. Conventions
+// that were previously enforced only by after-the-fact tests become
+// build-breaking diagnostics:
 //
 //   - detorder: no range over a map may feed an encoder, writer,
 //     checksum or slice-append in a deterministic package unless the
@@ -15,8 +15,6 @@
 //   - atomicwrite: persisted artifacts (checkpoints, load summaries,
 //     metric snapshots) must be written through internal/atomicfile,
 //     never raw os.WriteFile/os.Create;
-//   - poolbalance: a tensorPool.Get must be matched by a Put (or an
-//     ownership hand-off) on every exit path;
 //   - metricdomain: metric names must carry a known prefix and be
 //     registered in the section (deterministic vs runtime) that prefix
 //     demands.
@@ -34,6 +32,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -177,7 +176,6 @@ func Analyzers() []*Analyzer {
 		DetOrder,
 		NoWallClock,
 		AtomicWrite,
-		PoolBalance,
 		MetricDomain,
 	}
 }
@@ -186,6 +184,9 @@ func Analyzers() []*Analyzer {
 // named analyzers (all of them when names is empty) under the default
 // configuration. Diagnostics come back sorted by position.
 func Run(root string, names []string) ([]Diagnostic, error) {
+	if err := checkNames(names); err != nil {
+		return nil, err
+	}
 	l, err := NewLoader(root)
 	if err != nil {
 		return nil, err
@@ -200,6 +201,9 @@ func Run(root string, names []string) ([]Diagnostic, error) {
 // RunAnalyzers runs the named analyzers (all when names is empty) over
 // already-loaded packages.
 func RunAnalyzers(fset *token.FileSet, pkgs []*Package, cfg Config, names []string) ([]Diagnostic, error) {
+	if err := checkNames(names); err != nil {
+		return nil, err
+	}
 	want := make(map[string]bool, len(names))
 	for _, n := range names {
 		want[n] = true
@@ -210,17 +214,6 @@ func RunAnalyzers(fset *token.FileSet, pkgs []*Package, cfg Config, names []stri
 			continue
 		}
 		a.Run(pass)
-	}
-	for _, n := range names {
-		found := false
-		for _, a := range Analyzers() {
-			if a.Name == n {
-				found = true
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("snapeavet: unknown analyzer %q", n)
-		}
 	}
 	sort.Slice(pass.diags, func(i, j int) bool {
 		a, b := pass.diags[i], pass.diags[j]
@@ -233,6 +226,16 @@ func RunAnalyzers(fset *token.FileSet, pkgs []*Package, cfg Config, names []stri
 		return a.Analyzer < b.Analyzer
 	})
 	return pass.diags, nil
+}
+
+// checkNames reports the first of names that is no analyzer's.
+func checkNames(names []string) error {
+	for _, n := range names {
+		if !slices.ContainsFunc(Analyzers(), func(a *Analyzer) bool { return a.Name == n }) {
+			return fmt.Errorf("snapeavet: unknown analyzer %q", n)
+		}
+	}
+	return nil
 }
 
 // funcIndex builds (once) the map from type-checker function objects to
@@ -313,7 +316,7 @@ func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 }
 
 // recvTypeName returns the bare type name of a method's receiver
-// ("tensorPool" for (*tensorPool).Get), or "" for package functions.
+// ("LayerPlan" for (*LayerPlan).Run), or "" for package functions.
 func recvTypeName(f *types.Func) string {
 	sig, ok := f.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {

@@ -50,7 +50,7 @@ wait "$srv_pid"
 srv_pid=
 
 $GO run ./internal/tools/metricscheck \
-    -nonzero-runtime serve.requests,serve.batches,serve.compile_cache.misses,serve.tensor_pool.hits \
+    -nonzero-runtime serve.requests,serve.batches,serve.compile_cache.misses \
     "$dir/serve-metrics.json"
 
 echo "serve-smoke: ok"
