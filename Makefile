@@ -30,25 +30,30 @@ race:
 	$(GO) test -race $$($(GO) list ./... | grep -v '^snapea/benchmark$$')
 	$(GO) test -race -short ./benchmark
 
-# Allocation guard, non-race: every forward runs in a workset of its
-# network's pool and Algorithm 1 compiles into spare plans.
-# TestForwardWorkingSet (one Forward on reduced VGG) and
-# TestEvalLayerWorkingSet (one evalLayer of Algorithm 1's local pass)
-# hold the call under a byte bound, and
-# TestRecompileIntoSpareAllocatesNothing holds a recompile into a spare
-# plan to no allocation. The race detector changes what allocates, so
-# the tests are built without it and `race` never runs them.
+# Allocation guard, non-race: every forward runs the compiled program
+# in an arena of its network's pool and Algorithm 1 compiles into spare
+# plans. TestForwardWorkingSet (one Forward on reduced VGG allocates only
+# the output it returns), TestEvalLayerWorkingSet (one evalLayer of
+# Algorithm 1's local pass) and TestGlobalPassAllocatesNoNodeValues hold
+# the call under a byte bound; TestRecompileIntoSpareAllocatesNothing
+# holds a recompile into a spare plan to no allocation; and
+# TestArenaWithinPeakLive holds every model's slot layout, reduced and
+# Full, to 1.25x its peak-live size. The race detector changes what
+# allocates, so the allocation tests are built without it and `race`
+# never runs them.
 alloc-guard:
-	$(GO) test -count=1 -run 'TestForwardWorkingSet|TestEvalLayerWorkingSet|TestRecompileIntoSpareAllocatesNothing' ./internal/snapea
+	$(GO) test -count=1 -run 'TestForwardWorkingSet|TestEvalLayerWorkingSet|TestGlobalPassAllocatesNoNodeValues|TestRecompileIntoSpareAllocatesNothing|TestArenaWithinPeakLive' ./internal/snapea
 
 # Short fuzz runs over the params JSON loader, the execution kernel
 # (geometry × params × input bytes, strip kernel vs the scalar
 # reference) and the serving input decode (fast path vs encoding/json)
 # — enough to catch regressions without an open-ended campaign.
+# -fuzzminimizetime 100x bounds the minimisation of each new input: the
+# default (60 s) stalls a 10 s run at 0 execs/sec once it finds one.
 fuzz-smoke:
-	$(GO) test ./internal/snapea -run '^$$' -fuzz 'FuzzLoadParams' -fuzztime 10s
-	$(GO) test ./internal/snapea -run '^$$' -fuzz 'FuzzStripEquivalence' -fuzztime 10s
-	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzDecodeInput' -fuzztime 10s
+	$(GO) test ./internal/snapea -run '^$$' -fuzz 'FuzzLoadParams' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/snapea -run '^$$' -fuzz 'FuzzStripEquivalence' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzDecodeInput' -fuzztime 10s -fuzzminimizetime 100x
 
 # The repo benchmark's own smoke, non-race and whole: TestQuickSmoke
 # runs all five BENCHMARK.json workloads through the timed and the

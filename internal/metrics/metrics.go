@@ -98,11 +98,15 @@ func (c *Counter) Add(d int64) { c.v.Add(d) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a last-write-wins int64 (worker limits, configured sizes).
+// Gauge is an int64 level: last-write-wins through Set (worker limits,
+// configured sizes), or moved by each of its writers through Add.
 type Gauge struct{ v atomic.Int64 }
 
 // Set stores the gauge value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
+
+// Add moves the gauge value by d.
+func (g *Gauge) Add(d int64) { g.v.Add(d) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }

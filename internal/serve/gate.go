@@ -151,7 +151,7 @@ func (e *entry) execute(ctx context.Context, in *tensor.Tensor, fallback bool) r
 		// An abandoned forward keeps running, and holding its input,
 		// until it returns; serve.abandoned_forwards counts it till then.
 		if abandoned.CompareAndSwap(false, true) {
-			e.noteAbandoned(1)
+			noteAbandoned(e.label, 1)
 			r = response{err: ErrWatchdog}
 			if metrics.Enabled() {
 				metrics.RC("serve.watchdog_timeouts", e.label).Add(1)
@@ -241,7 +241,7 @@ func await(ctx context.Context, ch <-chan response) (response, bool) {
 func (e *entry) forward(net *snapea.Network, in *tensor.Tensor, opts snapea.RunOpts, trace *snapea.NetTrace, bf faults.BatchFault, abandoned *atomic.Bool) (r response) {
 	defer func() {
 		if !abandoned.CompareAndSwap(false, true) {
-			e.noteAbandoned(-1)
+			noteAbandoned(e.label, -1)
 		}
 		if p := recover(); p != nil {
 			r = response{err: fmt.Errorf("serve: inference failed: %v", p)}
@@ -260,14 +260,13 @@ func (e *entry) forward(net *snapea.Network, in *tensor.Tensor, opts snapea.RunO
 	return response{logits: out.Data(), class: out.ArgMax()}
 }
 
-// noteAbandoned moves the entry's count of abandoned forwards that are
-// still running by d and publishes it as serve.abandoned_forwards.
-func (e *entry) noteAbandoned(d int64) {
-	e.abandonMu.Lock()
-	defer e.abandonMu.Unlock()
-	e.abandoned += d
+// noteAbandoned moves serve.abandoned_forwards, the count of abandoned
+// forwards still running, by d. Every entry of the label moves the one
+// gauge by its own abandons and returns, so it sums them: two servers in
+// one process, or a healed entry and the one it replaced.
+func noteAbandoned(lbl metrics.Labels, d int64) {
 	if metrics.Enabled() {
-		metrics.RG("serve.abandoned_forwards", e.label).Set(e.abandoned)
+		metrics.RG("serve.abandoned_forwards", lbl).Add(d)
 	}
 }
 

@@ -175,3 +175,55 @@ func TestWatchdogLeakReclaimed(t *testing.T) {
 		return runtimeGauge("serve.abandoned_forwards") == 0
 	})
 }
+
+// TestAbandonedForwardsSumAcrossEntries wedges one forward in each of two
+// servers of one process serving the same model, so both entries move
+// the one serve.abandoned_forwards{tinynet, exact} gauge: it must read 2
+// while both forwards run, and 0 once both have returned.
+func TestAbandonedForwardsSumAcrossEntries(t *testing.T) {
+	enableMetrics(t)
+	cfg := Config{
+		Models:         []string{"tinynet"},
+		RequestTimeout: 100 * time.Millisecond,
+		Faults: faults.Config{
+			Seed:        7,
+			ServeDelay:  time.Second,
+			ServeLimit:  1,
+			ServeTarget: "tinynet/exact",
+		},
+	}
+	body := jsonBody(t, tinyElems(t), 19).Bytes()
+	for i := 0; i < 2; i++ {
+		s, ts := testServer(t, cfg)
+		preload(t, s)
+		if code, _, _ := postPredict(t, ts.URL, "tinynet", "", body); code != http.StatusGatewayTimeout {
+			t.Fatalf("server %d: wedged forward: status %d, want 504", i, code)
+		}
+	}
+	if got := runtimeGauge("serve.abandoned_forwards"); got != 2 {
+		t.Fatalf("serve.abandoned_forwards = %d with a wedged forward in each of two servers, want 2", got)
+	}
+	awaitTrue(t, 5*time.Second, "both abandoned forwards to return", func() bool {
+		return runtimeGauge("serve.abandoned_forwards") == 0
+	})
+}
+
+// TestColdCompileOutsideDeadline sends vggnet's first request to a server
+// that has not preloaded it, under the default deadline: the compile
+// runs before the deadline starts, so the request is answered 200 and
+// the breaker records no failed forward. Under the race detector the
+// compile and the forward together take most of the deadline;
+// TestSlowCompileOutsideDeadline makes the compile outlast it.
+func TestColdCompileOutsideDeadline(t *testing.T) {
+	s, ts := testServer(t, Config{Models: []string{"vggnet"}})
+	body := jsonBody(t, modelElems(t, "vggnet"), 23).Bytes()
+	if code, _, _ := postPredict(t, ts.URL, "vggnet", "", body); code != http.StatusOK {
+		t.Fatalf("cold vggnet predict: status %d, want 200", code)
+	}
+	s.reg.mu.Lock()
+	e := s.reg.entries[modelKey{Model: "vggnet", Mode: ModeExact}]
+	s.reg.mu.Unlock()
+	if st := e.state(); st.fails != 0 || st.phase != serving {
+		t.Fatalf("breaker after a cold 200: %d failed forwards, phase %v", st.fails, st.phase)
+	}
+}

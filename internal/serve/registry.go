@@ -76,10 +76,6 @@ type entry struct {
 	waiting  chan struct{}  // one token per taken waiting place
 	slots    chan struct{}  // one token per taken run slot
 	admitted sync.WaitGroup // requests admitted and not yet answered
-	// abandoned counts forwards the watchdog gave up on that have not
-	// yet returned (noteAbandoned).
-	abandonMu sync.Mutex
-	abandoned int64
 
 	// Integrity supervision (see internal/integrity). scrub re-hashes the
 	// compiled plans against load-time digests; canary replays the golden

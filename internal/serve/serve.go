@@ -69,7 +69,8 @@ type Config struct {
 	// slot; an arrival beyond it is rejected with 429 (default 64).
 	QueueDepth int
 	// RequestTimeout is the per-request deadline applied on top of the
-	// client's context (default 5s; <0 disables). It is also the
+	// client's context once the model is compiled (default 5s; <0
+	// disables): a cold compile is not the request's work. It is also the
 	// watchdog: a forward still running past it fails with ErrWatchdog
 	// and is abandoned, isolating a hung model from the rest of the
 	// server.
@@ -321,17 +322,21 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// A cold model compiles before the deadline starts: the wait for it
+	// is bounded by the client's context and by the compile, which
+	// shutdown waits for too. RequestTimeout covers the request's own
+	// work — decode, slot wait, forward — so a slow compile never reads
+	// as a watchdog abandon or a breaker fail.
+	e, err := s.reg.get(r.Context(), modelKey{Model: model, Mode: mode})
+	if err != nil {
+		s.refuse(w, r, nil, err, 0)
+		return
+	}
 	ctx := r.Context()
 	if s.cfg.RequestTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
 		defer cancel()
-	}
-
-	e, err := s.reg.get(ctx, modelKey{Model: model, Mode: mode})
-	if err != nil {
-		s.refuse(w, r, nil, err, 0)
-		return
 	}
 
 	// Quarantine gate: a model whose integrity layer detected corruption

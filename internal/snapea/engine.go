@@ -92,8 +92,8 @@ type compiledKernel struct {
 }
 
 // kernelTables is a plan's per-kernel tables, one arena per kind, each
-// sized for every tap of every kernel: a recompile into the plan fits
-// whatever zero weights it elides. w's length is the taps in use.
+// sized for the layer's nonzero weights: the taps Reorder keeps. w's
+// length is the taps in use.
 type kernelTables struct {
 	w           []float32
 	index       []int32
@@ -178,8 +178,9 @@ func (p *LayerPlan) recompile(dst *LayerPlan, params LayerParams, negOrder NegOr
 }
 
 // compileLayer builds a plan on the given strip plan, or on a fresh one
-// when sp is nil: into dst when dst is big enough, setting every field as
-// a fresh compile does, and into a new plan otherwise.
+// when sp is nil: into dst when its tables fit the layer's nonzero taps,
+// setting every field as a fresh compile does, and into a new plan
+// otherwise.
 func compileLayer(node string, conv *nn.Conv2D, inShape tensor.Shape, sp *stripPlan, params LayerParams, negOrder NegOrder, inj *faults.Injector, dst *LayerPlan) *LayerPlan {
 	if params == nil {
 		params = AllExact(conv.OutC)
@@ -202,7 +203,12 @@ func compileLayer(node string, conv *nn.Conv2D, inShape tensor.Shape, sp *stripP
 	if sp == nil {
 		sp = planStrips(conv, inShape, os.H, os.W)
 	}
-	size := conv.OutC * conv.KernelSize()
+	size := 0
+	for _, v := range conv.Weights.Data() {
+		if v != 0 {
+			size++
+		}
+	}
 	p := dst
 	if p == nil || cap(p.kernels) < conv.OutC || cap(p.tables.w) < size || sp.packed > 0 && cap(p.tables.poffs) < size {
 		p = &LayerPlan{kernels: make([]compiledKernel, conv.OutC),

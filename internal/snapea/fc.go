@@ -43,6 +43,9 @@ func (net *Network) EnableFC() {
 		if !ok || !fc.ReLU {
 			continue
 		}
-		net.FCPlans[n.Name] = NewFCPlan(n.Name, fc, net.NegOrder)
+		plan := NewFCPlan(n.Name, fc, net.NegOrder)
+		net.FCPlans[n.Name] = plan
+		st := &net.prog.steps[net.prog.ids[n.Name]-1]
+		st.plan, st.flat = plan, true
 	}
 }

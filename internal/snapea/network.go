@@ -3,6 +3,7 @@ package snapea
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 
 	"snapea/internal/faults"
@@ -20,6 +21,7 @@ type Network struct {
 	NegOrder NegOrder
 	// Plans maps conv node names to their compiled plans, in no
 	// particular order; PlanOrder lists the node names topologically.
+	// A plan is replaced through install, which updates its step too.
 	Plans     map[string]*LayerPlan
 	PlanOrder []string
 	// FCPlans holds exact early-termination plans for ReLU-fused FC
@@ -30,11 +32,12 @@ type Network struct {
 	// clean network.
 	Faults *faults.Injector
 
-	// pool holds the idle worksets Forward, Feature and ForwardFrom draw
-	// their activations from: one per forward that ran at once. A
-	// mutex-guarded list, not a sync.Pool, which a GC empties.
+	// prog is the forward the network runs; pool holds its idle arenas in
+	// live layout, one per forward that ran at once. A mutex-guarded
+	// list, not a sync.Pool, which a GC empties.
+	prog   *program
 	poolMu sync.Mutex
-	pool   []*workset
+	pool   []*arena
 }
 
 // Compile builds a Network. params maps conv node names to per-kernel
@@ -59,24 +62,19 @@ func CompileFaulty(m *models.Model, params map[string]LayerParams, negOrder NegO
 		NegOrder: negOrder,
 		Plans:    make(map[string]*LayerPlan),
 		Faults:   inj,
+		prog:     newProgram(m),
 	}
-	shapes := map[string]tensor.Shape{nn.InputName: m.InputShape}
-	for _, n := range m.Graph.Nodes() {
-		ins := make([]tensor.Shape, len(n.Inputs))
-		for i, name := range n.Inputs {
-			ins[i] = shapes[name]
-		}
-		shapes[n.Name] = n.Layer.OutShape(ins)
-		conv, ok := n.Layer.(*nn.Conv2D)
+	for _, st := range net.prog.steps {
+		conv, ok := st.node.Layer.(*nn.Conv2D)
 		if !ok || !conv.ReLU {
 			continue
 		}
 		var p LayerParams
 		if params != nil {
-			p = params[n.Name]
+			p = params[st.node.Name]
 		}
-		net.Plans[n.Name] = NewLayerPlanFaulty(n.Name, conv, ins[0], p, negOrder, inj)
-		net.PlanOrder = append(net.PlanOrder, n.Name)
+		net.install(st.node.Name, NewLayerPlanFaulty(st.node.Name, conv, net.prog.shapes[st.ins[0]], p, negOrder, inj))
+		net.PlanOrder = append(net.PlanOrder, st.node.Name)
 	}
 	return net
 }
@@ -204,44 +202,237 @@ func (t *NetTrace) Rates() (tnr, fnr float64) {
 	return tnr, fnr
 }
 
-// exec returns the per-node executor override that routes convolution
-// nodes, and FC nodes when EnableFC was called, through their plans. A
-// count is computed iff it is read: plans run counted when there is a
-// trace to add to or metrics to record, and uncounted otherwise — the
-// same outputs, without the suffix replays. With a workset, the outputs
-// of plans and of intoLayers are drawn from it.
-func (net *Network) exec(opts RunOpts, trace *NetTrace, ws *workset) nn.Exec {
-	count := trace != nil || metrics.Enabled()
-	return func(node *nn.Node, ins []*tensor.Tensor) (*tensor.Tensor, bool) {
-		plan, in := net.Plans[node.Name], ins[0]
-		if plan == nil {
-			if plan = net.FCPlans[node.Name]; plan == nil {
-				return ws.forward(node.Layer, ins)
+// program is a compiled network's forward: the graph's nodes as steps in
+// topological order, and the slot layouts their values live in. Value ids
+// number the graph input 0 and step i's output i+1.
+type program struct {
+	steps  []step
+	ids    map[string]int // node name (and nn.InputName) → value id
+	shapes []tensor.Shape // per value id, for one image
+	// out and feat are the value ids of the graph output and the feature
+	// node (the input when the model names none), both live to the end.
+	out, feat int
+	// live places the values by liveness in program order: a slot is
+	// reused only after the last step that reads its previous value, so
+	// any subset of the steps walked in order (forwardFrom) may use it.
+	// sum gives every value its own slot: the Optimizer's caches.
+	live, sum layout
+}
+
+// step is one node of the program: what runs, and the value ids it reads.
+type step struct {
+	node  *nn.Node
+	ins   []int
+	plan  *LayerPlan // the node's conv or FC plan; nil runs the layer
+	flat  bool       // an FC plan, which reads its input flattened
+	into  intoLayer  // the layer, when it writes into a slot
+	alias bool       // an identity (Dropout): its value is its input's
+}
+
+// intoLayer is a layer that can write its output into a slot, whatever
+// the slot held: nn.Concat, nn.MaxPool2D, nn.LRN, nn.FC and
+// nn.GlobalAvgPool. Any other layer's output is copied into its slot.
+type intoLayer interface {
+	ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor)
+}
+
+// layout is a slot plan for one image: each value's offset into an
+// arena (an alias's is its input's; the graph input has none) and the
+// arena's length. A batch of N scales both by N: the slots of values
+// live at once stay disjoint.
+type layout struct {
+	offs []int
+	size int
+}
+
+// newProgram compiles m's graph into steps, without plans, and lays out
+// its values: from the shapes alone, so it runs on a Full model whose
+// weights were never filled.
+func newProgram(m *models.Model) *program {
+	nodes := m.Graph.Nodes()
+	p := &program{steps: make([]step, len(nodes)), ids: map[string]int{nn.InputName: 0}, shapes: make([]tensor.Shape, len(nodes)+1)}
+	p.shapes[0] = m.InputShape
+	p.shapes[0].N = 1
+	var shapes []tensor.Shape
+	for i, n := range nodes {
+		st := &p.steps[i]
+		st.node, shapes = n, shapes[:0]
+		for _, name := range n.Inputs {
+			st.ins = append(st.ins, p.ids[name])
+			shapes = append(shapes, p.shapes[p.ids[name]])
+		}
+		_, st.alias = n.Layer.(nn.Dropout)
+		st.into, _ = n.Layer.(intoLayer)
+		p.shapes[i+1] = n.Layer.OutShape(shapes)
+		p.ids[n.Name] = i + 1
+	}
+	p.out, p.feat = p.ids[m.Graph.Output()], p.ids[m.FeatureNode]
+	// A value's storage lives from its step to the last step that reads
+	// it or any alias of it.
+	end := make([]int, len(p.shapes))
+	for i := range p.steps {
+		end[i+1] = i
+		for _, in := range p.steps[i].ins {
+			end[p.root(in)] = i
+		}
+	}
+	end[p.root(p.out)], end[p.root(p.feat)] = len(p.steps), len(p.steps)
+	p.live, p.sum = p.pack(end, false), p.pack(end, true)
+	return p
+}
+
+// root is the value whose storage value id holds: itself, or through a
+// chain of aliases, the value they pass on.
+func (p *program) root(id int) int {
+	for id > 0 && p.steps[id-1].alias {
+		id = p.steps[id-1].ins[0]
+	}
+	return id
+}
+
+// pack assigns slots by greedy interval colouring: largest value first,
+// each at the lowest offset clear of every placed value whose interval
+// (its step through end) overlaps its own, or of every placed value when
+// whole is set.
+func (p *program) pack(end []int, whole bool) layout {
+	var order []int
+	for id := 1; id < len(p.shapes); id++ {
+		if p.root(id) == id {
+			order = append(order, id)
+		}
+	}
+	sort.Slice(order, func(a, b int) bool {
+		na, nb := p.shapes[order[a]].Elems(), p.shapes[order[b]].Elems()
+		return na > nb || na == nb && order[a] < order[b]
+	})
+	l := layout{offs: make([]int, len(p.shapes))}
+	for i, v := range order {
+		// Past every clashing slot the candidate overlaps, until none:
+		// no lower offset is clear of that slot.
+		off, n := 0, p.shapes[v].Elems()
+		for moved := true; moved; {
+			moved = false
+			for _, u := range order[:i] {
+				uEnd := l.offs[u] + p.shapes[u].Elems()
+				if (whole || u-1 <= end[v] && v-1 <= end[u]) && off < uEnd && l.offs[u] < off+n {
+					off, moved = uEnd, true
+				}
 			}
-			// The flatten nn.FC does: {N,C,H,W} → {N,C·H·W,1,1}.
-			s := in.Shape()
-			in = tensor.Wrap(tensor.Shape{N: s.N, C: s.C * s.H * s.W, H: 1, W: 1}, in.Data())
 		}
-		var out *tensor.Tensor
-		if ws != nil {
-			out = ws.draw(plan.OutShape(in.Shape().N))
+		l.offs[v], l.size = off, max(l.size, off+n)
+	}
+	for id := range l.offs {
+		l.offs[id] = l.offs[p.root(id)]
+	}
+	l.offs[0] = -1
+	return l
+}
+
+// arena is one batch size's storage for a program's values, laid out
+// by one of its layouts: a forward in flight, or one image's cache.
+type arena struct {
+	batch   int
+	data    []float32
+	vals    []*tensor.Tensor // by value id: the input, then each step's slot
+	changed []bool           // a subset walk's values that differ from base
+	ins     []*tensor.Tensor // a step's inputs, reused
+}
+
+// newArena returns an arena laid out by l for img's batch size, with img
+// as its input.
+func (p *program) newArena(l *layout, img *tensor.Tensor) *arena {
+	n := img.Shape().N
+	a := &arena{batch: n, data: make([]float32, l.size*n), vals: make([]*tensor.Tensor, len(p.shapes)), changed: make([]bool, len(p.shapes))}
+	a.vals[0] = img
+	for id := 1; id < len(p.shapes); id++ {
+		if p.steps[id-1].alias {
+			continue // run sets it to its input's value
 		}
-		out, tr := plan.runTo(out, in, opts, count)
-		if trace != nil {
-			trace.Add(tr)
+		s := p.shapes[id]
+		s.N = n
+		off := l.offs[id] * n
+		a.vals[id] = tensor.Wrap(s, a.data[off:off+s.Elems():off+s.Elems()])
+	}
+	return a
+}
+
+// install makes plan the node's: in Plans, and in the program's step.
+func (net *Network) install(node string, plan *LayerPlan) {
+	net.Plans[node] = plan
+	net.prog.steps[net.prog.ids[node]-1].plan = plan
+}
+
+// run executes the program into a, whose vals[0] is the input. With base
+// nil it runs every step. With base it runs the stale subset: step from
+// and each step that reads a changed value, reading every other value
+// from base; a.changed marks the values that differ from base's in
+// Float32bits, and commit writes each one into base's storage as soon as
+// it is known. trace records every plan a whole run runs, and from alone
+// of a subset. A count is computed iff it is read: a plan runs counted
+// when there is a trace to add to or metrics to record, and uncounted
+// otherwise — the same outputs, without the suffix replays.
+func (net *Network) run(a *arena, base []*tensor.Tensor, from int, opts RunOpts, trace *NetTrace, commit bool) {
+	count := metrics.Enabled()
+	for i := range net.prog.steps {
+		st, id := &net.prog.steps[i], i+1
+		if base != nil {
+			stale := id == from
+			for _, in := range st.ins {
+				stale = stale || a.changed[in]
+			}
+			if a.changed[id] = false; !stale {
+				continue
+			}
 		}
-		return out, true
+		ins := a.ins[:0]
+		for _, in := range st.ins {
+			if base != nil && !a.changed[in] {
+				ins = append(ins, base[in])
+			} else {
+				ins = append(ins, a.vals[in])
+			}
+		}
+		a.ins = ins
+		out, tr := a.vals[id], trace
+		if base != nil && id != from {
+			tr = nil
+		}
+		switch {
+		case st.alias: // every subset step sets changed before a later one reads it
+			a.vals[id], a.changed[id] = ins[0], a.changed[st.ins[0]]
+			continue
+		case st.plan != nil:
+			in := ins[0]
+			if st.flat {
+				s := in.Shape()
+				in = tensor.Wrap(tensor.Shape{N: s.N, C: s.C * s.H * s.W, H: 1, W: 1}, in.Data())
+			}
+			if _, lt := st.plan.runTo(out, in, opts, tr != nil || count); tr != nil {
+				tr.Add(lt)
+			}
+		case st.into != nil:
+			st.into.ForwardInto(ins, out)
+		default:
+			copy(out.Data(), st.node.Layer.Forward(ins).Data())
+		}
+		if base != nil {
+			a.changed[id] = !sameBits(base[id].Data(), out.Data())
+			if commit && a.changed[id] {
+				copy(base[id].Data(), out.Data())
+			}
+		}
 	}
 }
 
 // Forward runs the compiled network on one image, returning the graph
 // output and accumulating layer traces into trace (which may be nil;
 // with metrics off too, the layers then run uncounted). The output is
-// the caller's: the activations run in a workset of the network's pool.
+// the caller's: the activations live in an arena of the network's pool.
 func (net *Network) Forward(img *tensor.Tensor, opts RunOpts, trace *NetTrace) *tensor.Tensor {
-	ws := net.take()
-	defer net.give(ws)
-	return net.Model.Graph.ForwardExec(img, nil, net.exec(opts, trace, ws)).Clone()
+	a := net.take(img)
+	defer net.give(a)
+	net.run(a, nil, 0, opts, trace, false)
+	return a.vals[net.prog.out].Clone()
 }
 
 // ForwardChecked is Forward behind the boundary validation the hardened
@@ -269,26 +460,22 @@ func (net *Network) ForwardChecked(img *tensor.Tensor, opts RunOpts, trace *NetT
 // (the classifier head's input), so accuracy under SnaPEA execution can
 // be measured with the trained head.
 func (net *Network) Feature(img *tensor.Tensor, opts RunOpts, trace *NetTrace) []float32 {
-	ws := net.take()
-	defer net.give(ws)
-	var feat []float32
-	net.Model.Graph.ForwardExec(img, func(name string, t *tensor.Tensor) {
-		if name == net.Model.FeatureNode {
-			feat = append([]float32(nil), t.Data()...)
-		}
-	}, net.exec(opts, trace, ws))
-	return feat
+	a := net.take(img)
+	defer net.give(a)
+	net.run(a, nil, 0, opts, trace, false)
+	return append([]float32(nil), a.vals[net.prog.feat].Data()...)
 }
 
 // CacheAll runs the network and returns every node's output (keyed by
-// node name, plus the input under nn.InputName). The optimizer uses this
-// to re-run only the suffix of the graph affected by one layer's
-// speculation.
+// node name, plus the input under nn.InputName), each in its own slot
+// of a fresh arena: a Dropout's value is its input's.
 func (net *Network) CacheAll(img *tensor.Tensor, opts RunOpts) map[string]*tensor.Tensor {
-	vals := map[string]*tensor.Tensor{nn.InputName: img}
-	net.Model.Graph.ForwardExec(img, func(name string, t *tensor.Tensor) {
-		vals[name] = t
-	}, net.exec(opts, nil, nil))
+	a := net.prog.newArena(&net.prog.sum, img)
+	net.run(a, nil, 0, opts, nil, false)
+	vals := make(map[string]*tensor.Tensor, len(a.vals))
+	for name, id := range net.prog.ids {
+		vals[name] = a.vals[id]
+	}
 	return vals
 }
 
@@ -303,148 +490,54 @@ func (net *Network) CacheAll(img *tensor.Tensor, opts RunOpts) map[string]*tenso
 // the layers downstream run uncounted unless metrics are on. base is
 // not modified.
 func (net *Network) ForwardFrom(base map[string]*tensor.Tensor, from string, opts RunOpts, trace *NetTrace) []float32 {
-	ws := net.take()
-	defer net.give(ws)
-	t, ok := net.forwardFrom(base, from, opts, trace, ws)[net.Model.FeatureNode]
-	if !ok {
-		// `from` does not reach the feature node, or did not change it.
-		t = base[net.Model.FeatureNode]
+	vals := make([]*tensor.Tensor, len(net.prog.shapes))
+	for name, id := range net.prog.ids {
+		vals[id] = base[name]
+	}
+	if id := net.prog.ids[from]; id > 0 {
+		return net.forwardFrom(vals, id, opts, trace, false)
+	}
+	panic("snapea: ForwardFrom unknown node " + from)
+}
+
+// forwardFrom is ForwardFrom on base by value id, walking the stale
+// subset of the program in an arena of the pool; with commit, base takes
+// every changed value.
+func (net *Network) forwardFrom(base []*tensor.Tensor, from int, opts RunOpts, trace *NetTrace, commit bool) []float32 {
+	a := net.take(base[0])
+	defer net.give(a)
+	net.run(a, base, from, opts, trace, commit)
+	t := base[net.prog.feat]
+	if a.changed[net.prog.feat] {
+		t = a.vals[net.prog.feat]
 	}
 	return append([]float32(nil), t.Data()...)
 }
 
-// forwardFrom is ForwardFrom's walk. It returns the recomputed nodes
-// whose values differ from base's in Float32bits: with base's values
-// for every other node, they are what a full forward would produce.
-// With a workset, every plan and intoLayer output is drawn from it,
-// and the returned values are valid until its next reclaim; without
-// one (the global pass, which keeps them), they are fresh.
-func (net *Network) forwardFrom(base map[string]*tensor.Tensor, from string, opts RunOpts, trace *NetTrace, ws *workset) map[string]*tensor.Tensor {
-	vals := make(map[string]*tensor.Tensor)
-	execFrom, execRest := net.exec(opts, trace, ws), net.exec(opts, nil, ws)
-	lookup := func(name string) *tensor.Tensor {
-		if v, ok := vals[name]; ok {
-			return v
-		}
-		if v, ok := base[name]; ok {
-			return v
-		}
-		panic("snapea: ForwardFrom missing value for " + name)
-	}
-	found := false
-	for _, n := range net.Model.Graph.Nodes() {
-		stale := n.Name == from
-		for _, name := range n.Inputs {
-			if _, ok := vals[name]; ok {
-				stale = true
-			}
-		}
-		if !stale {
-			continue
-		}
-		ins := make([]*tensor.Tensor, len(n.Inputs))
-		for j, name := range n.Inputs {
-			ins[j] = lookup(name)
-		}
-		exec := execRest
-		if n.Name == from {
-			exec, found = execFrom, true
-		}
-		out, done := exec(n, ins)
-		if !done {
-			out = n.Layer.Forward(ins)
-		}
-		if old, ok := base[n.Name]; !ok || !sameBits(old.Data(), out.Data()) {
-			vals[n.Name] = out
-		}
-	}
-	if !found {
-		panic("snapea: ForwardFrom unknown node " + from)
-	}
-	return vals
-}
-
-// intoLayer is a layer that can write its output into a tensor drawn
-// from a workset, whatever the tensor held: nn.Concat, nn.MaxPool2D,
-// nn.LRN, nn.FC and nn.GlobalAvgPool.
-type intoLayer interface {
-	OutShape(ins []tensor.Shape) tensor.Shape
-	ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor)
-}
-
-// workset is one forward's reusable storage: the backing arrays of the
-// tensors drawn since the last reclaim, and free arrays keyed by element
-// count. Tensors are drawn, never returned one by one — a Dropout node's
-// value is its input tensor, so walking the values would return a shared
-// array twice — and reclaim returns each drawn array exactly once. The
-// zero value is ready to use; a workset serves one forward at a time.
-type workset struct {
-	free   map[int][][]float32
-	drawn  [][]float32
-	shapes []tensor.Shape // forward's input shapes, reused
-}
-
-// take returns an idle workset from the network's pool, or a new one.
-func (net *Network) take() *workset {
+// take returns an idle arena of the pool for img's batch size, with img
+// as its input, or a new one. An idle arena of another batch size is
+// dropped for it, so the pool holds at most one arena per forward that
+// ran at once.
+func (net *Network) take(img *tensor.Tensor) *arena {
+	var a *arena
 	net.poolMu.Lock()
-	defer net.poolMu.Unlock()
-	n := len(net.pool)
-	if n == 0 {
-		return new(workset)
+	if k := len(net.pool); k > 0 {
+		a, net.pool = net.pool[k-1], net.pool[:k-1]
 	}
-	ws := net.pool[n-1]
-	net.pool = net.pool[:n-1]
-	return ws
-}
-
-// give reclaims ws and returns it to the network's pool.
-func (net *Network) give(ws *workset) {
-	ws.reclaim()
-	net.poolMu.Lock()
-	net.pool = append(net.pool, ws)
 	net.poolMu.Unlock()
+	if a == nil || a.batch != img.Shape().N {
+		return net.prog.newArena(&net.prog.live, img)
+	}
+	a.vals[0] = img
+	return a
 }
 
-// forward runs an intoLayer into a tensor drawn from ws. It reports
-// false, computing nothing, for any other layer or a nil workset.
-func (ws *workset) forward(l nn.Layer, ins []*tensor.Tensor) (*tensor.Tensor, bool) {
-	into, ok := l.(intoLayer)
-	if !ok || ws == nil {
-		return nil, false
-	}
-	ws.shapes = ws.shapes[:0]
-	for _, t := range ins {
-		ws.shapes = append(ws.shapes, t.Shape())
-	}
-	out := ws.draw(into.OutShape(ws.shapes))
-	into.ForwardInto(ins, out)
-	return out, true
-}
-
-// draw returns a tensor of shape s on a free array of its element count,
-// holding whatever it last held, or on a fresh one.
-func (ws *workset) draw(s tensor.Shape) *tensor.Tensor {
-	n := s.Elems()
-	var d []float32
-	if l := ws.free[n]; len(l) > 0 {
-		d, ws.free[n] = l[len(l)-1], l[:len(l)-1]
-	} else {
-		d = make([]float32, n)
-	}
-	ws.drawn = append(ws.drawn, d)
-	return tensor.Wrap(s, d)
-}
-
-// reclaim makes every array drawn since the last reclaim free again.
-// No tensor drawn before it may be read after.
-func (ws *workset) reclaim() {
-	if ws.free == nil {
-		ws.free = make(map[int][][]float32)
-	}
-	for _, d := range ws.drawn {
-		ws.free[len(d)] = append(ws.free[len(d)], d)
-	}
-	ws.drawn = ws.drawn[:0]
+// give returns a to the network's pool.
+func (net *Network) give(a *arena) {
+	a.vals[0] = nil
+	net.poolMu.Lock()
+	net.pool = append(net.pool, a)
+	net.poolMu.Unlock()
 }
 
 // sameBits reports whether a and b hold the same float32 bit patterns.

@@ -126,7 +126,10 @@ type Optimizer struct {
 	labels []int
 	cfg    OptConfig
 
-	caches    []map[string]*tensor.Tensor // exact-execution node values per image
+	// caches holds every node's value per image, one arena each in sum
+	// layout: exact execution from prepare on, the global pass's plans
+	// once it starts.
+	caches    []*arena
 	baseFeats [][]float32
 	baseAcc   float64
 	baseProb  []float64          // correct-class probability per image, exact execution
@@ -305,7 +308,8 @@ func (o *Optimizer) RunCtx(ctx context.Context) (*Result, error) {
 // independent, so they fan out across the worker pool; each image's
 // cache and trace land in index-keyed slots and the per-layer op totals
 // are then merged serially in image order, so the prepared state is
-// identical for any worker count.
+// identical for any worker count. The caches' arenas are allocated on
+// the first call only.
 func (o *Optimizer) prepare() {
 	// Reset every plan to exact, unless it is already what that gives.
 	for _, name := range o.net.PlanOrder {
@@ -314,23 +318,19 @@ func (o *Optimizer) prepare() {
 			o.setPlan(name, AllExact(p.Conv.OutC))
 		}
 	}
-	o.caches = make([]map[string]*tensor.Tensor, len(o.images))
+	if len(o.caches) != len(o.images) {
+		o.caches = make([]*arena, len(o.images))
+		for i, img := range o.images {
+			o.caches[i] = o.net.prog.newArena(&o.net.prog.sum, img)
+		}
+	}
 	o.baseFeats = make([][]float32, len(o.images))
 	o.exactOps = make(map[string]float64)
 	traces := make([]*NetTrace, len(o.images))
 	parallel.For(len(o.images), func(_, i int) {
-		img := o.images[i]
-		trace := NewNetTrace()
-		vals := map[string]*tensor.Tensor{nn.InputName: img}
-		o.net.Model.Graph.ForwardExec(img, func(name string, t *tensor.Tensor) {
-			vals[name] = t
-		}, o.net.exec(RunOpts{}, trace, nil))
-		o.caches[i] = vals
-		feat := vals[o.net.Model.FeatureNode]
-		cp := make([]float32, len(feat.Data()))
-		copy(cp, feat.Data())
-		o.baseFeats[i] = cp
-		traces[i] = trace
+		traces[i] = NewNetTrace()
+		o.net.run(o.caches[i], nil, 0, RunOpts{}, traces[i], false)
+		o.baseFeats[i] = append([]float32(nil), o.caches[i].vals[o.net.prog.feat].Data()...)
 	})
 	for _, trace := range traces {
 		for name, tr := range trace.Layers {
@@ -366,7 +366,7 @@ func (o *Optimizer) prepare() {
 // setPlan installs the node's plan recompiled with new parameters, in
 // its spare when it has one. The plan it replaces is left as it was.
 func (o *Optimizer) setPlan(node string, params LayerParams) {
-	o.net.Plans[node] = o.net.Plans[node].recompile(o.spare[node], params, o.net.NegOrder)
+	o.net.install(node, o.net.Plans[node].recompile(o.spare[node], params, o.net.NegOrder))
 	delete(o.spare, node)
 }
 
@@ -637,8 +637,7 @@ func (o *Optimizer) gatherWindows(node string, windows []windowRef) [][]float32 
 // layerInput returns the cached exact-execution input of a conv node for
 // one optimization image.
 func (o *Optimizer) layerInput(node string, img int) *tensor.Tensor {
-	n := o.net.Model.Graph.Node(node)
-	return o.caches[img][n.Inputs[0]]
+	return o.caches[img].vals[o.net.prog.steps[o.net.prog.ids[node]-1].ins[0]]
 }
 
 // gatherInto is Gather without allocation.
@@ -721,14 +720,15 @@ func (o *Optimizer) localOptimizationPass(ctx context.Context, paramK map[string
 func (o *Optimizer) evalLayer(node string, params LayerParams) (op float64, errLoss float64) {
 	old := o.net.Plans[node]
 	o.spare[node] = old.recompile(o.spare[node], params, o.net.NegOrder)
-	o.net.Plans[node] = o.spare[node]
-	defer func() { o.net.Plans[node] = old }()
+	o.net.install(node, o.spare[node])
+	defer o.net.install(node, old)
 
+	id := o.net.prog.ids[node]
 	feats := make([][]float32, len(o.images))
 	traces := make([]*NetTrace, len(o.images))
 	parallel.For(len(o.images), func(_, i int) {
 		traces[i] = NewNetTrace()
-		feats[i] = o.net.ForwardFrom(o.caches[i], node, RunOpts{}, traces[i])
+		feats[i] = o.net.forwardFrom(o.caches[i].vals, id, RunOpts{}, traces[i], false)
 	})
 	var ops int64
 	for _, tr := range traces {
@@ -796,12 +796,8 @@ func (o *Optimizer) globalOptimizationPass(ctx context.Context, paramL map[strin
 		remaining[node] = append([]LayerChoice(nil), choices[1:]...)
 		o.setPlan(node, choices[0].Params)
 	}
-	// vals holds every node's value per image under the current plans,
-	// so a move re-executes from its own layer only.
-	vals := parallel.Map(len(o.images), func(_, i int) map[string]*tensor.Tensor {
-		return o.net.CacheAll(o.images[i], RunOpts{})
-	})
-	err, acc := o.evalCached(vals)
+	o.recache()
+	err, acc := o.evalCached()
 	iters := 0
 	for err > o.cfg.Epsilon {
 		if cerr := ctx.Err(); cerr != nil {
@@ -816,7 +812,7 @@ func (o *Optimizer) globalOptimizationPass(ctx context.Context, paramL map[strin
 		old := o.net.Plans[node]
 		o.setPlan(node, current[node].Params)
 		o.spare[node] = old // compiled by this pass, held by no caller
-		err, acc = o.evalMove(vals, node)
+		err, acc = o.evalMove(node)
 		iters++
 		o.logf("optimizer: global iter %d moved %s, loss %.4f", iters, node, err)
 	}
@@ -875,27 +871,35 @@ func (o *Optimizer) adjustParam(current map[string]LayerChoice, remaining map[st
 	return bestNode, bestIdx, true
 }
 
-// evalMove measures the loss after the global pass moved node to a new
-// plan. vals holds every node's value per image under the plans before
-// the move; each image re-executes from node and folds the nodes whose
-// values changed back into its cache, so vals ends up equal to a full
-// forward under the new plans. Images fan out across the worker pool,
-// each writing only its own cache.
-func (o *Optimizer) evalMove(vals []map[string]*tensor.Tensor, node string) (loss, acc float64) {
-	parallel.For(len(vals), func(_, i int) {
-		for name, v := range o.net.forwardFrom(vals[i], node, RunOpts{}, nil, nil) {
-			vals[i][name] = v
-		}
+// recache recomputes every image's cache under the current plans, in
+// its own arena: the global pass's starting point, so a move re-executes
+// from its own layer only.
+func (o *Optimizer) recache() {
+	parallel.For(len(o.caches), func(_, i int) {
+		o.net.run(o.caches[i], nil, 0, RunOpts{}, nil, false)
 	})
-	return o.evalCached(vals)
 }
 
-// evalCached measures the loss and the hard accuracy of the feature
-// vectors in vals, serially in image order.
-func (o *Optimizer) evalCached(vals []map[string]*tensor.Tensor) (loss, acc float64) {
-	feats := make([][]float32, len(vals))
-	for i, v := range vals {
-		feats[i] = v[o.net.Model.FeatureNode].Data()
+// evalMove measures the loss after the global pass moved node to a new
+// plan. The caches hold every node's value per image under the plans
+// before the move; each image re-executes from node and writes the nodes
+// whose values changed into its cache, so the caches end up equal to a
+// full forward under the new plans. Images fan out across the worker
+// pool, each writing only its own cache.
+func (o *Optimizer) evalMove(node string) (loss, acc float64) {
+	id := o.net.prog.ids[node]
+	parallel.For(len(o.caches), func(_, i int) {
+		o.net.forwardFrom(o.caches[i].vals, id, RunOpts{}, nil, true)
+	})
+	return o.evalCached()
+}
+
+// evalCached measures the loss and the hard accuracy of the cached
+// feature vectors, serially in image order.
+func (o *Optimizer) evalCached() (loss, acc float64) {
+	feats := make([][]float32, len(o.caches))
+	for i, a := range o.caches {
+		feats[i] = a.vals[o.net.prog.feat].Data()
 	}
 	return o.loss(feats), train.Accuracy(o.head, feats, o.labels)
 }

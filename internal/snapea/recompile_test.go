@@ -9,6 +9,7 @@ import (
 
 	"snapea/internal/faults"
 	"snapea/internal/models"
+	"snapea/internal/prune"
 	"snapea/internal/tensor"
 )
 
@@ -70,7 +71,9 @@ func sameRuns(t *testing.T, label string, got, want *LayerPlan, in *tensor.Tenso
 // layer through exact → N=8 → N=2 with mixed thresholds → a zeroed
 // weight → exact, then a faulty compile (bit flips in its tables, stuck
 // kernels) and a clean one, on reduced SqueezeNet, GoogLeNet and AlexNet
-// (grouped convolutions). Each compile must reuse the spare and leave it
+// (grouped convolutions), and on reduced SqueezeNet with half of every
+// layer's weights pruned, whose tables hold its nonzero taps alone. Each
+// compile must reuse the spare and leave it
 // equal to a fresh compile of the same parameters: state, digest,
 // KernelWeights, and outputs and traces on a post-ReLU and a signed
 // input, counted and uncounted. Without faults, every kernel's weights
@@ -78,10 +81,18 @@ func sameRuns(t *testing.T, label string, got, want *LayerPlan, in *tensor.Tenso
 func TestRecompileIntoSpareMatchesFresh(t *testing.T) {
 	inj := faults.New(faults.Config{Seed: 5, WeightBitFlip: 0.02, StuckZero: 0.2})
 	var stuck, flipped int
-	for _, name := range []string{"squeezenet", "googlenet", "alexnet"} {
+	for _, c := range []struct {
+		name     string
+		sparsity float64
+	}{{"squeezenet", 0}, {"googlenet", 0}, {"alexnet", 0}, {"squeezenet", 0.5}} {
+		name := c.name
 		m, err := models.Build(name, models.Options{Seed: 123})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if c.sparsity > 0 {
+			prune.Convs(m, c.sparsity)
+			name += "-pruned"
 		}
 		net := CompileExact(m)
 		step := max(1, len(net.PlanOrder)/8)
@@ -107,6 +118,17 @@ func TestRecompileIntoSpareMatchesFresh(t *testing.T) {
 				if k%3 != 2 {
 					mixed[k] = KernelParam{Th: float32(rng.Float64()*0.2 - 0.1), N: min(2, ksz-1)}
 				}
+			}
+			if c.sparsity > 0 {
+				taps := len(base.tables.w)
+				if 2*taps > outC*ksz+outC {
+					t.Fatalf("%s/%s: %d of %d weights kept at sparsity %v", name, node, taps, outC*ksz, c.sparsity)
+				}
+				perTap := 4 + 4 + 8 + 8*min(1, base.strip.packed)
+				if cap(base.tables.w) != taps {
+					t.Fatalf("%s/%s: tables sized for %d taps, the layer has %d nonzero", name, node, cap(base.tables.w), taps)
+				}
+				t.Logf("%s/%s: kernel tables %d bytes, %d sized for every tap", name, node, perTap*taps, perTap*outC*ksz)
 			}
 			spare := base.recompile(nil, mixed, NegOriginal) // dirty
 			type step struct {
@@ -136,8 +158,14 @@ func TestRecompileIntoSpareMatchesFresh(t *testing.T) {
 					t.Fatalf("%s: compile did not reuse the spare plan", label)
 				}
 				samePlanState(t, label, got, fresh)
-				if st.zero && len(got.KernelWeights(kz)) != ksz-1 {
-					t.Fatalf("%s: kernel %d has %d weights, want nnz %d", label, kz, len(got.KernelWeights(kz)), ksz-1)
+				nnz := 0
+				for _, v := range conv.Kernel(kz) {
+					if v != 0 {
+						nnz++
+					}
+				}
+				if st.zero && (len(got.KernelWeights(kz)) != nnz || c.sparsity == 0 && nnz != ksz-1) {
+					t.Fatalf("%s: kernel %d has %d weights, want nnz %d", label, kz, len(got.KernelWeights(kz)), nnz)
 				}
 				if st.inj != nil {
 					for k := range got.kernels {

@@ -11,7 +11,6 @@ import (
 	"snapea/internal/dataset"
 	"snapea/internal/models"
 	"snapea/internal/nn"
-	"snapea/internal/tensor"
 	"snapea/internal/train"
 )
 
@@ -155,8 +154,9 @@ func evalFullOracle(o *Optimizer) (loss, acc float64) {
 // first 8 adjustParam offers, not only those the ε budget needs — on
 // the branching SqueezeNet graph and on the pipeline's TinyNet, and
 // after each holds the incremental evaluation to a whole forward: the
-// same loss and accuracy, and a cache equal node for node, bit for bit,
-// to CacheAll under the new plans.
+// same loss and accuracy, and caches equal node for node, bit for bit,
+// to CacheAll under the new plans. The caches are prepare's arenas,
+// recomputed in place by recache and written through by every move.
 func TestGlobalMoveMatchesFullForward(t *testing.T) {
 	ctx := context.Background()
 	m, optImgs, optLabels, _, _ := pipeline(t, 31)
@@ -182,10 +182,7 @@ func TestGlobalMoveMatchesFullForward(t *testing.T) {
 			remaining[node] = append([]LayerChoice(nil), choices[1:]...)
 			o.setPlan(node, choices[0].Params)
 		}
-		vals := make([]map[string]*tensor.Tensor, len(o.images))
-		for i, img := range o.images {
-			vals[i] = o.net.CacheAll(img, RunOpts{})
-		}
+		o.recache()
 		moves := 0
 		for moves < 8 {
 			node, idx, ok := o.adjustParam(current, remaining)
@@ -195,18 +192,18 @@ func TestGlobalMoveMatchesFullForward(t *testing.T) {
 			current[node] = remaining[node][idx]
 			remaining[node] = append(remaining[node][:idx:idx], remaining[node][idx+1:]...)
 			o.setPlan(node, current[node].Params)
-			loss, acc := o.evalMove(vals, node)
+			loss, acc := o.evalMove(node)
 			wantLoss, wantAcc := evalFullOracle(o)
 			if loss != wantLoss || acc != wantAcc {
 				t.Fatalf("%s move %d (%s): loss %v acc %v, whole forward %v %v", name, moves, node, loss, acc, wantLoss, wantAcc)
 			}
 			for i, img := range o.images {
 				full := o.net.CacheAll(img, RunOpts{})
-				if len(vals[i]) != len(full) {
-					t.Fatalf("%s move %d: image %d cache has %d nodes, want %d", name, moves, i, len(vals[i]), len(full))
+				if len(o.net.prog.ids) != len(full) {
+					t.Fatalf("%s move %d: image %d cache has %d nodes, want %d", name, moves, i, len(o.net.prog.ids), len(full))
 				}
 				for n, v := range full {
-					if !sameBits(vals[i][n].Data(), v.Data()) {
+					if !sameBits(o.caches[i].vals[o.net.prog.ids[n]].Data(), v.Data()) {
 						t.Fatalf("%s move %d (%s): image %d node %s differs from a whole forward", name, moves, node, i, n)
 					}
 				}

@@ -367,7 +367,7 @@ func forwardFullSuffix(net *Network, base map[string]*tensor.Tensor, from string
 	for k, v := range base {
 		vals[k] = v
 	}
-	exec := net.exec(opts, trace, nil)
+	exec := freshExec(net, opts, trace)
 	started := false
 	for _, n := range net.Model.Graph.Nodes() {
 		if n.Name == from {
@@ -431,12 +431,12 @@ func TestForwardFromSkipsUnreachable(t *testing.T) {
 			for k := range params {
 				params[k] = KernelParam{Th: 0.01, N: 1}
 			}
-			net.Plans[node] = exact.recompile(nil, params, NegByMagnitude)
+			net.install(node, exact.recompile(nil, params, NegByMagnitude))
 			gotTrace, wantTrace := NewNetTrace(), NewNetTrace()
 			got := net.ForwardFrom(cache, node, opts, gotTrace)
 			want := forwardFullSuffix(net, cache, node, opts, wantTrace)
 			ran := plansRun(net, func() { net.ForwardFrom(cache, node, opts, nil) })
-			net.Plans[node] = exact
+			net.install(node, exact)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: ForwardFrom(%s) features differ from the full-suffix result", name, node)
 			}

@@ -27,45 +27,43 @@ func firstCandidates(o *Optimizer, node string) LayerParams {
 	return params
 }
 
-// checkPoolIdle fails unless every workset in net's pool holds no drawn
-// array and the free arrays of them all are pairwise distinct: an array
-// returned twice would be drawn for two live tensors at once.
+// checkPoolIdle fails unless every arena in net's pool holds no input
+// and no two share storage: an arena pooled twice would run two forwards
+// at once.
 func checkPoolIdle(t *testing.T, label string, net *Network) {
 	t.Helper()
 	seen := make(map[*float32]bool)
-	for _, ws := range net.pool {
-		if len(ws.drawn) != 0 {
-			t.Fatalf("%s: %d arrays still drawn after the forward returned", label, len(ws.drawn))
+	for _, a := range net.pool {
+		if a.vals[0] != nil {
+			t.Fatalf("%s: a pooled arena still holds its forward's input", label)
 		}
-		for _, list := range ws.free {
-			for _, d := range list {
-				if seen[&d[0]] {
-					t.Fatalf("%s: an array of %d elements is free twice", label, len(d))
-				}
-				seen[&d[0]] = true
-			}
+		if seen[&a.data[0]] {
+			t.Fatalf("%s: an arena of %d elements is pooled twice", label, len(a.data))
 		}
+		seen[&a.data[0]] = true
 	}
 }
 
-// freshFeatureFrom is ForwardFrom on fresh tensors: the walk without a
-// workset.
-func freshFeatureFrom(net *Network, base map[string]*tensor.Tensor, from string) []float32 {
-	t, ok := net.forwardFrom(base, from, RunOpts{}, NewNetTrace(), nil)[net.Model.FeatureNode]
-	if !ok {
-		t = base[net.Model.FeatureNode]
+// reused reports whether value id's slot in the live layout overlaps the
+// slot of another value: a step writing it overwrites what that one held.
+func reused(p *program, id int) bool {
+	lo, hi := p.live.offs[id], p.live.offs[id]+p.shapes[id].Elems()
+	for u := 1; u < len(p.shapes); u++ {
+		if p.root(u) == u && u != p.root(id) && p.live.offs[u] < hi && lo < p.live.offs[u]+p.shapes[u].Elems() {
+			return true
+		}
 	}
-	return t.Data()
+	return false
 }
 
-// TestWorksetMatchesFreshTensors drives the network's workset dirty
+// TestWorksetMatchesFreshTensors drives the network's pooled arena dirty
 // through ForwardFrom — from six layers a network, exact and first-candidate
 // params, both images, on the exact network and on one whose every
 // kernel speculates (N = 2, Th = 0) — on reduced SqueezeNet (plans, Concat, MaxPool2D,
-// and a Dropout whose value is its input, a drawn Concat output) and
+// and a Dropout whose value is its input, a Concat output) and
 // GoogLeNet (inception concats, pools, LRN). Every feature must equal,
 // in Float32bits, the walk that allocates fresh tensors, and after
-// every walk the pool must hold each array once, none drawn.
+// every walk the pool must hold each arena once, none holding an input.
 func TestWorksetMatchesFreshTensors(t *testing.T) {
 	for _, name := range []string{"squeezenet", "googlenet"} {
 		o := calibratedOptimizer(t, name, OptConfig{Epsilon: 0.03, SoftLoss: true})
@@ -78,6 +76,10 @@ func TestWorksetMatchesFreshTensors(t *testing.T) {
 			for k := range spec[node] {
 				spec[node][k] = KernelParam{N: 2}
 			}
+		}
+		exactCaches := make([]map[string]*tensor.Tensor, len(o.images))
+		for i, img := range o.images {
+			exactCaches[i] = net.CacheAll(img, RunOpts{})
 		}
 		for _, node := range net.PlanOrder {
 			o.setPlan(node, spec[node])
@@ -94,12 +96,11 @@ func TestWorksetMatchesFreshTensors(t *testing.T) {
 			first[node] = firstCandidates(o, node)
 		}
 
-		walks := 0
 		for _, mode := range []struct {
 			name   string
 			caches []map[string]*tensor.Tensor
 			params map[string]LayerParams
-		}{{"exact", o.caches, exact}, {"predictive", predictive, spec}} {
+		}{{"exact", exactCaches, exact}, {"predictive", predictive, spec}} {
 			for _, node := range net.PlanOrder {
 				o.setPlan(node, mode.params[node])
 			}
@@ -110,24 +111,23 @@ func TestWorksetMatchesFreshTensors(t *testing.T) {
 					o.setPlan(node, params)
 					for i, cache := range mode.caches {
 						label := name + "/" + mode.name + "/" + node
-						want := freshFeatureFrom(net, cache, node)
+						want := freshFrom(net, cache, node)
 						got := net.ForwardFrom(cache, node, RunOpts{}, NewNetTrace())
 						for j := range want {
 							if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
-								t.Fatalf("%s params %d image %d: feature[%d] = %v from the workset, %v fresh", label, pi, i, j, got[j], want[j])
+								t.Fatalf("%s params %d image %d: feature[%d] = %v from the arena, %v fresh", label, pi, i, j, got[j], want[j])
 							}
 						}
 						checkPoolIdle(t, label, net)
-						walks++
 					}
 				}
-				net.Plans[node] = old
+				net.install(node, old)
 			}
 		}
 
-		// Each producer kind really drew: some node of each kind has its
-		// element count among the free arrays.
-		drewKind := map[string]bool{}
+		// Each producer kind really writes over another value: some node
+		// of each kind has a slot that another value's overlaps.
+		wroteOver := map[string]bool{}
 		for _, n := range net.Model.Graph.Nodes() {
 			kind := ""
 			switch n.Layer.(type) {
@@ -140,22 +140,20 @@ func TestWorksetMatchesFreshTensors(t *testing.T) {
 					kind = "plan"
 				}
 			}
-			for _, ws := range net.pool {
-				if kind != "" && len(ws.free[o.caches[0][n.Name].Shape().Elems()]) > 0 {
-					drewKind[kind] = true
-				}
+			if kind != "" && reused(net.prog, net.prog.ids[n.Name]) {
+				wroteOver[kind] = true
 			}
 		}
 		for _, kind := range []string{"plan", "concat", "maxpool"} {
-			if !drewKind[kind] {
-				t.Fatalf("%s: no %s output was drawn from the workset in %d walks", name, kind, walks)
+			if !wroteOver[kind] {
+				t.Fatalf("%s: no %s output shares a slot in the live layout", name, kind)
 			}
 		}
 	}
 }
 
 // lastDrawn returns the last node in m's graph whose output a forward
-// draws from its workset: a ReLU convolution or an intoLayer.
+// writes into its arena: a ReLU convolution or an intoLayer.
 func lastDrawn(m *models.Model) string {
 	last := ""
 	for _, n := range m.Graph.Nodes() {
@@ -168,12 +166,12 @@ func lastDrawn(m *models.Model) string {
 }
 
 // TestSharedWorksetsMatchFreshTensors runs Forward and Feature from four
-// goroutines at once on one Network, so the pool's worksets are shared,
+// goroutines at once on one Network, so the pool's arenas are shared,
 // dirty with the other image's values, and raced under -race. It covers
 // reduced TinyNet, AlexNet, VGG, GoogLeNet and SqueezeNet, each exact and
 // with every kernel speculating (N = 2, Th = 0). Forward returns the
-// deepest drawn node (the graph's output is moved there), so an output
-// that aliased a workset would show. Every output must equal, in
+// deepest node with a slot (the graph's output is moved there), so an
+// output that aliased an arena would show. Every output must equal, in
 // Float32bits, the forward on fresh tensors, and an output and a feature
 // taken before the 20 concurrent forwards must not change across them.
 func TestSharedWorksetsMatchFreshTensors(t *testing.T) {
@@ -207,7 +205,7 @@ func TestSharedWorksetsMatchFreshTensors(t *testing.T) {
 					if node == m.FeatureNode {
 						wantFeat[i] = t.Data()
 					}
-				}, net.exec(RunOpts{}, nil, nil)).Data()
+				}, freshExec(net, RunOpts{}, nil)).Data()
 			}
 			heldOut := net.Forward(images[0], RunOpts{}, nil).Data()
 			heldFeat := net.Feature(images[0], RunOpts{}, nil)
@@ -239,7 +237,7 @@ func TestSharedWorksetsMatchFreshTensors(t *testing.T) {
 				t.Fatalf("%s: an output held across %d forwards changed", label, goroutines*rounds)
 			}
 			if len(net.pool) == 0 || len(net.pool) > goroutines {
-				t.Fatalf("%s: %d worksets pooled after forwards by %d goroutines", label, len(net.pool), goroutines)
+				t.Fatalf("%s: %d arenas pooled after forwards by %d goroutines", label, len(net.pool), goroutines)
 			}
 			checkPoolIdle(t, label, net)
 		}
