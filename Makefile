@@ -105,4 +105,4 @@ ci: fmt vet vet-snapea build race alloc-guard fuzz-smoke bench-smoke ledger-smok
 
 clean:
 	$(GO) clean ./...
-	rm -f snapea-tune.ckpt snapea-bench.ckpt snapea-metrics-smoke.json
+	rm -f snapea-tune.ckpt snapea-metrics-smoke.json

@@ -6,16 +6,14 @@
 //	snapea-bench -exp fig11 -nets alexnet,googlenet
 //	snapea-bench -exp all -v
 //	snapea-bench -exp faults -fault-weight-bitflip 1e-4
-//	snapea-bench -exp all -timeout 30m -checkpoint bench.ckpt
-//	snapea-bench -exp all -checkpoint bench.ckpt -resume
+//	snapea-bench -exp all -timeout 30m
 //
 // Known experiments: fig1 fig2 table1 table2 table3 fig8 fig9 fig10
 // table4 table5 fig11 fig12 ablations pruning sparsity faults all.
 //
 // Batch runs are hardened: a panicking experiment is recorded and the
-// rest continue; SIGINT or -timeout stops between experiments with
-// completed ones checkpointed (use -resume to pick up where the run
-// stopped); the exit status reports partial failure.
+// rest continue; SIGINT or -timeout stops between experiments (exit 3);
+// the exit status reports partial failure.
 package main
 
 import (
@@ -51,8 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	optImgs := fs.Int("opt-images", 0, "optimization-set images (0 = suite default)")
 	trainImgs := fs.Int("train-images", 0, "classifier-head training images (0 = suite default)")
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = none)")
-	ckptPath := fs.String("checkpoint", "snapea-bench.ckpt", "batch checkpoint file for -exp all")
-	resume := fs.Bool("resume", false, "skip experiments the checkpoint records as done")
 	faultFlags := cli.FaultFlags(fs)
 	workers := cli.WorkersFlag(fs)
 	obs := cli.ObsFlags(fs)
@@ -61,10 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 0
 		}
 		return 2
-	}
-	if err := cli.ApplyEnv(fs, cli.ObsEnv()); err != nil {
-		fmt.Fprintln(stderr, "snapea-bench:", err)
-		return 1
 	}
 	workers.Apply()
 
@@ -121,22 +113,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list = []experiments.NamedExperiment{*pick}
 	}
 
-	var ck *experiments.BenchCheckpoint
-	var save func(*experiments.BenchCheckpoint) error
-	if *exp == "all" {
-		if *resume {
-			ck, err = experiments.LoadBenchCheckpoint(*ckptPath)
-			if err != nil {
-				fmt.Fprintln(stderr, "snapea-bench:", err)
-				return 2
-			}
-			fmt.Fprintf(stderr, "snapea-bench: resuming, %d experiments already done\n", len(ck.Done))
-		} else {
-			ck = experiments.NewBenchCheckpoint()
-		}
-		save = func(ck *experiments.BenchCheckpoint) error { return ck.Save(*ckptPath) }
-	}
-
 	start := time.Now()
 	if *exp == "all" {
 		// Fan the network×mode pipeline stages across the worker pool
@@ -144,14 +120,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// from warm caches. Results are identical — only faster.
 		s.Prewarm()
 	}
-	failures := s.RunList(list, ck, save)
+	failures := s.RunList(list)
 
 	if err := ctx.Err(); err != nil {
-		fmt.Fprintf(stderr, "snapea-bench: interrupted after %s (%v)", time.Since(start).Round(time.Second), err)
-		if ck != nil {
-			fmt.Fprintf(stderr, "; %d experiments checkpointed to %s — rerun with -resume", len(ck.Done), *ckptPath)
-		}
-		fmt.Fprintln(stderr)
+		fmt.Fprintf(stderr, "snapea-bench: interrupted after %s (%v)\n", time.Since(start).Round(time.Second), err)
 		return 3
 	}
 	if len(failures) > 0 {
@@ -160,11 +132,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "  %s: %v\n", f.Name, f.Err)
 		}
 		return 1
-	}
-	// A complete batch owns its checkpoint; remove it so the next run
-	// starts fresh.
-	if *exp == "all" && ck != nil {
-		os.Remove(*ckptPath)
 	}
 	return 0
 }

@@ -43,3 +43,32 @@ func TestStdoutIndependentOfWorkers(t *testing.T) {
 		t.Fatalf("stdout differs between 1 and 2 workers:\n--- 1 worker\n%s--- 2 workers\n%s", outs[0], outs[1])
 	}
 }
+
+// TestDeletedFlagsAreRefused: the batch checkpoint flags and the
+// serve-path fault flags are gone; each exits 2 before any work and
+// names itself.
+func TestDeletedFlagsAreRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"-checkpoint", "bench.ckpt"},
+		{"-resume"},
+		{"-fault-serve-delay", "1s"},
+		{"-fault-serve-delay-rate", "0.5"},
+		{"-fault-serve-panic", "0.5"},
+		{"-fault-serve-err", "0.1"},
+		{"-fault-serve-limit", "1"},
+		{"-fault-serve-target", "tinynet"},
+	} {
+		t.Run(args[0], func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(append(args, "-exp", "fig9", "-nets", "tinynet"), &stdout, &stderr); code != 2 {
+				t.Fatalf("%v: exit %d, want 2\n%s", args, code, stderr.String())
+			}
+			if want := "flag provided but not defined: " + args[0]; !strings.Contains(stderr.String(), want) {
+				t.Fatalf("%v: stderr does not say %q:\n%s", args, want, stderr.String())
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("%v: wrote to stdout: %s", args, stdout.String())
+			}
+		})
+	}
+}

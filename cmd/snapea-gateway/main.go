@@ -60,18 +60,14 @@ func registerFlags(fs *flag.FlagSet) *options {
 	return o
 }
 
-// setup parses args (usage and parse errors go to out), applies the
-// SNAPEA_GATEWAY_* and observability environment defaults, and builds
-// the gateway, which validates the replica list. It returns
-// flag.ErrHelp for -h.
+// setup parses args (usage and parse errors go to out) and builds the
+// gateway, which validates the replica list. It returns flag.ErrHelp
+// for -h.
 func setup(args []string, out io.Writer) (*options, *cluster.Gateway, error) {
 	fs := flag.NewFlagSet("snapea-gateway", flag.ContinueOnError)
 	fs.SetOutput(out)
 	o := registerFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return nil, nil, err
-	}
-	if err := cli.ApplyEnv(fs, cli.GatewayEnv(), cli.ObsEnv()); err != nil {
 		return nil, nil, err
 	}
 	for _, v := range strings.Split(o.replicas, ",") {

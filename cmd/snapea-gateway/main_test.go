@@ -20,18 +20,7 @@ var gatewayFlags = []string{
 	"probe-interval", "probe-timeout", "replicas", "request-timeout", "timeout",
 }
 
-// clearGatewayEnv keeps SNAPEA_GATEWAY_* and observability variables
-// from the test's environment out of setup.
-func clearGatewayEnv(t *testing.T) {
-	for _, env := range []map[string]string{cli.GatewayEnv(), cli.ObsEnv()} {
-		for _, name := range env {
-			t.Setenv(name, "")
-		}
-	}
-}
-
 func TestSetup(t *testing.T) {
-	clearGatewayEnv(t)
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -71,7 +60,6 @@ func TestSetup(t *testing.T) {
 // TestHelpListsExactlyTheGatewayFlags: -h prints every flag, and apart
 // from the observability group they are exactly the gateway's ten.
 func TestHelpListsExactlyTheGatewayFlags(t *testing.T) {
-	clearGatewayEnv(t)
 	var out bytes.Buffer
 	if _, _, err := setup([]string{"-h"}, &out); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("setup(-h) error = %v, want flag.ErrHelp", err)
@@ -87,34 +75,5 @@ func TestHelpListsExactlyTheGatewayFlags(t *testing.T) {
 	slices.Sort(listed)
 	if !slices.Equal(listed, gatewayFlags) {
 		t.Fatalf("-h lists %q, want %q", listed, gatewayFlags)
-	}
-}
-
-// TestGatewayEnvNamesRegisteredFlags: ApplyEnv calls fs.Set for every
-// variable that is set, so an entry naming a flag the command no longer
-// registers would make the gateway refuse to start.
-func TestGatewayEnvNamesRegisteredFlags(t *testing.T) {
-	fs := flag.NewFlagSet("snapea-gateway", flag.ContinueOnError)
-	registerFlags(fs)
-	for name, env := range cli.GatewayEnv() {
-		if fs.Lookup(name) == nil {
-			t.Errorf("%s names -%s, which snapea-gateway does not register", env, name)
-		}
-	}
-}
-
-// TestSetupAppliesEnv: a SNAPEA_GATEWAY_* variable fills an unset flag,
-// so a fleet can be configured without a command line.
-func TestSetupAppliesEnv(t *testing.T) {
-	clearGatewayEnv(t)
-	t.Setenv("SNAPEA_GATEWAY_REPLICAS", "http://a:1")
-	t.Setenv("SNAPEA_GATEWAY_PROBE_INTERVAL", "1h")
-	o, g, err := setup(nil, io.Discard)
-	if err != nil {
-		t.Fatalf("setup: %v", err)
-	}
-	defer g.Close()
-	if !slices.Equal(o.cluster.Replicas, []string{"http://a:1"}) {
-		t.Fatalf("replicas = %q, want the environment's", o.cluster.Replicas)
 	}
 }

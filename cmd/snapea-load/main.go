@@ -111,9 +111,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = none)")
 	obs := cli.ObsFlags(nil)
 	flag.Parse()
-	if err := cli.ApplyEnv(nil, cli.LoadEnv(), cli.ObsEnv()); err != nil {
-		cli.Fatalf("snapea-load", "%v", err)
-	}
 
 	obsStop, err := obs.Start("snapea-load")
 	if err != nil {

@@ -44,9 +44,6 @@ func main() {
 	workers := cli.WorkersFlag(nil)
 	obs := cli.ObsFlags(nil)
 	flag.Parse()
-	if err := cli.ApplyEnv(nil, cli.ObsEnv()); err != nil {
-		cli.Fatalf("snapea-model", "%v", err)
-	}
 	workers.Apply()
 
 	if *checksum != "" {

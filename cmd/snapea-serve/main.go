@@ -56,9 +56,8 @@ type options struct {
 	obs            *cli.ObsFlagGroup
 }
 
-// setup parses args (usage and parse errors go to out), applies the
-// environment defaults and builds the server configuration. It returns
-// flag.ErrHelp for -h.
+// setup parses args (usage and parse errors go to out) and builds the
+// server configuration. It returns flag.ErrHelp for -h.
 func setup(args []string, out io.Writer) (*options, error) {
 	fs := flag.NewFlagSet("snapea-serve", flag.ContinueOnError)
 	fs.SetOutput(out)
@@ -86,9 +85,6 @@ func setup(args []string, out io.Writer) (*options, error) {
 	o.workers = cli.WorkersFlag(fs)
 	o.obs = cli.ObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return nil, err
-	}
-	if err := cli.ApplyEnv(fs, cli.ServeEnv(), cli.ObsEnv()); err != nil {
 		return nil, err
 	}
 

@@ -26,25 +26,16 @@ var serveFlags = []string{
 	"request-timeout", "require-checksums", "scale", "scrub-interval", "seed", "timeout",
 }
 
-// deletedFlags became constants of internal/serve.
-var deletedFlags = []string{"breaker-open", "breaker-probes", "guard-window", "guard-cooldown", "scrub-mbps", "heal-backoff"}
-
-func serveEnvs() []map[string]string {
-	return []map[string]string{cli.ServeEnv(), cli.ObsEnv()}
-}
-
-// clearServeEnv keeps SNAPEA_* variables from the test's environment
-// out of setup.
-func clearServeEnv(t *testing.T) {
-	for _, env := range serveEnvs() {
-		for _, name := range env {
-			t.Setenv(name, "")
-		}
-	}
+// deletedFlags are refused. The first six became constants of
+// internal/serve; the -fault-serve-* injectors are set on faults.Config
+// directly by the serving chaos tests.
+var deletedFlags = []string{
+	"breaker-open", "breaker-probes", "guard-window", "guard-cooldown", "scrub-mbps", "heal-backoff",
+	"fault-serve-delay", "fault-serve-delay-rate", "fault-serve-panic", "fault-serve-err",
+	"fault-serve-limit", "fault-serve-target",
 }
 
 func TestSetup(t *testing.T) {
-	clearServeEnv(t)
 	cases := []struct {
 		name string
 		args []string
@@ -52,7 +43,7 @@ func TestSetup(t *testing.T) {
 	}{
 		{"malformed params pair", []string{"-params", "tinynet"}, "malformed -params entry"},
 		{"unknown negorder", []string{"-negorder", "sorted"}, "unknown -negorder"},
-		{"bad fault rate", []string{"-fault-serve-err", "2"}, "fault"},
+		{"bad fault rate", []string{"-fault-weight-bitflip", "2"}, "weight-bit-flip rate 2"},
 		{"ok", []string{"-models", "tinynet, lenet", "-params", "tinynet=a.json", "-negorder", "original", "-queue", "8"}, ""},
 	}
 	for _, name := range deletedFlags {
@@ -103,7 +94,6 @@ func helpFlags(t *testing.T) []string {
 // TestHelpListsExactlyTheServeFlags: -h prints every flag, and apart
 // from the shared groups they are exactly the server's eighteen.
 func TestHelpListsExactlyTheServeFlags(t *testing.T) {
-	clearServeEnv(t)
 	shared := flag.NewFlagSet("shared", flag.ContinueOnError)
 	cli.FaultFlags(shared)
 	cli.WorkersFlag(shared)
@@ -119,21 +109,6 @@ func TestHelpListsExactlyTheServeFlags(t *testing.T) {
 	}
 }
 
-// TestServeEnvNamesRegisteredFlags: ApplyEnv calls fs.Set for every
-// variable that is set, so an entry naming a flag the command no longer
-// registers would make the server refuse to start.
-func TestServeEnvNamesRegisteredFlags(t *testing.T) {
-	clearServeEnv(t)
-	listed := helpFlags(t)
-	for _, env := range serveEnvs() {
-		for name, v := range env {
-			if !slices.Contains(listed, name) {
-				t.Errorf("%s names -%s, which snapea-serve does not register", v, name)
-			}
-		}
-	}
-}
-
 // legacyParams is a tinynet params file without a checksums block: one
 // predictive layer, conv1, whose eight kernels speculate at Th 0.25.
 var legacyParams = `{"network": "tinynet", "epsilon": 0.03, "base_accuracy": 0, "final_accuracy": 0,
@@ -144,7 +119,6 @@ var legacyParams = `{"network": "tinynet", "epsilon": 0.03, "base_accuracy": 0, 
 // -require-checksums a params file without a checksums block fails the
 // preload, which is what stops the server; once blessed it preloads.
 func TestRequireChecksumsRefusesLegacyParamsAtPreload(t *testing.T) {
-	clearServeEnv(t)
 	legacy := []byte(legacyParams)
 	path := filepath.Join(t.TempDir(), "tinynet-params.json")
 	if err := os.WriteFile(path, legacy, 0o644); err != nil {

@@ -12,57 +12,83 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"snapea/internal/cli"
 	"snapea/internal/experiments"
 	"snapea/internal/faults"
+	"snapea/internal/models"
 	"snapea/internal/report"
 	"snapea/internal/sim"
 	"snapea/internal/snapea"
 )
 
 func main() {
-	net := flag.String("net", "squeezenet", "network to simulate")
-	mode := flag.String("mode", "exact", "exact or predictive")
-	eps := flag.Float64("eps", 0.03, "accuracy budget for predictive mode")
-	lanes := flag.Float64("lanes", 1, "lane-count factor relative to the default 4 (0.5, 1, 2, 4)")
-	seed := flag.Uint64("seed", 42, "deterministic seed")
-	layers := flag.Bool("layers", false, "print per-layer breakdown")
-	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = none)")
-	faultFlags := cli.FaultFlags(nil)
-	workers := cli.WorkersFlag(nil)
-	obs := cli.ObsFlags(nil)
-	flag.Parse()
-	if err := cli.ApplyEnv(nil, cli.ObsEnv()); err != nil {
-		cli.Fatalf("snapea-sim", "%v", err)
+	cli.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: the summary goes to stdout, progress and
+// errors to stderr. Bad flags exit 2 before any work. It returns the
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("snapea-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	net := fs.String("net", "squeezenet", "network to simulate ("+strings.Join(models.Names(), " ")+")")
+	mode := fs.String("mode", "exact", "exact or predictive")
+	eps := fs.Float64("eps", 0.03, "accuracy budget for predictive mode")
+	lanes := fs.Float64("lanes", 1, "lane-count factor relative to the default 4 (0.5, 1, 2, 4)")
+	seed := fs.Uint64("seed", 42, "deterministic seed")
+	layers := fs.Bool("layers", false, "print per-layer breakdown")
+	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = none)")
+	faultFlags := cli.FaultFlags(fs)
+	workers := cli.WorkersFlag(fs)
+	obs := cli.ObsFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	faultCfg, err := faultFlags.Config(*seed)
+	switch {
+	case !slices.Contains(models.Names(), *net):
+		err = fmt.Errorf("unknown network %q", *net)
+	case *mode != "exact" && *mode != "predictive":
+		err = fmt.Errorf("unknown mode %q (want exact or predictive)", *mode)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "snapea-sim:", err)
+		fs.Usage()
+		return 2
 	}
 	workers.Apply()
 
 	obsStop, err := obs.Start("snapea-sim")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		cli.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	defer obsStop()
 
 	ctx, stop := cli.Context(*timeout)
 	defer stop()
-
-	faultCfg, err := faultFlags.Config(*seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "snapea-sim:", err)
-		cli.Exit(2)
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "snapea-sim:", err)
+		return 1
 	}
 
 	s := experiments.New(experiments.Config{
 		Networks: []string{*net},
 		Seed:     *seed,
 		Epsilon:  *eps,
-		Out:      os.Stderr,
-		Log:      os.Stderr,
+		Out:      stderr,
+		Log:      stderr,
 		Ctx:      ctx,
 	})
 
@@ -70,23 +96,19 @@ func main() {
 	var trace *snapea.NetTrace
 	var prep *experiments.Prepared
 	var params map[string]snapea.LayerParams
-	switch *mode {
-	case "exact":
+	if *mode == "exact" {
 		r, err := s.ExactErr(*net)
 		if err != nil {
-			cli.Fatalf("snapea-sim", "%v", err)
+			return fail(err)
 		}
 		snap, base, trace, prep = r.Snap, r.Base, r.Trace, r.Prep
-	case "predictive":
+	} else {
 		r, err := s.PredictiveErr(*net, *eps)
 		if err != nil {
-			cli.Fatalf("snapea-sim", "%v", err)
+			return fail(err)
 		}
 		snap, base, trace, prep = r.Snap, r.Base, r.Trace, r.Prep
 		params = r.Opt.Params
-	default:
-		fmt.Fprintf(os.Stderr, "snapea-sim: unknown mode %q\n", *mode)
-		cli.Exit(2)
 	}
 
 	if faultCfg.Enabled() {
@@ -98,15 +120,15 @@ func main() {
 		opts := snapea.RunOpts{CollectWindows: true, CollectPrediction: params != nil}
 		for _, img := range prep.TestImgs {
 			if err := ctx.Err(); err != nil {
-				cli.Fatalf("snapea-sim", "%v", err)
+				return fail(err)
 			}
 			faulty.Forward(img, opts, trace)
 		}
 		snap, err = sim.SimulateCtx(ctx, sim.SnaPEAConfig(), sim.LoadsFromTrace(prep.Model, trace, sim.Spills(prep.Model)))
 		if err != nil {
-			cli.Fatalf("snapea-sim", "%v", err)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "snapea-sim: injected faults: %s\n", inj.Stats())
+		fmt.Fprintf(stderr, "snapea-sim: injected faults: %s\n", inj.Stats())
 	}
 
 	if *lanes != 1 {
@@ -115,15 +137,15 @@ func main() {
 		loads := sim.LoadsFromTrace(prep.Model, trace, sim.Spills(prep.Model))
 		snap, err = sim.SimulateCtx(ctx, cfg, loads)
 		if err != nil {
-			cli.Fatalf("snapea-sim", "%v", err)
+			return fail(err)
 		}
 	}
 
-	fmt.Printf("network   : %s (%s mode)\n", *net, *mode)
-	fmt.Printf("snapea    : %s\n", snap)
-	fmt.Printf("eyeriss   : %s\n", base)
-	fmt.Printf("speedup   : %.2fx\n", snap.Speedup(base))
-	fmt.Printf("energy red: %.2fx\n", snap.EnergyReduction(base))
+	fmt.Fprintf(stdout, "network   : %s (%s mode)\n", *net, *mode)
+	fmt.Fprintf(stdout, "snapea    : %s\n", snap)
+	fmt.Fprintf(stdout, "eyeriss   : %s\n", base)
+	fmt.Fprintf(stdout, "speedup   : %.2fx\n", snap.Speedup(base))
+	fmt.Fprintf(stdout, "energy red: %.2fx\n", snap.EnergyReduction(base))
 	if *layers {
 		t := report.Table{
 			Title:   "Per-layer breakdown",
@@ -140,6 +162,7 @@ func main() {
 			}
 			t.Add(l.Name, fmt.Sprint(l.Cycles), fmt.Sprint(baseBy[l.Name]), report.X(sp), report.F(l.Utilization, 2))
 		}
-		t.Render(os.Stdout)
+		t.Render(stdout)
 	}
+	return 0
 }

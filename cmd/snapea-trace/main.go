@@ -13,85 +13,112 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"snapea/internal/cli"
 	"snapea/internal/experiments"
 	"snapea/internal/faults"
+	"snapea/internal/models"
 	"snapea/internal/report"
 	"snapea/internal/snapea"
 )
 
 func main() {
-	net := flag.String("net", "squeezenet", "network to trace")
-	seed := flag.Uint64("seed", 42, "deterministic seed")
-	hist := flag.Bool("hist", false, "print per-layer op-count histograms")
-	buckets := flag.Int("buckets", 8, "histogram buckets")
-	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = none)")
-	faultFlags := cli.FaultFlags(nil)
-	workers := cli.WorkersFlag(nil)
-	obs := cli.ObsFlags(nil)
-	flag.Parse()
+	cli.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: the profile and histograms go to stdout,
+// progress and errors to stderr. Bad flags exit 2 before any work. It
+// returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("snapea-trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	net := fs.String("net", "squeezenet", "network to trace ("+strings.Join(models.Names(), " ")+")")
+	seed := fs.Uint64("seed", 42, "deterministic seed")
+	hist := fs.Bool("hist", false, "print per-layer op-count histograms")
+	buckets := fs.Int("buckets", 8, "histogram buckets")
+	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = none)")
+	faultFlags := cli.FaultFlags(fs)
+	workers := cli.WorkersFlag(fs)
+	obs := cli.ObsFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	faultCfg, err := faultFlags.Config(*seed)
+	if !slices.Contains(models.Names(), *net) {
+		err = fmt.Errorf("unknown network %q", *net)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "snapea-trace:", err)
+		fs.Usage()
+		return 2
+	}
 	workers.Apply()
 
 	obsStop, err := obs.Start("snapea-trace")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		cli.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	defer obsStop()
 
 	ctx, stop := cli.Context(*timeout)
 	defer stop()
-
-	faultCfg, err := faultFlags.Config(*seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "snapea-trace:", err)
-		cli.Exit(2)
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "snapea-trace:", err)
+		return 1
 	}
 
 	s := experiments.New(experiments.Config{
 		Networks: []string{*net},
 		Seed:     *seed,
-		Out:      os.Stdout,
-		Log:      os.Stderr,
+		Out:      stdout,
+		Log:      stderr,
 		Ctx:      ctx,
 	})
 	stats, err := s.StopProfileErr(*net)
 	if err != nil {
-		cli.Fatalf("snapea-trace", "%v", err)
+		return fail(err)
 	}
 	if !*hist {
-		return
+		return 0
 	}
 
 	// Re-trace one image for the histograms.
 	p, err := s.PreparedErr(*net)
 	if err != nil {
-		cli.Fatalf("snapea-trace", "%v", err)
+		return fail(err)
 	}
 	network := snapea.CompileExact(p.Model)
 	if faultCfg.Enabled() {
 		inj := faults.New(faultCfg)
 		network = snapea.CompileFaulty(p.Model, nil, snapea.NegByMagnitude, inj)
-		defer func() { fmt.Fprintf(os.Stderr, "snapea-trace: injected faults: %s\n", inj.Stats()) }()
+		defer func() { fmt.Fprintf(stderr, "snapea-trace: injected faults: %s\n", inj.Stats()) }()
 	}
 	trace := snapea.NewNetTrace()
 	network.Forward(p.TestImgs[0], snapea.RunOpts{CollectWindows: true}, trace)
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	for _, st := range stats {
 		tr := trace.Layers[st.Node]
 		h := snapea.Histogram(tr, *buckets)
 		if h == nil {
 			continue
 		}
-		fmt.Printf("%s (K=%d):\n", st.Node, tr.KernelSize)
+		fmt.Fprintf(stdout, "%s (K=%d):\n", st.Node, tr.KernelSize)
 		for i, v := range h {
 			label := fmt.Sprintf("  %3.0f%%-%3.0f%% of K",
 				100*float64(i)/float64(*buckets), 100*float64(i+1)/float64(*buckets))
-			fmt.Println(report.Bar(label, v, 1, 40))
+			fmt.Fprintln(stdout, report.Bar(label, v, 1, 40))
 		}
 	}
+	return 0
 }

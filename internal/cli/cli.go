@@ -1,7 +1,10 @@
 // Package cli holds the flag and lifecycle plumbing the snapea-* tools
 // share: a signal-aware root context with optional deadline, the
-// fault-injection flag group, and the -workers parallelism knob, so
-// every tool spells the robustness and performance knobs the same way.
+// fault-injection flag group, the -workers parallelism knob and the
+// observability group, so every tool spells the robustness and
+// performance knobs the same way. Flags are the only way to configure a
+// tool; the one environment variable, SNAPEA_WORKERS, belongs to
+// internal/parallel and sets the worker-pool default (see WorkersFlag).
 package cli
 
 import (
@@ -10,7 +13,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sort"
 	"sync"
 	"syscall"
 	"time"
@@ -18,96 +20,6 @@ import (
 	"snapea/internal/faults"
 	"snapea/internal/parallel"
 )
-
-// ApplyEnv installs environment-variable defaults after Parse. Each map
-// pairs a flag name with its environment variable; for every pair where
-// the flag was NOT given on the command line and the variable is set
-// and non-empty, the value is applied through the flag's own parser.
-// Precedence is therefore command line > environment > built-in
-// default — the -workers env-clobber bug class (a flag's unset default
-// value silently overriding an environment setting because the two are
-// indistinguishable by value) cannot recur for any group wired through
-// here, since explicit-set detection uses flag.Visit, not the value.
-// A malformed environment value is an error naming the variable.
-func ApplyEnv(fs *flag.FlagSet, envs ...map[string]string) error {
-	if fs == nil {
-		fs = flag.CommandLine
-	}
-	set := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	for _, env := range envs {
-		names := make([]string, 0, len(env))
-		for name := range env {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			if set[name] {
-				continue
-			}
-			val, ok := os.LookupEnv(env[name])
-			if !ok || val == "" {
-				continue
-			}
-			if err := fs.Set(name, val); err != nil {
-				return fmt.Errorf("cli: %s=%q for -%s: %w", env[name], val, name, err)
-			}
-		}
-	}
-	return nil
-}
-
-// ObsEnv maps the observability flag group (ObsFlags) to its
-// environment defaults, so a deployment can turn on metrics or pprof
-// for every tool without editing each invocation.
-func ObsEnv() map[string]string {
-	return map[string]string{
-		"metrics":               "SNAPEA_METRICS",
-		"metrics-deterministic": "SNAPEA_METRICS_DETERMINISTIC",
-		"pprof":                 "SNAPEA_PPROF",
-		"trace":                 "SNAPEA_TRACE",
-	}
-}
-
-// ServeEnv maps snapea-serve's admission, lifecycle, breaker and
-// integrity flags to their environment defaults, so a fleet can tighten
-// scrub cadence or demand checksummed artifacts without editing each
-// unit file.
-func ServeEnv() map[string]string {
-	return map[string]string{
-		"addr":              "SNAPEA_ADDR",
-		"queue":             "SNAPEA_QUEUE",
-		"request-timeout":   "SNAPEA_REQUEST_TIMEOUT",
-		"drain-timeout":     "SNAPEA_DRAIN_TIMEOUT",
-		"breaker-failures":  "SNAPEA_BREAKER_FAILURES",
-		"scrub-interval":    "SNAPEA_SCRUB_INTERVAL",
-		"canary-every":      "SNAPEA_CANARY_EVERY",
-		"require-checksums": "SNAPEA_REQUIRE_CHECKSUMS",
-	}
-}
-
-// GatewayEnv maps snapea-gateway's listen, fleet, probing, and drain
-// flags to their environment defaults.
-func GatewayEnv() map[string]string {
-	return map[string]string{
-		"addr":           "SNAPEA_GATEWAY_ADDR",
-		"replicas":       "SNAPEA_GATEWAY_REPLICAS",
-		"probe-interval": "SNAPEA_GATEWAY_PROBE_INTERVAL",
-		"drain-timeout":  "SNAPEA_GATEWAY_DRAIN_TIMEOUT",
-	}
-}
-
-// LoadEnv maps snapea-load's traffic-shape flags to their environment
-// defaults.
-func LoadEnv() map[string]string {
-	return map[string]string{
-		"url":     "SNAPEA_LOAD_URL",
-		"n":       "SNAPEA_LOAD_N",
-		"c":       "SNAPEA_LOAD_C",
-		"rate":    "SNAPEA_LOAD_RATE",
-		"retries": "SNAPEA_LOAD_RETRIES",
-	}
-}
 
 // WorkersFlag registers the shared -workers flag on fs (the default
 // FlagSet when fs is nil). Call Apply after Parse to install the value
@@ -167,7 +79,9 @@ func Context(timeout time.Duration) (context.Context, context.CancelFunc) {
 
 // FaultFlags registers the -fault-* flag group on fs (the default
 // FlagSet when fs is nil) and returns the group for reading after
-// Parse.
+// Parse. The flags corrupt a compiled network: its weight buffers,
+// activations and Th/N registers. faults.Config's serve-path injectors
+// (Serve*) have no flag; the serving chaos tests set them directly.
 func FaultFlags(fs *flag.FlagSet) *FaultFlagGroup {
 	if fs == nil {
 		fs = flag.CommandLine
@@ -181,12 +95,6 @@ func FaultFlags(fs *flag.FlagSet) *FaultFlagGroup {
 	fs.Float64Var(&g.stuckZero, "fault-stuck", 0, "per-kernel stuck-at-zero probability (dead lanes)")
 	fs.Float64Var(&g.thJitter, "fault-th-jitter", 0, "Gaussian jitter scale on speculation thresholds")
 	fs.Float64Var(&g.nJitter, "fault-n-jitter", 0, "per-kernel probability of halving/doubling the group count N")
-	fs.DurationVar(&g.serveDelay, "fault-serve-delay", 0, "added latency injected into faulted serving forwards (chaos serving)")
-	fs.Float64Var(&g.serveDelayRate, "fault-serve-delay-rate", 0, "per-forward probability of the injected delay (0 with a delay set = every forward)")
-	fs.Float64Var(&g.servePanicRate, "fault-serve-panic", 0, "per-forward probability that the serving forward panics")
-	fs.Float64Var(&g.serveErrRate, "fault-serve-err", 0, "per-forward probability that the serving forward fails")
-	fs.Int64Var(&g.serveLimit, "fault-serve-limit", 0, "total serve-path faults to inject before running clean (0 = unlimited)")
-	fs.StringVar(&g.serveTarget, "fault-serve-target", "", "restrict serve-path faults to model/mode sites containing this substring")
 	return g
 }
 
@@ -200,12 +108,6 @@ type FaultFlagGroup struct {
 	stuckZero       float64
 	thJitter        float64
 	nJitter         float64
-	serveDelay      time.Duration
-	serveDelayRate  float64
-	servePanicRate  float64
-	serveErrRate    float64
-	serveLimit      int64
-	serveTarget     string
 }
 
 // Config validates the flags and returns the fault configuration.
@@ -221,12 +123,6 @@ func (g *FaultFlagGroup) Config(defaultSeed uint64) (faults.Config, error) {
 		StuckZero:       g.stuckZero,
 		ThJitter:        g.thJitter,
 		NJitter:         g.nJitter,
-		ServeDelay:      g.serveDelay,
-		ServeDelayRate:  g.serveDelayRate,
-		ServePanicRate:  g.servePanicRate,
-		ServeErrRate:    g.serveErrRate,
-		ServeLimit:      g.serveLimit,
-		ServeTarget:     g.serveTarget,
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = defaultSeed

@@ -42,9 +42,6 @@ type ObsFlagGroup struct {
 	tracePath     string
 }
 
-// MetricsEnabled reports whether -metrics was given.
-func (g *ObsFlagGroup) MetricsEnabled() bool { return g.metricsPath != "" }
-
 // Start turns on everything the flags requested: metrics collection,
 // the pprof HTTP server, and runtime tracing. It returns an idempotent
 // stop function that must run on every exit path (including before

@@ -5,7 +5,6 @@ import (
 
 	"snapea/internal/calib"
 	"snapea/internal/models"
-	"snapea/internal/nn"
 	"snapea/internal/report"
 	"snapea/internal/tensor"
 )
@@ -192,15 +191,4 @@ func (s *Suite) Table1() []Table1Row {
 		t.Render(s.Cfg.Out)
 	}
 	return rows
-}
-
-// countConvs is a helper used by tests.
-func countConvs(m *models.Model) int {
-	n := 0
-	for _, node := range m.Graph.Nodes() {
-		if _, ok := node.Layer.(*nn.Conv2D); ok {
-			n++
-		}
-	}
-	return n
 }

@@ -3,7 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
-	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -136,9 +136,11 @@ func TestSuiteUnknownNetworkIsError(t *testing.T) {
 	}
 }
 
+// TestRunListCheckpointsAndSkips: a panicking experiment is recorded as
+// a failure and the rest still run; once the context is cancelled the
+// remaining experiments are skipped.
 func TestRunListCheckpointsAndSkips(t *testing.T) {
 	s := testSuite(t)
-	path := filepath.Join(t.TempDir(), "bench.ckpt")
 	var ran []string
 	list := []NamedExperiment{
 		{"one", func() { ran = append(ran, "one") }},
@@ -146,46 +148,24 @@ func TestRunListCheckpointsAndSkips(t *testing.T) {
 		{"bad", func() { panic("nope") }},
 		{"three", func() { ran = append(ran, "three") }},
 	}
-	ck := NewBenchCheckpoint()
-	fails := s.RunList(list, ck, func(ck *BenchCheckpoint) error { return ck.Save(path) })
+	fails := s.RunList(list)
 	if len(fails) != 1 || fails[0].Name != "bad" {
 		t.Fatalf("failures %+v", fails)
 	}
-	if len(ran) != 3 {
-		t.Fatalf("ran %v", ran)
+	if want := []string{"one", "two", "three"}; !slices.Equal(ran, want) {
+		t.Fatalf("ran %v, want %v", ran, want)
 	}
 
-	// Resume: completed entries skip, the failed one retries.
-	loaded, err := LoadBenchCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"one", "two", "three"} {
-		if !loaded.IsDone(name) {
-			t.Fatalf("checkpoint missing %q: %+v", name, loaded)
-		}
-	}
-	if loaded.IsDone("bad") {
-		t.Fatal("failed experiment marked done")
-	}
 	ran = nil
 	s2 := testSuite(t)
-	s2.RunList(list, loaded, nil)
-	if len(ran) != 0 {
-		t.Fatalf("resume re-ran completed experiments: %v", ran)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s2.Cfg.Ctx = ctx
+	list[1].Run = func() { ran = append(ran, "two"); cancel() }
+	if fails := s2.RunList(list); len(fails) != 0 {
+		t.Fatalf("failures after cancel %+v", fails)
 	}
-}
-
-func TestBenchCheckpointRejectsCorrupt(t *testing.T) {
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.json")
-	if err := (&BenchCheckpoint{Version: 99}).Save(bad); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBenchCheckpoint(bad); err == nil {
-		t.Fatal("version 99 accepted")
-	}
-	if _, err := LoadBenchCheckpoint(filepath.Join(dir, "absent.json")); err == nil {
-		t.Fatal("missing file accepted")
+	if want := []string{"one", "two"}; !slices.Equal(ran, want) {
+		t.Fatalf("ran %v after cancel, want %v", ran, want)
 	}
 }

@@ -131,34 +131,6 @@ func (s *Suite) Fig12() Fig12Result {
 	return res
 }
 
-// RunAll executes every experiment in paper order. It is the body of
-// `snapea-bench -exp all`.
-func (s *Suite) RunAll() {
-	s.Fig1()
-	s.blank()
-	s.Fig2()
-	s.blank()
-	s.Table1()
-	s.blank()
-	s.Table2()
-	s.blank()
-	s.Table3()
-	s.blank()
-	s.Fig8()
-	s.blank()
-	s.Fig9()
-	s.blank()
-	s.Fig10()
-	s.blank()
-	s.Table4()
-	s.blank()
-	s.Table5()
-	s.blank()
-	s.Fig11()
-	s.blank()
-	s.Fig12()
-}
-
 func (s *Suite) blank() {
 	if s.Cfg.Out != nil {
 		fmt.Fprintln(s.Cfg.Out)

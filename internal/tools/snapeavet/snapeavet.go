@@ -111,7 +111,6 @@ func DefaultConfig(modPath string) Config {
 			{p("internal/snapea"), "ParamsFile.Marshal"},
 			{p("internal/snapea"), "Compile"},
 			{p("internal/snapea"), "CompileFaulty"},
-			{p("internal/experiments"), "BenchCheckpoint.Save"},
 			{p("internal/experiments"), "Suite.PreparedErr"},
 			{p("internal/metrics"), "Registry.Snapshot"},
 			{p("internal/metrics"), "Snapshot.WriteJSON"},
