@@ -72,7 +72,7 @@ ledger-smoke:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/nn ./internal/snapea ./internal/metrics ./internal/serve
 
-# Determinism gate: outputs, traces, and checkpoints must be identical
+# Determinism gate: outputs, traces, and tuned parameters must be identical
 # for every worker count, even when the scheduler has real parallelism
 # to play with.
 invariance:
@@ -105,4 +105,4 @@ ci: fmt vet vet-snapea build race alloc-guard fuzz-smoke bench-smoke ledger-smok
 
 clean:
 	$(GO) clean ./...
-	rm -f snapea-tune.ckpt snapea-metrics-smoke.json
+	rm -f snapea-metrics-smoke.json

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -41,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	exp := fs.String("exp", "all", "experiment to run (fig1 fig2 table1 table2 table3 fig8 fig9 fig10 table4 table5 fig11 fig12 ablations pruning sparsity faults all)")
 	nets := fs.String("nets", "", "comma-separated networks (default: alexnet,googlenet,squeezenet,vggnet)")
-	scale := fs.String("scale", "reduced", "model scale: reduced or full")
+	scale := cli.ScaleFlag(fs, models.Reduced, "model scale: reduced or full")
 	eps := fs.Float64("eps", 0.03, "acceptable accuracy loss for the predictive mode")
 	seed := fs.Uint64("seed", 42, "deterministic seed")
 	verbose := fs.Bool("v", false, "stream optimizer progress")
@@ -57,6 +58,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 0
 		}
 		return 2
+	}
+	var networks []string
+	if *nets != "" {
+		networks = strings.Split(*nets, ",")
+	}
+	for _, n := range networks {
+		if !slices.Contains(models.Names(), n) {
+			fmt.Fprintf(stderr, "snapea-bench: unknown network %q\n", n)
+			fs.Usage()
+			return 2
+		}
 	}
 	workers.Apply()
 
@@ -87,12 +99,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		TrainImages: *trainImgs,
 		Ctx:         ctx,
 		Faults:      faultCfg,
-	}
-	if *scale == "full" {
-		cfg.Scale = models.Full
-	}
-	if *nets != "" {
-		cfg.Networks = strings.Split(*nets, ",")
+		Scale:       *scale,
+		Networks:    networks,
 	}
 	s := experiments.New(cfg)
 

@@ -72,3 +72,32 @@ func TestDeletedFlagsAreRefused(t *testing.T) {
 		})
 	}
 }
+
+// TestBadFlagsExitBeforeWork: an unknown network or scale exits 2 with
+// the reason and the usage on stderr, before any network is built.
+func TestBadFlagsExitBeforeWork(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // substring of stderr
+	}{
+		{[]string{"-nets", "nosuchnet"}, `unknown network "nosuchnet"`},
+		{[]string{"-nets", "tinynet,nosuchnet"}, `unknown network "nosuchnet"`},
+		{[]string{"-nets", "tinynet,"}, `unknown network ""`},
+		{[]string{"-scale", "bogus"}, `invalid value "bogus" for flag -scale: want reduced or full`},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(append(tc.args, "-exp", "fig9"), &stdout, &stderr); code != 2 {
+				t.Fatalf("exit %d, want 2\n%s", code, stderr.String())
+			}
+			for _, want := range []string{tc.want, "Usage of snapea-bench"} {
+				if !strings.Contains(stderr.String(), want) {
+					t.Fatalf("stderr does not say %q:\n%s", want, stderr.String())
+				}
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("wrote to stdout: %s", stdout.String())
+			}
+		})
+	}
+}

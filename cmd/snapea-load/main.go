@@ -19,12 +19,15 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -94,67 +97,89 @@ type outcome struct {
 }
 
 func main() {
-	url := flag.String("url", "http://localhost:8080", "base URL of snapea-serve")
-	model := flag.String("model", "tinynet", "model to request")
-	mode := flag.String("mode", "exact", "execution mode: exact or predictive")
-	n := flag.Int("n", 500, "total requests")
-	c := flag.Int("c", 8, "closed-loop concurrency (ignored with -rate)")
-	rate := flag.Float64("rate", 0, "open-loop arrival rate in req/s (0 = closed loop)")
-	body := flag.String("body", "json", "request body encoding: json or raw")
-	retries := flag.Int("retries", 3, "closed-loop retries per request on 429/503, honoring Retry-After with jittered exponential backoff (0 disables; open loop never retries)")
-	seed := flag.Uint64("seed", 42, "input-generation seed")
-	warmup := flag.Int("warmup", 0, "untimed warmup requests before the measured run")
-	waitReady := flag.Duration("wait-ready", 30*time.Second, "poll /readyz this long before starting (0 = skip)")
-	allow := flag.String("allow", "200,429", "comma-separated statuses that do not fail the run")
-	out := flag.String("out", "", "write the summary JSON here (atomically)")
-	scale := flag.String("scale", "reduced", "model scale (must match the server): reduced or full")
-	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = none)")
-	obs := cli.ObsFlags(nil)
-	flag.Parse()
+	cli.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: the summary table goes to stdout, progress
+// and errors to stderr. Bad flags exit 2 before any request. It returns
+// the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("snapea-load", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	url := fs.String("url", "http://localhost:8080", "base URL of snapea-serve")
+	model := fs.String("model", "tinynet", "model to request")
+	mode := fs.String("mode", "exact", "execution mode: exact or predictive")
+	n := fs.Int("n", 500, "total requests (> 0)")
+	c := fs.Int("c", 8, "closed-loop concurrency (ignored with -rate)")
+	rate := fs.Float64("rate", 0, "open-loop arrival rate in req/s (0 = closed loop)")
+	body := fs.String("body", "json", "request body encoding: json or raw")
+	retries := fs.Int("retries", 3, "closed-loop retries per request on 429/503, honoring Retry-After with jittered exponential backoff (0 disables; open loop never retries)")
+	seed := fs.Uint64("seed", 42, "input-generation seed")
+	warmup := fs.Int("warmup", 0, "untimed warmup requests before the measured run")
+	waitReady := fs.Duration("wait-ready", 30*time.Second, "poll /readyz this long before starting (0 = skip)")
+	allow := fs.String("allow", "200,429", "comma-separated statuses that do not fail the run")
+	out := fs.String("out", "", "write the summary JSON here (atomically)")
+	scale := cli.ScaleFlag(fs, models.Reduced, "model scale (must match the server): reduced or full")
+	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = none)")
+	obs := cli.ObsFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	var allowed map[int]bool
+	var err error
+	switch {
+	case !slices.Contains(models.Names(), *model):
+		err = fmt.Errorf("unknown -model %q", *model)
+	case *n <= 0:
+		err = fmt.Errorf("-n %d: want at least one request", *n)
+	case *body != "json" && *body != "raw":
+		err = fmt.Errorf("unknown -body %q (want json or raw)", *body)
+	default:
+		allowed, err = parseAllow(*allow)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "snapea-load:", err)
+		fs.Usage()
+		return 2
+	}
+	if *c < 1 {
+		*c = 1
+	}
 
 	obsStop, err := obs.Start("snapea-load")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		cli.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	defer obsStop()
 
 	ctx, stop := cli.Context(*timeout)
 	defer stop()
-
-	if *n <= 0 {
-		cli.Fatalf("snapea-load", "-n must be positive")
-	}
-	if *c < 1 {
-		*c = 1
-	}
-	allowed := map[int]bool{}
-	for _, s := range strings.Split(*allow, ",") {
-		code, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil {
-			cli.Fatalf("snapea-load", "bad -allow entry %q", s)
-		}
-		allowed[code] = true
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "snapea-load: "+format+"\n", args...)
+		return 1
 	}
 
 	// The input shape comes from a weightless local build of the same
 	// model — no extra server round-trip, no weight-init cost.
-	opt := models.Options{Seed: *seed, SkipInit: true}
-	if *scale == "full" {
-		opt.Scale = models.Full
-	}
-	m, err := models.Build(*model, opt)
+	m, err := models.Build(*model, models.Options{Scale: *scale, Seed: *seed, SkipInit: true})
 	if err != nil {
-		cli.Fatalf("snapea-load", "%v", err)
+		return fail("%v", err)
 	}
-	bodies, contentType := makeBodies(m.InputShape.Elems(), *body, *seed)
+	bodies, contentType, err := makeBodies(m.InputShape.Elems(), *body, *seed)
+	if err != nil {
+		return fail("%v", err)
+	}
 
 	client := &http.Client{}
 	target := fmt.Sprintf("%s/v1/predict?model=%s&mode=%s", strings.TrimRight(*url, "/"), *model, *mode)
 
 	if *waitReady > 0 {
 		if err := pollReady(ctx, client, strings.TrimRight(*url, "/")+"/readyz", *waitReady); err != nil {
-			cli.Fatalf("snapea-load", "%v", err)
+			return fail("%v", err)
 		}
 	}
 	for i := 0; i < *warmup; i++ {
@@ -174,8 +199,8 @@ func main() {
 	elapsed := time.Since(start)
 
 	if err := ctx.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "snapea-load: interrupted: %v\n", err)
-		cli.Exit(3)
+		fmt.Fprintf(stderr, "snapea-load: interrupted: %v\n", err)
+		return 3
 	}
 
 	sum := summarize(outcomes, allowed)
@@ -195,27 +220,41 @@ func main() {
 	} else {
 		sum.Concurrency = *c
 	}
-	render(sum)
+	render(sum, stdout)
 
 	if *out != "" {
 		data, err := json.MarshalIndent(sum, "", "  ")
 		if err != nil {
-			cli.Fatalf("snapea-load", "%v", err)
+			return fail("%v", err)
 		}
 		if err := atomicfile.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-			cli.Fatalf("snapea-load", "%v", err)
+			return fail("%v", err)
 		}
-		fmt.Fprintf(os.Stderr, "snapea-load: summary written to %s\n", *out)
+		fmt.Fprintf(stderr, "snapea-load: summary written to %s\n", *out)
 	}
 	if sum.TransportErrors > 0 || sum.Disallowed > 0 {
-		cli.Fatalf("snapea-load", "%d transport errors, %d responses outside -allow %s",
+		return fail("%d transport errors, %d responses outside -allow %s",
 			sum.TransportErrors, sum.Disallowed, *allow)
 	}
+	return 0
+}
+
+// parseAllow parses -allow's comma-separated status codes.
+func parseAllow(list string) (map[int]bool, error) {
+	allowed := map[int]bool{}
+	for _, s := range strings.Split(list, ",") {
+		code, err := strconv.Atoi(strings.TrimSpace(s))
+		if err != nil {
+			return nil, fmt.Errorf("bad -allow entry %q", s)
+		}
+		allowed[code] = true
+	}
+	return allowed, nil
 }
 
 // makeBodies pre-encodes a cycle of distinct inputs so the measured loop
 // does no generation work.
-func makeBodies(elems int, encoding string, seed uint64) ([][]byte, string) {
+func makeBodies(elems int, encoding string, seed uint64) ([][]byte, string, error) {
 	const variants = 16
 	rng := tensor.NewRNG(seed)
 	bodies := make([][]byte, variants)
@@ -233,17 +272,17 @@ func makeBodies(elems int, encoding string, seed uint64) ([][]byte, string) {
 		case "json":
 			data, err := json.Marshal(map[string]any{"input": in})
 			if err != nil {
-				cli.Fatalf("snapea-load", "%v", err)
+				return nil, "", err
 			}
 			bodies[v] = data
 		default:
-			cli.Fatalf("snapea-load", "unknown -body %q (want json or raw)", encoding)
+			return nil, "", fmt.Errorf("unknown -body %q (want json or raw)", encoding)
 		}
 	}
 	if encoding == "raw" {
-		return bodies, "application/octet-stream"
+		return bodies, "application/octet-stream", nil
 	}
-	return bodies, "application/json"
+	return bodies, "application/json", nil
 }
 
 func pollReady(ctx context.Context, client *http.Client, url string, wait time.Duration) error {
@@ -412,7 +451,7 @@ func summarize(outcomes []outcome, allowed map[int]bool) Summary {
 	return sum
 }
 
-func render(sum Summary) {
+func render(sum Summary, w io.Writer) {
 	t := report.Table{
 		Title:   fmt.Sprintf("snapea-load: %s mode=%s (%d requests)", sum.Model, sum.Mode, sum.Requests),
 		Headers: []string{"Metric", "Value"},
@@ -445,5 +484,5 @@ func render(sum Summary) {
 	if sum.TransportErrors > 0 {
 		t.Add("transport errors", strconv.Itoa(sum.TransportErrors))
 	}
-	t.Render(os.Stdout)
+	t.Render(w)
 }

@@ -19,6 +19,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -35,45 +36,56 @@ import (
 )
 
 func main() {
-	net := flag.String("net", "alexnet", "network (alexnet googlenet squeezenet vggnet lenet tinynet)")
-	scale := flag.String("scale", "full", "reduced or full")
-	classes := flag.Int("classes", 1000, "output classes")
-	checksum := flag.String("checksum", "", "rewrite this params file with fresh checksums (atomic) and exit")
-	verify := flag.String("verify", "", "verify this params file's checksums (per-layer report) and exit; exit 1 on mismatch or missing checksums")
-	timeout := flag.Duration("timeout", 0, "abort after this duration (0 = none)")
-	workers := cli.WorkersFlag(nil)
-	obs := cli.ObsFlags(nil)
-	flag.Parse()
+	cli.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: the layer table (or the -checksum/-verify
+// report) goes to stdout, errors to stderr. Bad flags exit 2 before any
+// work. It returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("snapea-model", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	net := fs.String("net", "alexnet", "network (alexnet googlenet squeezenet vggnet lenet tinynet)")
+	scale := cli.ScaleFlag(fs, models.Full, "reduced or full")
+	classes := fs.Int("classes", 1000, "output classes")
+	checksum := fs.String("checksum", "", "rewrite this params file with fresh checksums (atomic) and exit")
+	verify := fs.String("verify", "", "verify this params file's checksums (per-layer report) and exit; exit 1 on mismatch or missing checksums")
+	timeout := fs.Duration("timeout", 0, "abort after this duration (0 = none)")
+	workers := cli.WorkersFlag(fs)
+	obs := cli.ObsFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	workers.Apply()
 
 	if *checksum != "" {
-		cli.Exit(runChecksum(*checksum, os.Stdout))
+		return runChecksum(*checksum, stdout)
 	}
 	if *verify != "" {
-		cli.Exit(runVerify(*verify, os.Stdout))
+		return runVerify(*verify, stdout)
 	}
 
 	obsStop, err := obs.Start("snapea-model")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		cli.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	defer obsStop()
 
 	ctx, stop := cli.Context(*timeout)
 	defer stop()
 
-	opt := models.Options{Classes: *classes, SkipInit: true}
-	if *scale == "full" {
-		opt.Scale = models.Full
-	}
-	m, err := models.Build(*net, opt)
+	m, err := models.Build(*net, models.Options{Scale: *scale, Classes: *classes, SkipInit: true})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "snapea-model:", err)
-		cli.Exit(2)
+		fmt.Fprintln(stderr, "snapea-model:", err)
+		return 2
 	}
 	if err := ctx.Err(); err != nil {
-		cli.Fatalf("snapea-model", "%v", err)
+		fmt.Fprintln(stderr, "snapea-model:", err)
+		return 1
 	}
 
 	t := report.Table{
@@ -125,10 +137,11 @@ func main() {
 		totalMACs += macs
 		t.Add(n.Name, typ, out.String(), fmt.Sprint(params), fmt.Sprint(macs))
 	}
-	t.Render(os.Stdout)
+	t.Render(stdout)
 	d := m.Describe()
-	fmt.Printf("\n%d conv layers, %d FC layers, %.1f MB of weights, %.2fG MACs/image\n",
+	fmt.Fprintf(stdout, "\n%d conv layers, %d FC layers, %.1f MB of weights, %.2fG MACs/image\n",
 		d.ConvLayers, d.FCLayers, d.ModelSizeMB, float64(totalMACs)/1e9)
+	return 0
 }
 
 // runChecksum rewrites a params file with fresh checksums, atomically,

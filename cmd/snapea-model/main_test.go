@@ -72,3 +72,34 @@ func TestParamsChecksumLifecycle(t *testing.T) {
 		}
 	}
 }
+
+// TestFlags: -h and refused command lines exit before any model is
+// built, with the reason on stderr and nothing on stdout; a good one
+// prints the layer table.
+func TestFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args      []string
+		code      int
+		stdout    string // a substring of stdout; "" means stdout stays empty
+		stderrHas string
+	}{
+		{[]string{"-h"}, 0, "", "Usage of snapea-model"},
+		{[]string{"-nosuchflag"}, 2, "", "flag provided but not defined: -nosuchflag"},
+		{[]string{"-scale", "bogus"}, 2, "", `invalid value "bogus" for flag -scale: want reduced or full`},
+		{[]string{"-net", "nosuchnet"}, 2, "", "nosuchnet"},
+		{[]string{"-net", "lenet", "-scale", "reduced"}, 0, "2 conv layers, 2 FC layers", ""},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(tc.args, &stdout, &stderr); code != tc.code {
+				t.Fatalf("exit %d, want %d\n%s", code, tc.code, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), tc.stderrHas) {
+				t.Fatalf("stderr does not say %q:\n%s", tc.stderrHas, stderr.String())
+			}
+			if tc.stdout == "" && stdout.Len() != 0 || !strings.Contains(stdout.String(), tc.stdout) {
+				t.Fatalf("stdout %q, want it to say %q", stdout.String(), tc.stdout)
+			}
+		})
+	}
+}

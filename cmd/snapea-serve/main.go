@@ -66,7 +66,7 @@ func setup(args []string, out io.Writer) (*options, error) {
 	fs.StringVar(&o.addr, "addr", "localhost:8080", "listen address (use port 0 for an ephemeral port)")
 	fs.StringVar(&o.addrFile, "addr-file", "", "write the bound address to this file once listening (for scripts driving an ephemeral port)")
 	modelsFlag := fs.String("models", "tinynet", "comma-separated models to compile at startup; /readyz waits for them")
-	scale := fs.String("scale", "reduced", "model scale: reduced or full")
+	scale := cli.ScaleFlag(fs, models.Reduced, "model scale: reduced or full")
 	fs.IntVar(&c.Classes, "classes", 10, "classifier output classes")
 	fs.Uint64Var(&c.Seed, "seed", 42, "deterministic model-build seed")
 	params := fs.String("params", "", "comma-separated model=paramsfile pairs enabling predictive mode per model")
@@ -93,9 +93,7 @@ func setup(args []string, out io.Writer) (*options, error) {
 		return nil, err
 	}
 	c.Models = splitList(*modelsFlag)
-	if *scale == "full" {
-		c.Scale = models.Full
-	}
+	c.Scale = *scale
 	switch *negOrder {
 	case "magnitude":
 		c.NegOrder = snapea.NegByMagnitude

@@ -44,6 +44,7 @@ func TestSetup(t *testing.T) {
 		{"malformed params pair", []string{"-params", "tinynet"}, "malformed -params entry"},
 		{"unknown negorder", []string{"-negorder", "sorted"}, "unknown -negorder"},
 		{"bad fault rate", []string{"-fault-weight-bitflip", "2"}, "weight-bit-flip rate 2"},
+		{"bogus scale", []string{"-scale", "bogus"}, `invalid value "bogus" for flag -scale: want reduced or full`},
 		{"ok", []string{"-models", "tinynet, lenet", "-params", "tinynet=a.json", "-negorder", "original", "-queue", "8"}, ""},
 	}
 	for _, name := range deletedFlags {

@@ -42,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	net := fs.String("net", "squeezenet", "network to trace ("+strings.Join(models.Names(), " ")+")")
 	seed := fs.Uint64("seed", 42, "deterministic seed")
 	hist := fs.Bool("hist", false, "print per-layer op-count histograms")
-	buckets := fs.Int("buckets", 8, "histogram buckets")
+	buckets := fs.Int("buckets", 8, "histogram buckets (> 0)")
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = none)")
 	faultFlags := cli.FaultFlags(fs)
 	workers := cli.WorkersFlag(fs)
@@ -54,8 +54,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	faultCfg, err := faultFlags.Config(*seed)
-	if !slices.Contains(models.Names(), *net) {
+	switch {
+	case !slices.Contains(models.Names(), *net):
 		err = fmt.Errorf("unknown network %q", *net)
+	case *buckets <= 0:
+		err = fmt.Errorf("-buckets %d: want at least one bucket", *buckets)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "snapea-trace:", err)

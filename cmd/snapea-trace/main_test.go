@@ -19,6 +19,8 @@ func TestFlagsExitBeforeWork(t *testing.T) {
 		{[]string{"-nosuchflag"}, 2, "flag provided but not defined: -nosuchflag"},
 		{[]string{"-net", "nosuchnet"}, 2, `unknown network "nosuchnet"`},
 		{[]string{"-fault-weight-bitflip", "2"}, 2, "weight-bit-flip rate 2"},
+		{[]string{"-hist", "-buckets", "0"}, 2, "-buckets 0: want at least one bucket"},
+		{[]string{"-hist", "-buckets", "-3"}, 2, "-buckets -3: want at least one bucket"},
 		{[]string{"-fault-serve-err", "0.5"}, 2, "flag provided but not defined: -fault-serve-err"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {

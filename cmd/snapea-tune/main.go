@@ -10,19 +10,14 @@
 // and snapea-sim -mode predictive tune for the same -net, -seed, -eps
 // and -opt-images.
 //
-// The run is cancellable and resumable: SIGINT (or -timeout expiry)
-// stops between optimization stages with the completed work checkpointed,
-// and -resume restarts from the checkpoint and produces results
-// identical to an uninterrupted run. A checkpoint records a digest of
-// the optimizer's inputs, so one written under another -seed or
-// -opt-images is refused.
+// The run goes start to finish: SIGINT (or -timeout expiry) stops it
+// between layers and writes no params file. A rerun with the same flags
+// is deterministic and writes the bytes the stopped run would have.
 //
 //	snapea-tune -net googlenet -eps 0.03 -o params.json
-//	snapea-tune -net vggnet -timeout 10m -checkpoint tune.ckpt
-//	snapea-tune -net vggnet -checkpoint tune.ckpt -resume
+//	snapea-tune -net vggnet -timeout 10m -o params.json
 //
-// Exit codes: 0 ok, 1 failure, 2 bad flags or a refused checkpoint,
-// 3 interrupted.
+// Exit codes: 0 ok, 1 failure, 2 bad flags, 3 interrupted.
 package main
 
 import (
@@ -41,7 +36,6 @@ import (
 	"snapea/internal/cli"
 	"snapea/internal/experiments"
 	"snapea/internal/models"
-	"snapea/internal/snapea"
 )
 
 // options is the parsed command line.
@@ -53,8 +47,6 @@ type options struct {
 	optImages int
 	verbose   bool
 	timeout   time.Duration
-	ckptPath  string
-	resume    bool
 	workers   *cli.WorkersFlagGroup
 	obs       *cli.ObsFlagGroup
 }
@@ -71,9 +63,7 @@ func parse(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&o.out, "o", "", "output JSON path (default stdout)")
 	fs.IntVar(&o.optImages, "opt-images", 10, "optimization-set size (> 0)")
 	fs.BoolVar(&o.verbose, "v", false, "log pipeline and optimizer progress")
-	fs.DurationVar(&o.timeout, "timeout", 0, "abort (with checkpoint) after this duration (0 = none)")
-	fs.StringVar(&o.ckptPath, "checkpoint", "", "checkpoint file (default: <-o path>.ckpt, or snapea-tune.ckpt)")
-	fs.BoolVar(&o.resume, "resume", false, "resume from the checkpoint file")
+	fs.DurationVar(&o.timeout, "timeout", 0, "abort, writing nothing, after this duration (0 = none)")
 	o.workers = cli.WorkersFlag(fs)
 	o.obs = cli.ObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -92,12 +82,6 @@ func parse(args []string, stderr io.Writer) (*options, error) {
 		fmt.Fprintln(stderr, "snapea-tune:", err)
 		fs.Usage()
 		return nil, err
-	}
-	if o.ckptPath == "" {
-		o.ckptPath = "snapea-tune.ckpt"
-		if o.out != "" {
-			o.ckptPath = o.out + ".ckpt"
-		}
 	}
 	return o, nil
 }
@@ -127,82 +111,48 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return tune(ctx, o, stdout, stderr)
 }
 
-// tune prepares the suite's model, runs Algorithm 1 under ctx with
-// checkpointing, and writes the params file.
+// tune prepares the suite's model, runs Algorithm 1 under ctx and writes
+// the params file. A cancelled ctx stops the run with exit 3 and writes
+// nothing.
 func tune(ctx context.Context, o *options, stdout, stderr io.Writer) int {
-	ck := snapea.NewOptCheckpoint(o.net, o.eps)
-	if o.resume {
-		var err error
-		if ck, err = snapea.LoadOptCheckpoint(o.ckptPath); err == nil {
-			err = ck.Compatible(o.net, o.eps)
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "snapea-tune:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "snapea-tune: resuming from %s (%d profiled, %d locally optimized layers)\n",
-			o.ckptPath, len(ck.Profiled), len(ck.Local))
-	}
-
-	cfg := experiments.Config{Networks: []string{o.net}, Seed: o.seed, OptImages: o.optImages, Ctx: ctx}
-	if o.verbose {
-		cfg.Log = stderr
-	}
-	saved := false
-	interrupted := func(err error) int {
-		if saved {
-			fmt.Fprintf(stderr, "snapea-tune: interrupted (%v); progress saved to %s — rerun with -resume to finish\n", err, o.ckptPath)
-		} else {
-			fmt.Fprintf(stderr, "snapea-tune: interrupted (%v) before any progress was saved\n", err)
-		}
-		return 3
-	}
-	p, err := experiments.New(cfg).PreparedErr(o.net)
-	if err != nil {
+	fail := func(err error) int {
 		if ctx.Err() != nil {
-			return interrupted(err)
+			fmt.Fprintf(stderr, "snapea-tune: interrupted (%v); nothing written\n", err)
+			return 3
 		}
 		fmt.Fprintln(stderr, "snapea-tune:", err)
 		return 1
 	}
-
+	cfg := experiments.Config{Networks: []string{o.net}, Seed: o.seed, OptImages: o.optImages, Ctx: ctx}
+	if o.verbose {
+		cfg.Log = stderr
+	}
+	p, err := experiments.New(cfg).PreparedErr(o.net)
+	if err != nil {
+		return fail(err)
+	}
 	_, opt := p.Optimizer(o.eps)
 	if o.verbose {
 		opt.SetLog(func(f string, a ...any) { fmt.Fprintf(stderr, f+"\n", a...) })
 	}
-	opt.SetCheckpoint(ck, func(ck *snapea.OptCheckpoint) error {
-		saved = true
-		return ck.Save(o.ckptPath)
-	})
 	res, err := opt.RunCtx(ctx)
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return interrupted(err)
-	}
 	if err != nil {
-		// Besides cancellation, RunCtx fails only on a checkpoint that
-		// does not belong to this run.
-		fmt.Fprintln(stderr, "snapea-tune:", err)
-		return 2
+		return fail(err)
 	}
 
 	file := res.File(o.net, o.eps)
 	enc, err := file.Marshal()
 	if err != nil {
-		fmt.Fprintln(stderr, "snapea-tune:", err)
-		return 1
+		return fail(err)
 	}
 	if o.out == "" {
 		fmt.Fprintln(stdout, string(enc))
-	} else {
-		if err := atomicfile.WriteFile(o.out, enc, 0o644); err != nil {
-			fmt.Fprintln(stderr, "snapea-tune:", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "snapea-tune: wrote %s (%d predictive layers, loss %.3f)\n",
-			o.out, len(file.Predictive), res.BaseAcc-res.FinalAcc)
+		return 0
 	}
-	// A finished run owns its checkpoint; leaving it behind would make a
-	// later -resume silently reuse stale state.
-	os.Remove(o.ckptPath)
+	if err := atomicfile.WriteFile(o.out, enc, 0o644); err != nil {
+		return fail(err)
+	}
+	fmt.Fprintf(stderr, "snapea-tune: wrote %s (%d predictive layers, loss %.3f)\n",
+		o.out, len(file.Predictive), res.BaseAcc-res.FinalAcc)
 	return 0
 }

@@ -1,15 +1,15 @@
 // Package atomicfile writes files atomically *and durably*: temp file
 // in the destination directory, explicit permissions, fsync, rename,
-// directory fsync. The checkpoint writers use it so that a crash — of
-// the process or the machine — leaves either the old complete file or
-// the new complete file, never a truncated or empty one.
+// directory fsync. The artifact writers (params files, load summaries,
+// metric snapshots) use it so that a crash — of the process or the
+// machine — leaves either the old complete file or the new complete
+// file, never a truncated or empty one.
 //
-// The plain temp+rename idiom the checkpoints previously used had two
-// holes this package closes:
+// The plain temp+rename idiom has two holes this package closes:
 //
 //   - os.CreateTemp creates files with mode 0600, and rename preserves
-//     it, so checkpoints silently became owner-only — unreadable by the
-//     monitoring or a different user resuming the run;
+//     it, so artifacts silently became owner-only — unreadable by the
+//     monitoring or by another user;
 //   - without an fsync before the rename, the rename can be durable
 //     while the data is not, so a power loss could persist an empty
 //     file under the final name — exactly the corruption atomic

@@ -1,10 +1,11 @@
 // Package cli holds the flag and lifecycle plumbing the snapea-* tools
 // share: a signal-aware root context with optional deadline, the
-// fault-injection flag group, the -workers parallelism knob and the
-// observability group, so every tool spells the robustness and
-// performance knobs the same way. Flags are the only way to configure a
-// tool; the one environment variable, SNAPEA_WORKERS, belongs to
-// internal/parallel and sets the worker-pool default (see WorkersFlag).
+// fault-injection flag group, the -workers parallelism knob, the
+// observability group and the -scale parse, so every tool spells and
+// validates the robustness and performance knobs the same way. Flags
+// are the only way to configure a tool; the one environment variable,
+// SNAPEA_WORKERS, belongs to internal/parallel and sets the worker-pool
+// default (see WorkersFlag).
 package cli
 
 import (
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"snapea/internal/faults"
+	"snapea/internal/models"
 	"snapea/internal/parallel"
 )
 
@@ -58,6 +60,36 @@ func (g *WorkersFlagGroup) Apply() int {
 		parallel.SetLimit(g.n)
 	}
 	return parallel.Limit()
+}
+
+// ScaleFlag registers -scale on fs (the default FlagSet when fs is nil)
+// with default def and returns where the parsed scale lands. The value
+// must be "reduced" or "full": anything else fails fs.Parse, so a tool
+// refuses it with its usage before any work.
+func ScaleFlag(fs *flag.FlagSet, def models.Scale, usage string) *models.Scale {
+	if fs == nil {
+		fs = flag.CommandLine
+	}
+	s := def
+	fs.Var((*scaleValue)(&s), "scale", usage)
+	return &s
+}
+
+// scaleValue is a models.Scale as a flag.Value.
+type scaleValue models.Scale
+
+func (v *scaleValue) String() string { return models.Scale(*v).String() }
+
+func (v *scaleValue) Set(s string) error {
+	switch s {
+	case models.Reduced.String():
+		*v = scaleValue(models.Reduced)
+	case models.Full.String():
+		*v = scaleValue(models.Full)
+	default:
+		return fmt.Errorf("want %s or %s", models.Reduced, models.Full)
+	}
+	return nil
 }
 
 // Context returns the root context for a tool run: it cancels on SIGINT

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"snapea/internal/metrics"
+	"snapea/internal/models"
 	"snapea/internal/parallel"
 )
 
@@ -223,5 +224,39 @@ func TestObsFlagsBadPprofAddr(t *testing.T) {
 	}
 	if _, err := g.Start("test"); err == nil {
 		t.Fatal("want error for bad pprof address")
+	}
+}
+
+// TestScaleFlag: -scale takes exactly "reduced" or "full", keeps its
+// default when unset, and fails the parse on anything else.
+func TestScaleFlag(t *testing.T) {
+	for _, tc := range []struct {
+		def  models.Scale
+		args []string
+		want models.Scale
+		bad  bool
+	}{
+		{models.Reduced, nil, models.Reduced, false},
+		{models.Full, nil, models.Full, false},
+		{models.Reduced, []string{"-scale", "full"}, models.Full, false},
+		{models.Full, []string{"-scale", "reduced"}, models.Reduced, false},
+		{models.Reduced, []string{"-scale", "bogus"}, 0, true},
+		{models.Reduced, []string{"-scale", "Full"}, 0, true},
+		{models.Full, []string{"-scale", ""}, 0, true},
+	} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		var stderr strings.Builder
+		fs.SetOutput(&stderr)
+		scale := ScaleFlag(fs, tc.def, "model scale")
+		err := fs.Parse(tc.args)
+		if tc.bad {
+			if err == nil || !strings.Contains(stderr.String(), "want reduced or full") {
+				t.Fatalf("%q: parse error %v, stderr %q; want a refusal", tc.args, err, stderr.String())
+			}
+			continue
+		}
+		if err != nil || *scale != tc.want {
+			t.Fatalf("%q (default %v): got %v, %v; want %v", tc.args, tc.def, *scale, err, tc.want)
+		}
 	}
 }

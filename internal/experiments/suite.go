@@ -117,8 +117,8 @@ func getMemo[T any](mu *sync.Mutex, m map[string]*memo[T], key string) *memo[T] 
 
 // resolve runs the cell's computation once and returns its result. A
 // cell whose computation was aborted by context cancellation is dropped
-// from the map, so a later call (e.g. after resuming with a fresh
-// context) retries instead of returning the stale cancellation.
+// from the map, so a later call (e.g. with a fresh context) retries
+// instead of returning the stale cancellation.
 func resolve[T any](mu *sync.Mutex, m map[string]*memo[T], key string, e *memo[T], compute func() (T, error)) (T, error) {
 	e.once.Do(func() { e.val, e.err = compute() })
 	if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {

@@ -10,7 +10,7 @@
 // stream of random draws for a site depends only on (Config.Seed, site
 // name). Two runs with the same seed inject byte-identical faults no
 // matter how the surrounding code is scheduled, which is what makes the
-// fault-sweep experiment reproducible and its checkpoints resumable.
+// fault-sweep experiment reproducible.
 package faults
 
 import (

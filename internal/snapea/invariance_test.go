@@ -1,9 +1,8 @@
 package snapea
 
 import (
+	"encoding/json"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -103,30 +102,30 @@ func TestRunCheckedWorkerInvariance(t *testing.T) {
 }
 
 // TestOptimizerWorkerInvariance runs Algorithm 1 end to end at every
-// worker count and asserts the chosen parameters, accuracies, and the
-// persisted checkpoint are byte-identical: the greedy search must not
-// be able to observe evaluation order.
+// worker count and asserts the encoded result (profiled candidates,
+// chosen parameters, predictive layers, accuracies, global-pass moves)
+// and the params file are byte-identical: the greedy search must not be
+// able to observe evaluation order.
 func TestOptimizerWorkerInvariance(t *testing.T) {
 	m, optImgs, optLabels, _, _ := pipeline(t, 31)
 	defer parallel.SetLimit(0)
 
-	run := func(workers int) (*Result, []byte) {
+	run := func(workers int) (*Result, []byte, []byte) {
 		parallel.SetLimit(workers)
 		net := CompileExact(m)
-		opt := NewOptimizer(net, m.Head, optImgs, optLabels, wideGrid(0.05))
-		path := filepath.Join(t.TempDir(), "inv.ckpt")
-		opt.SetCheckpoint(NewOptCheckpoint("tinynet", 0.05), func(ck *OptCheckpoint) error {
-			return ck.Save(path)
-		})
-		res := opt.Run()
-		data, err := os.ReadFile(path)
+		res := NewOptimizer(net, m.Head, optImgs, optLabels, wideGrid(0.05)).Run()
+		enc, err := json.Marshal(res)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return res, data
+		params, err := res.File("tinynet", 0.05).Marshal()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return res, enc, params
 	}
 
-	refRes, refCkpt := run(1)
+	refRes, refEnc, refParams := run(1)
 	if refRes.GlobalIters == 0 {
 		t.Fatal("the global pass made no move: its incremental evaluation goes untested")
 	}
@@ -134,18 +133,12 @@ func TestOptimizerWorkerInvariance(t *testing.T) {
 		if workers == 1 {
 			continue
 		}
-		res, ckpt := run(workers)
-		if !reflect.DeepEqual(res.Params, refRes.Params) {
-			t.Fatalf("workers=%d: chosen parameters diverge from serial run", workers)
+		_, enc, params := run(workers)
+		if string(enc) != string(refEnc) {
+			t.Fatalf("workers=%d: encoded result diverges from serial run:\n got %s\nwant %s", workers, enc, refEnc)
 		}
-		if res.BaseAcc != refRes.BaseAcc || res.FinalAcc != refRes.FinalAcc || res.GlobalIters != refRes.GlobalIters {
-			t.Fatalf("workers=%d: result metrics diverge: %+v vs %+v", workers, res, refRes)
-		}
-		if !reflect.DeepEqual(res.ParamK, refRes.ParamK) {
-			t.Fatalf("workers=%d: profiled candidates diverge", workers)
-		}
-		if string(ckpt) != string(refCkpt) {
-			t.Fatalf("workers=%d: checkpoint bytes diverge (%d vs %d bytes)", workers, len(ckpt), len(refCkpt))
+		if string(params) != string(refParams) {
+			t.Fatalf("workers=%d: params bytes diverge (%d vs %d bytes)", workers, len(params), len(refParams))
 		}
 	}
 }

@@ -81,22 +81,20 @@ func (c OptConfig) normalize() OptConfig {
 }
 
 // Candidate is one profiled (Th, N) choice for a kernel, with its
-// estimated mean ops per window and false-negative rate. It serializes
-// into optimizer checkpoints.
+// estimated mean ops per window and false-negative rate.
 type Candidate struct {
-	Param KernelParam `json:"param"`
-	Op    float64     `json:"op"`
-	FN    float64     `json:"fn"`
+	Param KernelParam
+	Op    float64
+	FN    float64
 }
 
 // LayerChoice is one per-layer configuration the optimization stage
 // weighs: a full set of kernel parameters plus its measured total layer
-// ops on the optimization set and its isolated accuracy loss. It
-// serializes into optimizer checkpoints.
+// ops on the optimization set and its isolated accuracy loss.
 type LayerChoice struct {
-	Params LayerParams `json:"params"`
-	Op     float64     `json:"op"`
-	Err    float64     `json:"err"`
+	Params LayerParams
+	Op     float64
+	Err    float64
 }
 
 // Result is the output of Algorithm 1.
@@ -141,11 +139,6 @@ type Optimizer struct {
 	// holds or runs, for the node's next compile to go into.
 	spare map[string]*LayerPlan
 	wins  []float32 // gatherWindows' matrix, grown to the largest layer
-
-	// ckpt accumulates resumable state; saveCkpt (if set) persists it
-	// after every completed unit of work.
-	ckpt     *OptCheckpoint
-	saveCkpt func(*OptCheckpoint) error
 }
 
 // NewOptimizer prepares an optimizer. head must already be trained.
@@ -158,37 +151,6 @@ func NewOptimizer(net *Network, head *nn.FC, images []*tensor.Tensor, labels []i
 
 // SetLog installs a progress logger (Printf-style).
 func (o *Optimizer) SetLog(f func(string, ...any)) { o.log = f }
-
-// SetCheckpoint installs resumable-state handling: ck (may be a loaded
-// checkpoint to resume from, or nil to start fresh) accumulates
-// completed work, and save — called after every profiled or locally
-// optimized layer — persists it. Save errors are logged, not fatal: a
-// failing disk should not kill a multi-minute optimization. Because the
-// optimizer is deterministic, resuming from a checkpoint yields results
-// identical to an uninterrupted run.
-func (o *Optimizer) SetCheckpoint(ck *OptCheckpoint, save func(*OptCheckpoint) error) {
-	if ck == nil {
-		ck = NewOptCheckpoint("", o.cfg.Epsilon)
-	}
-	if ck.Profiled == nil {
-		ck.Profiled = make(map[string][][]Candidate)
-	}
-	if ck.Local == nil {
-		ck.Local = make(map[string][]LayerChoice)
-	}
-	o.ckpt = ck
-	o.saveCkpt = save
-}
-
-// checkpoint persists the accumulated checkpoint state, if configured.
-func (o *Optimizer) checkpoint() {
-	if o.ckpt == nil || o.saveCkpt == nil {
-		return
-	}
-	if err := o.saveCkpt(o.ckpt); err != nil {
-		o.logf("optimizer: checkpoint save failed: %v", err)
-	}
-}
 
 func (o *Optimizer) logf(format string, args ...any) {
 	if o.log != nil {
@@ -222,7 +184,7 @@ func (o *Optimizer) progress(stage string, done, total int, start time.Time) {
 // progressClock reads the wall clock for the progress/ETA baseline. It
 // exists so the optimization passes themselves contain no clock read:
 // the timestamp flows only into progress lines, never into candidate
-// search, checkpoint bytes or params output.
+// search or params output.
 //
 //snapea:runtime
 func progressClock() time.Time {
@@ -235,37 +197,17 @@ func progressClock() time.Time {
 func (o *Optimizer) Run() *Result {
 	res, err := o.RunCtx(context.Background())
 	if err != nil {
-		// Background context never cancels; any error here is a
-		// programming error (e.g. an incompatible checkpoint).
+		// Background context never cancels.
 		panic(err)
 	}
 	return res
 }
 
 // RunCtx executes Algorithm 1 under a context: cancellation or deadline
-// expiry stops the run between units of work and returns the context's
-// error, with the checkpoint (if configured) already holding every
-// completed unit, ready to resume.
+// expiry stops the run between layers and returns the context's error.
+// A run is deterministic, so a rerun reproduces what the stopped one
+// would have returned.
 func (o *Optimizer) RunCtx(ctx context.Context) (*Result, error) {
-	if o.ckpt != nil {
-		if err := o.ckpt.Compatible("", o.cfg.Epsilon); err != nil {
-			return nil, err
-		}
-		inputs := o.inputsDigest()
-		switch {
-		case o.ckpt.Inputs == inputs:
-		case o.ckpt.Inputs == "" && len(o.ckpt.Profiled) == 0 && len(o.ckpt.Local) == 0:
-			o.ckpt.Inputs = inputs
-		default:
-			return nil, fmt.Errorf("snapea: checkpoint is for optimizer inputs %q, run has %q (another model, seed, optimization set or configuration)",
-				o.ckpt.Inputs, inputs)
-		}
-		for node := range o.ckpt.Profiled {
-			if o.net.Plans[node] == nil {
-				return nil, fmt.Errorf("snapea: checkpoint names layer %q absent from the network", node)
-			}
-		}
-	}
 	sp := metrics.StartSpan("tune/prepare")
 	o.prepare()
 	sp.End()
@@ -374,15 +316,14 @@ func (o *Optimizer) setPlan(node string, params LayerParams) {
 // measures mean ops and false-negative rate over sampled windows for a
 // grid of (th, n) values and keeps the candidates within the kernel-level
 // budget, sorted by ascending op. The exact configuration is always the
-// final fallback entry. Completed layers are checkpointed; layers already
-// in the checkpoint are reused instead of recomputed.
+// final fallback entry.
 //
 // Kernels are profiled concurrently: each kernel's candidate search only
 // reads the shared window matrix and writes its own kands slot, and each
 // worker owns a private reorder scratch. The per-kernel arithmetic is
-// untouched, so the candidate lists — and therefore the checkpoint bytes
-// — are bit-identical for any worker count. Layers stay sequential,
-// preserving the per-layer checkpoint granularity.
+// untouched, so the candidate lists are bit-identical for any worker
+// count. Layers stay sequential, and cancellation is checked between
+// them.
 func (o *Optimizer) kernelProfilingPass(ctx context.Context) (map[string][][]Candidate, error) {
 	sp := metrics.StartSpan("tune/profile")
 	defer sp.End()
@@ -390,13 +331,6 @@ func (o *Optimizer) kernelProfilingPass(ctx context.Context) (map[string][][]Can
 	fnBudget := math.Min(0.5, fnBudgetScale*o.cfg.Epsilon)
 	out := make(map[string][][]Candidate, len(o.net.PlanOrder))
 	for li, node := range o.net.PlanOrder {
-		if o.ckpt != nil {
-			if kands, ok := o.ckpt.Profiled[node]; ok {
-				out[node] = kands
-				o.logf("optimizer: profiling %s restored from checkpoint", node)
-				continue
-			}
-		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -413,10 +347,6 @@ func (o *Optimizer) kernelProfilingPass(ctx context.Context) (map[string][][]Can
 			return nil, err
 		}
 		out[node] = kands
-		if o.ckpt != nil {
-			o.ckpt.Profiled[node] = kands
-			o.checkpoint()
-		}
 		if metrics.Enabled() {
 			var accepted int64
 			for _, list := range kands {
@@ -651,20 +581,13 @@ func (rk *ReorderedKernel) gatherInto(orig, dst []float32) {
 // it forms T configurations (kernel k takes its t-th profiled candidate),
 // evaluates each with only that layer speculating, and keeps those within
 // ε. The exact configuration is appended as the guaranteed-feasible
-// fallback. Completed layers are checkpointed and reused on resume.
+// fallback.
 func (o *Optimizer) localOptimizationPass(ctx context.Context, paramK map[string][][]Candidate) (map[string][]LayerChoice, error) {
 	sp := metrics.StartSpan("tune/local")
 	defer sp.End()
 	start := progressClock()
 	out := make(map[string][]LayerChoice, len(o.net.PlanOrder))
 	for li, node := range o.net.PlanOrder {
-		if o.ckpt != nil {
-			if choices, ok := o.ckpt.Local[node]; ok {
-				out[node] = choices
-				o.logf("optimizer: local pass %s restored from checkpoint", node)
-				continue
-			}
-		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -696,10 +619,6 @@ func (o *Optimizer) localOptimizationPass(ctx context.Context, paramK map[string
 		sort.Slice(choices, func(a, b int) bool { return choices[a].Op < choices[b].Op })
 		choices = append(choices, LayerChoice{Params: AllExact(outC), Op: o.exactOps[node], Err: 0})
 		out[node] = choices
-		if o.ckpt != nil {
-			o.ckpt.Local[node] = choices
-			o.checkpoint()
-		}
 		if metrics.Enabled() {
 			metrics.C("opt.local_configs", metrics.Labels{"layer": node}).Add(int64(len(choices)))
 		}
@@ -783,9 +702,7 @@ func (o *Optimizer) loss(feats [][]float32) float64 {
 // paper's merit rule: start every layer at its cheapest acceptable local
 // configuration, and while the joint accuracy loss exceeds ε, move the
 // layer/configuration with the highest −Δerr/Δop merit to a more
-// conservative setting. The pass re-runs from the local-pass output on
-// resume (it is cheap relative to profiling and deterministic, so the
-// resumed result is identical).
+// conservative setting.
 func (o *Optimizer) globalOptimizationPass(ctx context.Context, paramL map[string][]LayerChoice) (*Result, error) {
 	sp := metrics.StartSpan("tune/global")
 	defer sp.End()

@@ -1,6 +1,8 @@
 package snapea
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"snapea/internal/calib"
@@ -198,5 +200,17 @@ func TestAdjustParamDeterministicTieBreak(t *testing.T) {
 		if !ok || node != "z" {
 			t.Fatalf("iteration %d: tie broke to %q, want plan-order winner %q", i, node, "z")
 		}
+	}
+}
+
+// TestOptimizerCanceledBeforeStart: a context cancelled before RunCtx
+// stops the run before its first layer with the context's error.
+func TestOptimizerCanceledBeforeStart(t *testing.T) {
+	m, optImgs, optLabels, _, _ := pipeline(t, 28)
+	o := NewOptimizer(CompileExact(m), m.Head, optImgs, optLabels, wideGrid(0.05))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := o.RunCtx(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-canceled context returned %v", err)
 	}
 }

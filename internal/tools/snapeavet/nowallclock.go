@@ -10,10 +10,10 @@ import (
 // NoWallClock verifies that no wall-clock read (time.Now, time.Since,
 // time.Until) and no global math/rand call is statically reachable from
 // the functions that produce byte-identical artifacts: engine runs,
-// optimizer passes, checkpoint and params encodes, the deterministic
+// optimizer passes, params encodes, the deterministic
 // metrics snapshot, the cycle simulator. Those code paths must depend
 // only on their inputs — a clock or ambient RNG read anywhere beneath
-// them silently breaks worker invariance and bit-identical resume.
+// them silently breaks worker invariance and byte-identical reruns.
 //
 // Methods on a seeded *rand.Rand are allowed (deterministic given the
 // seed); only the package-level math/rand functions, which draw from

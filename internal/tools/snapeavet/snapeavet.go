@@ -2,7 +2,7 @@
 // stdlib-only checker (go/parser + go/types + go/ast, no external
 // modules) that enforces the determinism, durability and metric
 // invariants the headline claims rest on — exact-mode equivalence,
-// worker-invariant traces, bit-identical checkpoint resume. Conventions
+// worker-invariant traces and params files. Conventions
 // that were previously enforced only by after-the-fact tests become
 // build-breaking diagnostics:
 //
@@ -11,8 +11,8 @@
 //     keys are collected and sorted first;
 //   - nowallclock: no time.Now/time.Since or global math/rand call may
 //     be reachable from a function that produces byte-identical
-//     artifacts (engine runs, optimizer passes, checkpoint encodes);
-//   - atomicwrite: persisted artifacts (checkpoints, load summaries,
+//     artifacts (engine runs, optimizer passes, params encodes);
+//   - atomicwrite: persisted artifacts (params files, load summaries,
 //     metric snapshots) must be written through internal/atomicfile,
 //     never raw os.WriteFile/os.Create;
 //   - metricdomain: metric names must carry a known prefix and be
@@ -107,7 +107,6 @@ func DefaultConfig(modPath string) Config {
 			{p("internal/snapea"), "Network.Forward"},
 			{p("internal/snapea"), "Network.ForwardChecked"},
 			{p("internal/snapea"), "Optimizer.RunCtx"},
-			{p("internal/snapea"), "OptCheckpoint.Save"},
 			{p("internal/snapea"), "ParamsFile.Marshal"},
 			{p("internal/snapea"), "Compile"},
 			{p("internal/snapea"), "CompileFaulty"},
