@@ -33,9 +33,9 @@ race:
 # Allocation guard, non-race: every forward runs the compiled program
 # in an arena of its network's pool and Algorithm 1 compiles into spare
 # plans. TestForwardWorkingSet (one Forward on reduced VGG allocates only
-# the output it returns), TestEvalLayerWorkingSet (one evalLayer of
-# Algorithm 1's local pass) and TestGlobalPassAllocatesNoNodeValues hold
-# the call under a byte bound; TestRecompileIntoSpareAllocatesNothing
+# the output it returns), TestEvalLayerWorkingSet (one layer's op count
+# and suffix evaluation in Algorithm 1's local pass) and
+# TestGlobalPassAllocatesNoNodeValues hold the calls under a byte bound; TestRecompileIntoSpareAllocatesNothing
 # holds a recompile into a spare plan to no allocation; and
 # TestArenaWithinPeakLive holds every model's slot layout, reduced and
 # Full, to 1.25x its peak-live size. The race detector changes what

@@ -90,7 +90,8 @@ type Candidate struct {
 
 // LayerChoice is one per-layer configuration the optimization stage
 // weighs: a full set of kernel parameters plus its measured total layer
-// ops on the optimization set and its isolated accuracy loss.
+// ops on the optimization set and its isolated accuracy loss, NaN until
+// it is scored.
 type LayerChoice struct {
 	Params LayerParams
 	Op     float64
@@ -577,11 +578,15 @@ func (rk *ReorderedKernel) gatherInto(orig, dst []float32) {
 	}
 }
 
-// localOptimizationPass implements LOCALOPTIMIZATIONPASS: for each layer
-// it forms T configurations (kernel k takes its t-th profiled candidate),
-// evaluates each with only that layer speculating, and keeps those within
-// ε. The exact configuration is appended as the guaranteed-feasible
-// fallback.
+// localOptimizationPass implements LOCALOPTIMIZATIONPASS in two steps
+// per layer. It forms T configurations (kernel k takes its t-th profiled
+// candidate) and counts each one's layer ops on D, which runs the layer
+// alone; then it scores their isolated accuracy loss in (Op, t) order
+// until the first within ε, the layer's start. The configurations after
+// the start keep a NaN Err: the global pass reads them only when it
+// moves, and scores them then (settle). The exact configuration is
+// appended as the guaranteed-feasible fallback. Scored in full, the
+// choices are those within ε in (Op, t) order, exact last.
 func (o *Optimizer) localOptimizationPass(ctx context.Context, paramK map[string][][]Candidate) (map[string][]LayerChoice, error) {
 	sp := metrics.StartSpan("tune/local")
 	defer sp.End()
@@ -591,52 +596,82 @@ func (o *Optimizer) localOptimizationPass(ctx context.Context, paramK map[string
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		kands := paramK[node]
-		outC := len(kands)
+		configs := o.layerConfigs(node, paramK[node])
+		evals := 0
 		var choices []LayerChoice
-		for t := 0; t < o.cfg.T; t++ {
-			params := make(LayerParams, outC)
-			anySpec := false
-			for k := 0; k < outC; k++ {
-				list := kands[k]
-				idx := t
-				if idx >= len(list) {
-					idx = len(list) - 1
-				}
-				params[k] = list[idx].Param
-				if !params[k].IsExact() {
-					anySpec = true
-				}
-			}
-			if !anySpec {
-				break // further t only repeats the exact config
-			}
-			op, err := o.evalLayer(node, params)
-			if err <= o.cfg.Epsilon {
-				choices = append(choices, LayerChoice{Params: params, Op: op, Err: err})
+		for i := range configs {
+			evals++
+			if configs[i].Err = o.evalLayer(node, configs[i].Params); configs[i].Err <= o.cfg.Epsilon {
+				choices = configs[i:]
+				break
 			}
 		}
-		sort.Slice(choices, func(a, b int) bool { return choices[a].Op < choices[b].Op })
-		choices = append(choices, LayerChoice{Params: AllExact(outC), Op: o.exactOps[node], Err: 0})
+		choices = append(choices, LayerChoice{Params: AllExact(len(paramK[node])), Op: o.exactOps[node], Err: 0})
 		out[node] = choices
-		if metrics.Enabled() {
-			metrics.C("opt.local_configs", metrics.Labels{"layer": node}).Add(int64(len(choices)))
-		}
-		o.logf("optimizer: local pass %s kept %d configs", node, len(choices))
+		o.logf("optimizer: local pass %s scored %d of %d configs", node, evals, len(configs))
 		o.progress("local pass", li+1, len(o.net.PlanOrder), start)
 	}
 	return out, nil
 }
 
-// evalLayer measures (total layer ops on D, accuracy loss) with only
-// `node` running the given parameters and every other layer exact. The
-// per-image suffix re-executions are independent (the plans are
-// read-only while they run), so they fan out across the worker pool:
-// features land in index-keyed slots and each image's trace is private,
-// merged afterwards in image order. TotalOps is an integer counter, so
-// the measured op total — and with it every greedy decision downstream —
-// cannot depend on evaluation order or worker count.
-func (o *Optimizer) evalLayer(node string, params LayerParams) (op float64, errLoss float64) {
+// layerConfigs forms the layer's T configurations, stopping at the first
+// that speculates nowhere (further t only repeat it), and returns them in
+// (Op, t) order with their layer ops on D and a NaN Err.
+func (o *Optimizer) layerConfigs(node string, kands [][]Candidate) []LayerChoice {
+	var configs []LayerChoice
+	for t := 0; t < o.cfg.T; t++ {
+		params := make(LayerParams, len(kands))
+		anySpec := false
+		for k, list := range kands {
+			params[k] = list[min(t, len(list)-1)].Param
+			anySpec = anySpec || !params[k].IsExact()
+		}
+		if !anySpec {
+			break
+		}
+		// Insertion in t order after every configuration with Op ≤ its
+		// own: (Op, t) order.
+		configs = append(configs, LayerChoice{Params: params, Op: o.layerOps(node, params), Err: math.NaN()})
+		for i := len(configs) - 1; i > 0 && configs[i-1].Op > configs[i].Op; i-- {
+			configs[i-1], configs[i] = configs[i], configs[i-1]
+		}
+	}
+	return configs
+}
+
+// layerOps counts node's total ops on D under the given parameters: the
+// node's plan alone, counted, on each image's cached exact input, into
+// its slot of an arena of the pool. The images fan out across the
+// worker pool; TotalOps is an integer counter, merged in image order.
+func (o *Optimizer) layerOps(node string, params LayerParams) float64 {
+	plan := o.net.Plans[node].recompile(o.spare[node], params, o.net.NegOrder)
+	o.spare[node] = plan
+	id := o.net.prog.ids[node]
+	ops := make([]int64, len(o.images))
+	parallel.For(len(o.images), func(_, i int) {
+		a := o.net.take(o.images[i])
+		_, tr := plan.runTo(a.vals[id], o.layerInput(node, i), RunOpts{}, true)
+		o.net.give(a)
+		ops[i] = tr.TotalOps
+	})
+	var total int64
+	for _, n := range ops {
+		total += n
+	}
+	return float64(total)
+}
+
+// evalLayer measures the accuracy loss on D with only `node` running the
+// given parameters and every other layer exact: the caches must hold
+// exact values and every other plan must be exact. The per-image suffix
+// re-executions are independent (the plans are read-only while they
+// run), so they fan out across the worker pool with no trace — layerOps
+// counts the layer — and their features land in index-keyed slots.
+// opt.local_evals counts the calls.
+func (o *Optimizer) evalLayer(node string, params LayerParams) float64 {
+	if metrics.Enabled() {
+		metrics.C("opt.local_evals", metrics.Labels{"layer": node}).Add(1)
+	}
 	old := o.net.Plans[node]
 	o.spare[node] = old.recompile(o.spare[node], params, o.net.NegOrder)
 	o.net.install(node, o.spare[node])
@@ -644,16 +679,34 @@ func (o *Optimizer) evalLayer(node string, params LayerParams) (op float64, errL
 
 	id := o.net.prog.ids[node]
 	feats := make([][]float32, len(o.images))
-	traces := make([]*NetTrace, len(o.images))
 	parallel.For(len(o.images), func(_, i int) {
-		traces[i] = NewNetTrace()
-		feats[i] = o.net.forwardFrom(o.caches[i].vals, id, RunOpts{}, traces[i], false)
+		feats[i] = o.net.forwardFrom(o.caches[i].vals, id, RunOpts{}, nil, false)
 	})
-	var ops int64
-	for _, tr := range traces {
-		ops += tr.Layers[node].TotalOps
+	return o.loss(feats)
+}
+
+// settle scores every configuration the local pass left unscored (NaN
+// Err) and keeps those within ε, in their (Op, t) place: the choices
+// an eager local pass, scoring every configuration, would have made.
+// Every plan must be exact and the caches must hold exact values, as for
+// evalLayer. Cancellation is checked between layers.
+func (o *Optimizer) settle(ctx context.Context, paramL map[string][]LayerChoice) error {
+	for _, node := range o.net.PlanOrder {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		kept := paramL[node][:0]
+		for _, c := range paramL[node] {
+			if math.IsNaN(c.Err) {
+				if c.Err = o.evalLayer(node, c.Params); !(c.Err <= o.cfg.Epsilon) {
+					continue
+				}
+			}
+			kept = append(kept, c)
+		}
+		paramL[node] = kept
 	}
-	return float64(ops), o.loss(feats)
+	return nil
 }
 
 // loss measures how much worse feats classify than the exact baseline:
@@ -702,36 +755,59 @@ func (o *Optimizer) loss(feats [][]float32) float64 {
 // paper's merit rule: start every layer at its cheapest acceptable local
 // configuration, and while the joint accuracy loss exceeds ε, move the
 // layer/configuration with the highest −Δerr/Δop merit to a more
-// conservative setting.
+// conservative setting. The start is checked by a whole forward per
+// image in the pool's arenas, so a start within ε ends the pass with the
+// caches still exact and no other configuration scored. Only a pass
+// that must move settles the layers' unscored configurations — with
+// prepare's exact plans reinstalled for it — and recomputes the caches
+// under the start.
 func (o *Optimizer) globalOptimizationPass(ctx context.Context, paramL map[string][]LayerChoice) (*Result, error) {
 	sp := metrics.StartSpan("tune/global")
 	defer sp.End()
 	current := make(map[string]LayerChoice, len(paramL))
-	remaining := make(map[string][]LayerChoice, len(paramL))
+	plans := make(map[string]*LayerPlan, len(paramL)) // prepare's exact plans
 	for node, choices := range paramL {
 		current[node] = choices[0]
-		remaining[node] = append([]LayerChoice(nil), choices[1:]...)
+		plans[node] = o.net.Plans[node]
 		o.setPlan(node, choices[0].Params)
 	}
-	o.recache()
-	err, acc := o.evalCached()
+	err, acc := o.evalStart()
 	iters := 0
-	for err > o.cfg.Epsilon {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
+	if err > o.cfg.Epsilon {
+		// Settle under the exact plans, then swap the start's back in.
+		for node, p := range plans {
+			plans[node] = o.net.Plans[node]
+			o.net.install(node, p)
 		}
-		node, idx, ok := o.adjustParam(current, remaining)
-		if !ok {
-			break // everything already at its most conservative config
+		serr := o.settle(ctx, paramL)
+		for node, p := range plans {
+			o.net.install(node, p)
 		}
-		current[node] = remaining[node][idx]
-		remaining[node] = append(remaining[node][:idx:idx], remaining[node][idx+1:]...)
-		old := o.net.Plans[node]
-		o.setPlan(node, current[node].Params)
-		o.spare[node] = old // compiled by this pass, held by no caller
-		err, acc = o.evalMove(node)
-		iters++
-		o.logf("optimizer: global iter %d moved %s, loss %.4f", iters, node, err)
+		if serr != nil {
+			return nil, serr
+		}
+		o.recache()
+		remaining := make(map[string][]LayerChoice, len(paramL))
+		for node, choices := range paramL {
+			remaining[node] = append([]LayerChoice(nil), choices[1:]...)
+		}
+		for err > o.cfg.Epsilon {
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, cerr
+			}
+			node, idx, ok := o.adjustParam(current, remaining)
+			if !ok {
+				break // everything already at its most conservative config
+			}
+			current[node] = remaining[node][idx]
+			remaining[node] = append(remaining[node][:idx:idx], remaining[node][idx+1:]...)
+			old := o.net.Plans[node]
+			o.setPlan(node, current[node].Params)
+			o.spare[node] = old // compiled by this pass, held by no caller
+			err, acc = o.evalMove(node)
+			iters++
+			o.logf("optimizer: global iter %d moved %s, loss %.4f", iters, node, err)
+		}
 	}
 	if metrics.Enabled() {
 		metrics.C("opt.global_iters", nil).Add(int64(iters))
@@ -809,6 +885,17 @@ func (o *Optimizer) evalMove(node string) (loss, acc float64) {
 		o.net.forwardFrom(o.caches[i].vals, id, RunOpts{}, nil, true)
 	})
 	return o.evalCached()
+}
+
+// evalStart measures the loss and the hard accuracy of the installed
+// plans by a whole forward per image, each in an arena of the pool, so
+// the caches are left as they were.
+func (o *Optimizer) evalStart() (loss, acc float64) {
+	feats := make([][]float32, len(o.images))
+	parallel.For(len(o.images), func(_, i int) {
+		feats[i] = o.net.Feature(o.images[i], RunOpts{}, nil)
+	})
+	return o.loss(feats), train.Accuracy(o.head, feats, o.labels)
 }
 
 // evalCached measures the loss and the hard accuracy of the cached

@@ -2,13 +2,16 @@ package snapea
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"snapea/internal/calib"
 	"snapea/internal/dataset"
+	"snapea/internal/metrics"
 	"snapea/internal/models"
 	"snapea/internal/nn"
 	"snapea/internal/train"
@@ -155,7 +158,8 @@ func evalFullOracle(o *Optimizer) (loss, acc float64) {
 // the branching SqueezeNet graph and on the pipeline's TinyNet, and
 // after each holds the incremental evaluation to a whole forward: the
 // same loss and accuracy, and caches equal node for node, bit for bit,
-// to CacheAll under the new plans. The caches are prepare's arenas,
+// to CacheAll under the new plans. The moves are drawn from the settled
+// choices, as the pass draws them. The caches are prepare's arenas,
 // recomputed in place by recache and written through by every move.
 func TestGlobalMoveMatchesFullForward(t *testing.T) {
 	ctx := context.Background()
@@ -173,6 +177,9 @@ func TestGlobalMoveMatchesFullForward(t *testing.T) {
 		}
 		paramL, err := o.localOptimizationPass(ctx, paramK)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := o.settle(ctx, paramL); err != nil { // the plans and caches are still exact
 			t.Fatal(err)
 		}
 		current := make(map[string]LayerChoice, len(paramL))
@@ -247,6 +254,172 @@ func TestForwardFromStopsAtUnchangedValue(t *testing.T) {
 			}
 			if ran := plansRun(net, func() { net.ForwardFrom(cache, n.Name, RunOpts{}, nil) }); ran != 0 {
 				t.Fatalf("%s: ForwardFrom(%s) with unchanged inputs ran %d plans, want 0", name, n.Name, ran)
+			}
+		}
+	}
+}
+
+// evalLayerOracle is the eager local pass's evaluation: node's
+// configuration compiled and installed, and the suffix forward run
+// counted from node, whose trace gives the op total.
+func evalLayerOracle(o *Optimizer, node string, params LayerParams) (op, loss float64) {
+	old := o.net.Plans[node]
+	o.spare[node] = old.recompile(o.spare[node], params, o.net.NegOrder)
+	o.net.install(node, o.spare[node])
+	defer o.net.install(node, old)
+	id := o.net.prog.ids[node]
+	feats := make([][]float32, len(o.images))
+	var ops int64
+	for i := range o.images {
+		tr := NewNetTrace()
+		feats[i] = o.net.forwardFrom(o.caches[i].vals, id, RunOpts{}, tr, false)
+		ops += tr.Layers[node].TotalOps
+	}
+	return float64(ops), o.loss(feats)
+}
+
+// localPassOracle is the eager LOCALOPTIMIZATIONPASS: every one of a
+// layer's T configurations scored, those within ε sorted by op with
+// sort.Slice, the exact one last. It also returns how many suffix
+// evaluations it ran, and how many the lazy pass needs on the same
+// numbers: per layer, the configurations in (Op, t) order up to the
+// first within ε, or all of them when none is.
+func localPassOracle(o *Optimizer, paramK map[string][][]Candidate) (paramL map[string][]LayerChoice, eager, lazy int) {
+	paramL = make(map[string][]LayerChoice, len(o.net.PlanOrder))
+	for _, node := range o.net.PlanOrder {
+		kands := paramK[node]
+		var all, choices []LayerChoice
+		for t := 0; t < o.cfg.T; t++ {
+			params := make(LayerParams, len(kands))
+			anySpec := false
+			for k, list := range kands {
+				params[k] = list[min(t, len(list)-1)].Param
+				anySpec = anySpec || !params[k].IsExact()
+			}
+			if !anySpec {
+				break
+			}
+			op, loss := evalLayerOracle(o, node, params)
+			all = append(all, LayerChoice{Params: params, Op: op, Err: loss})
+			if loss <= o.cfg.Epsilon {
+				choices = append(choices, all[len(all)-1])
+			}
+		}
+		eager += len(all)
+		sort.SliceStable(all, func(a, b int) bool { return all[a].Op < all[b].Op })
+		for _, c := range all {
+			lazy++
+			if c.Err <= o.cfg.Epsilon {
+				break
+			}
+		}
+		sort.Slice(choices, func(a, b int) bool { return choices[a].Op < choices[b].Op })
+		paramL[node] = append(choices, LayerChoice{Params: AllExact(len(kands)), Op: o.exactOps[node], Err: 0})
+	}
+	return paramL, eager, lazy
+}
+
+// tuneWith runs Algorithm 1's passes on a prepared optimizer as RunCtx
+// does, with local as its local pass. With reverse, every kernel's
+// speculative candidates reach the local pass in descending op order, so
+// a layer's configurations in t order are not in (Op, t) order.
+func tuneWith(t *testing.T, o *Optimizer, reverse bool, local func(*Optimizer, map[string][][]Candidate) map[string][]LayerChoice) *Result {
+	t.Helper()
+	ctx := context.Background()
+	paramK, err := o.kernelProfilingPass(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reverse {
+		for _, kands := range paramK {
+			for _, list := range kands {
+				slices.Reverse(list[:len(list)-1])
+			}
+		}
+	}
+	res, err := o.globalOptimizationPass(ctx, local(o, paramK))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.ParamK, res.BaseAcc = paramK, o.baseAcc
+	return res
+}
+
+// TestLazyLocalPassMatchesEager holds the two-step local pass — layer
+// ops first, the suffix forward in (Op, t) order up to the first
+// configuration within ε, the rest scored only when the global pass
+// moves — to the eager pass that scores every configuration: the same
+// encoded result and the same params bytes. Reduced SqueezeNet and
+// AlexNet under the suite's configuration end at their start; TinyNet
+// under the wide grid moves, so it settles first. Each runs once more
+// with its candidates reversed, where (Op, t) order is not t order. On
+// SqueezeNet opt.local_evals must count the suffix evaluations the
+// oracle's numbers imply, fewer than the eager pass runs.
+func TestLazyLocalPassMatchesEager(t *testing.T) {
+	suite := OptConfig{Epsilon: 0.03, SoftLoss: true}
+	m, optImgs, optLabels, _, _ := pipeline(t, 31)
+	tiny := func() *Optimizer {
+		o := NewOptimizer(CompileExact(m), m.Head, optImgs, optLabels, wideGrid(0.05))
+		o.prepare()
+		return o
+	}
+	lazyLocal := func(o *Optimizer, paramK map[string][][]Candidate) map[string][]LayerChoice {
+		paramL, err := o.localOptimizationPass(context.Background(), paramK)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return paramL
+	}
+	for _, tc := range []struct {
+		name  string
+		build func() *Optimizer
+		moves bool
+	}{
+		{"squeezenet", func() *Optimizer { return calibratedOptimizer(t, "squeezenet", suite) }, false},
+		{"alexnet", func() *Optimizer { return calibratedOptimizer(t, "alexnet", suite) }, false},
+		{"tinynet", tiny, true},
+	} {
+		for _, reverse := range []bool{false, true} {
+			var eager, lazy int
+			want := tuneWith(t, tc.build(), reverse, func(o *Optimizer, paramK map[string][][]Candidate) map[string][]LayerChoice {
+				var paramL map[string][]LayerChoice
+				paramL, eager, lazy = localPassOracle(o, paramK)
+				return paramL
+			})
+			metrics.Reset()
+			metrics.Enable()
+			o := tc.build()
+			o.SetLog(func(string, ...any) {}) // with metrics on, no logger prints progress
+			got := tuneWith(t, o, reverse, lazyLocal)
+			metrics.Disable()
+			evals := 0
+			for _, node := range o.net.PlanOrder {
+				evals += int(metrics.C("opt.local_evals", metrics.Labels{"layer": node}).Value())
+			}
+			metrics.Reset()
+			t.Logf("%s reverse=%v: %d global moves; %d suffix evaluations, eager %d, lazy local pass %d",
+				tc.name, reverse, got.GlobalIters, evals, eager, lazy)
+			gotEnc, _ := json.Marshal(got)
+			wantEnc, _ := json.Marshal(want)
+			if string(gotEnc) != string(wantEnc) {
+				t.Fatalf("%s reverse=%v: result differs from the eager local pass's:\n got %s\nwant %s", tc.name, reverse, gotEnc, wantEnc)
+			}
+			gotParams, err := got.File(tc.name, o.cfg.Epsilon).Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantParams, _ := want.File(tc.name, o.cfg.Epsilon).Marshal()
+			if string(gotParams) != string(wantParams) {
+				t.Fatalf("%s reverse=%v: params bytes differ from the eager local pass's", tc.name, reverse)
+			}
+			if reverse {
+				continue
+			}
+			if moved := got.GlobalIters > 0; moved != tc.moves {
+				t.Fatalf("%s: %d global moves; the case needs moves=%v", tc.name, got.GlobalIters, tc.moves)
+			}
+			if tc.name == "squeezenet" && (evals != lazy || evals >= eager) {
+				t.Fatalf("squeezenet: opt.local_evals %d, want the %d the oracle implies, below its %d", evals, lazy, eager)
 			}
 		}
 	}

@@ -18,7 +18,8 @@ import (
 // Re-executing into the network's worksets took it to 186,976 bytes,
 // 162,560 of them the recompiled conv1 plan; compiling into the node's
 // spare plan took it to 15,568; walking the compiled program in a pooled
-// arena, to 3,024.
+// arena, to 3,024; counting conv1 alone (layerOps) and re-executing the
+// suffix uncounted, to 2,208 for the two.
 const evalLayerFreshBytes = 1984674
 
 // evalLayerBound is a fifth of what evalLayer allocated with worksets but
@@ -26,27 +27,31 @@ const evalLayerFreshBytes = 1984674
 const evalLayerBound = 186976 / 5
 
 // TestEvalLayerWorkingSet holds the local pass to its fixed working set:
-// after one warm-up call, one evalLayer on reduced SqueezeNet's conv1 —
-// at its first candidates, so the whole network below it re-executes on
-// both images — must allocate under evalLayerBound. One worker, so the
-// warm-up makes the arena the measured call walks in and the spare
-// plan the measured call compiles into. The race detector changes what
-// allocates, so the file is built without it and `make alloc-guard` runs
-// it in CI.
+// after one warm-up, scoring reduced SqueezeNet's conv1 at its first
+// candidates — layerOps counts the layer alone, then evalLayer re-executes
+// the whole network below it on both images — must allocate under
+// evalLayerBound, the two together. One worker, so the warm-up makes the
+// arena the measured calls walk in and the spare plan they compile into.
+// The race detector changes what allocates, so the file is built without
+// it and `make alloc-guard` runs it in CI.
 func TestEvalLayerWorkingSet(t *testing.T) {
 	parallel.SetLimit(1)
 	defer parallel.SetLimit(0)
 	o := calibratedOptimizer(t, "squeezenet", OptConfig{Epsilon: 0.03, SoftLoss: true})
 	params := firstCandidates(o, "conv1")
-	o.evalLayer("conv1", params)
+	score := func() {
+		o.layerOps("conv1", params)
+		o.evalLayer("conv1", params)
+	}
+	score()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	o.evalLayer("conv1", params)
+	score()
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("evalLayer(conv1) allocated %d bytes", got)
+	t.Logf("layerOps and evalLayer (conv1) allocated %d bytes", got)
 	if got >= evalLayerBound {
-		t.Fatalf("evalLayer(conv1) allocated %d bytes, want < %d (%d with fresh tensors and plans)",
+		t.Fatalf("layerOps and evalLayer (conv1) allocated %d bytes, want < %d (%d with fresh tensors and plans)",
 			got, evalLayerBound, evalLayerFreshBytes)
 	}
 }
@@ -116,9 +121,9 @@ func TestRecompileIntoSpareAllocatesNothing(t *testing.T) {
 
 // TestGlobalPassAllocatesNoNodeValues holds the global pass to the
 // caches prepare allocated: on reduced SqueezeNet, with a budget the
-// local pass's choices already meet (no global iteration), the pass
-// recomputes every image's cache in place and must allocate less than
-// one image's cache takes.
+// local pass's starts already meet (no global iteration), the pass runs
+// its start check in the arenas of the network's pool and must allocate
+// less than one image's cache takes.
 func TestGlobalPassAllocatesNoNodeValues(t *testing.T) {
 	ctx := context.Background()
 	o := calibratedOptimizer(t, "squeezenet", OptConfig{Epsilon: 0.5, SoftLoss: true})
